@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 from semizn import linalg
@@ -51,12 +51,19 @@ class LatticePolytope:
     def _build(self):
         p0 = self.points[0]
         basis = []
-        rows = []
+        echelon = []  # (pivot column, integer row) spanning the picked diffs
         for p in self.points[1:]:
             diff = [a - b for a, b in zip(p, p0)]
-            if linalg.rank(rows + [diff], self.n) > len(basis):
+            v = diff
+            for pc, row in echelon:
+                if v[pc]:
+                    f, g = v[pc], row[pc]
+                    v = [g * x - f * y for x, y in zip(v, row)]
+            pc = next((j for j, x in enumerate(v) if x), None)
+            if pc is not None:  # diff is independent of the picked ones
+                g = gcd(*v)
+                echelon.append((pc, [x // g for x in v]))
                 basis.append(diff)
-                rows.append(diff)
         self.dim = len(basis)
         self._basis = basis
         bmat = [[basis[j][i] for j in range(self.dim)] for i in range(self.n)]

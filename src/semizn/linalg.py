@@ -1,6 +1,8 @@
 """Exact rational linear algebra: Gaussian elimination, a two-phase simplex
-with Bland's rule, Fourier-Motzkin elimination, and integer lattice normal
-forms (Smith, Hermite).  Everything runs on Fractions / ints; no floats.
+(Dantzig's most-negative-reduced-cost rule for the first 500 pivots of a
+phase, then Bland's rule), Fourier-Motzkin elimination, and integer lattice
+normal forms (Smith, Hermite).  Everything runs on Fractions / ints; no
+floats.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ def frac_vec(v: Iterable) -> list[Fraction]:
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    """Exact dot product of int / Fraction vectors, as a Fraction."""
+    return Fraction(sum(x * y for x, y in zip(a, b)))
 
 
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
@@ -107,70 +110,77 @@ def rank(rows: Mat, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Simplex (exact, Bland's rule)
+# Simplex (exact; Dantzig's rule, then Bland's)
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """min c.x  s.t.  A x = b, x >= 0, with b >= 0 assumed."""
+    """min c.x  s.t.  A x = b, x >= 0, with b >= 0, kept in canonical form
+    over `basis` (the basis columns form an identity).
 
-    def __init__(self, A: Mat, b: Vec, c: Vec, basis: list[int]):
-        self.A = A
-        self.b = b
-        self.c = c
-        self.basis = basis
-        self.m = len(A)
+    `rows[i]` is row i of [A | b]; the reduced costs c - c_B A, with -c_B.b
+    in the rhs slot, are one more row, `rows[m]`, updated by the same
+    elimination.  Entries are Fractions, or int 0.  A pivot touches only the
+    rows with a nonzero pivot-column entry, and in them only the pivot row's
+    nonzero columns.
+
+    The pivot sequence is part of the output contract: dual certificates
+    and window-LP points are the final vertex, so a change to the entering
+    rule, the ratio test or its tie-break changes the verdict JSON."""
+
+    def __init__(self, rows: Mat, c: Vec, basis: list[int]):
+        self.m = len(rows)
         self.n = len(c)
-
-    def _reduced_costs(self):
-        # y solves y B = c_B via the current tableau being in canonical form:
-        # we keep A in canonical form (basis columns = identity), so reduced
-        # costs are c_j - sum_i c_basis[i] * A[i][j].
-        cb = [self.c[j] for j in self.basis]
-        red = list(self.c)
-        for i in range(self.m):
-            if cb[i] == 0:
-                continue
-            row = self.A[i]
-            for j in range(self.n):
-                if row[j]:
-                    red[j] -= cb[i] * row[j]
-        return red
+        self.basis = basis
+        self.rows = rows
+        z = list(c) + [Fraction(0)]
+        for j, row in zip(basis, rows):
+            q = c[j]
+            if q:
+                for k, x in enumerate(row):
+                    if x:
+                        z[k] -= q * x
+        rows.append(z)
 
     def _pivot(self, pr: int, pc: int):
-        pv = self.A[pr][pc]
-        self.A[pr] = [x / pv for x in self.A[pr]]
-        self.b[pr] /= pv
-        for i in range(self.m):
-            if i != pr and self.A[i][pc] != 0:
-                f = self.A[i][pc]
-                self.A[i] = [x - f * y for x, y in zip(self.A[i], self.A[pr])]
-                self.b[i] -= f * self.b[pr]
+        prow = self.rows[pr]
+        pv = prow[pc]
+        nz = [j for j, x in enumerate(prow) if x]
+        for j in nz:
+            prow[j] /= pv
+        for i, row in enumerate(self.rows):
+            f = row[pc]
+            if f and i != pr:
+                for j in nz:
+                    row[j] -= f * prow[j]
         self.basis[pr] = pc
 
     def run(self):
         """Returns 'optimal' or 'unbounded'; tableau left at the final basis.
 
-        Entering variable: most negative reduced cost for the first pivots
-        (fast in practice), then Bland's smallest-index rule, which
-        guarantees termination; the switchover point is fixed, so runs stay
-        deterministic."""
+        Entering variable: most negative reduced cost (lowest index among
+        ties) for the first 500 pivots, which is fast in practice, then
+        Bland's smallest-index rule, which guarantees termination; the
+        switchover point is fixed, so runs stay deterministic.  Leaving row:
+        least ratio b_i / A[i][pc] over A[i][pc] > 0, ties to the lowest
+        basic variable index."""
+        n, m = self.n, self.m
+        rows, basis = self.rows, self.basis
+        z = rows[m]
         pivots = 0
         while True:
-            red = self._reduced_costs()
             if pivots < 500:
-                pc = None
-                for j in range(self.n):
-                    if red[j] < 0 and (pc is None or red[j] < red[pc]):
-                        pc = j
+                pc = min(range(n), key=z.__getitem__, default=None)
+                if pc is not None and z[pc] >= 0:
+                    pc = None
             else:
-                pc = next((j for j in range(self.n) if red[j] < 0), None)
+                pc = next((j for j in range(n) if z[j] < 0), None)
             if pc is None:
                 return "optimal"
             best = None
-            for i in range(self.m):
-                if self.A[i][pc] > 0:
-                    ratio = self.b[i] / self.A[i][pc]
-                    key = (ratio, self.basis[i])
+            for i in range(m):
+                a = rows[i][pc]
+                if a > 0:
+                    key = (rows[i][n] / a, basis[i])
                     if best is None or key < best[0]:
                         best = (key, i)
             if best is None:
@@ -180,45 +190,44 @@ class _Tableau:
 
     def solution(self):
         x = [Fraction(0)] * self.n
-        for i, j in enumerate(self.basis):
-            x[j] = self.b[i]
+        for j, row in zip(self.basis, self.rows):
+            x[j] = row[self.n]
         return x
 
     def objective(self):
-        return dot(self.c, self.solution())
+        return -self.rows[self.m][self.n]
 
 
 def simplex(A: Mat, b: Vec, c: Vec):
     """min c.x s.t. A x = b, x >= 0.  Returns (status, x) with status in
-    {'optimal', 'infeasible', 'unbounded'}."""
+    {'optimal', 'infeasible', 'unbounded'}.
+
+    Phase 1 starts from one artificial variable per row; artificials left
+    basic at level zero are pivoted out where a structural column allows,
+    and their rows, which are then redundant, are dropped for phase 2."""
     m = len(A)
     n = len(c)
-    A = [frac_vec(row) for row in A]
-    b = frac_vec(b)
-    c = frac_vec(c)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
+    rows = []
+    for i, (row, rhs) in enumerate(zip(A, frac_vec(b))):
+        sign = -1 if rhs < 0 else 1
+        art = [0] * m
+        art[i] = Fraction(1)
+        rows.append([Fraction(sign * x) if x else 0 for x in row] + art + [sign * rhs])
     # phase 1
-    art = list(range(n, n + m))
-    A1 = [row + [Fraction(int(i == k)) for k in range(m)] for i, row in enumerate(A)]
     c1 = [Fraction(0)] * n + [Fraction(1)] * m
-    t = _Tableau(A1, b, c1, list(art))
+    t = _Tableau(rows, c1, list(range(n, n + m)))
     t.run()
     if t.objective() != 0:
         return "infeasible", None
     # drive artificials out of the basis where possible
     for i in range(m):
         if t.basis[i] >= n:
-            pc = next((j for j in range(n) if t.A[i][j] != 0), None)
+            pc = next((j for j in range(n) if rows[i][j] != 0), None)
             if pc is not None:
                 t._pivot(i, pc)
     keep = [i for i in range(m) if t.basis[i] < n]  # rows with artificial basis are redundant
-    A2 = [t.A[i][:n] for i in keep]
-    b2 = [t.b[i] for i in keep]
-    basis2 = [t.basis[i] for i in keep]
-    t2 = _Tableau(A2, b2, list(c), basis2)
+    t2 = _Tableau([rows[i][:n] + rows[i][-1:] for i in keep], frac_vec(c),
+                  [t.basis[i] for i in keep])
     status = t2.run()
     if status == "unbounded":
         return "unbounded", None
@@ -337,10 +346,10 @@ def lp_optimize(constraints, num_vars: int, objective):
         c[2 * j] = -val
         c[2 * j + 1] = val
     status, x = simplex(A, b, c)
-    if status == "infeasible" or x is None:
-        return None
     if status == "unbounded":
         raise ValueError("unbounded objective")
+    if status == "infeasible":
+        return None
     return [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
 
 

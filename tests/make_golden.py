@@ -1,0 +1,144 @@
+"""Golden verdict digests: the sha256 of the canonical verdict JSON of a fixed
+set of decisions, so a change meant to keep the output can be checked byte
+for byte.
+
+    PYTHONPATH=src python tests/make_golden.py     # rewrite data/golden_verdicts.json
+
+The cases are the instance files of `instances/` under group, identity and
+inverse 1; the yes/no families of `corpus.py` under group; and seeded n = 2
+group instances with 1-term y's, which reach the window LP and the refuter.
+Cases that raise (other than HypothesisError, which is recorded as such) or
+take longer than `SLOW_S` are left out of the file, so the check stays fast.
+`test_golden.py` recomputes every digest in the file.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import signal
+import time
+from math import gcd
+
+from semizn import jsonio
+from semizn.algebra import ModulePresentation
+from semizn.decide import Budget, HypothesisError, decide_group, decide_identity, decide_inverse
+from semizn.group import GeneratorSet, GroupElement
+from semizn.laurent import LaurentPoly
+
+from corpus import no_instances, yes_instances
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+GOLDEN = os.path.join(HERE, "data", "golden_verdicts.json")
+SLOW_S = 0.5
+STOP_S = 3  # alarm for a case far over SLOW_S, so generation ends in minutes
+
+DECIDERS = {
+    "group": decide_group,
+    "identity": decide_identity,
+    "inverse1": lambda gens, budget: decide_inverse(gens, 1, budget),
+}
+
+
+def _n2_instances(count: int, seed: int = 2304):
+    """n = 2 instances with 1-term y's (exponents in [-1, 1], coefficients in
+    [-2, 2]) and steps in [-1, 1]^2 spanning Z^2, over free or Z/2
+    coefficients: g, g^-1, h, h^-1 and g, h, k, (ghk)^-1, which are groups
+    by construction, and three random elements."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        shape = ("pairs", "ghk", "random")[len(out) % 3]
+        torsion = len(out) % 2 == 1
+        pres = ModulePresentation(
+            n=2, d=1, rels_N=[[LaurentPoly.constant(2, 2)]] if torsion else [])
+
+        def element():
+            c = rng.randint(-2, 2)
+            e = (rng.randint(-1, 1), rng.randint(-1, 1))
+            y = LaurentPoly(2, {e: c} if c else {})
+            return GroupElement(pres, [y], (rng.randint(-1, 1), rng.randint(-1, 1)))
+
+        if shape == "pairs":
+            g, h = element(), element()
+            els = [g, g.inverse(), h, h.inverse()]
+        elif shape == "ghk":
+            g, h, k = element(), element(), element()
+            els = [g, h, k, (g * h * k).inverse()]
+        else:
+            els = [element() for _ in range(3)]
+        steps = [g.a for g in els]
+        if gcd(*(a[0] * b[1] - a[1] * b[0] for a in steps for b in steps)) == 1:
+            out.append(GeneratorSet(pres, els))
+    return out
+
+
+def cases():
+    """(case id, thunk) for every candidate case, in a fixed order; a thunk
+    returns the decision's digest."""
+    out = []
+    for name in sorted(os.listdir(os.path.join(ROOT, "instances"))):
+        with open(os.path.join(ROOT, "instances", name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if "module" not in doc or "generators" not in doc:
+            continue
+        for kind, decide in DECIDERS.items():
+            out.append((f"instances/{name}:{kind}",
+                        lambda doc=doc, decide=decide: digest(
+                            decide, jsonio.instance_from_json(doc))))
+    for i, (family, gens) in enumerate(yes_instances(20) + no_instances(10)):
+        out.append((f"corpus/{i}-{family}:group",
+                    lambda gens=gens: digest(decide_group, gens)))
+    for i, gens in enumerate(_n2_instances(24)):
+        out.append((f"n2/{i}:group", lambda gens=gens: digest(decide_group, gens)))
+    return out
+
+
+def digest(decide, gens) -> str:
+    """sha256 of the canonical verdict JSON, or the HypothesisError's
+    sublattice basis."""
+    try:
+        verdict = decide(gens, Budget())
+    except HypothesisError as exc:
+        return "HypothesisError " + json.dumps(exc.sublattice_basis)
+    text = jsonio.dumps(jsonio.verdict_to_json(verdict))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class _Stopped(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Stopped(f"over {STOP_S} s")
+
+
+def main():
+    signal.signal(signal.SIGALRM, _stop)
+    golden = {}
+    for case_id, thunk in cases():
+        t0 = time.perf_counter()
+        signal.alarm(STOP_S)
+        try:
+            value = thunk()
+        except Exception as exc:  # left out: the check pins finished decisions
+            print(f"skip {case_id}: {type(exc).__name__}: {exc}", flush=True)
+            continue
+        finally:
+            signal.alarm(0)
+        elapsed = time.perf_counter() - t0
+        if elapsed > SLOW_S:
+            print(f"skip {case_id}: {elapsed:.2f} s", flush=True)
+            continue
+        golden[case_id] = value
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(golden)} digests to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from semizn import linalg
 from semizn.geometry import convex_hull, is_face_accessible, refined_fan
 from semizn.ggraph import StepGraph
 from semizn.positions import crossing_indices, leading_indices
@@ -45,6 +46,23 @@ def test_hull_idempotence(rng):
         Q = convex_hull(P.vertices)
         assert Q == P
         assert Q.vertices == P.vertices
+
+
+def test_hull_affine_basis_is_the_greedy_rank_basis(rng):
+    # each point's difference is picked iff it raises the rank of the picks
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.5:  # a flat point set
+            pts = [p[:1] + (p[0],) * (n - 1) for p in pts]
+        hull = convex_hull(pts)
+        want = []
+        p0 = hull.points[0]
+        for p in hull.points[1:]:
+            diff = [a - b for a, b in zip(p, p0)]
+            if linalg.rank(want + [diff], n) > len(want):
+                want.append(diff)
+        assert hull._basis == want
 
 
 def test_hull_3d_cube():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from semizn import linalg
 
 
@@ -23,6 +25,218 @@ def test_simplex_basic():
     assert status == "infeasible"
     status, _ = linalg.simplex([[1, -1]], [0], [-1, 0])  # x1 - x2 = 0, min -x1
     assert status == "unbounded"
+
+
+def test_lp_optimize_unbounded_raises():
+    with pytest.raises(ValueError, match="unbounded"):
+        linalg.lp_optimize([([1, -1], ">=", 0)], 2, [1, 0])
+    assert linalg.lp_optimize([([1, 0], "<=", 1), ([1, 0], ">=", 2)], 2, [1, 0]) is None
+    assert linalg.lp_optimize([([1, -1], "<=", 3), ([0, 1], "<=", 2)], 2, [1, 0]) == [5, 2]
+
+
+# -- reference: the dense Fraction simplex the sparse kernel replaced ---------
+# Kept verbatim apart from the pivot log, as an oracle: the sparse kernel must
+# make the same pivots, because the final vertex is part of the output.
+
+class _RefTableau:
+    def __init__(self, A, b, c, basis, log):
+        self.A = A
+        self.b = b
+        self.c = c
+        self.basis = basis
+        self.m = len(A)
+        self.n = len(c)
+        self.log = log
+
+    def _reduced_costs(self):
+        cb = [self.c[j] for j in self.basis]
+        red = list(self.c)
+        for i in range(self.m):
+            if cb[i] == 0:
+                continue
+            row = self.A[i]
+            for j in range(self.n):
+                if row[j]:
+                    red[j] -= cb[i] * row[j]
+        return red
+
+    def _pivot(self, pr, pc):
+        self.log.append(("pivot", pr, pc))
+        pv = self.A[pr][pc]
+        self.A[pr] = [x / pv for x in self.A[pr]]
+        self.b[pr] /= pv
+        for i in range(self.m):
+            if i != pr and self.A[i][pc] != 0:
+                f = self.A[i][pc]
+                self.A[i] = [x - f * y for x, y in zip(self.A[i], self.A[pr])]
+                self.b[i] -= f * self.b[pr]
+        self.basis[pr] = pc
+
+    def run(self):
+        status = self._run()
+        self.log.append((status, tuple(self.basis)))
+        return status
+
+    def _run(self):
+        pivots = 0
+        while True:
+            red = self._reduced_costs()
+            if pivots < 500:
+                pc = None
+                for j in range(self.n):
+                    if red[j] < 0 and (pc is None or red[j] < red[pc]):
+                        pc = j
+            else:
+                pc = next((j for j in range(self.n) if red[j] < 0), None)
+            if pc is None:
+                return "optimal"
+            best = None
+            for i in range(self.m):
+                if self.A[i][pc] > 0:
+                    ratio = self.b[i] / self.A[i][pc]
+                    key = (ratio, self.basis[i])
+                    if best is None or key < best[0]:
+                        best = (key, i)
+            if best is None:
+                return "unbounded"
+            self._pivot(best[1], pc)
+            pivots += 1
+
+    def solution(self):
+        x = [Fraction(0)] * self.n
+        for i, j in enumerate(self.basis):
+            x[j] = self.b[i]
+        return x
+
+    def objective(self):
+        return linalg.dot(self.c, self.solution())
+
+
+def _ref_simplex(A, b, c, log=None):
+    log = [] if log is None else log
+    m = len(A)
+    n = len(c)
+    A = [linalg.frac_vec(row) for row in A]
+    b = linalg.frac_vec(b)
+    c = linalg.frac_vec(c)
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+    art = list(range(n, n + m))
+    A1 = [row + [Fraction(int(i == k)) for k in range(m)] for i, row in enumerate(A)]
+    c1 = [Fraction(0)] * n + [Fraction(1)] * m
+    t = _RefTableau(A1, b, c1, list(art), log)
+    t.run()
+    if t.objective() != 0:
+        return "infeasible", None
+    for i in range(m):
+        if t.basis[i] >= n:
+            pc = next((j for j in range(n) if t.A[i][j] != 0), None)
+            if pc is not None:
+                t._pivot(i, pc)
+    keep = [i for i in range(m) if t.basis[i] < n]
+    log.append(("keep", tuple(keep)))
+    A2 = [t.A[i][:n] for i in keep]
+    b2 = [t.b[i] for i in keep]
+    basis2 = [t.basis[i] for i in keep]
+    t2 = _RefTableau(A2, b2, list(c), basis2, log)
+    status = t2.run()
+    if status == "unbounded":
+        return "unbounded", None
+    return "optimal", t2.solution()
+
+
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """Log the kernel's pivots and the basis at the end of each phase, in
+    the reference's format."""
+    log = []
+    pivot, run = linalg._Tableau._pivot, linalg._Tableau.run
+
+    def logged_pivot(self, pr, pc):
+        log.append(("pivot", pr, pc))
+        return pivot(self, pr, pc)
+
+    def logged_run(self):
+        status = run(self)
+        log.append((status, tuple(self.basis)))
+        return status
+
+    monkeypatch.setattr(linalg._Tableau, "_pivot", logged_pivot)
+    monkeypatch.setattr(linalg._Tableau, "run", logged_run)
+    return log
+
+
+def _random_lp(rng):
+    """Small integer (sometimes rational) LP; zero-heavy, often degenerate,
+    sometimes with a redundant row (a combination of two others).  Half are
+    feasible by construction: b = A x0 for some x0 >= 0 with zeros."""
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 8)
+
+    def entry():
+        v = rng.choice([0, 0, 0, 1, -1, 2, -2, 3, -3])
+        return Fraction(v, rng.choice([1, 1, 1, 2, 3])) if v else 0
+
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [rng.choice([0, 0, 1, 2]) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = [rng.choice([0, 0, 1, 2, -1, 4]) for _ in range(m)]
+    if m >= 2 and rng.random() < 0.3:
+        i, j = rng.sample(range(m), 2)
+        k = rng.choice([1, -1, 2])
+        A.append([x + k * y for x, y in zip(A[i], A[j])])
+        b.append(b[i] + k * b[j])
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    return A, b, c
+
+
+def test_simplex_matches_dense_reference(pivot_log):
+    rng = random.Random(2304)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "redundant": 0, "degenerate": 0}
+    for _ in range(600):
+        A, b, c = _random_lp(rng)
+        ref_log = []
+        want = _ref_simplex(A, b, c, ref_log)
+        pivot_log.clear()
+        got = linalg.simplex(A, b, c)
+        assert got == want, (A, b, c)
+        ref_pivots = [e for e in ref_log if e[0] != "keep"]
+        assert pivot_log == ref_pivots, (A, b, c)
+        seen[want[0]] += 1
+        keep = next((e[1] for e in ref_log if e[0] == "keep"), None)
+        if keep is not None and len(keep) < len(A):
+            seen["redundant"] += 1
+        if want[0] == "optimal" and sum(1 for x in want[1] if x) < len(keep):
+            seen["degenerate"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lp_wrappers_match_dense_reference(monkeypatch):
+    rng = random.Random(77)
+    feasible_cases, gordan_cases = [], []
+    for _ in range(100):
+        k = rng.randint(1, 4)
+        cons = [([rng.randint(-3, 3) for _ in range(k)], rng.choice(["<=", ">=", "=="]),
+                 rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+        feasible_cases.append((cons, k))
+        K = rng.randint(1, 4)
+        gordan_cases.append([[rng.randint(-3, 3) for _ in range(K)]
+                             for _ in range(rng.randint(1, 4))])
+
+    def run_all():
+        return ([linalg.lp_feasible_point(cons, k) for cons, k in feasible_cases],
+                [linalg.strict_positive_combination(cols) for cols in gordan_cases])
+
+    got = run_all()
+    monkeypatch.setattr(linalg, "simplex", _ref_simplex)
+    want = run_all()
+    assert got == want
+    assert any(p is None for p in got[0]) and any(p is not None for p in got[0])
+    assert {s for s, _ in got[1]} == {"feasible", "infeasible"}
 
 
 def test_strict_positive_combination_gordan():
