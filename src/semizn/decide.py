@@ -224,28 +224,6 @@ def _check_refutation(columns, lam, K: int):
 # The positive search (Procedure A)
 # ---------------------------------------------------------------------------
 
-def _clear_to_int(fs: list[list[Fraction]], universe, K: int, n: int):
-    denom = 1
-    for row in fs:
-        for c in row:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    polys = []
-    for i in range(K):
-        terms = {}
-        for mono, c in zip(universe[i], fs[i]):
-            v = int(c * denom)
-            if v:
-                terms[mono] = v
-        polys.append(LaurentPoly(n, terms))
-    content = 0
-    for p in polys:
-        for c in p.terms.values():
-            content = gcd(content, abs(c))
-    if content > 1:
-        polys = [LaurentPoly(n, {e: c // content for e, c in p.terms.items()}) for p in polys]
-    return polys
-
-
 class _WindowSearch:
     """Exact-LP search for an all-positive element of the relation module
     with multiplier supports inside a degree window.
@@ -315,10 +293,17 @@ class _WindowSearch:
                 break
             point = nxt
             achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
-        values = [
-            [linalg.dot(rows[(i, b)], point) for b in universe[i]] for i in range(K)
+        # Clear the multipliers, not the values: an integer combination of
+        # the generators is in the relation module, but a rational one whose
+        # values happen to be integers need not be when Y has torsion.
+        denom = 1
+        for x in point:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        multipliers = [int(x * denom) for x in point]
+        return [
+            LaurentPoly(n, {b: int(linalg.dot(rows[(i, b)], multipliers)) for b in universe[i]})
+            for i in range(K)
         ]
-        return _clear_to_int(values, universe, K, n)
 
 
 def _literal_candidates(generators, K: int, n: int, budget: Budget):

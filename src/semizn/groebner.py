@@ -16,12 +16,29 @@ the remaining positions gives the syzygy/elimination order on positions.
 A strong basis guarantees that every member of the module reduces to zero,
 and (with the canonical nonnegative-remainder convention used here) that
 normal forms are unique coset representatives.
+
+Reduction keeps the terms of the work vector in a binary heap keyed by the
+term order, with lazy deletion: a term that cancels stays in the heap and is
+skipped when it is popped.  A reduction step only adds terms below the
+leading term it removes, so a popped term never comes back, and each step
+finds the leading term in logarithmic time instead of scanning the vector.
+Each order caches the heap keys of the terms it has seen.  Reducers are
+looked up in per-position lists sorted by (|lc|, index).
+
+The outputs are path-dependent.  The reducer chosen for a leading term (the
+divisor with the smallest |lc|, then the lowest index), the pair order
+(smallest lcm term first, then creation order) and the canonical remainders
+fix every raw basis element and its recipe, hence the lifting matrices and
+the syzygy generators that `syzygy_generators` returns.  Another choice gives
+a basis of the same module, but other bytes, so these choices are part of
+the output contract.
 """
 from __future__ import annotations
 
 import heapq
 import time
 from math import gcd
+from operator import add, le, sub
 
 from semizn.kernels import axpy_terms
 
@@ -40,6 +57,7 @@ class TermOrder:
         if covered != list(range(nvars)):
             raise ValueError("blocks must partition the variables")
         self.elim_positions = elim_positions
+        self._heap_entries: dict = {}
 
     def key(self, pos: int, mono: tuple):
         parts = [1 if pos < self.elim_positions else 0]
@@ -48,6 +66,22 @@ class TermOrder:
             parts.append((sum(sub), sub))
         parts.append(-pos)
         return tuple(parts)
+
+    def heap_entry(self, term: tuple) -> tuple:
+        """(negated key, term) for term = (pos, mono): the least entry is
+        the leading term.  The negated key is `key` flattened into one tuple
+        of ints, so heap comparisons stay in C."""
+        entry = self._heap_entries.get(term)
+        if entry is None:
+            pos, mono = term
+            neg = [-1 if pos < self.elim_positions else 0]
+            for block in self.blocks:
+                part = [mono[i] for i in block]
+                neg.append(-sum(part))
+                neg.extend(-a for a in part)
+            neg.append(pos)
+            entry = self._heap_entries[term] = (tuple(neg), term)
+        return entry
 
 
 def _ext_gcd(a: int, b: int):
@@ -66,20 +100,24 @@ def _ext_gcd(a: int, b: int):
 
 
 class _Entry:
-    __slots__ = ("vec", "pos", "mono", "coef", "key")
+    __slots__ = ("vec", "pos", "mono", "coef", "key", "tail")
 
     def __init__(self, vec: dict, order: TermOrder):
         self.vec = vec
-        self.pos, self.mono = max(vec, key=lambda k: order.key(*k))
-        self.coef = vec[(self.pos, self.mono)]
-        self.key = order.key(self.pos, self.mono)
+        lead = min(vec, key=order.heap_entry)
+        self.pos, self.mono = lead
+        self.coef = vec[lead]
+        self.key = order.key(*lead)
+        self.tail = [(t, c) for t, c in vec.items() if t != lead]
 
 
-def _normalize_sign(vec: dict, order: TermOrder) -> dict:
-    pos, mono = max(vec, key=lambda k: order.key(*k))
-    if vec[(pos, mono)] < 0:
-        return {k: -c for k, c in vec.items()}
-    return vec
+def _signed_entry(vec: dict, order: TermOrder):
+    """The entry of +vec or -vec whose leading coefficient is positive, and
+    the sign used."""
+    e = _Entry(vec, order)
+    if e.coef > 0:
+        return e, 1
+    return _Entry({k: -c for k, c in vec.items()}, order), -1
 
 
 def normal_form(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -> dict:
@@ -90,48 +128,95 @@ def normal_form(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -
     (q, shift, basis_index) meaning q * X^shift * basis[index] was
     subtracted, so vec = remainder + sum of recorded multiples.
     """
+    reducers: dict = {}
+    for idx in sorted(range(len(basis)), key=lambda i: (abs(basis[i].coef), i)):
+        g = basis[idx]
+        reducers.setdefault(g.pos, []).append((g.mono, g.coef, g.tail, idx))
+    entry = order.heap_entry
     work = dict(vec)
+    heap = [entry(t) for t in work]
+    heapq.heapify(heap)
     out = {}
-    while work:
-        pos, mono = max(work, key=lambda k: order.key(*k))
-        c = work[(pos, mono)]
-        best = None
-        for idx, g in enumerate(basis):
-            if g.pos != pos or len(g.mono) != len(mono):
-                continue
-            if all(a <= b for a, b in zip(g.mono, mono)):
-                cand = (abs(g.coef), idx)
-                if best is None or cand < best:
-                    best = cand
-        if best is not None:
-            g = basis[best[1]]
-            r = c % abs(g.coef)
-            q = (c - r) // g.coef
-            if q:
-                shift = tuple(b - a for a, b in zip(g.mono, mono))
-                axpy_terms(work, -q, shift, g.vec)
-                if record is not None:
-                    record.append((q, shift, best[1]))
-                if r:
-                    # the reduced term is now irreducible: park it
-                    del work[(pos, mono)]
-                    out[(pos, mono)] = r
-                continue
-        del work[(pos, mono)]
-        out[(pos, mono)] = c
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        c = work.pop(lead, None)
+        if c is None:
+            continue  # cancelled since it was pushed (lazy deletion)
+        pos, mono = lead
+        for g_mono, g_coef, g_tail, idx in reducers.get(pos, ()):
+            if all(map(le, g_mono, mono)):
+                break
+        else:
+            out[lead] = c
+            continue
+        r = c % abs(g_coef)
+        q = (c - r) // g_coef
+        if q:
+            shift = tuple(map(sub, mono, g_mono))
+            for (p, e), cg in g_tail:
+                t = (p, tuple(map(add, e, shift)))
+                d = q * cg
+                old = work.get(t)
+                if old is None:
+                    work[t] = -d
+                    heapq.heappush(heap, entry(t))
+                elif old != d:
+                    work[t] = old - d
+                else:
+                    del work[t]
+            if record is not None:
+                record.append((q, shift, idx))
+        if r:
+            out[lead] = r
     return out
 
 
+def _pair_seeds(basis: list[_Entry], i: int, j: int) -> list:
+    """The S-pair of basis[i] and basis[j] (same position), and their
+    GCD-pair when neither leading coefficient divides the other, each as a
+    list of (coef, shift, index) terms."""
+    gi, gj = basis[i], basis[j]
+    lcm_mono = tuple(map(max, gi.mono, gj.mono))
+    si = tuple(map(sub, lcm_mono, gi.mono))
+    sj = tuple(map(sub, lcm_mono, gj.mono))
+    ci, cj = gi.coef, gj.coef
+    l = abs(ci * cj) // gcd(ci, cj)
+    seeds = [[(l // ci, si, i), (-(l // cj), sj, j)]]
+    if ci % cj != 0 and cj % ci != 0:
+        _, s, t = _ext_gcd(ci, cj)
+        seeds.append([(s, si, i), (t, sj, j)])
+    return seeds
+
+
+def _seed_vector(seed: list, basis: list[_Entry]) -> dict:
+    vec: dict = {}
+    for coef, shift, idx in seed:
+        axpy_terms(vec, coef, shift, basis[idx].vec)
+    return vec
+
+
 def buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_Entry]:
-    """Strong Groebner basis of the module generated by `gens`.
+    """Reduced strong Groebner basis of the module generated by `gens`."""
+    raw, _ = _buchberger_raw(gens, order, deadline=deadline)
+    return _reduce_basis(raw, order)[0]
+
+
+def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
+    """Incremental strong-basis run that records, per raw element, a one-level
+    recipe: ("gen", j, sign) for (sign-normalized) input j, or
+    ("comb", [(coef, shift, raw_idx), ...]) meaning the signed sum of shifted
+    earlier raw elements.  Returns (raw entries, recipes).
 
     Processes S-vectors and GCD-vectors by the normal strategy (smallest lcm
     term first); deterministic for a fixed input order.
     """
     basis: list[_Entry] = []
-    for g in gens:
+    recipes: list = []
+    for j, g in enumerate(gens):
         if g:
-            basis.append(_Entry(_normalize_sign(dict(g), order), order))
+            e, sign = _signed_entry(dict(g), order)
+            basis.append(e)
+            recipes.append(("gen", j, sign))
 
     pending: list = []
     counter = 0
@@ -143,7 +228,7 @@ def buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_Entry
             gi = basis[i]
             if gi.pos != gnew.pos:
                 continue
-            lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gnew.mono))
+            lcm_mono = tuple(map(max, gi.mono, gnew.mono))
             counter += 1
             heapq.heappush(pending, (order.key(gi.pos, lcm_mono), counter, i, new_idx))
 
@@ -154,58 +239,53 @@ def buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_Entry
         if deadline is not None and time.monotonic() > deadline:
             raise GroebnerBudgetError("groebner deadline exceeded")
         _, _, i, j = heapq.heappop(pending)
-        gi, gj = basis[i], basis[j]
-        lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gj.mono))
-        si = tuple(l - a for l, a in zip(lcm_mono, gi.mono))
-        sj = tuple(l - a for l, a in zip(lcm_mono, gj.mono))
-        ci, cj = gi.coef, gj.coef
-        l = abs(ci * cj) // gcd(abs(ci), abs(cj))
-        candidates = []
-        s_vec: dict = {}
-        axpy_terms(s_vec, l // ci, si, gi.vec)
-        axpy_terms(s_vec, -(l // cj), sj, gj.vec)
-        candidates.append(s_vec)
-        if ci % cj != 0 and cj % ci != 0:
-            _, s, t = _ext_gcd(ci, cj)
-            g_vec: dict = {}
-            axpy_terms(g_vec, s, si, gi.vec)
-            axpy_terms(g_vec, t, sj, gj.vec)
-            candidates.append(g_vec)
-        for cand in candidates:
-            rem = normal_form(cand, basis, order)
-            if rem:
-                basis.append(_Entry(_normalize_sign(rem, order), order))
-                push_pairs(len(basis) - 1)
-    return _reduce_basis(basis, order)
+        for seed in _pair_seeds(basis, i, j):
+            rec: list = []
+            rem = normal_form(_seed_vector(seed, basis), basis, order, record=rec)
+            if not rem:
+                continue
+            comb = seed + [(-qq, shift, m) for qq, shift, m in rec]
+            e, sign = _signed_entry(rem, order)
+            if sign < 0:
+                comb = [(-c, s2, m) for c, s2, m in comb]
+            basis.append(e)
+            recipes.append(("comb", comb))
+            push_pairs(len(basis) - 1)
+    return basis, recipes
 
 
-def _reduce_basis(basis: list[_Entry], order: TermOrder) -> list[_Entry]:
+def _reduce_basis(basis: list[_Entry], order: TermOrder):
     """Minimalize (drop entries whose leading term is a multiple of another's)
-    and tail-reduce, in a deterministic order."""
-    entries = sorted(basis, key=lambda e: (e.key, abs(e.coef)))
-    kept: list[_Entry] = []
-    for e in entries:
-        redundant = False
-        for h in kept:
-            if (
-                h.pos == e.pos
-                and all(a <= b for a, b in zip(h.mono, e.mono))
-                and e.coef % h.coef == 0
-            ):
-                redundant = True
-                break
+    and tail-reduce against the other survivors, in ascending order of
+    (leading term, |lc|), which is also the order of the result.
+
+    Returns (reduced entries, combinations): each reduced entry is the signed
+    sum of the (coef, shift, index) terms of its combination, over `basis`.
+    """
+    ranked = sorted(range(len(basis)), key=lambda t: (basis[t].key, abs(basis[t].coef)))
+    kept: list[int] = []
+    for t in ranked:
+        e = basis[t]
+        redundant = any(
+            basis[k].pos == e.pos
+            and all(map(le, basis[k].mono, e.mono))
+            and e.coef % basis[k].coef == 0
+            for k in kept
+        )
         if not redundant:
-            kept.append(e)
-    reduced = []
-    for e in kept:
-        tail = dict(e.vec)
-        del tail[(e.pos, e.mono)]
-        others = [h for h in kept if h is not e]
-        nf_tail = normal_form(tail, others, order)
+            kept.append(t)
+    zero = (0,) * order.nvars
+    reduced: list[_Entry] = []
+    combs: list = []
+    for t in kept:
+        e = basis[t]
+        others = [k for k in kept if k != t]
+        rec: list = []
+        nf_tail = normal_form(dict(e.tail), [basis[k] for k in others], order, record=rec)
         nf_tail[(e.pos, e.mono)] = e.coef
         reduced.append(_Entry(nf_tail, order))
-    reduced.sort(key=lambda e: e.key)
-    return reduced
+        combs.append([(1, zero, t)] + [(-qq, shift, others[m]) for qq, shift, m in rec])
+    return reduced, combs
 
 
 def is_member(vec: dict, basis: list[_Entry], order: TermOrder) -> bool:
@@ -216,120 +296,23 @@ def is_member(vec: dict, basis: list[_Entry], order: TermOrder) -> bool:
 # Derived computations
 # ---------------------------------------------------------------------------
 
-def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
-    """Incremental strong-basis run that records, per raw element, a one-level
-    recipe: ("gen", j, sign) for (sign-normalized) input j, or
-    ("comb", [(coef, shift, raw_idx), ...]) meaning the signed sum of shifted
-    earlier raw elements.  Returns (raw entries, recipes)."""
-    basis: list[_Entry] = []
-    recipes: list = []
-    for j, g in enumerate(gens):
-        if not g:
-            continue
-        vec = dict(g)
-        pos, mono = max(vec, key=lambda k: order.key(*k))
-        sign = -1 if vec[(pos, mono)] < 0 else 1
-        if sign < 0:
-            vec = {k: -c for k, c in vec.items()}
-        basis.append(_Entry(vec, order))
-        recipes.append(("gen", j, sign))
-
-    pending: list = []
-    counter = 0
-
-    def push_pairs(new_idx: int):
-        nonlocal counter
-        gnew = basis[new_idx]
-        for i in range(new_idx):
-            gi = basis[i]
-            if gi.pos != gnew.pos:
-                continue
-            lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gnew.mono))
-            counter += 1
-            heapq.heappush(pending, (order.key(gi.pos, lcm_mono), counter, i, new_idx))
-
-    for idx in range(len(basis)):
-        push_pairs(idx)
-
-    while pending:
-        if deadline is not None and time.monotonic() > deadline:
-            raise GroebnerBudgetError("groebner deadline exceeded")
-        _, _, i, j = heapq.heappop(pending)
-        gi, gj = basis[i], basis[j]
-        lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gj.mono))
-        si = tuple(l - a for l, a in zip(lcm_mono, gi.mono))
-        sj = tuple(l - a for l, a in zip(lcm_mono, gj.mono))
-        ci, cj = gi.coef, gj.coef
-        l = abs(ci * cj) // gcd(abs(ci), abs(cj))
-        seeds = [[(l // ci, si, i), (-(l // cj), sj, j)]]
-        if ci % cj != 0 and cj % ci != 0:
-            _, s, t = _ext_gcd(ci, cj)
-            seeds.append([(s, si, i), (t, sj, j)])
-        for seed in seeds:
-            vec: dict = {}
-            for coef, shift, idx in seed:
-                axpy_terms(vec, coef, shift, basis[idx].vec)
-            rec: list = []
-            rem = normal_form(vec, basis, order, record=rec)
-            if not rem:
-                continue
-            comb = list(seed) + [(-qq, shift, m) for qq, shift, m in rec]
-            pos, mono = max(rem, key=lambda k: order.key(*k))
-            if rem[(pos, mono)] < 0:
-                rem = {k: -c for k, c in rem.items()}
-                comb = [(-c, s2, m) for c, s2, m in comb]
-            basis.append(_Entry(rem, order))
-            recipes.append(("comb", comb))
-            push_pairs(len(basis) - 1)
-    return basis, recipes
-
-
 def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) -> list[dict]:
     """Generators of {h in Z[x]^q : sum_i h_i * columns[i] = 0}.
 
-    Extended-basis (lifting) route in three matrices: a fast untracked
-    strong basis G of the column module with per-element recipes, the
-    representation A with G = A * columns (recipes composed lazily), the
-    representation B with columns = B * G (recorded reductions), and the
-    syzygies of G itself read off the S- and GCD-pair reductions of the
-    final basis (over a PID the pairwise S-syzygies generate the term
-    syzygies, by the Bezout induction).  The output is
-    {sigma * A} + rows(I - B * A), every row verified exactly against the
-    columns before being returned.
+    Extended-basis (lifting) route in three matrices: a strong basis G of
+    the column module with per-element recipes, the representation A with
+    G = A * columns (recipes composed lazily), the representation B with
+    columns = B * G (recorded reductions), and the syzygies of G itself read
+    off the S- and GCD-pair reductions of the final basis (over a PID the
+    pairwise S-syzygies generate the term syzygies, by the Bezout
+    induction).  The output is {sigma * A} + rows(I - B * A), every row
+    verified exactly against the columns before being returned.
     """
     q = len(columns)
     zero = (0,) * nvars
     order = TermOrder(nvars, elim_positions=p)
     raw, recipes = _buchberger_raw(columns, order, deadline=deadline)
-
-    # minimalize, then tail-reduce against the pre-reduction survivors
-    order_idx = sorted(range(len(raw)), key=lambda t: (raw[t].key, abs(raw[t].coef)))
-    kept_idx: list[int] = []
-    for t in order_idx:
-        e = raw[t]
-        redundant = any(
-            raw[k].pos == e.pos
-            and all(a <= b for a, b in zip(raw[k].mono, e.mono))
-            and e.coef % raw[k].coef == 0
-            for k in kept_idx
-        )
-        if not redundant:
-            kept_idx.append(t)
-    final_entries: list[_Entry] = []
-    final_recipes: list = []
-    for t in kept_idx:
-        e = raw[t]
-        others = [raw[k] for k in kept_idx if k != t]
-        tail = dict(e.vec)
-        del tail[(e.pos, e.mono)]
-        rec: list = []
-        nf_tail = normal_form(tail, others, order, record=rec)
-        nf_tail[(e.pos, e.mono)] = e.coef
-        final_entries.append(_Entry(nf_tail, order))
-        comb = [(1, zero, t)]
-        remap = [k for k in kept_idx if k != t]
-        comb += [(-qq, shift, remap[m]) for qq, shift, m in rec]
-        final_recipes.append(("comb", comb))
+    final_entries, final_combs = _reduce_basis(raw, order)
 
     # A: each final element as a combination of the original columns
     memo: dict = {}
@@ -354,9 +337,9 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
         return out
 
     a_final = []
-    for rec_f in final_recipes:
+    for comb in final_combs:
         row = {}
-        for coef, shift, m in rec_f[1]:
+        for coef, shift, m in comb:
             axpy_terms(row, coef, shift, a_row(m))
         a_final.append(row)
 
@@ -377,24 +360,12 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     t_count = len(final_entries)
     for i in range(t_count):
         for j in range(i + 1, t_count):
-            gi, gj = final_entries[i], final_entries[j]
-            if gi.pos != gj.pos:
+            if final_entries[i].pos != final_entries[j].pos:
                 continue
-            lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gj.mono))
-            si = tuple(l - a for l, a in zip(lcm_mono, gi.mono))
-            sj = tuple(l - a for l, a in zip(lcm_mono, gj.mono))
-            ci, cj = gi.coef, gj.coef
-            l = abs(ci * cj) // gcd(abs(ci), abs(cj))
-            seeds = [[(l // ci, si, i), (-(l // cj), sj, j)]]
-            if ci % cj != 0 and cj % ci != 0:
-                _, s, t = _ext_gcd(ci, cj)
-                seeds.append([(s, si, i), (t, sj, j)])
-            for seed in seeds:
-                vec: dict = {}
-                for coef, shift, idx in seed:
-                    axpy_terms(vec, coef, shift, final_entries[idx].vec)
+            for seed in _pair_seeds(final_entries, i, j):
                 rec = []
-                rem = normal_form(vec, final_entries, order, record=rec)
+                rem = normal_form(_seed_vector(seed, final_entries), final_entries, order,
+                                  record=rec)
                 if rem:
                     raise AssertionError("pair of a strong basis failed to reduce to zero")
                 sigma: dict = {}

@@ -1,16 +1,53 @@
-"""Kernel backend selection: compiled extension if present, pure otherwise.
+"""Sparse-term kernels.
 
-Set SEMIZN_PURE=1 to force the pure-Python kernels (used by the benchmark and
-by tests that compare the two backends).
+Terms are dicts mapping an exponent tuple (or any hashable key) to a nonzero
+coefficient.  These three functions are the inner loops of Laurent
+polynomial multiplication and of module-vector arithmetic in the Groebner
+code.
 """
-import os
 
-if os.environ.get("SEMIZN_PURE"):
-    from semizn._fallback import BACKEND, add_terms, axpy_terms, mul_terms
-else:
-    try:
-        from semizn._speedups import BACKEND, add_terms, axpy_terms, mul_terms
-    except ImportError:
-        from semizn._fallback import BACKEND, add_terms, axpy_terms, mul_terms
+BACKEND = "pure"
 
-__all__ = ["BACKEND", "mul_terms", "add_terms", "axpy_terms"]
+
+def mul_terms(a, b):
+    """Product of two term dicts keyed by exponent tuples."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(key, 0) + ca * cb
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+    return out
+
+
+def add_terms(a, b):
+    """Sum of two term dicts (keys need not be tuples)."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
+
+
+def axpy_terms(dst, coef, shift, src):
+    """In-place dst += coef * X^shift * src for keys of the form (pos, expo).
+
+    `shift` is an exponent tuple added to the exponent part of each key; used
+    by module-vector arithmetic where keys are (position, exponents) pairs.
+    """
+    for (pos, expo), c in src.items():
+        key = (pos, tuple(x + y for x, y in zip(expo, shift)))
+        s = dst.get(key, 0) + coef * c
+        if s:
+            dst[key] = s
+        elif key in dst:
+            del dst[key]
+    return dst

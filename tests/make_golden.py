@@ -1,15 +1,18 @@
-"""Golden verdict digests: the sha256 of the canonical verdict JSON of a fixed
-set of decisions, so a change meant to keep the output can be checked byte
-for byte.
+"""Golden digests: the sha256 of the canonical JSON of a fixed set of
+decisions and of relation-module bases, so a change meant to keep the output
+can be checked byte for byte.
 
-    PYTHONPATH=src python tests/make_golden.py     # rewrite data/golden_verdicts.json
+    PYTHONPATH=src python tests/make_golden.py     # rewrite both files in data/
 
-The cases are the instance files of `instances/` under group, identity and
-inverse 1; the yes/no families of `corpus.py` under group; and seeded n = 2
-group instances with 1-term y's, which reach the window LP and the refuter.
+`data/golden_verdicts.json` holds verdicts: the instance files of
+`instances/` under group, identity and inverse 1; the yes/no families of
+`corpus.py` under group; and seeded n = 2 group instances with 1-term y's,
+which reach the window LP and the refuter.  `data/golden_syzygies.json`
+holds `syzygy_basis` outputs, serialized as `semizn syzygy` prints them:
+the instance files, and seeded instances shaped like acceptance criterion 5.
 Cases that raise (other than HypothesisError, which is recorded as such) or
-take longer than `SLOW_S` are left out of the file, so the check stays fast.
-`test_golden.py` recomputes every digest in the file.
+take longer than `SLOW_S` are left out of the files, so the checks stay
+fast.  `test_golden.py` recomputes every digest in them.
 """
 from __future__ import annotations
 
@@ -22,16 +25,18 @@ import time
 from math import gcd
 
 from semizn import jsonio
-from semizn.algebra import ModulePresentation
+from semizn.algebra import ModulePresentation, syzygy_basis
 from semizn.decide import Budget, HypothesisError, decide_group, decide_identity, decide_inverse
 from semizn.group import GeneratorSet, GroupElement
 from semizn.laurent import LaurentPoly
 
+from conftest import random_poly
 from corpus import no_instances, yes_instances
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN = os.path.join(HERE, "data", "golden_verdicts.json")
+GOLDEN_SYZYGIES = os.path.join(HERE, "data", "golden_syzygies.json")
 SLOW_S = 0.5
 STOP_S = 3  # alarm for a case far over SLOW_S, so generation ends in minutes
 
@@ -75,15 +80,36 @@ def _n2_instances(count: int, seed: int = 2304):
     return out
 
 
-def cases():
-    """(case id, thunk) for every candidate case, in a fixed order; a thunk
-    returns the decision's digest."""
+def _criterion5_instances(count: int, seed: int = 5550):
+    """(presentation, ys, steps) shaped like acceptance criterion 5: n <= 2,
+    d <= 2, K <= 4, 0-2 relations, polynomials of at most two terms."""
+    rng = random.Random(seed)
     out = []
+    for _ in range(count):
+        n, d, K = rng.randint(0, 2), rng.randint(1, 2), rng.randint(1, 4)
+        rels = [[random_poly(rng, n, max_terms=2) for _ in range(d)]
+                for _ in range(rng.randint(0, 2))]
+        rels = [r for r in rels if any(not p.is_zero() for p in r)]
+        pres = ModulePresentation(n=n, d=d, rels_N=rels)
+        ys = [[random_poly(rng, n, max_terms=2) for _ in range(d)] for _ in range(K)]
+        steps = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(K)]
+        out.append((pres, ys, steps))
+    return out
+
+
+def _instance_files():
     for name in sorted(os.listdir(os.path.join(ROOT, "instances"))):
         with open(os.path.join(ROOT, "instances", name), encoding="utf-8") as fh:
             doc = json.load(fh)
-        if "module" not in doc or "generators" not in doc:
-            continue
+        if "module" in doc and "generators" in doc:
+            yield name, doc
+
+
+def cases():
+    """(case id, thunk) for every candidate verdict case, in a fixed order; a
+    thunk returns the decision's digest."""
+    out = []
+    for name, doc in _instance_files():
         for kind, decide in DECIDERS.items():
             out.append((f"instances/{name}:{kind}",
                         lambda doc=doc, decide=decide: digest(
@@ -104,6 +130,32 @@ def digest(decide, gens) -> str:
     except HypothesisError as exc:
         return "HypothesisError " + json.dumps(exc.sublattice_basis)
     text = jsonio.dumps(jsonio.verdict_to_json(verdict))
+    return _sha256(text)
+
+
+def syzygy_cases():
+    """(case id, thunk) for every candidate syzygy case, in a fixed order; a
+    thunk returns the digest of the relation-module basis."""
+    out = []
+    for name, doc in _instance_files():
+        gens = jsonio.instance_from_json(doc)
+        args = (gens.presentation, gens.ys, gens.steps)
+        out.append((f"instances/{name}", lambda args=args: basis_digest(*args)))
+    for i, args in enumerate(_criterion5_instances(120)):
+        out.append((f"c5/{i}", lambda args=args: basis_digest(*args)))
+    return out
+
+
+def basis_digest(pres, ys, steps) -> str:
+    """sha256 of the basis JSON as `semizn syzygy` prints it."""
+    basis = syzygy_basis(pres, ys, steps)
+    return _sha256(jsonio.dumps({
+        "K": basis.K,
+        "generators": [[jsonio.poly_to_json(p) for p in g] for g in basis.generators],
+    }))
+
+
+def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -115,15 +167,14 @@ def _stop(signum, frame):
     raise _Stopped(f"over {STOP_S} s")
 
 
-def main():
-    signal.signal(signal.SIGALRM, _stop)
+def _write(path, case_list):
     golden = {}
-    for case_id, thunk in cases():
+    for case_id, thunk in case_list:
         t0 = time.perf_counter()
         signal.alarm(STOP_S)
         try:
             value = thunk()
-        except Exception as exc:  # left out: the check pins finished decisions
+        except Exception as exc:  # left out: the check pins finished cases
             print(f"skip {case_id}: {type(exc).__name__}: {exc}", flush=True)
             continue
         finally:
@@ -133,11 +184,17 @@ def main():
             print(f"skip {case_id}: {elapsed:.2f} s", flush=True)
             continue
         golden[case_id] = value
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(golden)} digests to {GOLDEN}")
+    print(f"wrote {len(golden)} digests to {path}")
+
+
+def main():
+    signal.signal(signal.SIGALRM, _stop)
+    _write(GOLDEN, cases())
+    _write(GOLDEN_SYZYGIES, syzygy_cases())
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from semizn.ggraph import graph_of_word
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
-from conftest import free_presentation, inverse_pair
+from conftest import free_presentation, inverse_pair, mono
 
 
 def one_way():
@@ -82,6 +82,27 @@ def test_verify_witness_examples():
     g3 = GeneratorSet(pres, els)
     graph = graph_of_word(g3, [1, 2, 2, 3, 3, 1, 3])
     assert verify_witness(graph, g3)
+
+
+@pytest.mark.parametrize("generators", [
+    # the pinned torsion reproducer of the benchmark's group workload
+    [(None, (0, -1)), (None, (0, 1)), (((1, 1), 1), (1, 1)), (((0, 0), -1), (-1, -1))],
+    # the seeded n = 2 case n2/21 of make_golden.py
+    [(((0, 1), 1), (-1, 0)), (((1, 1), -1), (1, 0)), (None, (0, 1)), (None, (0, -1))],
+])
+def test_window_witness_under_torsion(generators):
+    """Over Y = (Z/2)[X^pm] the window search once cleared the values of an
+    LP point, not its multipliers.  On the first instance the point gave
+    2*g2 + 2*g3 + g1/2 (g_j the relation-module generators): integer values,
+    but not in the relation module, so the witness failed its verification.
+    Both groups must come out as a verified yes."""
+    pres = ModulePresentation(n=2, d=1, rels_N=[[LaurentPoly.constant(2, 2)]])
+    els = [GroupElement(pres, [mono(*y) if y else LaurentPoly.zero(2)], a)
+           for y, a in generators]
+    gens = GeneratorSet(pres, els)
+    v = decide_group(gens, Budget())
+    assert v.kind == "yes"
+    assert verify_witness(v.witness["word"], gens)
 
 
 def test_oracle_bfs_examples():

@@ -1,15 +1,26 @@
-"""The canonical verdict JSON of every pinned case is unchanged, byte for
-byte: its sha256 matches `data/golden_verdicts.json` (written by
+"""The canonical verdict JSON and relation-module basis JSON of every pinned
+case are unchanged, byte for byte: their sha256 match
+`data/golden_verdicts.json` and `data/golden_syzygies.json` (written by
 `make_golden.py`)."""
 import json
 
-from make_golden import GOLDEN, cases
+from make_golden import GOLDEN, GOLDEN_SYZYGIES, cases, syzygy_cases
+
+
+def _changed(path, case_list):
+    """Ids of the cases in the file at `path` whose digest differs now."""
+    with open(path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    thunks = dict(case_list)
+    assert set(golden) <= set(thunks)
+    return [case_id for case_id, want in golden.items() if thunks[case_id]() != want]
 
 
 def test_golden_verdict_digests():
-    with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
-    thunks = dict(cases())
-    assert set(golden) <= set(thunks)
-    changed = [case_id for case_id, want in golden.items() if thunks[case_id]() != want]
+    changed = _changed(GOLDEN, cases())
     assert not changed, f"verdict JSON changed on {changed}"
+
+
+def test_golden_syzygy_digests():
+    changed = _changed(GOLDEN_SYZYGIES, syzygy_cases())
+    assert not changed, f"syzygy basis JSON changed on {changed}"

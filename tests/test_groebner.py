@@ -1,0 +1,498 @@
+"""The heap-ordered Groebner engine against the engine it replaced.
+
+`ref_*` below are verbatim copies of the previous `normal_form`,
+`buchberger`, `_reduce_basis`, `_buchberger_raw` and `syzygy_generators`,
+with only their names changed.  They found the leading term with a `max`
+over the work vector and the reducer with a linear scan.  The reducer
+choice, the pair order and the recipes fix the bytes of every syzygy output,
+so the new engine must match them exactly: the same remainders (with the
+same insertion order), the same reduction records, raw bases, recipes,
+reduced bases and syzygy generators.
+"""
+import heapq
+import random
+import time
+from math import gcd
+
+import pytest
+
+from semizn import groebner
+from semizn.groebner import GroebnerBudgetError, TermOrder, _ext_gcd
+from semizn.kernels import axpy_terms
+
+
+# -- reference: the previous engine, verbatim apart from names ----------------
+
+class _RefEntry:
+    __slots__ = ("vec", "pos", "mono", "coef", "key")
+
+    def __init__(self, vec: dict, order: TermOrder):
+        self.vec = vec
+        self.pos, self.mono = max(vec, key=lambda k: order.key(*k))
+        self.coef = vec[(self.pos, self.mono)]
+        self.key = order.key(self.pos, self.mono)
+
+
+def ref_normalize_sign(vec: dict, order: TermOrder) -> dict:
+    pos, mono = max(vec, key=lambda k: order.key(*k))
+    if vec[(pos, mono)] < 0:
+        return {k: -c for k, c in vec.items()}
+    return vec
+
+
+def ref_normal_form(vec: dict, basis: list[_RefEntry], order: TermOrder, record=None) -> dict:
+    """Strong normal form with canonical remainders (0 <= r < |lc|).
+
+    With a strong basis this is a unique coset representative; membership is
+    normal_form == {}.  When `record` is a list, every reduction step appends
+    (q, shift, basis_index) meaning q * X^shift * basis[index] was
+    subtracted, so vec = remainder + sum of recorded multiples.
+    """
+    work = dict(vec)
+    out = {}
+    while work:
+        pos, mono = max(work, key=lambda k: order.key(*k))
+        c = work[(pos, mono)]
+        best = None
+        for idx, g in enumerate(basis):
+            if g.pos != pos or len(g.mono) != len(mono):
+                continue
+            if all(a <= b for a, b in zip(g.mono, mono)):
+                cand = (abs(g.coef), idx)
+                if best is None or cand < best:
+                    best = cand
+        if best is not None:
+            g = basis[best[1]]
+            r = c % abs(g.coef)
+            q = (c - r) // g.coef
+            if q:
+                shift = tuple(b - a for a, b in zip(g.mono, mono))
+                axpy_terms(work, -q, shift, g.vec)
+                if record is not None:
+                    record.append((q, shift, best[1]))
+                if r:
+                    # the reduced term is now irreducible: park it
+                    del work[(pos, mono)]
+                    out[(pos, mono)] = r
+                continue
+        del work[(pos, mono)]
+        out[(pos, mono)] = c
+    return out
+
+
+def ref_buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_RefEntry]:
+    """Strong Groebner basis of the module generated by `gens`.
+
+    Processes S-vectors and GCD-vectors by the normal strategy (smallest lcm
+    term first); deterministic for a fixed input order.
+    """
+    basis: list[_RefEntry] = []
+    for g in gens:
+        if g:
+            basis.append(_RefEntry(ref_normalize_sign(dict(g), order), order))
+
+    pending: list = []
+    counter = 0
+
+    def push_pairs(new_idx: int):
+        nonlocal counter
+        gnew = basis[new_idx]
+        for i in range(new_idx):
+            gi = basis[i]
+            if gi.pos != gnew.pos:
+                continue
+            lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gnew.mono))
+            counter += 1
+            heapq.heappush(pending, (order.key(gi.pos, lcm_mono), counter, i, new_idx))
+
+    for idx in range(len(basis)):
+        push_pairs(idx)
+
+    while pending:
+        if deadline is not None and time.monotonic() > deadline:
+            raise GroebnerBudgetError("groebner deadline exceeded")
+        _, _, i, j = heapq.heappop(pending)
+        gi, gj = basis[i], basis[j]
+        lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gj.mono))
+        si = tuple(l - a for l, a in zip(lcm_mono, gi.mono))
+        sj = tuple(l - a for l, a in zip(lcm_mono, gj.mono))
+        ci, cj = gi.coef, gj.coef
+        l = abs(ci * cj) // gcd(abs(ci), abs(cj))
+        candidates = []
+        s_vec: dict = {}
+        axpy_terms(s_vec, l // ci, si, gi.vec)
+        axpy_terms(s_vec, -(l // cj), sj, gj.vec)
+        candidates.append(s_vec)
+        if ci % cj != 0 and cj % ci != 0:
+            _, s, t = _ext_gcd(ci, cj)
+            g_vec: dict = {}
+            axpy_terms(g_vec, s, si, gi.vec)
+            axpy_terms(g_vec, t, sj, gj.vec)
+            candidates.append(g_vec)
+        for cand in candidates:
+            rem = ref_normal_form(cand, basis, order)
+            if rem:
+                basis.append(_RefEntry(ref_normalize_sign(rem, order), order))
+                push_pairs(len(basis) - 1)
+    return ref_reduce_basis(basis, order)
+
+
+def ref_reduce_basis(basis: list[_RefEntry], order: TermOrder) -> list[_RefEntry]:
+    """Minimalize (drop entries whose leading term is a multiple of another's)
+    and tail-reduce, in a deterministic order."""
+    entries = sorted(basis, key=lambda e: (e.key, abs(e.coef)))
+    kept: list[_RefEntry] = []
+    for e in entries:
+        redundant = False
+        for h in kept:
+            if (
+                h.pos == e.pos
+                and all(a <= b for a, b in zip(h.mono, e.mono))
+                and e.coef % h.coef == 0
+            ):
+                redundant = True
+                break
+        if not redundant:
+            kept.append(e)
+    reduced = []
+    for e in kept:
+        tail = dict(e.vec)
+        del tail[(e.pos, e.mono)]
+        others = [h for h in kept if h is not e]
+        nf_tail = ref_normal_form(tail, others, order)
+        nf_tail[(e.pos, e.mono)] = e.coef
+        reduced.append(_RefEntry(nf_tail, order))
+    reduced.sort(key=lambda e: e.key)
+    return reduced
+
+
+def ref_buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
+    """Incremental strong-basis run that records, per raw element, a one-level
+    recipe: ("gen", j, sign) for (sign-normalized) input j, or
+    ("comb", [(coef, shift, raw_idx), ...]) meaning the signed sum of shifted
+    earlier raw elements.  Returns (raw entries, recipes)."""
+    basis: list[_RefEntry] = []
+    recipes: list = []
+    for j, g in enumerate(gens):
+        if not g:
+            continue
+        vec = dict(g)
+        pos, mono = max(vec, key=lambda k: order.key(*k))
+        sign = -1 if vec[(pos, mono)] < 0 else 1
+        if sign < 0:
+            vec = {k: -c for k, c in vec.items()}
+        basis.append(_RefEntry(vec, order))
+        recipes.append(("gen", j, sign))
+
+    pending: list = []
+    counter = 0
+
+    def push_pairs(new_idx: int):
+        nonlocal counter
+        gnew = basis[new_idx]
+        for i in range(new_idx):
+            gi = basis[i]
+            if gi.pos != gnew.pos:
+                continue
+            lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gnew.mono))
+            counter += 1
+            heapq.heappush(pending, (order.key(gi.pos, lcm_mono), counter, i, new_idx))
+
+    for idx in range(len(basis)):
+        push_pairs(idx)
+
+    while pending:
+        if deadline is not None and time.monotonic() > deadline:
+            raise GroebnerBudgetError("groebner deadline exceeded")
+        _, _, i, j = heapq.heappop(pending)
+        gi, gj = basis[i], basis[j]
+        lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gj.mono))
+        si = tuple(l - a for l, a in zip(lcm_mono, gi.mono))
+        sj = tuple(l - a for l, a in zip(lcm_mono, gj.mono))
+        ci, cj = gi.coef, gj.coef
+        l = abs(ci * cj) // gcd(abs(ci), abs(cj))
+        seeds = [[(l // ci, si, i), (-(l // cj), sj, j)]]
+        if ci % cj != 0 and cj % ci != 0:
+            _, s, t = _ext_gcd(ci, cj)
+            seeds.append([(s, si, i), (t, sj, j)])
+        for seed in seeds:
+            vec: dict = {}
+            for coef, shift, idx in seed:
+                axpy_terms(vec, coef, shift, basis[idx].vec)
+            rec: list = []
+            rem = ref_normal_form(vec, basis, order, record=rec)
+            if not rem:
+                continue
+            comb = list(seed) + [(-qq, shift, m) for qq, shift, m in rec]
+            pos, mono = max(rem, key=lambda k: order.key(*k))
+            if rem[(pos, mono)] < 0:
+                rem = {k: -c for k, c in rem.items()}
+                comb = [(-c, s2, m) for c, s2, m in comb]
+            basis.append(_RefEntry(rem, order))
+            recipes.append(("comb", comb))
+            push_pairs(len(basis) - 1)
+    return basis, recipes
+
+
+def ref_syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) -> list[dict]:
+    """Generators of {h in Z[x]^q : sum_i h_i * columns[i] = 0}.
+
+    Extended-basis (lifting) route in three matrices: a fast untracked
+    strong basis G of the column module with per-element recipes, the
+    representation A with G = A * columns (recipes composed lazily), the
+    representation B with columns = B * G (recorded reductions), and the
+    syzygies of G itself read off the S- and GCD-pair reductions of the
+    final basis (over a PID the pairwise S-syzygies generate the term
+    syzygies, by the Bezout induction).  The output is
+    {sigma * A} + rows(I - B * A), every row verified exactly against the
+    columns before being returned.
+    """
+    q = len(columns)
+    zero = (0,) * nvars
+    order = TermOrder(nvars, elim_positions=p)
+    raw, recipes = ref_buchberger_raw(columns, order, deadline=deadline)
+
+    # minimalize, then tail-reduce against the pre-reduction survivors
+    order_idx = sorted(range(len(raw)), key=lambda t: (raw[t].key, abs(raw[t].coef)))
+    kept_idx: list[int] = []
+    for t in order_idx:
+        e = raw[t]
+        redundant = any(
+            raw[k].pos == e.pos
+            and all(a <= b for a, b in zip(raw[k].mono, e.mono))
+            and e.coef % raw[k].coef == 0
+            for k in kept_idx
+        )
+        if not redundant:
+            kept_idx.append(t)
+    final_entries: list[_RefEntry] = []
+    final_recipes: list = []
+    for t in kept_idx:
+        e = raw[t]
+        others = [raw[k] for k in kept_idx if k != t]
+        tail = dict(e.vec)
+        del tail[(e.pos, e.mono)]
+        rec: list = []
+        nf_tail = ref_normal_form(tail, others, order, record=rec)
+        nf_tail[(e.pos, e.mono)] = e.coef
+        final_entries.append(_RefEntry(nf_tail, order))
+        comb = [(1, zero, t)]
+        remap = [k for k in kept_idx if k != t]
+        comb += [(-qq, shift, remap[m]) for qq, shift, m in rec]
+        final_recipes.append(("comb", comb))
+
+    # A: each final element as a combination of the original columns
+    memo: dict = {}
+
+    def a_row(raw_idx: int) -> dict:
+        if raw_idx in memo:
+            return memo[raw_idx]
+        kind = recipes[raw_idx]
+        if kind[0] == "gen":
+            row = {(kind[1], zero): kind[2]}
+        else:
+            row = {}
+            for coef, shift, m in kind[1]:
+                axpy_terms(row, coef, shift, a_row(m))
+        memo[raw_idx] = row
+        return row
+
+    def compose(coeff_vec: dict, rows: list) -> dict:
+        out: dict = {}
+        for (k, mono), c in coeff_vec.items():
+            axpy_terms(out, c, mono, rows[k])
+        return out
+
+    a_final = []
+    for rec_f in final_recipes:
+        row = {}
+        for coef, shift, m in rec_f[1]:
+            axpy_terms(row, coef, shift, a_row(m))
+        a_final.append(row)
+
+    # B: each column reduced to zero by the final strong basis
+    b_rows = []
+    for col in columns:
+        rec = []
+        rem = ref_normal_form(dict(col), final_entries, order, record=rec)
+        if rem:
+            raise AssertionError("column failed to reduce by its own strong basis")
+        row: dict = {}
+        for qq, shift, k in rec:
+            row[(k, shift)] = row.get((k, shift), 0) + qq
+        b_rows.append({k: c for k, c in row.items() if c})
+
+    # syzygies of the final basis from its S- and GCD-pairs
+    candidates: list[dict] = []
+    t_count = len(final_entries)
+    for i in range(t_count):
+        for j in range(i + 1, t_count):
+            gi, gj = final_entries[i], final_entries[j]
+            if gi.pos != gj.pos:
+                continue
+            lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gj.mono))
+            si = tuple(l - a for l, a in zip(lcm_mono, gi.mono))
+            sj = tuple(l - a for l, a in zip(lcm_mono, gj.mono))
+            ci, cj = gi.coef, gj.coef
+            l = abs(ci * cj) // gcd(abs(ci), abs(cj))
+            seeds = [[(l // ci, si, i), (-(l // cj), sj, j)]]
+            if ci % cj != 0 and cj % ci != 0:
+                _, s, t = _ext_gcd(ci, cj)
+                seeds.append([(s, si, i), (t, sj, j)])
+            for seed in seeds:
+                vec: dict = {}
+                for coef, shift, idx in seed:
+                    axpy_terms(vec, coef, shift, final_entries[idx].vec)
+                rec = []
+                rem = ref_normal_form(vec, final_entries, order, record=rec)
+                if rem:
+                    raise AssertionError("pair of a strong basis failed to reduce to zero")
+                sigma: dict = {}
+                for coef, shift, idx in seed:
+                    sigma[(idx, shift)] = sigma.get((idx, shift), 0) + coef
+                for qq, shift, m in rec:
+                    sigma[(m, shift)] = sigma.get((m, shift), 0) - qq
+                sigma = {k: c for k, c in sigma.items() if c}
+                if sigma:
+                    candidates.append(compose(sigma, a_final))
+
+    # rows of I - B*A
+    for i in range(q):
+        row = {(i, zero): 1}
+        ba = compose(b_rows[i], a_final)
+        for k, c in ba.items():
+            row[k] = row.get(k, 0) - c
+        row = {k: c for k, c in row.items() if c}
+        if row:
+            candidates.append(row)
+
+    out = []
+    seen = set()
+    for cand in candidates:
+        if not cand:
+            continue
+        check: dict = {}
+        for (j, mono), c in cand.items():
+            axpy_terms(check, c, mono, columns[j])
+        if check:
+            raise AssertionError("produced vector is not a syzygy of the columns")
+        key = frozenset(cand.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(cand)
+    return out
+
+
+# -- inputs -----------------------------------------------------------------
+
+COEFS = (1, -1, 2, -2, 2, 3, -3, 4, 6)  # repeated |lc| values make reducer ties
+
+
+def random_vec(rng, nvars, npos, nterms, maxexp=2):
+    vec = {}
+    for _ in range(nterms):
+        term = (rng.randrange(npos), tuple(rng.randint(0, maxexp) for _ in range(nvars)))
+        vec[term] = rng.choice(COEFS)
+    return vec
+
+
+def random_gens(rng, nvars, npos):
+    return [random_vec(rng, nvars, npos, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+
+
+def saturation_input(gens, nvars, npos):
+    """The extended system and block order `saturated_basis` builds: a fresh
+    variable first, eliminated, and (u*x_1*...*x_n - 1) e_j per position."""
+    ext = [{(pos, (0,) + mono): c for (pos, mono), c in g.items()} for g in gens]
+    for j in range(npos):
+        ext.append({(j, (1,) * (nvars + 1)): 1, (j, (0,) * (nvars + 1)): -1})
+    return ext, TermOrder(nvars + 1, blocks=[(0,), tuple(range(1, nvars + 1))])
+
+
+def items(entries):
+    return [list(e.vec.items()) for e in entries]
+
+
+def random_order(rng, nvars, npos):
+    """A plain order with some eliminated positions, or a block order whose
+    first block is one eliminated variable."""
+    if nvars > 1 and rng.random() < 0.5:
+        return TermOrder(nvars, blocks=[(0,), tuple(range(1, nvars))])
+    return TermOrder(nvars, elim_positions=rng.randint(0, npos))
+
+
+def tied_divisors(basis, record):
+    """How many recorded steps had another divisor with the same |lc| at the
+    reduced term, so that the tie-break chose the reducer."""
+    ties = 0
+    for _, shift, idx in record:
+        g = basis[idx]
+        mono = tuple(a + s for a, s in zip(g.mono, shift))
+        ties += any(
+            k != idx and h.pos == g.pos and abs(h.coef) == abs(g.coef)
+            and all(a <= b for a, b in zip(h.mono, mono))
+            for k, h in enumerate(basis)
+        )
+    return ties
+
+
+# -- checks -----------------------------------------------------------------
+
+def test_normal_form_matches_reference():
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(400):
+        nvars, npos = rng.randint(1, 3), rng.randint(1, 3)
+        order = random_order(rng, nvars, npos)
+        vecs = [random_vec(rng, nvars, npos, rng.randint(1, 3), maxexp=1)
+                for _ in range(rng.randint(1, 6))]
+        vec = random_vec(rng, nvars, npos, rng.randint(1, 8), maxexp=4)
+        want_rec, got_rec = [], []
+        want = ref_normal_form(vec, [_RefEntry(v, order) for v in vecs], order, record=want_rec)
+        basis = [groebner._Entry(v, order) for v in vecs]
+        got = groebner.normal_form(vec, basis, order, record=got_rec)
+        assert list(got.items()) == list(want.items())
+        assert got_rec == want_rec
+        ties += tied_divisors(basis, got_rec)
+    assert ties >= 200
+
+
+def test_buchberger_matches_reference():
+    rng = random.Random(32)
+    for case in range(150):
+        saturate = case % 2 == 1  # with the fresh variable, at most 3 in all
+        nvars, npos = rng.randint(1, 2 if saturate else 3), rng.randint(1, 3)
+        gens = random_gens(rng, nvars, npos)
+        if saturate:
+            gens, order = saturation_input(gens, nvars, npos)
+        else:
+            order = random_order(rng, nvars, npos)
+        want_raw, want_recipes = ref_buchberger_raw(gens, order)
+        got_raw, got_recipes = groebner._buchberger_raw(gens, order)
+        assert items(got_raw) == items(want_raw)
+        assert got_recipes == want_recipes
+        want = ref_buchberger(gens, order)
+        got = groebner.buchberger(gens, order)
+        assert items(got) == items(want)
+        for _ in range(3):  # membership and coset representatives
+            vec = random_vec(rng, order.nvars, npos, rng.randint(1, 5), maxexp=3)
+            want_rec, got_rec = [], []
+            assert ref_normal_form(vec, want, order, record=want_rec) == \
+                groebner.normal_form(vec, got, order, record=got_rec)
+            assert got_rec == want_rec
+
+
+def test_syzygy_generators_match_reference():
+    rng = random.Random(33)
+    for _ in range(150):
+        nvars, p = rng.randint(1, 3), rng.randint(1, 3)
+        columns = [random_vec(rng, nvars, p, rng.randint(1, 2)) for _ in range(rng.randint(3, 5))]
+        want = ref_syzygy_generators(columns, p, nvars)
+        got = groebner.syzygy_generators(columns, p, nvars)
+        assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+
+
+def test_deadline_raises():
+    gens = [{(0, (2, 1)): 2, (0, (0, 0)): 3}, {(0, (1, 2)): 3, (0, (1, 0)): -2}]
+    with pytest.raises(GroebnerBudgetError):
+        groebner.buchberger(gens, TermOrder(2), deadline=time.monotonic() - 1)
