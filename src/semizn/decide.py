@@ -6,10 +6,11 @@ The Group Problem runs two sound half-procedures against each other:
   with everywhere-positive coefficients and checks the escape condition,
   turning any hit into an Eulerian graph and a verified word witness (a
   sound YES);
-* the refuter samples positive rational points and decides, by exact linear
-  feasibility, whether some combination of the relation-module generators is
-  strictly positive there; a single infeasible point is a sound NO with a
-  rational dual certificate (the local positivity condition is necessary).
+* the refuter samples positive rational points and decides, by one exact
+  LP (Gordan's alternative), whether some combination of the relation-module
+  generators is strictly positive there; a single infeasible point is a
+  sound NO with a rational dual certificate (the local positivity condition
+  is necessary).
 
 Neither side is complete on its own; an exhausted budget is an honest
 UNKNOWN.  The two sides are interleaved cooperatively under a fixed
@@ -35,7 +36,7 @@ from semizn.algebra import (ModulePresentation, clear_vector, laurent_syzygies,
 from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.ggraph import StepGraph
 from semizn.group import GeneratorSet, evaluate_word
-from semizn.groebner import saturated_basis
+from semizn.groebner import GroebnerBudgetError, saturated_basis
 from semizn.laurent import LaurentPoly
 
 
@@ -138,6 +139,11 @@ def oracle_bfs(gens: GeneratorSet, max_len: int) -> Optional[list[int]]:
 # The LocR refuter
 # ---------------------------------------------------------------------------
 
+# The positive rationals p/q of height p + q <= 11, by height and then p,
+# each once: 1, 1/2, 2, 1/3, 3, ... (41 of them).
+_SCALARS = tuple(dict.fromkeys(Fraction(p, h - p) for h in range(2, 12) for p in range(1, h)))
+
+
 def sample_points(n: int, count: int, seed: int):
     """Deterministic positive rational sample schedule: all-ones first, then
     a low-height grid spiral, then seeded pseudo-random rationals."""
@@ -145,15 +151,6 @@ def sample_points(n: int, count: int, seed: int):
         yield ()
         return
     emitted = 0
-    scalars = [Fraction(1)]
-    h = 2
-    while len(scalars) < 40:
-        for p in range(1, h):
-            q = h - p
-            f = Fraction(p, q)
-            if f not in scalars:
-                scalars.append(f)
-        h += 1
     level = 1
     rng = random.Random(seed)
     seen = set()
@@ -161,7 +158,7 @@ def sample_points(n: int, count: int, seed: int):
         if level <= 6:
             for combo in itertools.product(range(level), repeat=n):
                 if max(combo) == level - 1:
-                    pt = tuple(scalars[i] for i in combo)
+                    pt = tuple(_SCALARS[i] for i in combo)
                     if pt not in seen:
                         seen.add(pt)
                         yield pt
@@ -428,28 +425,16 @@ def _yes_maker(steps, budget: Budget, verify_word: Callable):
     return maker
 
 
-def decide_core(generators, steps, K: int, n: int, budget: Budget,
-                verify_word: Callable[[list], bool]) -> Verdict:
-    """Interleave the positive search and the refuter; first conclusive
-    verdict wins (a fixed alternation, so the outcome is deterministic)."""
-    deadline = None if budget.timeout is None else time.monotonic() + budget.timeout
-    a_iter = procedure_a_events(generators, steps, K, n, budget,
-                                _yes_maker(steps, budget, verify_word))
-    r_iter = locr_events(generators, K, n, budget)
-    live = [r_iter, a_iter]
-    timed_out = False
-    while live and not timed_out:
-        for it in list(live):
-            if deadline is not None and time.monotonic() > deadline:
-                timed_out = True
-                break
-            try:
-                event = next(it)
-            except StopIteration:
-                live.remove(it)
-                continue
-            if event is not None:
-                return event
+def _deadline(budget: Budget) -> Optional[float]:
+    """The `time.monotonic()` value at which `budget.timeout` runs out."""
+    return None if budget.timeout is None else time.monotonic() + budget.timeout
+
+
+def _passed(deadline: Optional[float]) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
+def _unknown(budget: Budget, timed_out: bool) -> Verdict:
     return Verdict(
         kind="unknown",
         budget_report={
@@ -461,6 +446,32 @@ def decide_core(generators, steps, K: int, n: int, budget: Budget,
             "timed_out": timed_out,
         },
     )
+
+
+def decide_core(generators, steps, K: int, n: int, budget: Budget,
+                verify_word: Callable[[list], bool], deadline: Optional[float]) -> Verdict:
+    """Interleave the positive search and the refuter; first conclusive
+    verdict wins (a fixed alternation, so the outcome is deterministic).
+    Past `deadline` (a `time.monotonic()` value, or None) the verdict is
+    UNKNOWN with `timed_out`."""
+    a_iter = procedure_a_events(generators, steps, K, n, budget,
+                                _yes_maker(steps, budget, verify_word))
+    r_iter = locr_events(generators, K, n, budget)
+    live = [r_iter, a_iter]
+    timed_out = False
+    while live and not timed_out:
+        for it in list(live):
+            if _passed(deadline):
+                timed_out = True
+                break
+            try:
+                event = next(it)
+            except StopIteration:
+                live.remove(it)
+                continue
+            if event is not None:
+                return event
+    return _unknown(budget, timed_out)
 
 
 def check_hypothesis(gens: GeneratorSet):
@@ -481,7 +492,8 @@ def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     def verify(word):
         return verify_witness(word, gens)
 
-    return decide_core(basis.generators, gens.steps, gens.K, gens.n, budget, verify)
+    return decide_core(basis.generators, gens.steps, gens.K, gens.n, budget, verify,
+                       _deadline(budget))
 
 
 def procedure_a(gens: GeneratorSet, budget: Budget = None) -> Verdict:
@@ -512,7 +524,7 @@ def locr_refute(gens: GeneratorSet, budget: Budget = None) -> Verdict:
 # Sublattice reduction for subsets
 # ---------------------------------------------------------------------------
 
-def _constants_module(pres: ModulePresentation, ys) -> list[list[int]]:
+def _constants_module(pres: ModulePresentation, ys, deadline) -> list[list[int]]:
     """Generators (integer vectors) of {f in Z^K : sum f_i y_i = 0 in Y},
     used when every step of the subset is zero: positions collapse to the
     origin, so position tuples are constant vectors."""
@@ -521,13 +533,13 @@ def _constants_module(pres: ModulePresentation, ys) -> list[list[int]]:
     cols = [list(y) for y in ys]
     for rel in pres.rels_N:
         cols.append([-r for r in rel])
-    syz = laurent_syzygies(cols, pres.d, n)
+    syz = laurent_syzygies(cols, pres.d, n, deadline=deadline)
     fparts = [s[:K] for s in syz]
     fparts = [f for f in fparts if not all(p.is_zero() for p in f)]
     if not fparts:
         return []
     raws = [clear_vector(f, n)[0] for f in fparts]
-    basis, order = saturated_basis(raws, K, n)
+    basis, order = saturated_basis(raws, K, n, deadline=deadline)
     out = []
     zero = (0,) * n
     for e in basis:
@@ -540,11 +552,11 @@ def _constants_module(pres: ModulePresentation, ys) -> list[list[int]]:
 
 
 def _decide_constants(pres: ModulePresentation, sub: GeneratorSet,
-                      budget: Budget) -> Verdict:
+                      budget: Budget, deadline) -> Verdict:
     """All-zero steps: group-ness is exact rational feasibility of a strictly
     positive integer combination (homogeneous integer data, so rational
     feasibility suffices and clears to integers).  Always conclusive."""
-    gens_z = _constants_module(pres, sub.ys)
+    gens_z = _constants_module(pres, sub.ys, deadline)
     K = sub.K
     columns = [[Fraction(v[i]) for i in range(K)] for v in gens_z]
     if not columns:
@@ -557,7 +569,10 @@ def _decide_constants(pres: ModulePresentation, sub: GeneratorSet,
             "sample": [], "dual": [str(x) for x in result],
             "reason": "no positive integer combination in the constant relation module",
         })
-    return _constants_yes(gens_z, result, sub, budget)
+    x = linalg.positive_combination(columns)
+    if x is None:
+        raise AssertionError("Gordan alternative failed on both sides")
+    return _constants_yes(gens_z, x, sub, budget)
 
 
 def _constants_yes(gens_z, x, sub: GeneratorSet, budget: Budget) -> Verdict:
@@ -587,7 +602,7 @@ def _embed_poly(p: LaurentPoly, r: int, n: int, into_w: bool) -> LaurentPoly:
 
 
 def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
-                       basis_rows: list[list[int]]):
+                       basis_rows: list[list[int]], deadline):
     """Relation-module generators for a subset whose steps span the proper
     sublattice with basis `basis_rows` (rank r >= 1).
 
@@ -637,7 +652,7 @@ def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
             col[c] = rho
             cols.append(col)
     K = sub.K
-    syz = laurent_syzygies(cols, p_rows, nv)
+    syz = laurent_syzygies(cols, p_rows, nv, deadline=deadline)
     fparts = [s[:K] for s in syz]
     fparts = [f for f in fparts if not all(q.is_zero() for q in f)]
     # eliminate the X block from the f-part span (saturated, X dominant)
@@ -646,7 +661,8 @@ def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
     raws = [clear_vector(f, nv)[0] for f in fparts]
     x_block = tuple(range(r, nv))
     w_block = tuple(range(r))
-    basis, _ = saturated_basis(raws, K, nv, var_blocks=[x_block, w_block])
+    basis, _ = saturated_basis(raws, K, nv, deadline=deadline,
+                               var_blocks=[x_block, w_block])
     gens_w = []
     for e in basis:
         if all(all(mono[i] == 0 for i in x_block) for _, mono in e.vec):
@@ -659,9 +675,16 @@ def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
     return gens_w, steps_sub
 
 
-def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget) -> Verdict:
+def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget,
+                  deadline: Optional[float] = None) -> Verdict:
     """Group Problem for the sub-generating-set at the given 1-based indices,
-    with sublattice reduction when the steps do not span Z^n."""
+    with sublattice reduction when the steps do not span Z^n.
+
+    `deadline` (a `time.monotonic()` value) bounds the Groebner phases and
+    the search; by default `budget.timeout` starts at entry.  Past it the
+    verdict is UNKNOWN with `timed_out`."""
+    if deadline is None:
+        deadline = _deadline(budget)
     sub = gens.subset(indices)
     pres = gens.presentation
     steps = [list(a) for a in sub.steps]
@@ -673,15 +696,20 @@ def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget) ->
             return False
         return evaluate_word(gens, mapped).is_neutral()
 
-    if full:
-        basis = syzygy_basis(pres, sub.ys, sub.steps)
-        verdict = decide_core(basis.generators, sub.steps, sub.K, gens.n, budget, verify)
-    elif rank_ == 0:
-        verdict = _decide_constants(pres, sub, budget)
-    else:
-        lattice_basis = linalg.hermite_row_basis(steps)
-        gens_w, steps_w = _repose_sublattice(pres, sub, lattice_basis)
-        verdict = decide_core(gens_w, steps_w, sub.K, len(lattice_basis), budget, verify)
+    try:
+        if full:
+            basis = syzygy_basis(pres, sub.ys, sub.steps, deadline=deadline)
+            verdict = decide_core(basis.generators, sub.steps, sub.K, gens.n, budget,
+                                  verify, deadline)
+        elif rank_ == 0:
+            verdict = _decide_constants(pres, sub, budget, deadline)
+        else:
+            lattice_basis = linalg.hermite_row_basis(steps)
+            gens_w, steps_w = _repose_sublattice(pres, sub, lattice_basis, deadline)
+            verdict = decide_core(gens_w, steps_w, sub.K, len(lattice_basis), budget,
+                                  verify, deadline)
+    except GroebnerBudgetError:
+        return _unknown(budget, timed_out=True)
     if verdict.kind == "yes" and "word" in verdict.witness:
         verdict.witness["word_in_original_letters"] = [
             indices[l - 1] for l in verdict.witness["word"]
@@ -696,14 +724,19 @@ def _subsets(indices: Sequence[int]):
         yield from itertools.combinations(idx, size)
 
 
-def decide_identity(gens: GeneratorSet, budget: Budget = None) -> Verdict:
-    """The semigroup contains the neutral element iff some nonempty subset of
-    the generators generates a group (subset reduction)."""
-    budget = budget or Budget()
+def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
+    """YES from the first subset that generates a group; NO once every
+    subset is refuted.  One deadline, started here, covers all subsets:
+    once it has passed, the remaining subsets are not tried and the verdict
+    is UNKNOWN with `timed_out`."""
+    deadline = _deadline(budget)
     any_unknown = False
     refutations = []
-    for subset in _subsets(range(1, gens.K + 1)):
-        v = decide_subset(gens, list(subset), budget)
+    for subset in subsets:
+        if _passed(deadline):
+            any_unknown = True
+            break
+        v = decide_subset(gens, list(subset), budget, deadline)
         if v.kind == "yes":
             v.witness = dict(v.witness or {})
             v.witness["subset"] = list(subset)
@@ -713,30 +746,24 @@ def decide_identity(gens: GeneratorSet, budget: Budget = None) -> Verdict:
         else:
             refutations.append({"subset": list(subset), "certificate": v.certificate})
     if any_unknown:
-        return Verdict(kind="unknown", budget_report={"reason": "some subsets unresolved"})
+        report = {"reason": "some subsets unresolved"}
+        if _passed(deadline):
+            report["timed_out"] = True
+        return Verdict(kind="unknown", budget_report=report)
     return Verdict(kind="no", certificate={"subsets": refutations})
+
+
+def decide_identity(gens: GeneratorSet, budget: Budget = None) -> Verdict:
+    """The semigroup contains the neutral element iff some nonempty subset of
+    the generators generates a group (subset reduction)."""
+    return _decide_subsets(gens, _subsets(range(1, gens.K + 1)), budget or Budget())
 
 
 def decide_inverse(gens: GeneratorSet, target: int, budget: Budget = None) -> Verdict:
     """g_target has an inverse in the semigroup iff some subset containing it
     generates a group."""
-    budget = budget or Budget()
     if not 1 <= target <= gens.K:
         raise ValueError(f"target index {target} out of range 1..{gens.K}")
     rest = [i for i in range(1, gens.K + 1) if i != target]
-    any_unknown = False
-    refutations = []
     subsets = [[target]] + [sorted([target, *extra]) for extra in _subsets(rest)]
-    for subset in subsets:
-        v = decide_subset(gens, subset, budget)
-        if v.kind == "yes":
-            v.witness = dict(v.witness or {})
-            v.witness["subset"] = list(subset)
-            return v
-        if v.kind == "unknown":
-            any_unknown = True
-        else:
-            refutations.append({"subset": list(subset), "certificate": v.certificate})
-    if any_unknown:
-        return Verdict(kind="unknown", budget_report={"reason": "some subsets unresolved"})
-    return Verdict(kind="no", certificate={"subsets": refutations})
+    return _decide_subsets(gens, subsets, budget or Budget())

@@ -3,6 +3,10 @@
 phase, then Bland's rule), Fourier-Motzkin elimination, and integer lattice
 normal forms (Smith, Hermite).  Everything runs on Fractions / ints; no
 floats.
+
+Strict positivity of a combination of columns is decided by one LP, the
+Gordan alternative, which yields the dual certificate on a NO; a second
+"max t" LP only builds the witness combination, for rank-0 YES verdicts.
 """
 from __future__ import annotations
 
@@ -281,35 +285,18 @@ def lp_feasible_point(constraints, num_vars: int):
 def strict_positive_combination(columns: list[Sequence]):
     """Decide whether some real combination of `columns` is strictly positive.
 
-    Columns are rational K-vectors.  Returns ('feasible', x) with a rational
-    witness, or ('infeasible', lam) with a Gordan certificate: lam >= 0,
-    lam != 0, and sum_i lam_i * columns[j][i] = 0 for every j.
+    Columns are rational K-vectors.  By Gordan's alternative exactly one of
+    two things holds: some combination is strictly positive, or some lam >= 0,
+    lam != 0 annihilates every column.  One exact LP decides which: the
+    second system, solved for lam.  Returns ('infeasible', lam) with that
+    certificate (lam >= 0, sum lam = 1, sum_i lam_i * columns[j][i] = 0 for
+    every j), or ('feasible', None); `positive_combination` builds a witness
+    for a feasible system.
     """
     if not columns:
-        lam = None
-    else:
-        K = len(columns[0])
-        m = len(columns)
-        # max t  s.t.  sum_j x_j col_j[i] - t >= 0,  -1 <= x_j <= 1,  t <= 1
-        cons = []
-        for i in range(K):
-            cons.append(([Fraction(columns[j][i]) for j in range(m)] + [Fraction(-1)], ">=", 0))
-        for j in range(m):
-            e = [Fraction(0)] * (m + 1)
-            e[j] = Fraction(1)
-            cons.append((list(e), "<=", 1))
-            cons.append((list(e), ">=", -1))
-        tcol = [Fraction(0)] * (m + 1)
-        tcol[m] = Fraction(1)
-        cons.append((tcol, "<=", 1))
-        point = _maximize_last(cons, m + 1)
-        if point is not None and point[m] > 0:
-            return "feasible", point[:m]
-        lam = None
+        raise ValueError("need at least one column")
+    K = len(columns[0])
     # Gordan alternative: lam >= 0, sum lam = 1, lam . col_j = 0 for all j
-    K = len(columns[0]) if columns else 0
-    if K == 0:
-        raise ValueError("need at least one coordinate")
     cons = [([Fraction(1)] * K, "==", 1)]
     for j, col in enumerate(columns):
         cons.append((frac_vec(col), "==", 0))
@@ -319,8 +306,34 @@ def strict_positive_combination(columns: list[Sequence]):
         cons.append((e, ">=", 0))
     lam = lp_feasible_point(cons, K)
     if lam is None:
-        raise AssertionError("Gordan alternative failed on both sides")
+        return "feasible", None
     return "infeasible", lam
+
+
+def positive_combination(columns: list[Sequence]):
+    """A rational x with sum_j x_j * columns[j] strictly positive, or None.
+
+    Solves max t  s.t.  sum_j x_j col_j[i] - t >= 0,  -1 <= x_j <= 1,
+    t <= 1, and returns x when t > 0.  Call it after
+    `strict_positive_combination` reports 'feasible'; it only builds the
+    witness, it does not decide.
+    """
+    m = len(columns)
+    cons = []
+    for i in range(len(columns[0])):
+        cons.append(([Fraction(columns[j][i]) for j in range(m)] + [Fraction(-1)], ">=", 0))
+    for j in range(m):
+        e = [Fraction(0)] * (m + 1)
+        e[j] = Fraction(1)
+        cons.append((list(e), "<=", 1))
+        cons.append((list(e), ">=", -1))
+    tcol = [Fraction(0)] * (m + 1)
+    tcol[m] = Fraction(1)
+    cons.append((tcol, "<=", 1))
+    point = _maximize_last(cons, m + 1)
+    if point is not None and point[m] > 0:
+        return point[:m]
+    return None
 
 
 def lp_optimize(constraints, num_vars: int, objective):

@@ -1,12 +1,16 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from semizn import decide
 from semizn.algebra import ModulePresentation
 from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
                            decide_inverse, decide_subset, locr_refute, oracle_bfs,
                            procedure_a, sample_points, verify_witness)
 from semizn.ggraph import graph_of_word
+from semizn.groebner import GroebnerBudgetError
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
@@ -68,6 +72,95 @@ def test_sample_schedule_deterministic():
     assert len(set(a)) == 10
     assert all(x > 0 for pt in a for x in pt)
     assert list(sample_points(0, 5, seed=0)) == [()]
+
+
+# -- reference: sample_points before its scalar ladder was built once ---------
+# Kept verbatim as an oracle: the schedule picks the refuter's sample points,
+# which NO certificates name.
+
+def ref_sample_points(n: int, count: int, seed: int):
+    """Deterministic positive rational sample schedule: all-ones first, then
+    a low-height grid spiral, then seeded pseudo-random rationals."""
+    if n == 0:
+        yield ()
+        return
+    emitted = 0
+    scalars = [Fraction(1)]
+    h = 2
+    while len(scalars) < 40:
+        for p in range(1, h):
+            q = h - p
+            f = Fraction(p, q)
+            if f not in scalars:
+                scalars.append(f)
+        h += 1
+    level = 1
+    rng = random.Random(seed)
+    seen = set()
+    while emitted < count:
+        if level <= 6:
+            for combo in itertools.product(range(level), repeat=n):
+                if max(combo) == level - 1:
+                    pt = tuple(scalars[i] for i in combo)
+                    if pt not in seen:
+                        seen.add(pt)
+                        yield pt
+                        emitted += 1
+                        if emitted >= count:
+                            return
+            level += 1
+        else:
+            pt = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(n))
+            if pt not in seen:
+                seen.add(pt)
+                yield pt
+                emitted += 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_sample_schedule_matches_reference(n):
+    for count in (0, 1, 12, 60):
+        for seed in (0, 1, 7):
+            assert list(sample_points(n, count, seed)) == list(ref_sample_points(n, count, seed))
+
+
+def k5_instance():
+    """Five n = 1 generators with nonzero steps: no single generator is a
+    group, so a subset loop has work left after its first subset."""
+    pres = free_presentation(1)
+    elements = [GroupElement(pres, [mono((e,), c)], (a,))
+                for e, c, a in [(0, 1, 1), (1, -1, -1), (0, 2, 2), (-1, 1, 1), (2, 1, -2)]]
+    return GeneratorSet(pres, elements)
+
+
+def test_one_deadline_for_all_subsets(monkeypatch):
+    calls = []
+    real = decide.decide_subset
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decide, "decide_subset", counted)
+    for run in (lambda b: decide_identity(k5_instance(), b),
+                lambda b: decide_inverse(k5_instance(), 3, b)):
+        calls.clear()
+        v = run(Budget(timeout=0))
+        assert len(calls) <= 1
+        assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    # without a timeout every subset is refuted
+    calls.clear()
+    v = decide_identity(k5_instance(), Budget(samples=2, degree=0))
+    assert v.kind == "no" and len(calls) == 31
+
+
+def test_groebner_deadline_is_unknown(monkeypatch):
+    def out_of_time(*args, **kwargs):
+        raise GroebnerBudgetError("groebner deadline exceeded")
+
+    monkeypatch.setattr(decide, "syzygy_basis", out_of_time)
+    v = decide_subset(inverse_pair(), [1, 2], Budget(timeout=60))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
 
 
 def test_verify_witness_examples():

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from semizn import linalg
+from semizn.decide import sample_points
+from semizn.linalg import _maximize_last, frac_vec, lp_feasible_point
+
+from conftest import random_poly
 
 
 def test_solve_linear_and_nullspace():
@@ -229,7 +234,8 @@ def test_lp_wrappers_match_dense_reference(monkeypatch):
 
     def run_all():
         return ([linalg.lp_feasible_point(cons, k) for cons, k in feasible_cases],
-                [linalg.strict_positive_combination(cols) for cols in gordan_cases])
+                [linalg.strict_positive_combination(cols) for cols in gordan_cases],
+                [linalg.positive_combination(cols) for cols in gordan_cases])
 
     got = run_all()
     monkeypatch.setattr(linalg, "simplex", _ref_simplex)
@@ -245,10 +251,110 @@ def test_strict_positive_combination_gordan():
     assert status == "infeasible"
     assert all(l >= 0 for l in lam) and any(l > 0 for l in lam)
     assert lam[0] * 1 + lam[1] * (-1) == 0
-    # feasible: identity columns
-    status, x = linalg.strict_positive_combination([[1, 0], [0, 1]])
-    assert status == "feasible"
+    # feasible: identity columns; the Gordan LP decides, it builds no witness
+    assert linalg.strict_positive_combination([[1, 0], [0, 1]]) == ("feasible", None)
+
+
+def test_positive_combination():
+    x = linalg.positive_combination([[1, 0], [0, 1]])
     assert x[0] > 0 and x[1] > 0
+    assert linalg.positive_combination([[1, -1]]) is None
+
+
+# -- reference: strict_positive_combination before the Gordan LP alone decided -
+# Kept verbatim as an oracle: it solved the "max t" LP first and the Gordan LP
+# only when that failed.  The certificates and witnesses must not move.
+
+def ref_strict_positive_combination(columns: list[Sequence]):
+    """Decide whether some real combination of `columns` is strictly positive.
+
+    Columns are rational K-vectors.  Returns ('feasible', x) with a rational
+    witness, or ('infeasible', lam) with a Gordan certificate: lam >= 0,
+    lam != 0, and sum_i lam_i * columns[j][i] = 0 for every j.
+    """
+    if not columns:
+        lam = None
+    else:
+        K = len(columns[0])
+        m = len(columns)
+        # max t  s.t.  sum_j x_j col_j[i] - t >= 0,  -1 <= x_j <= 1,  t <= 1
+        cons = []
+        for i in range(K):
+            cons.append(([Fraction(columns[j][i]) for j in range(m)] + [Fraction(-1)], ">=", 0))
+        for j in range(m):
+            e = [Fraction(0)] * (m + 1)
+            e[j] = Fraction(1)
+            cons.append((list(e), "<=", 1))
+            cons.append((list(e), ">=", -1))
+        tcol = [Fraction(0)] * (m + 1)
+        tcol[m] = Fraction(1)
+        cons.append((tcol, "<=", 1))
+        point = _maximize_last(cons, m + 1)
+        if point is not None and point[m] > 0:
+            return "feasible", point[:m]
+        lam = None
+    # Gordan alternative: lam >= 0, sum lam = 1, lam . col_j = 0 for all j
+    K = len(columns[0]) if columns else 0
+    if K == 0:
+        raise ValueError("need at least one coordinate")
+    cons = [([Fraction(1)] * K, "==", 1)]
+    for j, col in enumerate(columns):
+        cons.append((frac_vec(col), "==", 0))
+    for i in range(K):
+        e = [Fraction(0)] * K
+        e[i] = Fraction(1)
+        cons.append((e, ">=", 0))
+    lam = lp_feasible_point(cons, K)
+    if lam is None:
+        raise AssertionError("Gordan alternative failed on both sides")
+    return "infeasible", lam
+
+
+def _refuter_column_sets(rng):
+    """Column sets like the ones the refuter and the constants route pose:
+    K 1-5 coordinates, 0-6 columns, integer or small-Fraction entries, or
+    the values of random Laurent generators at refuter sample points."""
+    def entry():
+        v = rng.randint(-3, 3)
+        return Fraction(v, rng.choice([1, 2, 3])) if rng.random() < 0.4 else v
+
+    for case in range(420):
+        K = rng.randint(1, 5)
+        m = rng.randint(0, 6)
+        if case % 3 < 2:
+            yield [[entry() for _ in range(K)] for _ in range(m)]
+            continue
+        n = rng.randint(1, 2)
+        gens = [[random_poly(rng, n, max_terms=3, exp=1, coef=3) for _ in range(K)]
+                for _ in range(m)]
+        r = rng.choice(list(sample_points(n, 12, rng.randint(0, 9))))
+        yield [[g[i].evaluate_positive(r) for i in range(K)] for g in gens]
+
+
+def test_refuter_lp_matches_reference():
+    rng = random.Random(4404)
+    seen = {"feasible": 0, "infeasible": 0, "empty": 0, "fraction": 0}
+    for cols in _refuter_column_sets(rng):
+        if not cols:
+            with pytest.raises(ValueError):
+                ref_strict_positive_combination(cols)
+            with pytest.raises(ValueError):
+                linalg.strict_positive_combination(cols)
+            seen["empty"] += 1
+            continue
+        want_status, want = ref_strict_positive_combination(cols)
+        status, got = linalg.strict_positive_combination(cols)
+        assert status == want_status, cols
+        assert (status == "feasible") == linalg.fm_strictly_feasible(cols), cols
+        if status == "infeasible":
+            assert got == want and len(got) == len(cols[0]), cols
+        else:
+            assert got is None
+            assert linalg.positive_combination(cols) == want, cols
+        seen[status] += 1
+        if any(isinstance(x, Fraction) and x.denominator != 1 for c in cols for x in c):
+            seen["fraction"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_gordan_agrees_with_fourier_motzkin():
