@@ -147,6 +147,7 @@ def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,
     raw_syz = groebner.syzygy_generators(cleared, p, n, deadline=deadline)
     out = []
     for s in raw_syz:
+        groebner._check(deadline)
         vec = raw_to_vector(s, len(columns), n)
         vec = [f.shift(shifts[i]) for i, f in enumerate(vec)]
         out.append(normalize_unit(vec, n))

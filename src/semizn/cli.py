@@ -22,7 +22,7 @@ from semizn import jsonio, positions
 from semizn.closure import ClosureBudgetError, ClosurePreconditionError, eulerian_closure
 from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
                            decide_inverse, verify_witness)
-from semizn.geometry import is_face_accessible
+from semizn.geometry import HullTooLargeError, is_face_accessible
 from semizn.ggraph import graph_of_word
 from semizn.group import magnus_frontend
 from semizn.jsonio import FormatError
@@ -193,7 +193,11 @@ def _cmd_graph_word(args) -> int:
 
 def _cmd_graph_analyze(args) -> int:
     graph = _load_graph(args.graph)
-    accessible, report = is_face_accessible(graph)
+    try:
+        accessible, report = is_face_accessible(graph)
+    except HullTooLargeError as exc:
+        print(f"error: {args.graph}: {exc}", file=sys.stderr)
+        return DATA_EXIT
     doc = {
         "symmetric": graph.is_symmetric(),
         "full_image": graph.is_full_image(),
@@ -219,6 +223,9 @@ def _cmd_euler_close(args) -> int:
     except ClosureBudgetError as exc:
         _emit({"error": "budget", "max_n": exc.max_n})
         return 2
+    except HullTooLargeError as exc:
+        print(f"error: {args.graph}: {exc}", file=sys.stderr)
+        return DATA_EXIT
     _emit({
         "N": result.N,
         "translations": [list(z) for z in result.translations],

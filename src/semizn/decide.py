@@ -16,9 +16,12 @@ Neither side is complete on its own; an exhausted budget is an honest
 UNKNOWN.  The two sides are interleaved cooperatively under a fixed
 schedule, so the verdict is a pure function of instance, budget and seed.
 
-Identity and Inverse reduce to Group over subsets of the generators.
-Subsets whose steps span a proper sublattice are re-posed over a basis of
-that sublattice (rank 0 degenerates to exact rational feasibility).
+Group, Identity and Inverse run one core on a generating set: Group on the
+whole set, Identity and Inverse on subsets of it.  A set whose steps span a
+proper sublattice is re-posed over a basis of that sublattice; at rank 0
+the basis is empty and the problem degenerates to exact rational
+feasibility.  One deadline, started at entry, bounds the Groebner phases
+and the search.
 """
 from __future__ import annotations
 
@@ -484,16 +487,11 @@ def check_hypothesis(gens: GeneratorSet):
 
 def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     """Decide whether the generated sub-semigroup is a group (sound YES and
-    NO, budget-bounded UNKNOWN).  Requires the lattice hypothesis."""
+    NO, budget-bounded UNKNOWN).  Requires the lattice hypothesis.
+    `budget.timeout` starts at entry and bounds the Groebner phases too."""
     budget = budget or Budget()
     check_hypothesis(gens)
-    basis = syzygy_basis(gens.presentation, gens.ys, gens.steps)
-
-    def verify(word):
-        return verify_witness(word, gens)
-
-    return decide_core(basis.generators, gens.steps, gens.K, gens.n, budget, verify,
-                       _deadline(budget))
+    return _decide_generating_set(gens.presentation, gens, budget, _deadline(budget))
 
 
 def procedure_a(gens: GeneratorSet, budget: Budget = None) -> Verdict:
@@ -524,41 +522,13 @@ def locr_refute(gens: GeneratorSet, budget: Budget = None) -> Verdict:
 # Sublattice reduction for subsets
 # ---------------------------------------------------------------------------
 
-def _constants_module(pres: ModulePresentation, ys, deadline) -> list[list[int]]:
-    """Generators (integer vectors) of {f in Z^K : sum f_i y_i = 0 in Y},
-    used when every step of the subset is zero: positions collapse to the
-    origin, so position tuples are constant vectors."""
-    K = len(ys)
-    n = pres.n
-    cols = [list(y) for y in ys]
-    for rel in pres.rels_N:
-        cols.append([-r for r in rel])
-    syz = laurent_syzygies(cols, pres.d, n, deadline=deadline)
-    fparts = [s[:K] for s in syz]
-    fparts = [f for f in fparts if not all(p.is_zero() for p in f)]
-    if not fparts:
-        return []
-    raws = [clear_vector(f, n)[0] for f in fparts]
-    basis, order = saturated_basis(raws, K, n, deadline=deadline)
-    out = []
-    zero = (0,) * n
-    for e in basis:
-        if all(mono == zero for _, mono in e.vec):
-            vec = [0] * K
-            for (pos, _), c in e.vec.items():
-                vec[pos] = c
-            out.append(vec)
-    return out
-
-
-def _decide_constants(pres: ModulePresentation, sub: GeneratorSet,
-                      budget: Budget, deadline) -> Verdict:
+def _decide_constants(pres: ModulePresentation, sub: GeneratorSet, deadline) -> Verdict:
     """All-zero steps: group-ness is exact rational feasibility of a strictly
     positive integer combination (homogeneous integer data, so rational
     feasibility suffices and clears to integers).  Always conclusive."""
-    gens_z = _constants_module(pres, sub.ys, deadline)
+    gens_w, _ = _repose_sublattice(pres, sub, [], deadline)
     K = sub.K
-    columns = [[Fraction(v[i]) for i in range(K)] for v in gens_z]
+    columns = [[Fraction(p.terms.get((), 0)) for p in g] for g in gens_w]
     if not columns:
         status, result = "infeasible", [Fraction(1)] * K
     else:
@@ -572,12 +542,7 @@ def _decide_constants(pres: ModulePresentation, sub: GeneratorSet,
     x = linalg.positive_combination(columns)
     if x is None:
         raise AssertionError("Gordan alternative failed on both sides")
-    return _constants_yes(gens_z, x, sub, budget)
-
-
-def _constants_yes(gens_z, x, sub: GeneratorSet, budget: Budget) -> Verdict:
-    K = sub.K
-    vec = [sum(Fraction(xi) * Fraction(g[i]) for xi, g in zip(x, gens_z)) for i in range(K)]
+    vec = [sum(Fraction(xi) * g[i] for xi, g in zip(x, columns)) for i in range(K)]
     denom = 1
     for v in vec:
         denom = denom * v.denominator // gcd(denom, v.denominator)
@@ -604,7 +569,8 @@ def _embed_poly(p: LaurentPoly, r: int, n: int, into_w: bool) -> LaurentPoly:
 def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
                        basis_rows: list[list[int]], deadline):
     """Relation-module generators for a subset whose steps span the proper
-    sublattice with basis `basis_rows` (rank r >= 1).
+    sublattice with basis `basis_rows` (rank r >= 0; at rank 0 every step
+    is zero and the generators are constant vectors over zero variables).
 
     The problem is re-posed over r fresh variables W with W_t acting as
     X^{B_t}: the joint ring Z[W,X] carries the relations rho_t = W_t - X^{B_t};
@@ -675,6 +641,30 @@ def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
     return gens_w, steps_sub
 
 
+def _decide_generating_set(pres: ModulePresentation, sub: GeneratorSet, budget: Budget,
+                           deadline: Optional[float]) -> Verdict:
+    """Group Problem for `sub`, with sublattice reduction when its steps do
+    not span Z^n.  Past `deadline` the verdict is UNKNOWN with `timed_out`."""
+    rank_, full = linalg.lattice_rank_and_full(sub.steps, sub.n)
+
+    def verify(word):
+        return verify_witness(word, sub)
+
+    try:
+        if full:
+            basis = syzygy_basis(pres, sub.ys, sub.steps, deadline=deadline)
+            return decide_core(basis.generators, sub.steps, sub.K, sub.n, budget,
+                               verify, deadline)
+        if rank_ == 0:
+            return _decide_constants(pres, sub, deadline)
+        lattice_basis = linalg.hermite_row_basis(sub.steps)
+        gens_w, steps_w = _repose_sublattice(pres, sub, lattice_basis, deadline)
+        return decide_core(gens_w, steps_w, sub.K, len(lattice_basis), budget,
+                           verify, deadline)
+    except GroebnerBudgetError:
+        return _unknown(budget, timed_out=True)
+
+
 def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget,
                   deadline: Optional[float] = None) -> Verdict:
     """Group Problem for the sub-generating-set at the given 1-based indices,
@@ -685,32 +675,8 @@ def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget,
     verdict is UNKNOWN with `timed_out`."""
     if deadline is None:
         deadline = _deadline(budget)
-    sub = gens.subset(indices)
-    pres = gens.presentation
-    steps = [list(a) for a in sub.steps]
-    rank_, full = linalg.lattice_rank_and_full(steps, gens.n)
-
-    def verify(word):
-        mapped = [indices[l - 1] for l in word]
-        if set(word) != set(range(1, sub.K + 1)):
-            return False
-        return evaluate_word(gens, mapped).is_neutral()
-
-    try:
-        if full:
-            basis = syzygy_basis(pres, sub.ys, sub.steps, deadline=deadline)
-            verdict = decide_core(basis.generators, sub.steps, sub.K, gens.n, budget,
-                                  verify, deadline)
-        elif rank_ == 0:
-            verdict = _decide_constants(pres, sub, budget, deadline)
-        else:
-            lattice_basis = linalg.hermite_row_basis(steps)
-            gens_w, steps_w = _repose_sublattice(pres, sub, lattice_basis, deadline)
-            verdict = decide_core(gens_w, steps_w, sub.K, len(lattice_basis), budget,
-                                  verify, deadline)
-    except GroebnerBudgetError:
-        return _unknown(budget, timed_out=True)
-    if verdict.kind == "yes" and "word" in verdict.witness:
+    verdict = _decide_generating_set(gens.presentation, gens.subset(indices), budget, deadline)
+    if verdict.kind == "yes":
         verdict.witness["word_in_original_letters"] = [
             indices[l - 1] for l in verdict.witness["word"]
         ]
@@ -738,8 +704,6 @@ def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
             break
         v = decide_subset(gens, list(subset), budget, deadline)
         if v.kind == "yes":
-            v.witness = dict(v.witness or {})
-            v.witness["subset"] = list(subset)
             return v
         if v.kind == "unknown":
             any_unknown = True

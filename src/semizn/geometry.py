@@ -25,6 +25,10 @@ from typing import Sequence
 from semizn import linalg
 
 
+class HullTooLargeError(ValueError):
+    """The point set is too large for exact facet enumeration."""
+
+
 @dataclass(frozen=True)
 class Face:
     """Strict face: all input points on it, its dimension, and an ambient
@@ -100,7 +104,7 @@ class LatticePolytope:
         if k == 2:
             return self._facets_2d()
         if comb(m, k) > 2_000_000:
-            raise ValueError("point set too large for exact facet enumeration")
+            raise HullTooLargeError("point set too large for exact facet enumeration")
         found = {}
         for idxs in combinations(range(m), k):
             base = coords[idxs[0]]

@@ -47,6 +47,13 @@ class GroebnerBudgetError(Exception):
     """Raised when a Groebner run exceeds its deadline."""
 
 
+def _check(deadline):
+    """Raise GroebnerBudgetError once `deadline` (a `time.monotonic()`
+    value, or None) has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise GroebnerBudgetError("groebner deadline exceeded")
+
+
 class TermOrder:
     def __init__(self, nvars: int, blocks=None, elim_positions: int = 0):
         self.nvars = nvars
@@ -236,8 +243,7 @@ def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
         push_pairs(idx)
 
     while pending:
-        if deadline is not None and time.monotonic() > deadline:
-            raise GroebnerBudgetError("groebner deadline exceeded")
+        _check(deadline)
         _, _, i, j = heapq.heappop(pending)
         for seed in _pair_seeds(basis, i, j):
             rec: list = []
@@ -306,7 +312,8 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     off the S- and GCD-pair reductions of the final basis (over a PID the
     pairwise S-syzygies generate the term syzygies, by the Bezout
     induction).  The output is {sigma * A} + rows(I - B * A), every row
-    verified exactly against the columns before being returned.
+    verified exactly against the columns before being returned.  `deadline`
+    is checked in every phase, the raw run and the lifting alike.
     """
     q = len(columns)
     zero = (0,) * nvars
@@ -320,6 +327,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     def a_row(raw_idx: int) -> dict:
         if raw_idx in memo:
             return memo[raw_idx]
+        _check(deadline)
         kind = recipes[raw_idx]
         if kind[0] == "gen":
             row = {(kind[1], zero): kind[2]}
@@ -338,6 +346,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
 
     a_final = []
     for comb in final_combs:
+        _check(deadline)
         row = {}
         for coef, shift, m in comb:
             axpy_terms(row, coef, shift, a_row(m))
@@ -346,6 +355,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     # B: each column reduced to zero by the final strong basis
     b_rows = []
     for col in columns:
+        _check(deadline)
         rec = []
         rem = normal_form(dict(col), final_entries, order, record=rec)
         if rem:
@@ -363,6 +373,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
             if final_entries[i].pos != final_entries[j].pos:
                 continue
             for seed in _pair_seeds(final_entries, i, j):
+                _check(deadline)
                 rec = []
                 rem = normal_form(_seed_vector(seed, final_entries), final_entries, order,
                                   record=rec)
@@ -379,6 +390,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
 
     # rows of I - B*A
     for i in range(q):
+        _check(deadline)
         row = {(i, zero): 1}
         ba = compose(b_rows[i], a_final)
         for k, c in ba.items():
@@ -390,6 +402,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     out = []
     seen = set()
     for cand in candidates:
+        _check(deadline)
         if not cand:
             continue
         check: dict = {}

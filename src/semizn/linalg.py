@@ -1,8 +1,9 @@
-"""Exact rational linear algebra: Gaussian elimination, a two-phase simplex
-(Dantzig's most-negative-reduced-cost rule for the first 500 pivots of a
-phase, then Bland's rule), Fourier-Motzkin elimination, and integer lattice
-normal forms (Smith, Hermite).  Everything runs on Fractions / ints; no
-floats.
+"""Exact rational linear algebra: Gauss-Jordan elimination, a two-phase
+simplex (Dantzig's most-negative-reduced-cost rule for the first 500 pivots
+of a phase, then Bland's rule) behind one front end for LPs over free
+variables, Fourier-Motzkin elimination, and the Hermite basis of an integer
+lattice, which also gives its rank and whether it is all of Z^n.
+Everything runs on Fractions / ints; no floats.
 
 Strict positivity of a combination of columns is decided by one LP, the
 Gordan alternative, which yields the dual certificate on a NO; a second
@@ -46,44 +47,16 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
 # Gaussian elimination over Q
 # ---------------------------------------------------------------------------
 
-def solve_linear(rows: Mat, rhs: Vec):
-    """One exact solution of rows * x = rhs, or None if inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [frac_vec(r) + [Fraction(v)] for r, v in zip(rows, rhs)]
+def _gauss_jordan(a: Mat, ncols: int) -> list[int]:
+    """Reduce the Fraction rows `a` in place to reduced row echelon form over
+    their first `ncols` columns (later columns are carried along); returns
+    the pivot column of each leading row."""
+    m = len(a)
     pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(ncols):
+        r = len(pivots)
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
-
-
-def nullspace(rows: Mat, n: int) -> list[list[Fraction]]:
-    """Basis of {x : rows * x = 0} over Q."""
-    m = len(rows)
-    a = [frac_vec(r) for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(n):
         pr = next((i for i in range(r, m) if a[i][c] != 0), None)
         if pr is None:
             continue
@@ -94,17 +67,35 @@ def nullspace(rows: Mat, n: int) -> list[list[Fraction]]:
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-        if r == m:
-            break
+        pivots.append(c)
+    return pivots
+
+
+def solve_linear(rows: Mat, rhs: Vec):
+    """One exact solution of rows * x = rhs, or None if inconsistent."""
+    n = len(rows[0]) if rows else 0
+    aug = [frac_vec(r) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    pivots = _gauss_jordan(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(aug, pivots):
+        x[c] = row[n]
+    return x
+
+
+def nullspace(rows: Mat, n: int) -> list[list[Fraction]]:
+    """Basis of {x : rows * x = 0} over Q."""
+    a = [frac_vec(r) for r in rows]
+    pivots = _gauss_jordan(a, n)
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            v[pc] = -a[pr][fc]
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 
@@ -238,44 +229,42 @@ def simplex(A: Mat, b: Vec, c: Vec):
     return "optimal", t2.solution()
 
 
+def _free_lp(constraints, num_vars: int, objective=()):
+    """max objective.x over free rational variables, constraints as in
+    `lp_feasible_point`: (status, x) from `simplex`, x None unless optimal.
+    Each free variable is split into positive parts x = x+ - x-, and each
+    constraint gets one slack column (zero for '==')."""
+    m = len(constraints)
+    A, b = [], []
+    for idx, (coeffs, sense, rhs) in enumerate(constraints):
+        row = [x for c in frac_vec(coeffs) for x in (c, -c)]
+        srow = [Fraction(0)] * m
+        if sense == "<=":
+            srow[idx] = Fraction(1)
+        elif sense == ">=":
+            srow[idx] = Fraction(-1)
+        elif sense != "==":
+            raise ValueError(f"bad sense {sense!r}")
+        A.append(row + srow)
+        b.append(Fraction(rhs))
+    c = [Fraction(0)] * (2 * num_vars + m)
+    for j, val in enumerate(frac_vec(objective)):
+        c[2 * j] = -val
+        c[2 * j + 1] = val
+    status, x = simplex(A, b, c)
+    if status != "optimal":
+        return status, None
+    return status, [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
+
+
 def lp_feasible_point(constraints, num_vars: int):
     """Feasible point of a system over free rational variables, or None.
 
     `constraints` is a list of (coeffs, sense, rhs) with sense in
-    {'<=', '>=', '=='}.  Free variables are split into positive parts
-    internally.
-    """
-    A, b = [], []
-    for coeffs, sense, rhs in constraints:
-        row = frac_vec(coeffs)
-        row = [x for c in row for x in (c, -c)]  # x = x+ - x-
-        rhs = Fraction(rhs)
-        if sense == "<=":
-            A.append(row + [Fraction(1)])
-            b.append(rhs)
-        elif sense == ">=":
-            A.append(row + [Fraction(-1)])
-            b.append(rhs)
-        elif sense == "==":
-            A.append(row + [Fraction(0)])
-            b.append(rhs)
-        else:
-            raise ValueError(f"bad sense {sense!r}")
-    if not A:
+    {'<=', '>=', '=='}."""
+    if not constraints:
         return [Fraction(0)] * num_vars
-    # one slack column per constraint
-    m = len(A)
-    full = []
-    for i, row in enumerate(A):
-        slack = row[-1]
-        base = row[:-1]
-        srow = [Fraction(0)] * m
-        srow[i] = slack
-        full.append(base + srow)
-    status, x = simplex(full, b, [Fraction(0)] * (2 * num_vars + m))
-    if status != "optimal":
-        return None
-    return [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
+    return _free_lp(constraints, num_vars)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +329,10 @@ def lp_optimize(constraints, num_vars: int, objective):
     """max objective.x over free rational variables; returns a maximizing
     point, or None if infeasible ('unbounded' raises: callers bound their
     objectives)."""
-    A, b = [], []
-    m = len(constraints)
-    for idx, (coeffs, sense, rhs) in enumerate(constraints):
-        row = frac_vec(coeffs)
-        row = [x for c in row for x in (c, -c)]
-        srow = [Fraction(0)] * m
-        if sense == "<=":
-            srow[idx] = Fraction(1)
-        elif sense == ">=":
-            srow[idx] = Fraction(-1)
-        elif sense != "==":
-            raise ValueError(f"bad sense {sense!r}")
-        A.append(row + srow)
-        b.append(Fraction(rhs))
-    c = [Fraction(0)] * (2 * num_vars + m)
-    for j, val in enumerate(frac_vec(objective)):
-        c[2 * j] = -val
-        c[2 * j + 1] = val
-    status, x = simplex(A, b, c)
+    status, x = _free_lp(constraints, num_vars, objective)
     if status == "unbounded":
         raise ValueError("unbounded objective")
-    if status == "infeasible":
-        return None
-    return [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
+    return x
 
 
 def _maximize_last(constraints, num_vars: int):
@@ -406,90 +375,16 @@ def fm_strictly_feasible(columns: list[Sequence]) -> bool:
 # Integer lattices
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(A: Mat):
-    """Smith normal form: returns (D, U, V) with U*A*V = D, U, V unimodular,
-    D diagonal with d_1 | d_2 | ...  All matrices are lists of int lists."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    D = [[int(x) for x in row] for row in A]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        D[dst] = [a + f * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + f * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(src, dst, f):
-        for row in D:
-            row[dst] += f * row[src]
-        for row in V:
-            row[dst] += f * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # locate minimal nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, m):
-            if D[i][t]:
-                add_row(t, i, -(D[i][t] // D[t][t]))
-                if D[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if D[t][j]:
-                add_col(t, j, -(D[t][j] // D[t][t]))
-                if D[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility fix-up: D[t][t] must divide everything below-right
-        viol = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t]:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
-            add_row(viol, t, 1)
-            continue
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-        t += 1
-    return D, U, V
-
-
 def lattice_rank_and_full(vectors: list[Sequence[int]], n: int):
     """Rank of the lattice generated by `vectors` in Z^n, and whether it is
-    all of Z^n.  Returns (rank, is_full)."""
+    all of Z^n: its Hermite basis is triangular with positive pivots, so the
+    lattice is Z^n iff there are n rows and every pivot is 1.  Returns
+    (rank, is_full)."""
     if n == 0:
         return 0, True
-    if not vectors:
-        return 0, False
-    D, _, _ = smith_normal_form([list(v) for v in vectors])
-    diag = [D[i][i] for i in range(min(len(D), n))]
-    r = sum(1 for d in diag if d != 0)
-    return r, r == n and all(abs(d) == 1 for d in diag[:r])
+    basis = hermite_row_basis(vectors)
+    full = len(basis) == n and all(row[i] == 1 for i, row in enumerate(basis))
+    return len(basis), full
 
 
 def hermite_row_basis(vectors: list[Sequence[int]]) -> list[list[int]]:

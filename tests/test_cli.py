@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 from contextlib import redirect_stdout
 
 from semizn.cli import main
@@ -68,6 +69,31 @@ def test_graph_analyze_and_euler_close():
     assert code == 0
     doc = json.loads(out)
     assert doc["N"] == 2 and len(doc["translations"]) == 5
+
+
+def test_oversized_hull_is_a_data_error(tmp_path, capsys):
+    """A symmetric 3-D graph with 240 vertices (random starts in [-40, 40]^3,
+    each unit-step edge paired with its reverse) is past the facet
+    enumeration cap: one error line and exit 65, not a traceback."""
+    rng = random.Random(240)
+    steps = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    edges, seen = [], set()
+    while len(seen) < 240:
+        s = tuple(rng.randint(-40, 40) for _ in range(3))
+        label = rng.randint(1, 6)
+        d = tuple(a + b for a, b in zip(s, steps[label - 1]))
+        if s in seen or d in seen:
+            continue
+        seen |= {s, d}
+        back = label + 1 if label % 2 else label - 1
+        edges += [{"label": label, "s": list(s)}, {"label": back, "s": list(d)}]
+    graph = tmp_path / "big_graph.json"
+    graph.write_text(json.dumps({"edges": edges, "steps": steps}))
+    for command in (("graph", "analyze"), ("euler-close",)):
+        code, out = run(*command, str(graph))
+        assert code == 65 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_syzygy_command():

@@ -1,20 +1,21 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from semizn import decide
-from semizn.algebra import ModulePresentation
+from semizn.algebra import ModulePresentation, clear_vector, laurent_syzygies
 from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
                            decide_inverse, decide_subset, locr_refute, oracle_bfs,
                            procedure_a, sample_points, verify_witness)
 from semizn.ggraph import graph_of_word
-from semizn.groebner import GroebnerBudgetError
+from semizn.groebner import GroebnerBudgetError, saturated_basis
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
-from conftest import free_presentation, inverse_pair, mono
+from conftest import free_presentation, inverse_pair, mono, random_poly
 
 
 def one_way():
@@ -163,6 +164,22 @@ def test_groebner_deadline_is_unknown(monkeypatch):
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
 
 
+def rng555_instance20():
+    """Instance 20 of acceptance criterion 5's rng 555 draws: n = 2, K = 4,
+    no relations.  Its syzygy phase alone runs for well over ten seconds."""
+    pres = free_presentation(2)
+    return GeneratorSet(pres, [GroupElement(pres, [LaurentPoly(2, y)], a) for y, a in [
+        ({(2, -2): -2}, (-1, 1)), ({(1, 0): -1}, (1, 1)),
+        ({(1, -1): -2, (0, 1): 3}, (-2, 2)), ({(0, 0): -3, (1, 1): -2}, (2, 1))]])
+
+
+def test_group_timeout_bounds_the_syzygy_phase():
+    t0 = time.monotonic()
+    v = decide_group(rng555_instance20(), Budget(timeout=2))
+    assert time.monotonic() - t0 < 3.5
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+
+
 def test_verify_witness_examples():
     gens = inverse_pair()
     assert verify_witness([1, 2], gens)
@@ -262,6 +279,62 @@ def test_decide_subset_constants_route():
     assert v.kind == "yes" and v.witness["counts"] == [1, 1]
     gens2 = GeneratorSet(pres, [b1, GroupElement(pres, [LaurentPoly.one(1)], (0,))])
     assert decide_subset(gens2, [1, 2], Budget()).kind == "no"
+
+
+# -- reference: the rank-0 relation module before it was re-posed -------------
+# Kept verbatim as an oracle: the rank-0 route's NO certificates and YES
+# counts are read off these vectors.
+
+def ref_constants_module(pres, ys, deadline):
+    """Generators (integer vectors) of {f in Z^K : sum f_i y_i = 0 in Y},
+    used when every step of the subset is zero: positions collapse to the
+    origin, so position tuples are constant vectors."""
+    K = len(ys)
+    n = pres.n
+    cols = [list(y) for y in ys]
+    for rel in pres.rels_N:
+        cols.append([-r for r in rel])
+    syz = laurent_syzygies(cols, pres.d, n, deadline=deadline)
+    fparts = [s[:K] for s in syz]
+    fparts = [f for f in fparts if not all(p.is_zero() for p in f)]
+    if not fparts:
+        return []
+    raws = [clear_vector(f, n)[0] for f in fparts]
+    basis, order = saturated_basis(raws, K, n, deadline=deadline)
+    out = []
+    zero = (0,) * n
+    for e in basis:
+        if all(mono == zero for _, mono in e.vec):
+            vec = [0] * K
+            for (pos, _), c in e.vec.items():
+                vec[pos] = c
+            out.append(vec)
+    return out
+
+
+def test_rank0_route_matches_reference():
+    rng = random.Random(9090)
+    nonempty = 0
+    for case in range(60):
+        n = rng.randint(1, 2)
+        d = rng.randint(1, 2)
+        rels = [[random_poly(rng, n, max_terms=2, exp=1, coef=3) for _ in range(d)]
+                for _ in range(rng.randint(0, 1))]
+        if case % 4 == 0:  # a torsion module, (Z/m)[X^pm]^d
+            rels = [[LaurentPoly.constant(n, rng.choice([2, 3])) if i == j
+                     else LaurentPoly.zero(n) for i in range(d)] for j in range(d)]
+        pres = ModulePresentation(n=n, d=d, rels_N=rels)
+        zero_step = (0,) * n
+        sub = GeneratorSet(pres, [
+            GroupElement(pres, [random_poly(rng, n, max_terms=2, exp=1, coef=2)
+                                for _ in range(d)], zero_step)
+            for _ in range(rng.randint(1, 3))])
+        want = ref_constants_module(pres, sub.ys, None)
+        gens_w, steps_w = decide._repose_sublattice(pres, sub, [], None)
+        assert steps_w == [()] * sub.K
+        assert [[p.terms.get((), 0) for p in g] for g in gens_w] == want
+        nonempty += bool(want)
+    assert nonempty >= 20
 
 
 def test_identity_replay_consistency():

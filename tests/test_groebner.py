@@ -496,3 +496,21 @@ def test_deadline_raises():
     gens = [{(0, (2, 1)): 2, (0, (0, 0)): 3}, {(0, (1, 2)): 3, (0, (1, 0)): -2}]
     with pytest.raises(GroebnerBudgetError):
         groebner.buchberger(gens, TermOrder(2), deadline=time.monotonic() - 1)
+
+
+def test_deadline_reaches_the_lifting(monkeypatch):
+    """A deadline that passes while the raw run finishes stops the lifting
+    after it: composing A, reducing the columns, the pair syzygies."""
+    raw = groebner._buchberger_raw
+
+    def slow_raw(gens, order, deadline=None):
+        out = raw(gens, order, deadline=deadline)
+        time.sleep(0.1)
+        return out
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", slow_raw)
+    columns = [{(0, (2, 1)): 2, (0, (0, 0)): 3}, {(0, (1, 2)): 3, (0, (1, 0)): -2},
+               {(0, (1, 1)): 1}]
+    assert groebner.syzygy_generators(columns, 1, 2)
+    with pytest.raises(GroebnerBudgetError):
+        groebner.syzygy_generators(columns, 1, 2, deadline=time.monotonic() + 0.05)

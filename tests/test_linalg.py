@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 import pytest
@@ -19,6 +21,96 @@ def test_solve_linear_and_nullspace():
     assert len(ns) == 2
     for v in ns:
         assert v[0] + v[1] == 0
+
+
+# -- reference: solve_linear and nullspace before they shared one elimination -
+# Kept verbatim as an oracle: geometry's facets and fan cells are read off
+# these solutions, so they must not move.
+
+def ref_solve_linear(rows, rhs):
+    """One exact solution of rows * x = rhs, or None if inconsistent."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [frac_vec(r) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][n]
+    return x
+
+
+def ref_nullspace(rows, n):
+    """Basis of {x : rows * x = 0} over Q."""
+    m = len(rows)
+    a = [frac_vec(r) for r in rows]
+    pivots = {}
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots[c] = r
+        r += 1
+        if r == m:
+            break
+    basis = []
+    free = [c for c in range(n) if c not in pivots]
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for pc, pr in pivots.items():
+            v[pc] = -a[pr][fc]
+        basis.append(v)
+    return basis
+
+
+def test_elimination_matches_reference():
+    rng = random.Random(5150)
+    seen = {"solved": 0, "inconsistent": 0, "kernel": 0, "empty": 0}
+    for _ in range(500):
+        m = rng.randint(0, 5)
+        n = rng.randint(1, 5)
+        A = [[Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
+              for _ in range(n)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.3:
+            A.append([x - 2 * y for x, y in zip(A[0], A[1])])
+        rhs = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in A]
+        assert linalg.nullspace(A, n) == ref_nullspace(A, n), A
+        if A:
+            want = ref_solve_linear(A, rhs)
+            assert linalg.solve_linear(A, rhs) == want, (A, rhs)
+            seen["inconsistent" if want is None else "solved"] += 1
+        else:
+            seen["empty"] += 1
+        if ref_nullspace(A, n):
+            seen["kernel"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_simplex_basic():
@@ -370,27 +462,37 @@ def test_gordan_agrees_with_fourier_motzkin():
         assert (status == "feasible") == linalg.fm_strictly_feasible(cols)
 
 
-def test_smith_normal_form_random():
+def _det(M):
+    """Integer determinant by Laplace expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def _minors_gcd(A, k):
+    """gcd of the k x k minors of A (0 when all vanish)."""
+    g = 0
+    for rows in itertools.combinations(range(len(A)), k):
+        for cols in itertools.combinations(range(len(A[0])), k):
+            g = gcd(g, _det([[A[i][j] for j in cols] for i in rows]))
+    return g
+
+
+def test_lattice_rank_and_full_against_minors():
+    """Independent oracle: the rank is the largest k with a nonzero k x k
+    minor, and the lattice is Z^n iff the n x n minors have gcd 1."""
     rng = random.Random(11)
-    for _ in range(60):
-        m = rng.randint(1, 4)
+    seen = {"full": 0, "index": 0, "deficient": 0}
+    for _ in range(400):
+        m = rng.randint(1, 5)
         n = rng.randint(1, 4)
-        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        D, U, V = linalg.smith_normal_form(A)
-        # U A V == D
-        UA = [[sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-        UAV = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-        assert UAV == D
-        diag = [D[i][i] for i in range(min(m, n))]
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if a and b:
-                assert b % a == 0
-            if a == 0:
-                assert b == 0
+        A = [[rng.choice([0, 0, 1, -1, 2, -2, 3, 6]) for _ in range(n)] for _ in range(m)]
+        r = max((k for k in range(1, min(m, n) + 1) if _minors_gcd(A, k)), default=0)
+        full = r == n and _minors_gcd(A, n) == 1
+        assert linalg.lattice_rank_and_full(A, n) == (r, full), A
+        seen["full" if full else "index" if r == n else "deficient"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_lattice_rank_and_full():
