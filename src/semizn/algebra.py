@@ -226,9 +226,6 @@ class ModuleElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def act(self, poly: LaurentPoly) -> "ModuleElement":
-        return ModuleElement(self.presentation, [poly * a for a in self.rep])
-
     def shift(self, z: Sequence[int]) -> "ModuleElement":
         return ModuleElement(self.presentation, [a.shift(z) for a in self.rep])
 

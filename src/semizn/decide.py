@@ -37,6 +37,7 @@ from semizn import linalg, positions
 from semizn.algebra import (ModulePresentation, clear_vector, laurent_syzygies,
                             normalize_unit, raw_to_vector, syzygy_basis)
 from semizn.closure import ClosureBudgetError, eulerian_closure
+from semizn.geometry import HullTooLargeError
 from semizn.ggraph import StepGraph
 from semizn.group import GeneratorSet, evaluate_word
 from semizn.groebner import GroebnerBudgetError, saturated_basis
@@ -351,9 +352,12 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
         if not all(f.has_positive_coeffs() for f in fs):
             return None
         tested += 1
-        ok, _, _ = positions.check_escape_condition(
-            fs, range(1, K + 1), frozenset(), steps
-        )
+        try:
+            ok, _, _ = positions.check_escape_condition(
+                fs, range(1, K + 1), frozenset(), steps
+            )
+        except HullTooLargeError:
+            return None
         if not ok:
             return None
         return make_witness(fs, tested)
@@ -414,7 +418,7 @@ def _yes_maker(steps, budget: Budget, verify_word: Callable):
     def maker(fs, tested):
         try:
             graph, union, translations, word = _graph_witness(fs, steps, budget)
-        except ClosureBudgetError:
+        except (ClosureBudgetError, HullTooLargeError):
             return None
         if not verify_word(word):
             raise AssertionError("produced witness failed verification")

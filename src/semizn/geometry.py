@@ -1,23 +1,27 @@
-"""Exact lattice-polytope machinery: convex hulls over Q, strict faces with
-witnessing directions, face-accessibility of step graphs, and the refined
-normal fan that turns "for every nonzero direction v" conditions into a
-finite list of rational representatives.
+"""Exact lattice-polytope machinery: convex hulls in integer coordinates,
+strict faces with witnessing directions, face-accessibility of step graphs,
+and the refined normal fan that turns "for every nonzero direction v"
+conditions into a finite list of integer representatives.
+
+A hull works in the coordinates p - p0 read at the pivot columns of an
+integer echelon form of the point differences; the echelon is triangular
+there, so these coordinates are one-to-one on the affine hull, and a facet
+normal lifts to the ambient space by writing it into the same columns.
 
 The fan construction rests on two standard facts: the common refinement of
 the normal fans of several polytopes is the normal fan of their Minkowski
 sum, and a hyperplane split by a^⊥ is the normal fan of the segment
-conv{0, a}.  Each face of the sum polytope yields one cell; a representative
-in the cell's relative interior is the sum of the primitive outer normals of
-the facets containing the face (plus, when the sum polytope is not
-full-dimensional, the basis vectors of the orthogonal complement of its
-affine hull for the lineality cell).  Every representative is verified
-a posteriori to select exactly its face, so the enumeration is
-self-certifying.
+conv{0, a}.  Each face of the sum polytope yields one cell; its
+representative direction is the sum of the primitive outer normals of the
+facets containing the face (plus, when the sum polytope is not
+full-dimensional, both signs of each basis vector of the orthogonal
+complement of its affine hull for the lineality cell).  Every
+representative is verified a posteriori to select exactly its face, so the
+enumeration is self-certifying.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 from typing import Sequence
@@ -70,12 +74,11 @@ class LatticePolytope:
                 basis.append(diff)
         self.dim = len(basis)
         self._basis = basis
-        bmat = [[basis[j][i] for j in range(self.dim)] for i in range(self.n)]
-        self._coords = []
-        for p in self.points:
-            rhs = [a - b for a, b in zip(p, p0)]
-            c = linalg.solve_linear(bmat, rhs) if self.dim else []
-            self._coords.append(tuple(c))
+        # p - p0 at the echelon's pivot columns: one-to-one on the affine hull
+        self._pivots = [pc for pc, _ in echelon]
+        self._coords = [
+            tuple(p[pc] - p0[pc] for pc in self._pivots) for p in self.points
+        ]
         self._facets = self._facet_hyperplanes()
         self._faces = self._face_lattice()
         if self.dim == 0:
@@ -160,10 +163,12 @@ class LatticePolytope:
         return sorted(facets.values())
 
     def _ambient_normal(self, h_coords):
-        """Lift a coord-space normal to an ambient integer direction."""
-        rows = [list(b) for b in self._basis]
-        w = linalg.solve_linear(rows, list(h_coords))
-        return linalg.primitive_vector(w)
+        """Lift a primitive coord-space normal to an ambient integer
+        direction: the unique one supported on the pivot columns."""
+        w = [0] * self.n
+        for pc, x in zip(self._pivots, h_coords):
+            w[pc] = x
+        return tuple(w)
 
     def _face_lattice(self):
         facet_sets = [f[2] for f in self._facets]
@@ -224,11 +229,7 @@ class LatticePolytope:
         affine hull's direction space (empty when full-dimensional)."""
         if self.dim == self.n:
             return []
-        rows = [list(b) for b in self._basis]
-        null = linalg.nullspace(rows, self.n) if rows else [
-            [Fraction(int(i == j)) for j in range(self.n)] for i in range(self.n)
-        ]
-        return [linalg.primitive_vector(v) for v in null]
+        return [linalg.primitive_vector(v) for v in linalg.nullspace(self._basis, self.n)]
 
     def ambient_halfspaces(self) -> list[tuple]:
         """Facet description {x : w.x <= b} in ambient coordinates; only
@@ -300,18 +301,6 @@ def is_face_accessible(graph):
 # Refined normal fan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FanCell:
-    """One cell of the refined fan: a representative direction in its
-    relative interior, the selected face of each input polytope (as point
-    subsets), and the sign of v.a for each hyperplane normal a."""
-
-    direction: tuple
-    face_points: tuple
-    selected: tuple
-    hyperplane_signs: tuple
-
-
 def _minkowski_points(point_sets):
     acc = None
     for pts in point_sets:
@@ -325,10 +314,10 @@ def _minkowski_points(point_sets):
     return acc
 
 
-def refined_fan(polytopes, hyperplanes=()) -> list[FanCell]:
-    """Finite set of rational directions meeting the relative interior of
-    every cell of the common refinement of the polytopes' normal fans and
-    the hyperplanes a^⊥, covering all nonzero directions."""
+def refined_fan(polytopes, hyperplanes=()) -> list[tuple]:
+    """Sorted integer directions, one in the relative interior of every
+    cell of the common refinement of the polytopes' normal fans and the
+    hyperplanes a^⊥, covering all nonzero directions."""
     point_sets = []
     for P in polytopes:
         pts = P.points if isinstance(P, LatticePolytope) else [tuple(p) for p in P]
@@ -346,34 +335,11 @@ def refined_fan(polytopes, hyperplanes=()) -> list[FanCell]:
     if n == 0:
         return []
     Q = convex_hull(_minkowski_points(point_sets + segs))
-
-    def make_cell(v, face_idx_set):
-        selected = tuple(
-            frozenset(
-                p for p in pts
-                if linalg.dot(v, p) == max(linalg.dot(v, q) for q in pts)
-            )
-            for pts in point_sets
-        )
-        signs = []
-        for a in hyperplanes:
-            val = linalg.dot(v, a)
-            signs.append(0 if val == 0 else (1 if val > 0 else -1))
-        return FanCell(
-            direction=tuple(v),
-            face_points=tuple(Q.points[i] for i in sorted(face_idx_set)),
-            selected=selected,
-            hyperplane_signs=tuple(signs),
-        )
-
-    cells = []
-    for face in Q.strict_faces():
-        cells.append(make_cell(face.direction, face.point_indices))
+    directions = [face.direction for face in Q.strict_faces()]
+    all_idx = frozenset(range(len(Q.points)))
     for w in Q.complement_basis():
-        all_idx = frozenset(range(len(Q.points)))
         for v in (w, tuple(-x for x in w)):
             if Q.face_points(v) != all_idx:
                 raise RuntimeError("lineality representative failed verification")
-            cells.append(make_cell(v, all_idx))
-    cells.sort(key=lambda c: c.direction)
-    return cells
+            directions.append(v)
+    return sorted(directions)

@@ -65,9 +65,9 @@ class StepGraph:
         return used == set(range(1, self.K + 1))
 
     def is_zn_generating(self) -> bool:
-        """Whether the edge steps generate Z^n as a group (Smith form test;
-        for symmetric graphs the step semigroup is a group, so this is the
-        semigroup property as well)."""
+        """Whether the edge steps generate Z^n as a group (read off their
+        Hermite basis; for symmetric graphs the step semigroup is a group, so
+        this is the semigroup property as well)."""
         present = sorted({self.steps[label - 1] for _, label in self.edges})
         _, full = linalg.lattice_rank_and_full([list(a) for a in present], self.n)
         return full

@@ -92,10 +92,6 @@ class LaurentPoly:
         """Max absolute coefficient (0 for the zero polynomial)."""
         return max((abs(c) for c in self.terms.values()), default=0)
 
-    def sup_degree(self) -> int:
-        """Max sup-norm of an exponent vector (0 for the zero polynomial)."""
-        return max((max(map(abs, e), default=0) for e in self.terms), default=0)
-
     # -- ring ops ----------------------------------------------------------
     def _check(self, other: "LaurentPoly"):
         if self.n != other.n:

@@ -119,12 +119,10 @@ def check_escape_condition(fs: Sequence[LaurentPoly], subset, out_labels, steps,
         support |= fs[i - 1].support()
     if not support:
         raise ValueError("escape condition undefined: all polynomials of the subset are zero")
-    fan = geometry.refined_fan([list(support)], steps)
     violating: Optional[tuple] = None
     cells = []
     ok = True
-    for cell in fan:
-        v = cell.direction
+    for v in geometry.refined_fan([list(support)], steps):
         M = leading_indices(subset, fs, v)
         O = crossing_indices(steps, v)
         hit = bool((O | out_labels) & M)

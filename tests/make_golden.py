@@ -1,8 +1,8 @@
 """Golden digests: the sha256 of the canonical JSON of a fixed set of
-decisions and of relation-module bases, so a change meant to keep the output
-can be checked byte for byte.
+decisions, of relation-module bases and of hull and fan outputs, so a change
+meant to keep the output can be checked byte for byte.
 
-    PYTHONPATH=src python tests/make_golden.py     # rewrite both files in data/
+    PYTHONPATH=src python tests/make_golden.py     # rewrite the files in data/
 
 `data/golden_verdicts.json` holds verdicts: the instance files of
 `instances/` under group, identity and inverse 1; the yes/no families of
@@ -10,6 +10,11 @@ can be checked byte for byte.
 which reach the window LP and the refuter.  `data/golden_syzygies.json`
 holds `syzygy_basis` outputs, serialized as `semizn syzygy` prints them:
 the instance files, and seeded instances shaped like acceptance criterion 5.
+`data/golden_geometry.json` holds what the hulls and the refined fan
+decide: the `semizn graph analyze --certificate` and `semizn euler-close`
+documents (with their exit codes) of the graph files in `instances/`, and
+the `check_escape_condition(..., want_cells=True)` cells of every YES in
+`data/golden_verdicts.json` whose witness carries position polynomials.
 Cases that raise (other than HypothesisError, which is recorded as such) or
 take longer than `SLOW_S` are left out of the files, so the checks stay
 fast.  `test_golden.py` recomputes every digest in them.
@@ -17,18 +22,22 @@ fast.  `test_golden.py` recomputes every digest in them.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
 import signal
 import time
+from contextlib import redirect_stdout
 from math import gcd
 
 from semizn import jsonio
 from semizn.algebra import ModulePresentation, syzygy_basis
+from semizn.cli import main as cli_main
 from semizn.decide import Budget, HypothesisError, decide_group, decide_identity, decide_inverse
 from semizn.group import GeneratorSet, GroupElement
 from semizn.laurent import LaurentPoly
+from semizn.positions import check_escape_condition
 
 from conftest import random_poly
 from corpus import no_instances, yes_instances
@@ -37,6 +46,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN = os.path.join(HERE, "data", "golden_verdicts.json")
 GOLDEN_SYZYGIES = os.path.join(HERE, "data", "golden_syzygies.json")
+GOLDEN_GEOMETRY = os.path.join(HERE, "data", "golden_geometry.json")
 SLOW_S = 0.5
 STOP_S = 3  # alarm for a case far over SLOW_S, so generation ends in minutes
 
@@ -105,21 +115,26 @@ def _instance_files():
             yield name, doc
 
 
-def cases():
-    """(case id, thunk) for every candidate verdict case, in a fixed order; a
-    thunk returns the decision's digest."""
+def _decisions():
+    """(case id, decider, generating set) for every candidate verdict case,
+    in a fixed order."""
     out = []
     for name, doc in _instance_files():
         for kind, decide in DECIDERS.items():
-            out.append((f"instances/{name}:{kind}",
-                        lambda doc=doc, decide=decide: digest(
-                            decide, jsonio.instance_from_json(doc))))
+            out.append((f"instances/{name}:{kind}", decide,
+                        jsonio.instance_from_json(doc)))
     for i, (family, gens) in enumerate(yes_instances(20) + no_instances(10)):
-        out.append((f"corpus/{i}-{family}:group",
-                    lambda gens=gens: digest(decide_group, gens)))
+        out.append((f"corpus/{i}-{family}:group", decide_group, gens))
     for i, gens in enumerate(_n2_instances(24)):
-        out.append((f"n2/{i}:group", lambda gens=gens: digest(decide_group, gens)))
+        out.append((f"n2/{i}:group", decide_group, gens))
     return out
+
+
+def cases():
+    """(case id, thunk) for every candidate verdict case, in a fixed order; a
+    thunk returns the decision's digest."""
+    return [(case_id, lambda decide=decide, gens=gens: digest(decide, gens))
+            for case_id, decide, gens in _decisions()]
 
 
 def digest(decide, gens) -> str:
@@ -153,6 +168,50 @@ def basis_digest(pres, ys, steps) -> str:
         "K": basis.K,
         "generators": [[jsonio.poly_to_json(p) for p in g] for g in basis.generators],
     }))
+
+
+def geometry_cases():
+    """(case id, thunk) for every candidate hull and fan case, in a fixed
+    order; a thunk returns the digest of the output."""
+    out = []
+    for name in sorted(os.listdir(os.path.join(ROOT, "instances"))):
+        if "graph" in name:
+            graph = os.path.join(ROOT, "instances", name)
+            for argv in (["graph", "analyze", "--certificate", graph],
+                         ["euler-close", graph]):
+                out.append((f"{argv[0]}:instances/{name}",
+                            lambda argv=argv: cli_digest(argv)))
+    with open(GOLDEN, encoding="utf-8") as fh:
+        decided = json.load(fh)
+    for case_id, decide, gens in _decisions():
+        if case_id in decided:
+            out.append((f"escape:{case_id}",
+                        lambda decide=decide, gens=gens: escape_cells_digest(decide, gens)))
+    return out
+
+
+def cli_digest(argv) -> str:
+    """sha256 of the exit code and stdout of `semizn ARGV`."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli_main(argv)
+    return _sha256(f"{code}\n{buf.getvalue()}")
+
+
+class _NoPositions(Exception):
+    pass
+
+
+def escape_cells_digest(decide, gens) -> str:
+    """sha256 of the escape-condition cells of a YES witness's positions."""
+    verdict = decide(gens, Budget())
+    if verdict.kind != "yes" or "positions" not in verdict.witness:
+        raise _NoPositions(f"verdict {verdict.kind} without positions")
+    fs = verdict.witness["positions"]
+    steps = verdict.witness["graph"].steps
+    _, _, cells = check_escape_condition(fs, range(1, len(fs) + 1), frozenset(), steps,
+                                         want_cells=True)
+    return _sha256(jsonio.dumps(cells))
 
 
 def _sha256(text: str) -> str:
@@ -195,6 +254,7 @@ def main():
     signal.signal(signal.SIGALRM, _stop)
     _write(GOLDEN, cases())
     _write(GOLDEN_SYZYGIES, syzygy_cases())
+    _write(GOLDEN_GEOMETRY, geometry_cases())
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from semizn import decide
+from semizn import decide, geometry
 from semizn.algebra import ModulePresentation, clear_vector, laurent_syzygies
 from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
                            decide_inverse, decide_subset, locr_refute, oracle_bfs,
@@ -360,3 +360,19 @@ def test_n0_degeneration():
     minus = GroupElement(pres, [LaurentPoly.constant(0, -1)], ())
     assert decide_group(GeneratorSet(pres, [plus, minus]), Budget()).kind == "yes"
     assert decide_group(GeneratorSet(pres, [plus]), Budget()).kind == "no"
+
+
+def test_hull_cap_makes_the_candidate_unknown(monkeypatch):
+    """A candidate whose hull is over the facet-enumeration cap is skipped,
+    like one over the closure budget: the verdict is UNKNOWN, not a raise."""
+    pres = free_presentation(3)
+    els = []
+    for i in range(3):
+        a = tuple(int(j == i) for j in range(3))
+        els.append(GroupElement(pres, [LaurentPoly.one(3)], a))
+        els.append(GroupElement(pres, [mono(tuple(-x for x in a), -1)], tuple(-x for x in a)))
+    gens = GeneratorSet(pres, els)
+    budget = Budget(degree=0, height=1, samples=1)
+    assert decide_group(gens, budget).kind == "yes"
+    monkeypatch.setattr(geometry, "comb", lambda m, k: 10**9)
+    assert decide_group(gens, budget).kind == "unknown"

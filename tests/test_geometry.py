@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from semizn import linalg
-from semizn.geometry import convex_hull, is_face_accessible, refined_fan
+from semizn.geometry import LatticePolytope, convex_hull, is_face_accessible, refined_fan
 from semizn.ggraph import StepGraph
 from semizn.positions import crossing_indices, leading_indices
 from semizn.laurent import LaurentPoly
@@ -65,6 +66,81 @@ def test_hull_affine_basis_is_the_greedy_rank_basis(rng):
         assert hull._basis == want
 
 
+def ref_build(self):
+    p0 = self.points[0]
+    basis = []
+    echelon = []  # (pivot column, integer row) spanning the picked diffs
+    for p in self.points[1:]:
+        diff = [a - b for a, b in zip(p, p0)]
+        v = diff
+        for pc, row in echelon:
+            if v[pc]:
+                f, g = v[pc], row[pc]
+                v = [g * x - f * y for x, y in zip(v, row)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is not None:  # diff is independent of the picked ones
+            g = gcd(*v)
+            echelon.append((pc, [x // g for x in v]))
+            basis.append(diff)
+    self.dim = len(basis)
+    self._basis = basis
+    bmat = [[basis[j][i] for j in range(self.dim)] for i in range(self.n)]
+    self._coords = []
+    for p in self.points:
+        rhs = [a - b for a, b in zip(p, p0)]
+        c = linalg.solve_linear(bmat, rhs) if self.dim else []
+        self._coords.append(tuple(c))
+    self._facets = self._facet_hyperplanes()
+    self._faces = self._face_lattice()
+    if self.dim == 0:
+        self.vertices = [self.points[0]]
+    else:
+        self.vertices = sorted(
+            f.points[0] for f in self._faces if f.dim == 0
+        )
+    self._verify_faces()
+
+
+def ref_ambient_normal(self, h_coords):
+    """Lift a coord-space normal to an ambient integer direction."""
+    rows = [list(b) for b in self._basis]
+    w = linalg.solve_linear(rows, list(h_coords))
+    return linalg.primitive_vector(w)
+
+
+class RefPolytope(LatticePolytope):
+    """The hull in Fraction coordinates over the picked differences, with
+    facet normals lifted by an exact solve."""
+
+    _build = ref_build
+    _ambient_normal = ref_ambient_normal
+
+
+def test_hull_matches_reference(rng):
+    """Integer pivot coordinates give the same faces, vertices, complement
+    basis and halfspaces as the solve-based reference."""
+    flat = 0
+    for t in range(2000):
+        n = rng.randint(1, 3)
+        if t % 2:  # a flat set: points of a rank < n lattice through an offset
+            gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+            off = [rng.randint(-3, 3) for _ in range(n)]
+            pts = [tuple(off[i] + sum(rng.randint(-2, 2) * g[i] for g in gens) for i in range(n))
+                   for _ in range(rng.randint(1, 8))]
+        else:
+            pts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 9))]
+        got, want = LatticePolytope(pts), RefPolytope(pts)
+        assert [(f.point_indices, f.dim, f.direction) for f in got.strict_faces()] == \
+            [(f.point_indices, f.dim, f.direction) for f in want.strict_faces()]
+        assert got.vertices == want.vertices
+        assert got.complement_basis() == want.complement_basis()
+        if want.dim == n:
+            assert got.ambient_halfspaces() == want.ambient_halfspaces()
+        else:
+            flat += 1
+    assert flat >= 1000
+
+
 def test_hull_3d_cube():
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     P = convex_hull(cube + [(0, 0, 0)])
@@ -112,11 +188,11 @@ def test_face_accessibility_degenerate_hull():
 
 
 def test_refined_fan_small():
-    assert [c.direction for c in refined_fan([[(0,)]], [])] == [(-1,), (1,)]
+    assert refined_fan([[(0,)]], []) == [(-1,), (1,)]
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
     cells = refined_fan([square], [])
     assert len(cells) == 8
-    assert {c.direction for c in cells} == {
+    assert set(cells) == {
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)
     }
 
@@ -136,9 +212,9 @@ def test_refined_fan_figure_profile():
     cells = refined_fan([sorted(support)], steps)
     Q = convex_hull(linalg_minkowski(sorted(support), steps))
     target_face = Q.face_points((0, 1))
-    matched = [c for c in cells if Q.face_points(c.direction) == target_face]
+    matched = [c for c in cells if Q.face_points(c) == target_face]
     assert matched, "no cell selects the same face as (0,1)"
-    v = matched[0].direction
+    v = matched[0]
     assert leading_indices({1, 2, 3}, fs, v) == frozenset({2, 3})
     assert crossing_indices(steps, v) == frozenset({1, 3})
 
@@ -165,7 +241,7 @@ def test_fan_sampled_soundness(rng):
     Q = convex_hull(linalg_minkowski(support, steps))
     by_face = {}
     for c in cells:
-        by_face[Q.face_points(c.direction)] = c
+        by_face[Q.face_points(c)] = c
     checked = 0
     for _ in range(300):
         v = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
@@ -174,8 +250,8 @@ def test_fan_sampled_soundness(rng):
             continue
         cell = by_face.get(Q.face_points(v))
         assert cell is not None, "direction not covered by any cell"
-        assert leading_indices({1, 2, 3}, fs, v) == leading_indices({1, 2, 3}, fs, cell.direction)
-        assert crossing_indices(steps, v) == crossing_indices(steps, cell.direction)
+        assert leading_indices({1, 2, 3}, fs, v) == leading_indices({1, 2, 3}, fs, cell)
+        assert crossing_indices(steps, v) == crossing_indices(steps, cell)
         checked += 1
     assert checked > 250
 
@@ -183,7 +259,7 @@ def test_fan_sampled_soundness(rng):
 def test_fan_lineality():
     # all data orthogonal to (0,1): lineality representatives appear
     cells = refined_fan([[(0, 0), (1, 0)]], [(1, 0)])
-    dirs = {c.direction for c in cells}
+    dirs = set(cells)
     assert (0, 1) in dirs and (0, -1) in dirs
 
 

@@ -1,10 +1,11 @@
-"""The canonical verdict JSON and relation-module basis JSON of every pinned
-case are unchanged, byte for byte: their sha256 match
-`data/golden_verdicts.json` and `data/golden_syzygies.json` (written by
-`make_golden.py`)."""
+"""The canonical verdict JSON, relation-module basis JSON and hull and fan
+outputs of every pinned case are unchanged, byte for byte: their sha256
+match `data/golden_verdicts.json`, `data/golden_syzygies.json` and
+`data/golden_geometry.json` (written by `make_golden.py`)."""
 import json
 
-from make_golden import GOLDEN, GOLDEN_SYZYGIES, cases, syzygy_cases
+from make_golden import (GOLDEN, GOLDEN_GEOMETRY, GOLDEN_SYZYGIES, cases, geometry_cases,
+                         syzygy_cases)
 
 
 def _changed(path, case_list):
@@ -24,3 +25,8 @@ def test_golden_verdict_digests():
 def test_golden_syzygy_digests():
     changed = _changed(GOLDEN_SYZYGIES, syzygy_cases())
     assert not changed, f"syzygy basis JSON changed on {changed}"
+
+
+def test_golden_geometry_digests():
+    changed = _changed(GOLDEN_GEOMETRY, geometry_cases())
+    assert not changed, f"hull or fan output changed on {changed}"
