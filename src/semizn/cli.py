@@ -76,7 +76,6 @@ def _load_graph(path: str):
 def _budget(args) -> Budget:
     return Budget(
         degree=args.budget_degree,
-        height=args.budget_height,
         samples=args.samples,
         seed=args.seed,
         closure_n=args.closure_n,
@@ -90,7 +89,6 @@ def _emit(doc):
 
 def _add_budget_flags(p):
     p.add_argument("--budget-degree", type=int, default=2)
-    p.add_argument("--budget-height", type=int, default=2)
     p.add_argument("--samples", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--closure-n", type=int, default=16)
@@ -144,8 +142,8 @@ def build_parser() -> _Parser:
 
 def _cmd_check(args) -> int:
     gens = _load_instance(args.instance, strict=args.strict)
-    budget = _budget(args)
     try:
+        budget = _budget(args)
         if args.problem == "group":
             verdict = decide_group(gens, budget)
         elif args.problem == "identity":
@@ -154,7 +152,10 @@ def _cmd_check(args) -> int:
             verdict = decide_inverse(gens, args.target, budget)
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(DATA_EXIT)
+        return DATA_EXIT
+    except ValueError as exc:  # a negative budget, or --target outside 1..K
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     if (args.certificate and args.problem == "group" and verdict.kind == "yes"
             and "positions" in (verdict.witness or {})):
         _, _, cells = positions.check_escape_condition(

@@ -2,10 +2,11 @@
 
 The Group Problem runs two sound half-procedures against each other:
 
-* the positive search enumerates candidate tuples in the relation module
-  with everywhere-positive coefficients and checks the escape condition,
-  turning any hit into an Eulerian graph and a verified word witness (a
-  sound YES);
+* the positive search tries each relation-module generator (up to a unit)
+  and then, window by window, the maximal-support positive element found by
+  exact LPs; a candidate with everywhere-positive coefficients that passes
+  the escape condition becomes an Eulerian graph and a verified word
+  witness (a sound YES);
 * the refuter samples positive rational points and decides, by one exact
   LP (Gordan's alternative), whether some combination of the relation-module
   generators is strictly positive there; a single infeasible point is a
@@ -19,9 +20,11 @@ schedule, so the verdict is a pure function of instance, budget and seed.
 Group, Identity and Inverse run one core on a generating set: Group on the
 whole set, Identity and Inverse on subsets of it.  A set whose steps span a
 proper sublattice is re-posed over a basis of that sublattice; at rank 0
-the basis is empty and the problem degenerates to exact rational
-feasibility.  One deadline, started at entry, bounds the Groebner phases
-and the search.
+the basis is empty, and the same core at n = 0 decides the exact rational
+feasibility the problem degenerates to: the refuter's one sample is the
+empty point, and the window LP finds a strictly positive combination
+whenever one exists.  One deadline, started at entry, bounds the Groebner
+phases and the search.
 """
 from __future__ import annotations
 
@@ -59,18 +62,19 @@ class HypothesisError(ValueError):
 @dataclass
 class Budget:
     """Search budgets; the procedures are unbounded in the abstract, so every
-    knob is explicit.  Fields must be nonnegative (0 disables that search
-    axis); timeout is in seconds, None disables it."""
+    knob is explicit.  `degree` is the largest window of the LP search,
+    `samples` the refuter's sample count and `closure_n` the translation
+    bound of the Eulerian closure.  Fields must be nonnegative (0 disables
+    that search axis); timeout is in seconds, None disables it."""
 
     degree: int = 2
-    height: int = 2
     samples: int = 12
     seed: int = 0
     closure_n: int = 16
     timeout: Optional[float] = None
 
     def __post_init__(self):
-        if min(self.degree, self.height, self.samples, self.closure_n) < 0:
+        if min(self.degree, self.samples, self.closure_n) < 0:
             raise ValueError("budgets must be nonnegative")
 
 
@@ -307,39 +311,11 @@ class _WindowSearch:
         ]
 
 
-def _literal_candidates(generators, K: int, n: int, budget: Budget):
-    """Bounded literal enumeration of integer combinations of the generators
-    (shifted by monomials, small coefficients, few slots), in a fixed order."""
-    if not generators:
-        return
-    max_level = min(budget.degree, 2)
-    for level in range(1, max_level + 1):
-        monos = sorted(
-            itertools.product(range(-level, level + 1), repeat=n),
-            key=lambda m: (sum(map(abs, m)), m),
-        )
-        slots = [(j, mu) for j in range(len(generators)) for mu in monos]
-        height = min(budget.height, level + 1)
-        coeffs = [c for k in range(1, height + 1) for c in (k, -k)]
-        max_slots = 2 if n >= 2 else 3
-        for count in range(1, min(max_slots, len(slots)) + 1):
-            for chosen in itertools.combinations(slots, count):
-                for cs in itertools.product(coeffs, repeat=count):
-                    yield chosen, cs
-
-
-def _combine(generators, chosen, cs, K: int, n: int):
-    acc = [LaurentPoly.zero(n) for _ in range(K)]
-    for (j, mu), c in zip(chosen, cs):
-        for i in range(K):
-            acc[i] = acc[i] + generators[j][i].shift(mu).scale(c)
-    return acc
-
-
 def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
                        make_witness: Callable):
-    """Yield None per candidate batch, or a YES Verdict for the first
-    all-positive relation-module element passing the escape condition."""
+    """Yield None per generator and per window, or a YES Verdict for the
+    first all-positive relation-module element passing the escape
+    condition."""
     seen = set()
     tested = 0
 
@@ -380,18 +356,6 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
                 yield v
                 return
         yield None
-    # literal bounded enumeration
-    batch = 0
-    for chosen, cs in _literal_candidates(generators, K, n, budget):
-        fs = _combine(generators, chosen, cs, K, n)
-        v = consider(fs)
-        if v is not None:
-            yield v
-            return
-        batch += 1
-        if batch % 64 == 0:
-            yield None
-    yield None
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +410,6 @@ def _unknown(budget: Budget, timed_out: bool) -> Verdict:
         kind="unknown",
         budget_report={
             "degree": budget.degree,
-            "height": budget.height,
             "samples": budget.samples,
             "seed": budget.seed,
             "closure_n": budget.closure_n,
@@ -507,8 +470,7 @@ def procedure_a(gens: GeneratorSet, budget: Budget = None) -> Verdict:
                                     budget, maker):
         if event is not None:
             return event
-    return Verdict(kind="unknown", budget_report={"degree": budget.degree,
-                                                  "height": budget.height})
+    return Verdict(kind="unknown", budget_report={"degree": budget.degree})
 
 
 def locr_refute(gens: GeneratorSet, budget: Budget = None) -> Verdict:
@@ -525,38 +487,6 @@ def locr_refute(gens: GeneratorSet, budget: Budget = None) -> Verdict:
 # ---------------------------------------------------------------------------
 # Sublattice reduction for subsets
 # ---------------------------------------------------------------------------
-
-def _decide_constants(pres: ModulePresentation, sub: GeneratorSet, deadline) -> Verdict:
-    """All-zero steps: group-ness is exact rational feasibility of a strictly
-    positive integer combination (homogeneous integer data, so rational
-    feasibility suffices and clears to integers).  Always conclusive."""
-    gens_w, _ = _repose_sublattice(pres, sub, [], deadline)
-    K = sub.K
-    columns = [[Fraction(p.terms.get((), 0)) for p in g] for g in gens_w]
-    if not columns:
-        status, result = "infeasible", [Fraction(1)] * K
-    else:
-        status, result = linalg.strict_positive_combination(columns)
-    if status == "infeasible":
-        _check_refutation(columns, result, K)
-        return Verdict(kind="no", certificate={
-            "sample": [], "dual": [str(x) for x in result],
-            "reason": "no positive integer combination in the constant relation module",
-        })
-    x = linalg.positive_combination(columns)
-    if x is None:
-        raise AssertionError("Gordan alternative failed on both sides")
-    vec = [sum(Fraction(xi) * g[i] for xi, g in zip(x, columns)) for i in range(K)]
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    counts = [int(v * denom) for v in vec]
-    assert all(c > 0 for c in counts)
-    word = [i + 1 for i in range(K) for _ in range(counts[i])]
-    if not verify_witness(word, sub):
-        raise AssertionError("constant-case witness failed verification")
-    return Verdict(kind="yes", witness={"word": word, "counts": counts})
-
 
 def _embed_poly(p: LaurentPoly, r: int, n: int, into_w: bool) -> LaurentPoly:
     """Embed an r-variable (W) or n-variable (X) polynomial into the joint
@@ -649,7 +579,7 @@ def _decide_generating_set(pres: ModulePresentation, sub: GeneratorSet, budget: 
                            deadline: Optional[float]) -> Verdict:
     """Group Problem for `sub`, with sublattice reduction when its steps do
     not span Z^n.  Past `deadline` the verdict is UNKNOWN with `timed_out`."""
-    rank_, full = linalg.lattice_rank_and_full(sub.steps, sub.n)
+    _, full = linalg.lattice_rank_and_full(sub.steps, sub.n)
 
     def verify(word):
         return verify_witness(word, sub)
@@ -659,8 +589,6 @@ def _decide_generating_set(pres: ModulePresentation, sub: GeneratorSet, budget: 
             basis = syzygy_basis(pres, sub.ys, sub.steps, deadline=deadline)
             return decide_core(basis.generators, sub.steps, sub.K, sub.n, budget,
                                verify, deadline)
-        if rank_ == 0:
-            return _decide_constants(pres, sub, deadline)
         lattice_basis = linalg.hermite_row_basis(sub.steps)
         gens_w, steps_w = _repose_sublattice(pres, sub, lattice_basis, deadline)
         return decide_core(gens_w, steps_w, sub.K, len(lattice_basis), budget,

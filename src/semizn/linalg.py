@@ -6,8 +6,7 @@ lattice, which also gives its rank and whether it is all of Z^n.
 Everything runs on Fractions / ints; no floats.
 
 Strict positivity of a combination of columns is decided by one LP, the
-Gordan alternative, which yields the dual certificate on a NO; a second
-"max t" LP only builds the witness combination, for rank-0 YES verdicts.
+Gordan alternative, which yields the dual certificate on a NO.
 """
 from __future__ import annotations
 
@@ -23,9 +22,10 @@ def frac_vec(v: Iterable) -> list[Fraction]:
     return [Fraction(x) for x in v]
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    """Exact dot product of int / Fraction vectors, as a Fraction."""
-    return Fraction(sum(x * y for x, y in zip(a, b)))
+def dot(a: Sequence, b: Sequence):
+    """Exact dot product of int / Fraction vectors: an int for two integer
+    vectors, else a Fraction."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
@@ -229,11 +229,15 @@ def simplex(A: Mat, b: Vec, c: Vec):
     return "optimal", t2.solution()
 
 
-def _free_lp(constraints, num_vars: int, objective=()):
-    """max objective.x over free rational variables, constraints as in
-    `lp_feasible_point`: (status, x) from `simplex`, x None unless optimal.
-    Each free variable is split into positive parts x = x+ - x-, and each
-    constraint gets one slack column (zero for '==')."""
+def lp_feasible_point(constraints, num_vars: int):
+    """Feasible point of a system over free rational variables, or None.
+
+    `constraints` is a list of (coeffs, sense, rhs) with sense in
+    {'<=', '>=', '=='}.  Each free variable is split into positive parts
+    x = x+ - x-, each constraint gets one slack column (zero for '=='), and
+    `simplex` runs with a zero objective."""
+    if not constraints:
+        return [Fraction(0)] * num_vars
     m = len(constraints)
     A, b = [], []
     for idx, (coeffs, sense, rhs) in enumerate(constraints):
@@ -247,24 +251,10 @@ def _free_lp(constraints, num_vars: int, objective=()):
             raise ValueError(f"bad sense {sense!r}")
         A.append(row + srow)
         b.append(Fraction(rhs))
-    c = [Fraction(0)] * (2 * num_vars + m)
-    for j, val in enumerate(frac_vec(objective)):
-        c[2 * j] = -val
-        c[2 * j + 1] = val
-    status, x = simplex(A, b, c)
+    status, x = simplex(A, b, [Fraction(0)] * (2 * num_vars + m))
     if status != "optimal":
-        return status, None
-    return status, [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
-
-
-def lp_feasible_point(constraints, num_vars: int):
-    """Feasible point of a system over free rational variables, or None.
-
-    `constraints` is a list of (coeffs, sense, rhs) with sense in
-    {'<=', '>=', '=='}."""
-    if not constraints:
-        return [Fraction(0)] * num_vars
-    return _free_lp(constraints, num_vars)[1]
+        return None
+    return [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +269,7 @@ def strict_positive_combination(columns: list[Sequence]):
     lam != 0 annihilates every column.  One exact LP decides which: the
     second system, solved for lam.  Returns ('infeasible', lam) with that
     certificate (lam >= 0, sum lam = 1, sum_i lam_i * columns[j][i] = 0 for
-    every j), or ('feasible', None); `positive_combination` builds a witness
-    for a feasible system.
+    every j), or ('feasible', None).
     """
     if not columns:
         raise ValueError("need at least one column")
@@ -297,48 +286,6 @@ def strict_positive_combination(columns: list[Sequence]):
     if lam is None:
         return "feasible", None
     return "infeasible", lam
-
-
-def positive_combination(columns: list[Sequence]):
-    """A rational x with sum_j x_j * columns[j] strictly positive, or None.
-
-    Solves max t  s.t.  sum_j x_j col_j[i] - t >= 0,  -1 <= x_j <= 1,
-    t <= 1, and returns x when t > 0.  Call it after
-    `strict_positive_combination` reports 'feasible'; it only builds the
-    witness, it does not decide.
-    """
-    m = len(columns)
-    cons = []
-    for i in range(len(columns[0])):
-        cons.append(([Fraction(columns[j][i]) for j in range(m)] + [Fraction(-1)], ">=", 0))
-    for j in range(m):
-        e = [Fraction(0)] * (m + 1)
-        e[j] = Fraction(1)
-        cons.append((list(e), "<=", 1))
-        cons.append((list(e), ">=", -1))
-    tcol = [Fraction(0)] * (m + 1)
-    tcol[m] = Fraction(1)
-    cons.append((tcol, "<=", 1))
-    point = _maximize_last(cons, m + 1)
-    if point is not None and point[m] > 0:
-        return point[:m]
-    return None
-
-
-def lp_optimize(constraints, num_vars: int, objective):
-    """max objective.x over free rational variables; returns a maximizing
-    point, or None if infeasible ('unbounded' raises: callers bound their
-    objectives)."""
-    status, x = _free_lp(constraints, num_vars, objective)
-    if status == "unbounded":
-        raise ValueError("unbounded objective")
-    return x
-
-
-def _maximize_last(constraints, num_vars: int):
-    obj = [Fraction(0)] * num_vars
-    obj[num_vars - 1] = Fraction(1)
-    return lp_optimize(constraints, num_vars, obj)
 
 
 def fm_strictly_feasible(columns: list[Sequence]) -> bool:

@@ -39,7 +39,7 @@ from corpus import no_instances, yes_instances
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-DEFAULT_BUDGET = Budget()  # the published budget: degree 2, height 2, samples 12
+DEFAULT_BUDGET = Budget()  # the published budget: degree 2, samples 12
 
 
 def _report(name, detail):

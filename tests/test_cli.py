@@ -145,11 +145,19 @@ def test_dot_export(tmp_path):
     assert text.startswith("digraph") and "label=1" in text
 
 
-def test_usage_and_parse_errors(tmp_path):
+def test_usage_and_parse_errors(tmp_path, capsys):
     code, _ = run("check", "nonsense", path("inverse_pair.json"))
     assert code == 64
     code, _ = run()
     assert code == 64
+    for argv in (["inverse", path("fig2.json"), "--target", "9"],
+                 ["inverse", path("fig2.json"), "--target", "0"],
+                 ["group", path("inverse_pair.json"), "--samples", "-1"],
+                 ["identity", path("inverse_pair.json"), "--budget-degree", "-1"]):
+        capsys.readouterr()
+        code, out = run("check", *argv)
+        err = capsys.readouterr().err
+        assert code == 64 and out == "" and err.startswith("error: ") and err.count("\n") == 1
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     code, _ = run("check", "group", str(broken))

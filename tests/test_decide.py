@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from semizn import decide, geometry
+from semizn import decide, geometry, linalg
 from semizn.algebra import ModulePresentation, clear_vector, laurent_syzygies
 from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
                            decide_inverse, decide_subset, locr_refute, oracle_bfs,
@@ -45,7 +45,7 @@ def test_decide_group_hypothesis_violation():
 
 
 def test_exhausted_budget_unknown():
-    v = decide_group(one_way(), Budget(degree=0, height=1, samples=0))
+    v = decide_group(one_way(), Budget(degree=0, samples=0))
     assert v.kind == "unknown"
     assert v.budget_report["samples"] == 0
 
@@ -276,14 +276,15 @@ def test_decide_subset_constants_route():
     b2 = GroupElement(pres, [LaurentPoly.constant(1, -1)], (0,))
     gens = GeneratorSet(pres, [b1, b2])
     v = decide_subset(gens, [1, 2], Budget())
-    assert v.kind == "yes" and v.witness["counts"] == [1, 1]
+    assert v.kind == "yes" and v.witness["word"] == [1, 2]
+    assert evaluate_word(gens, v.witness["word_in_original_letters"]).is_neutral()
     gens2 = GeneratorSet(pres, [b1, GroupElement(pres, [LaurentPoly.one(1)], (0,))])
     assert decide_subset(gens2, [1, 2], Budget()).kind == "no"
 
 
 # -- reference: the rank-0 relation module before it was re-posed -------------
-# Kept verbatim as an oracle: the rank-0 route's NO certificates and YES
-# counts are read off these vectors.
+# Kept verbatim as an oracle: the rank-0 route's NO certificates are the
+# Gordan duals of these vectors.
 
 def ref_constants_module(pres, ys, deadline):
     """Generators (integer vectors) of {f in Z^K : sum f_i y_i = 0 in Y},
@@ -315,6 +316,7 @@ def ref_constants_module(pres, ys, deadline):
 def test_rank0_route_matches_reference():
     rng = random.Random(9090)
     nonempty = 0
+    seen = {"yes": 0, "no": 0}
     for case in range(60):
         n = rng.randint(1, 2)
         d = rng.randint(1, 2)
@@ -334,7 +336,19 @@ def test_rank0_route_matches_reference():
         assert steps_w == [()] * sub.K
         assert [[p.terms.get((), 0) for p in g] for g in gens_w] == want
         nonempty += bool(want)
-    assert nonempty >= 20
+        # the core at n = 0 decides exactly the Gordan alternative on them
+        v = decide_subset(sub, list(range(1, sub.K + 1)), Budget())
+        if want:
+            status, lam = linalg.strict_positive_combination(want)
+        else:
+            status, lam = "infeasible", [Fraction(1)] * sub.K
+        if status == "infeasible":
+            assert v.kind == "no" and v.certificate["dual"] == [str(x) for x in lam]
+            seen["no"] += 1
+        else:
+            assert v.kind == "yes" and verify_witness(v.witness["word"], sub)
+            seen["yes"] += 1
+    assert nonempty >= 20 and min(seen.values()) >= 10, seen
 
 
 def test_identity_replay_consistency():
@@ -372,7 +386,60 @@ def test_hull_cap_makes_the_candidate_unknown(monkeypatch):
         els.append(GroupElement(pres, [LaurentPoly.one(3)], a))
         els.append(GroupElement(pres, [mono(tuple(-x for x in a), -1)], tuple(-x for x in a)))
     gens = GeneratorSet(pres, els)
-    budget = Budget(degree=0, height=1, samples=1)
+    budget = Budget(degree=0, samples=1)
     assert decide_group(gens, budget).kind == "yes"
     monkeypatch.setattr(geometry, "comb", lambda m, k: 10**9)
     assert decide_group(gens, budget).kind == "unknown"
+    # the default budget's search steps run out in well under a second
+    t0 = time.monotonic()
+    v = decide_group(gens, Budget())
+    assert time.monotonic() - t0 < 5
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is False
+
+
+def _spanning_set(rng, pres, shape):
+    """Generators with 1-term (or zero) y's, exponents and steps in [-1, 1],
+    drawn until the steps span Z^n: inverse pairs (one per dimension), g, h,
+    k, (ghk)^-1, or three random generators."""
+    n = pres.n
+
+    def element():
+        y = random_poly(rng, n, max_terms=1, exp=1, coef=2)
+        return GroupElement(pres, [y], tuple(rng.randint(-1, 1) for _ in range(n)))
+
+    while True:
+        if shape == "pairs":
+            els = []
+            for _ in range(n):
+                g = element()
+                els += [g, g.inverse()]
+        elif shape == "ghk":
+            g, h, k = element(), element(), element()
+            els = [g, h, k, (g * h * k).inverse()]
+        else:
+            els = [element() for _ in range(3)]
+        if linalg.lattice_rank_and_full([e.a for e in els], n)[1]:
+            return GeneratorSet(pres, els)
+
+
+@pytest.mark.parametrize("n, shapes, budget", [
+    (2, ["pairs", "ghk", "random", "random"], Budget()),
+    # at n = 3 a window-1 LP can take over ten seconds a support round
+    (3, ["pairs", "ghk", "random"], Budget(degree=0)),
+])
+def test_oracle_soundness_beyond_rank_one(n, shapes, budget):
+    """No NO where breadth-first search finds a word, and every YES
+    verifies, on seeded n = 2 and n = 3 sets over Z[X^pm] and (Z/2)[X^pm]."""
+    rng = random.Random(5150 + n)
+    kinds = []
+    for rels in ([], [[LaurentPoly.constant(n, 2)]]):
+        pres = ModulePresentation(n=n, d=1, rels_N=rels)
+        for shape in shapes * 2:
+            gens = _spanning_set(rng, pres, shape)
+            v = decide_group(gens, budget)
+            if v.kind == "yes":
+                assert verify_witness(v.witness["word"], gens)
+            elif v.kind == "no":
+                assert oracle_bfs(gens, 6) is None, (shape, rels)
+            kinds.append(v.kind)
+    assert {"yes", "no"} <= set(kinds)
