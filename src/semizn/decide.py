@@ -239,7 +239,8 @@ class _WindowSearch:
     slots form a union-closed family (solutions add), so the unique maximal
     support is reached by rounds of small feasibility systems, each keeping
     the achieved slots positive and demanding at least one new one; the
-    escape condition depends only on supports."""
+    escape condition depends only on supports.  No round starts past the
+    deadline: the window then gives no candidate."""
 
     size_cap = 120  # multiplier-variable cap per window; beyond it, skip
 
@@ -248,7 +249,7 @@ class _WindowSearch:
         self.K = K
         self.n = n
 
-    def candidate(self, window: int):
+    def candidate(self, window: int, deadline: Optional[float] = None):
         if not self.generators:
             return None
         n, K = self.n, self.K
@@ -273,10 +274,10 @@ class _WindowSearch:
             return None
 
         def coeff_row(i, beta):
-            row = [Fraction(0)] * nlam
+            row = [0] * nlam
             for col, (j, mu) in enumerate(variables):
                 e = tuple(a - b for a, b in zip(beta, mu))
-                row[col] = Fraction(self.generators[j][i].terms.get(e, 0))
+                row[col] = self.generators[j][i].terms.get(e, 0)
             return row
 
         slot_list = [(i, beta) for i in range(K) for beta in universe[i]]
@@ -285,11 +286,15 @@ class _WindowSearch:
         for i in range(K):
             total = [sum(col) for col in zip(*(rows[(i, b)] for b in universe[i]))]
             base.append((total, ">=", 1))  # coordinate i is nonzero
+        if _passed(deadline):
+            return None
         point = linalg.lp_feasible_point(base, nlam)
         if point is None:
             return None
         achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
         while len(achieved) < len(slot_list):
+            if _passed(deadline):
+                return None
             cons = base + [(rows[s], ">=", 1) for s in achieved]
             fresh = [sum(col) for col in zip(*(rows[s] for s in slot_list if s not in achieved))]
             cons.append((fresh, ">=", 1))
@@ -312,10 +317,10 @@ class _WindowSearch:
 
 
 def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
-                       make_witness: Callable):
+                       make_witness: Callable, deadline: Optional[float] = None):
     """Yield None per generator and per window, or a YES Verdict for the
     first all-positive relation-module element passing the escape
-    condition."""
+    condition.  A window cut short by `deadline` yields None."""
     seen = set()
     tested = 0
 
@@ -349,7 +354,7 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
     # LP window search with greedy support maximization
     search = _WindowSearch(generators, K, n)
     for window in range(0, budget.degree + 1):
-        cand = search.candidate(window)
+        cand = search.candidate(window, deadline)
         if cand is not None:
             v = consider(cand)
             if v is not None:
@@ -425,7 +430,7 @@ def decide_core(generators, steps, K: int, n: int, budget: Budget,
     Past `deadline` (a `time.monotonic()` value, or None) the verdict is
     UNKNOWN with `timed_out`."""
     a_iter = procedure_a_events(generators, steps, K, n, budget,
-                                _yes_maker(steps, budget, verify_word))
+                                _yes_maker(steps, budget, verify_word), deadline)
     r_iter = locr_events(generators, K, n, budget)
     live = [r_iter, a_iter]
     timed_out = False

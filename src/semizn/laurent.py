@@ -9,7 +9,7 @@ the rest of the package is built on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from semizn.kernels import add_terms, mul_terms
 
@@ -33,7 +33,7 @@ class LaurentPoly:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple, object] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         clean = {}
         for expo, c in items:
             expo = tuple(int(e) for e in expo)

@@ -3,7 +3,10 @@ simplex (Dantzig's most-negative-reduced-cost rule for the first 500 pivots
 of a phase, then Bland's rule) behind one front end for LPs over free
 variables, Fourier-Motzkin elimination, and the Hermite basis of an integer
 lattice, which also gives its rank and whether it is all of Z^n.
-Everything runs on Fractions / ints; no floats.
+Everything runs on Fractions / ints; no floats.  The simplex tableau is
+fraction-free: each row is a list of integers over one positive denominator,
+and only the final vertex is built as Fractions.  Its pivot sequence is part
+of the output contract, because the final vertex is.
 
 Strict positivity of a combination of columns is decided by one LP, the
 Gordan alternative, which yields the dual certificate on a NO.
@@ -11,7 +14,7 @@ Gordan alternative, which yields the dual certificate on a NO.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = list
@@ -28,19 +31,18 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _int_row(values: Sequence) -> tuple[list[int], int]:
+    """(nums, den) with nums[k] / den == values[k], den > 0, in lowest terms."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    fracs = frac_vec(v)
-    if all(x == 0 for x in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    """Scale an int / Fraction vector to coprime integers, preserving
+    direction."""
+    nums, _ = _int_row(v)
+    g = gcd(*nums) or 1
+    return tuple(x // g for x in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -105,48 +107,63 @@ def rank(rows: Mat, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Simplex (exact; Dantzig's rule, then Bland's)
+# Simplex (exact, fraction-free; Dantzig's rule, then Bland's)
 # ---------------------------------------------------------------------------
+
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """The row nums / den with its common factor cancelled."""
+    g = gcd(den, *nums)
+    return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
+
 
 class _Tableau:
     """min c.x  s.t.  A x = b, x >= 0, with b >= 0, kept in canonical form
     over `basis` (the basis columns form an identity).
 
-    `rows[i]` is row i of [A | b]; the reduced costs c - c_B A, with -c_B.b
-    in the rhs slot, are one more row, `rows[m]`, updated by the same
-    elimination.  Entries are Fractions, or int 0.  A pivot touches only the
-    rows with a nonzero pivot-column entry, and in them only the pivot row's
-    nonzero columns.
+    Row i of [A | b] is the integer row `rows[i]` over its positive
+    denominator `dens[i]`, in lowest terms; the reduced costs c - c_B A, with
+    -c_B.b in the rhs slot, are one more such row, `rows[m]` over `dens[m]`,
+    updated by the same elimination.  Each row holds exactly the rational
+    values of a Fraction tableau, so comparisons of numerators within a row
+    and cross-multiplied ratios give the same pivots.  A pivot touches only
+    the rows with a nonzero pivot-column entry.
 
     The pivot sequence is part of the output contract: dual certificates
     and window-LP points are the final vertex, so a change to the entering
     rule, the ratio test or its tie-break changes the verdict JSON."""
 
-    def __init__(self, rows: Mat, c: Vec, basis: list[int]):
+    def __init__(self, rows: Mat, dens: list[int], c: Vec, basis: list[int]):
         self.m = len(rows)
         self.n = len(c)
         self.basis = basis
-        self.rows = rows
-        z = list(c) + [Fraction(0)]
-        for j, row in zip(basis, rows):
-            q = c[j]
-            if q:
-                for k, x in enumerate(row):
-                    if x:
-                        z[k] -= q * x
+        self.rows, self.dens = rows, dens
+        # z = c - sum_i c[basis[i]] * rows[i] / dens[i], over one denominator
+        terms = [(c[j], row, d) for j, row, d in zip(basis, rows, dens) if c[j]]
+        den = lcm(*(x.denominator for x in c), *(q.denominator * d for q, _, d in terms))
+        z = [x.numerator * (den // x.denominator) for x in c] + [0]
+        for q, row, d in terms:
+            s = q.numerator * (den // (q.denominator * d))
+            for k, x in enumerate(row):
+                if x:
+                    z[k] -= s * x
+        z, den = _lowest(z, den)
         rows.append(z)
+        dens.append(den)
 
     def _pivot(self, pr: int, pc: int):
-        prow = self.rows[pr]
-        pv = prow[pc]
-        nz = [j for j, x in enumerate(prow) if x]
-        for j in nz:
-            prow[j] /= pv
-        for i, row in enumerate(self.rows):
+        rows, dens = self.rows, self.dens
+        prow, p = rows[pr], rows[pr][pc]
+        prow, p = _lowest(prow if p > 0 else [-x for x in prow], abs(p))
+        rows[pr], dens[pr] = prow, p
+        nz = [(j, x) for j, x in enumerate(prow) if x]
+        for i, row in enumerate(rows):
             f = row[pc]
             if f and i != pr:
-                for j in nz:
-                    row[j] -= f * prow[j]
+                if p != 1:
+                    row = [x * p for x in row]
+                for j, x in nz:
+                    row[j] -= f * x
+                rows[i], dens[i] = _lowest(row, dens[i] * p)
         self.basis[pr] = pc
 
     def run(self):
@@ -157,12 +174,14 @@ class _Tableau:
         Bland's smallest-index rule, which guarantees termination; the
         switchover point is fixed, so runs stay deterministic.  Leaving row:
         least ratio b_i / A[i][pc] over A[i][pc] > 0, ties to the lowest
-        basic variable index."""
+        basic variable index.  The cost row's denominator is positive and a
+        row's denominator cancels in its ratio, so both rules read numerators
+        only."""
         n, m = self.n, self.m
         rows, basis = self.rows, self.basis
-        z = rows[m]
         pivots = 0
         while True:
+            z = rows[m]
             if pivots < 500:
                 pc = min(range(n), key=z.__getitem__, default=None)
                 if pc is not None and z[pc] >= 0:
@@ -174,43 +193,47 @@ class _Tableau:
             best = None
             for i in range(m):
                 a = rows[i][pc]
-                if a > 0:
-                    key = (rows[i][n] / a, basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
+                if a > 0:  # rb / ab is the best ratio so far
+                    r = rows[i][n]
+                    if best is None or (r * ab, basis[i]) < (rb * a, basis[best]):
+                        best, rb, ab = i, r, a
             if best is None:
                 return "unbounded"
-            self._pivot(best[1], pc)
+            self._pivot(best, pc)
             pivots += 1
 
     def solution(self):
         x = [Fraction(0)] * self.n
-        for j, row in zip(self.basis, self.rows):
-            x[j] = row[self.n]
+        for j, row, d in zip(self.basis, self.rows, self.dens):
+            x[j] = Fraction(row[self.n], d)
         return x
 
     def objective(self):
-        return -self.rows[self.m][self.n]
+        return Fraction(-self.rows[self.m][self.n], self.dens[self.m])
 
 
 def simplex(A: Mat, b: Vec, c: Vec):
-    """min c.x s.t. A x = b, x >= 0.  Returns (status, x) with status in
-    {'optimal', 'infeasible', 'unbounded'}.
+    """min c.x s.t. A x = b, x >= 0, over int / Fraction data.  Returns
+    (status, x) with status in {'optimal', 'infeasible', 'unbounded'}; the
+    tableau is fraction-free, and only the final vertex x is built as
+    Fractions.
 
     Phase 1 starts from one artificial variable per row; artificials left
     basic at level zero are pivoted out where a structural column allows,
     and their rows, which are then redundant, are dropped for phase 2."""
     m = len(A)
     n = len(c)
-    rows = []
-    for i, (row, rhs) in enumerate(zip(A, frac_vec(b))):
-        sign = -1 if rhs < 0 else 1
+    rows, dens = [], []
+    for i, (row, rhs) in enumerate(zip(A, b)):
+        nums, den = _int_row(list(row) + [rhs])
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
         art = [0] * m
-        art[i] = Fraction(1)
-        rows.append([Fraction(sign * x) if x else 0 for x in row] + art + [sign * rhs])
+        art[i] = den
+        rows.append(nums[:n] + art + nums[n:])
+        dens.append(den)
     # phase 1
-    c1 = [Fraction(0)] * n + [Fraction(1)] * m
-    t = _Tableau(rows, c1, list(range(n, n + m)))
+    t = _Tableau(rows, dens, [0] * n + [1] * m, list(range(n, n + m)))
     t.run()
     if t.objective() != 0:
         return "infeasible", None
@@ -221,8 +244,8 @@ def simplex(A: Mat, b: Vec, c: Vec):
             if pc is not None:
                 t._pivot(i, pc)
     keep = [i for i in range(m) if t.basis[i] < n]  # rows with artificial basis are redundant
-    t2 = _Tableau([rows[i][:n] + rows[i][-1:] for i in keep], frac_vec(c),
-                  [t.basis[i] for i in keep])
+    kept = [_lowest(rows[i][:n] + rows[i][-1:], dens[i]) for i in keep]
+    t2 = _Tableau([r for r, _ in kept], [d for _, d in kept], c, [t.basis[i] for i in keep])
     status = t2.run()
     if status == "unbounded":
         return "unbounded", None
@@ -233,25 +256,25 @@ def lp_feasible_point(constraints, num_vars: int):
     """Feasible point of a system over free rational variables, or None.
 
     `constraints` is a list of (coeffs, sense, rhs) with sense in
-    {'<=', '>=', '=='}.  Each free variable is split into positive parts
-    x = x+ - x-, each constraint gets one slack column (zero for '=='), and
-    `simplex` runs with a zero objective."""
+    {'<=', '>=', '=='} and int / Fraction data.  Each free variable is split
+    into positive parts x = x+ - x-, each constraint gets one slack column
+    (zero for '=='), and `simplex` runs with a zero objective."""
     if not constraints:
         return [Fraction(0)] * num_vars
     m = len(constraints)
     A, b = [], []
     for idx, (coeffs, sense, rhs) in enumerate(constraints):
-        row = [x for c in frac_vec(coeffs) for x in (c, -c)]
-        srow = [Fraction(0)] * m
+        row = [x for c in coeffs for x in (c, -c)]
+        srow = [0] * m
         if sense == "<=":
-            srow[idx] = Fraction(1)
+            srow[idx] = 1
         elif sense == ">=":
-            srow[idx] = Fraction(-1)
+            srow[idx] = -1
         elif sense != "==":
             raise ValueError(f"bad sense {sense!r}")
         A.append(row + srow)
-        b.append(Fraction(rhs))
-    status, x = simplex(A, b, [Fraction(0)] * (2 * num_vars + m))
+        b.append(rhs)
+    status, x = simplex(A, b, [0] * (2 * num_vars + m))
     if status != "optimal":
         return None
     return [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
@@ -275,13 +298,9 @@ def strict_positive_combination(columns: list[Sequence]):
         raise ValueError("need at least one column")
     K = len(columns[0])
     # Gordan alternative: lam >= 0, sum lam = 1, lam . col_j = 0 for all j
-    cons = [([Fraction(1)] * K, "==", 1)]
-    for j, col in enumerate(columns):
-        cons.append((frac_vec(col), "==", 0))
-    for i in range(K):
-        e = [Fraction(0)] * K
-        e[i] = Fraction(1)
-        cons.append((e, ">=", 0))
+    cons = [([1] * K, "==", 1)]
+    cons += [(col, "==", 0) for col in columns]
+    cons += [([int(i == k) for k in range(K)], ">=", 0) for i in range(K)]
     lam = lp_feasible_point(cons, K)
     if lam is None:
         return "feasible", None

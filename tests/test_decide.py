@@ -180,6 +180,22 @@ def test_group_timeout_bounds_the_syzygy_phase():
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
 
 
+def test_group_timeout_bounds_the_window_rounds():
+    """A seeded n = 3 `ghk` set, no relations: its syzygy phase is quick,
+    but window 1 of the positive search takes over 25 support rounds of a
+    54-variable LP with 221-304 rows, each of them seconds long.  The
+    deadline is checked between rounds, so the run stops within about one
+    round of it."""
+    pres = free_presentation(3)
+    gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly(3, y)], a) for y, a in [
+        ({(1, 1, 0): 1}, (0, 1, 0)), ({}, (0, 0, -1)), ({(-1, 0, -1): 1}, (1, 0, 1)),
+        ({(0, 0, 0): -1, (-2, 0, -2): -1}, (-1, -1, 0))]])
+    t0 = time.monotonic()
+    v = decide_group(gens, Budget(timeout=3))
+    assert time.monotonic() - t0 < 15
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+
+
 def test_verify_witness_examples():
     gens = inverse_pair()
     assert verify_witness([1, 2], gens)

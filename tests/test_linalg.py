@@ -124,8 +124,8 @@ def test_simplex_basic():
     assert status == "unbounded"
 
 
-# -- reference: the dense Fraction simplex the sparse kernel replaced ---------
-# Kept verbatim apart from the pivot log, as an oracle: the sparse kernel must
+# -- reference: the dense Fraction simplex the integer-row kernel replaced ----
+# Kept verbatim apart from the pivot log, as an oracle: the kernel must
 # make the same pivots, because the final vertex is part of the output.
 
 class _RefTableau:
@@ -303,6 +303,100 @@ def test_simplex_matches_dense_reference(pivot_log):
         if want[0] == "optimal" and sum(1 for x in want[1] if x) < len(keep):
             seen["degenerate"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _wide_lp(rng):
+    """LP whose integer tableau rows need denominators and gcd reductions:
+    wide entries with common factors over mixed denominators, rational
+    costs, and a row k that agrees with s * row i on some columns and the
+    rhs, so the ratio test meets equal positive ratios."""
+    m = rng.randint(2, 6)
+    n = rng.randint(2, 8)
+
+    def entry():
+        if rng.random() < 0.35:
+            return 0
+        return Fraction(rng.choice([1, -1]) * rng.randint(1, 10**4) * rng.choice([1, 6, 30]),
+                        rng.choice([1, 1, 4, 9, 35]))
+
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.6:
+        x0 = [rng.choice([0, 0, 1, Fraction(1, 2), 3]) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = [entry() for _ in range(m)]
+    i, k = rng.sample(range(m), 2)
+    s = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    for j in rng.sample(range(n), rng.randint(1, n)):
+        A[k][j] = s * A[i][j]
+    b[k] = s * b[i]
+    c = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+    return A, b, c
+
+
+def test_wide_rational_lps_match_dense_reference(pivot_log, monkeypatch):
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "rational_cost": 0,
+            "tie": 0, "denominator": 0, "reduced": 0}
+    pivot, lowest = linalg._Tableau._pivot, linalg._lowest
+
+    def watched_pivot(self, pr, pc):
+        ratios = [Fraction(row[self.n], row[pc]) for row in self.rows[:self.m] if row[pc] > 0]
+        if ratios and min(ratios) > 0 and ratios.count(min(ratios)) > 1:
+            seen["tie"] += 1
+        if any(d > 1 for d in self.dens):
+            seen["denominator"] += 1
+        return pivot(self, pr, pc)
+
+    def watched_lowest(nums, den):
+        out = lowest(nums, den)
+        if out[1] != den:
+            seen["reduced"] += 1
+        return out
+
+    monkeypatch.setattr(linalg._Tableau, "_pivot", watched_pivot)
+    monkeypatch.setattr(linalg, "_lowest", watched_lowest)
+    rng = random.Random(8128)
+    for _ in range(300):
+        A, b, c = _wide_lp(rng)
+        ref_log = []
+        want = _ref_simplex(A, b, c, ref_log)
+        pivot_log.clear()
+        got = linalg.simplex(A, b, c)
+        assert got == want, (A, b, c)
+        assert pivot_log == [e for e in ref_log if e[0] != "keep"], (A, b, c)
+        seen[want[0]] += 1
+        if want[0] == "optimal" and any(x.denominator > 1 for x in c):
+            seen["rational_cost"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_corpus_window_lps_match_dense_reference(pivot_log, monkeypatch):
+    """The window LPs the positive search poses on the shared corpus make
+    the reference's pivots and reach its point."""
+    from corpus import no_instances, yes_instances
+    from semizn.decide import Budget, decide_group
+
+    systems = []
+    solve, kernel = linalg.lp_feasible_point, linalg.simplex
+
+    def recorded(cons, num_vars):
+        if cons[0][1] == ">=":  # the refuter's Gordan LP opens with '=='
+            systems.append((cons, num_vars))
+        return solve(cons, num_vars)
+
+    monkeypatch.setattr(linalg, "lp_feasible_point", recorded)
+    for _, gens in yes_instances(150) + no_instances(150):
+        decide_group(gens, Budget())
+    assert len(systems) >= 50
+    for cons, num_vars in systems:
+        pivot_log.clear()
+        got = solve(cons, num_vars)
+        ref_log = []
+        monkeypatch.setattr(linalg, "simplex", lambda A, b, c: _ref_simplex(A, b, c, ref_log))
+        want = solve(cons, num_vars)
+        monkeypatch.setattr(linalg, "simplex", kernel)
+        assert got is not None and got == want, cons
+        assert pivot_log == [e for e in ref_log if e[0] != "keep"], cons
 
 
 def test_lp_wrappers_match_dense_reference(monkeypatch):
