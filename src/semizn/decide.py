@@ -33,7 +33,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional, Sequence
 
 from semizn import linalg, positions
@@ -306,10 +305,7 @@ class _WindowSearch:
         # Clear the multipliers, not the values: an integer combination of
         # the generators is in the relation module, but a rational one whose
         # values happen to be integers need not be when Y has torsion.
-        denom = 1
-        for x in point:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        multipliers = [int(x * denom) for x in point]
+        multipliers, _ = linalg._int_row(point)
         return [
             LaurentPoly(n, {b: int(linalg.dot(rows[(i, b)], multipliers)) for b in universe[i]})
             for i in range(K)

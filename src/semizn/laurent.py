@@ -33,7 +33,7 @@ class LaurentPoly:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple, object] | Iterable = ()):
-        items = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         clean = {}
         for expo, c in items:
             expo = tuple(int(e) for e in expo)

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,20 +181,40 @@ def test_group_timeout_bounds_the_syzygy_phase():
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
 
 
-def test_group_timeout_bounds_the_window_rounds():
+def test_group_timeout_bounds_the_window_rounds(monkeypatch):
     """A seeded n = 3 `ghk` set, no relations: its syzygy phase is quick,
     but window 1 of the positive search takes over 25 support rounds of a
     54-variable LP with 221-304 rows, each of them seconds long.  The
-    deadline is checked between rounds, so the run stops within about one
-    round of it."""
+    deadline is checked before every round: a skewed clock passes it while
+    the first round of window 1 runs, and no LP starts after that."""
     pres = free_presentation(3)
     gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly(3, y)], a) for y, a in [
         ({(1, 1, 0): 1}, (0, 1, 0)), ({}, (0, 0, -1)), ({(-1, 0, -1): 1}, (1, 0, 1)),
         ({(0, 0, 0): -1, (-2, 0, -2): -1}, (-1, -1, 0))]])
-    t0 = time.monotonic()
-    v = decide_group(gens, Budget(timeout=3))
-    assert time.monotonic() - t0 < 15
+    skew, window, calls = [0.0], [None], []  # calls: (window, started past the deadline)
+    monkeypatch.setattr(decide, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
+    real_candidate, real_lp = decide._WindowSearch.candidate, linalg.lp_feasible_point
+
+    def candidate(self, w, deadline=None):
+        window[0] = w
+        try:
+            return real_candidate(self, w, deadline)
+        finally:
+            window[0] = None
+
+    def lp_feasible_point(cons, num_vars):
+        calls.append((window[0], skew[0] > 0))
+        point = real_lp(cons, num_vars)
+        if window[0] == 1:
+            skew[0] = 1e9
+        return point
+
+    monkeypatch.setattr(decide._WindowSearch, "candidate", candidate)
+    monkeypatch.setattr(linalg, "lp_feasible_point", lp_feasible_point)
+    v = decide_group(gens, Budget(timeout=3600))
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert [w for w, _ in calls].count(1) == 1
+    assert not any(late for _, late in calls)
 
 
 def test_verify_witness_examples():
