@@ -94,7 +94,7 @@ def _add_budget_flags(p):
     p.add_argument("--closure-n", type=int, default=16)
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--certificate", action="store_true",
-                   help="include per-face / per-cell detail in reports")
+                   help="include per-face detail in reports")
     p.add_argument("--strict", action="store_true",
                    help="verify rels_N and generators lie in span(gens_M)")
 
@@ -158,11 +158,8 @@ def _cmd_check(args) -> int:
         return USAGE_EXIT
     if (args.certificate and args.problem == "group" and verdict.kind == "yes"
             and "positions" in (verdict.witness or {})):
-        _, _, cells = positions.check_escape_condition(
-            verdict.witness["positions"], range(1, gens.K + 1), frozenset(),
-            gens.steps, want_cells=True,
-        )
-        verdict.witness["escape_cells"] = cells
+        _, verdict.witness["escape_cells"] = positions.check_escape_condition(
+            verdict.witness["positions"], gens.steps)
     _emit(jsonio.verdict_to_json(verdict))
     return verdict.exit_code
 

@@ -330,9 +330,7 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
             return None
         tested += 1
         try:
-            ok, _, _ = positions.check_escape_condition(
-                fs, range(1, K + 1), frozenset(), steps
-            )
+            ok, _ = positions.check_escape_condition(fs, steps)
         except HullTooLargeError:
             return None
         if not ok:

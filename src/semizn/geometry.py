@@ -1,7 +1,9 @@
 """Exact lattice-polytope machinery: convex hulls in integer coordinates,
-strict faces with witnessing directions, face-accessibility of step graphs,
-and the refined normal fan that turns "for every nonzero direction v"
-conditions into a finite list of integer representatives.
+strict faces with witnessing directions, face-accessibility of step graphs
+(which also decides the escape condition of a symmetric position tuple, see
+`positions.check_escape_condition`), and the refined normal fan that turns
+"for every nonzero direction v" conditions into a finite list of integer
+representatives.
 
 A hull works in the coordinates p - p0 read at the pivot columns of an
 integer echelon form of the point differences; the echelon is triangular
@@ -317,7 +319,9 @@ def _minkowski_points(point_sets):
 def refined_fan(polytopes, hyperplanes=()) -> list[tuple]:
     """Sorted integer directions, one in the relative interior of every
     cell of the common refinement of the polytopes' normal fans and the
-    hyperplanes a^⊥, covering all nonzero directions."""
+    hyperplanes a^⊥, covering all nonzero directions.  No decision path
+    calls it, since the escape condition needs only the support hull's
+    faces; the tests' reference escape check and perfbench's tracer use it."""
     point_sets = []
     for P in polytopes:
         pts = P.points if isinstance(P, LatticePolytope) else [tuple(p) for p in P]

@@ -87,6 +87,9 @@ def module_from_json(data, path: str = "module") -> ModulePresentation:
         raise FormatError(f"{path}: need integer fields n and d") from exc
     if n < 0 or d < 0:
         raise FormatError(f"{path}: n and d must be nonnegative")
+    for name in ("rels_N", "gens_M"):
+        if not isinstance(data.get(name, []), list):
+            raise FormatError(f"{path}.{name}: need an array of vectors")
     rels = [
         vector_from_json(r, n, d, f"{path}.rels_N[{j}]")
         for j, r in enumerate(data.get("rels_N", []))
@@ -143,7 +146,10 @@ def metabelian_from_json(data) -> tuple:
             isinstance(w, list) and all(isinstance(x, int) for x in w) for w in words
         ):
             raise FormatError(f"metabelian.{name}: need arrays of signed integers")
-    pres = MetabelianPresentation(s=s, relators=[list(r) for r in relators])
+    try:
+        pres = MetabelianPresentation(s=s, relators=[list(r) for r in relators])
+    except ValueError as exc:
+        raise FormatError(f"metabelian: {exc}") from exc
     return pres, [list(w) for w in gens]
 
 
@@ -163,14 +169,22 @@ def graph_from_json(data, steps=None) -> StepGraph:
         steps = data.get("steps")
         if steps is None:
             raise FormatError('graph: missing "steps" table and no instance supplied')
+    if not isinstance(data["edges"], list):
+        raise FormatError("graph.edges: need an array of edges")
+    if not isinstance(steps, list) or not all(isinstance(a, list) for a in steps):
+        raise FormatError("graph.steps: need an array of step vectors")
     edges = []
     for i, e in enumerate(data["edges"]):
-        if not isinstance(e, dict) or "s" not in e or "label" not in e:
+        if not isinstance(e, dict) or not isinstance(e.get("s"), list) or "label" not in e:
             raise FormatError(f'graph.edges[{i}]: need {{"s": [...], "label": int}}')
-        edges.append((tuple(e["s"]), int(e["label"])))
+        try:
+            label = int(e["label"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"graph.edges[{i}].label: need an integer") from exc
+        edges.append((tuple(e["s"]), label))
     try:
         return StepGraph(steps, edges)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a non-integer coordinate
         raise FormatError(f"graph: {exc}") from exc
 
 

@@ -4,14 +4,16 @@ its structural predicates.
 The i-th position polynomial sums X^{s(e)} over the label-i edges, with
 multiplicity, so a graph is equivalent data to a K-tuple of Laurent
 polynomials with nonnegative integer coefficients.  Symmetry, full-image,
-face-accessibility and neutrality all become exact polynomial conditions;
-the universal "for every direction" condition is discharged on the finitely
-many representatives of a refined normal fan.
+face-accessibility and neutrality all become exact polynomial conditions.
+The escape condition, universal over directions, is checked on the faces of
+the support hull: for a symmetric tuple with coefficients in N every edge
+ends inside the support, so on the open normal cone of a face the indices
+that lead and the steps that leave the face do not change.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from semizn import geometry
 from semizn.algebra import ModulePresentation
@@ -101,41 +103,21 @@ def check_neutral(fs: Sequence[LaurentPoly], presentation: ModulePresentation,
     return presentation.is_zero(acc)
 
 
-def check_escape_condition(fs: Sequence[LaurentPoly], subset, out_labels, steps,
-                           want_cells: bool = False):
-    """The universal escape condition: for every nonzero direction v, some
-    index of maximal v-degree within `subset` either crosses v's hyperplane
-    or belongs to `out_labels`.
+def check_escape_condition(fs: Sequence[LaurentPoly], steps):
+    """The escape condition of a symmetric tuple with coefficients in N: for
+    every nonzero direction v, some index of maximal v-degree has a step that
+    crosses v's hyperplane.  Returns (ok, face report).
 
-    Discharged on the refined fan over the hull of the union of the subset's
-    supports and the hyperplanes a_i^⊥.  Returns (ok, violating_direction,
-    cells) where cells is a per-representative profile when requested.
-    Rejects the degenerate all-zero subset explicitly.
+    Symmetry puts s + a_i in the union U of the supports for every support
+    point s of f_i.  So if s is on the face of conv U that v selects, the
+    edge (s, i) leaves that face exactly when a_i.v != 0, and the condition
+    is face accessibility of the graph with one such edge per support point.
     """
-    subset = sorted(subset)
-    out_labels = frozenset(out_labels)
-    support = set()
-    for i in subset:
-        support |= fs[i - 1].support()
-    if not support:
-        raise ValueError("escape condition undefined: all polynomials of the subset are zero")
-    violating: Optional[tuple] = None
-    cells = []
-    ok = True
-    for v in geometry.refined_fan([list(support)], steps):
-        M = leading_indices(subset, fs, v)
-        O = crossing_indices(steps, v)
-        hit = bool((O | out_labels) & M)
-        if want_cells:
-            cells.append({
-                "direction": list(v),
-                "leading": sorted(M),
-                "crossing": sorted(O),
-                "ok": hit,
-            })
-        if not hit and ok:
-            ok = False
-            violating = v
-        if not hit and not want_cells:
-            break
-    return ok, violating, cells
+    if any(c < 0 for f in fs for c in f.terms.values()):
+        raise ValueError("escape condition needs coefficients in N")
+    if not check_symmetry(fs, steps):
+        raise ValueError("escape condition needs a symmetric tuple")
+    edges = [(s, i) for i, f in enumerate(fs, start=1) for s in f.support()]
+    if not edges:
+        raise ValueError("escape condition undefined: all polynomials are zero")
+    return geometry.is_face_accessible(StepGraph(steps, edges))

@@ -1,5 +1,5 @@
 """Golden digests: the sha256 of the canonical JSON of a fixed set of
-decisions, of relation-module bases and of hull and fan outputs, so a change
+decisions, of relation-module bases and of hull outputs, so a change
 meant to keep the output can be checked byte for byte.
 
     PYTHONPATH=src python tests/make_golden.py     # rewrite the files in data/
@@ -10,11 +10,11 @@ meant to keep the output can be checked byte for byte.
 which reach the window LP and the refuter.  `data/golden_syzygies.json`
 holds `syzygy_basis` outputs, serialized as `semizn syzygy` prints them:
 the instance files, and seeded instances shaped like acceptance criterion 5.
-`data/golden_geometry.json` holds what the hulls and the refined fan
-decide: the `semizn graph analyze --certificate` and `semizn euler-close`
-documents (with their exit codes) of the graph files in `instances/`, and
-the `check_escape_condition(..., want_cells=True)` cells of every YES in
-`data/golden_verdicts.json` whose witness carries position polynomials.
+`data/golden_geometry.json` holds what the hulls decide: the `semizn graph
+analyze --certificate` and `semizn euler-close` documents (with their exit
+codes) of the graph files in `instances/`, and the `check_escape_condition`
+face report of every YES in `data/golden_verdicts.json` whose witness
+carries position polynomials.
 Cases that raise (other than HypothesisError, which is recorded as such) or
 take longer than `SLOW_S` are left out of the files, so the checks stay
 fast.  `test_golden.py` recomputes every digest in them.
@@ -171,7 +171,7 @@ def basis_digest(pres, ys, steps) -> str:
 
 
 def geometry_cases():
-    """(case id, thunk) for every candidate hull and fan case, in a fixed
+    """(case id, thunk) for every candidate hull case, in a fixed
     order; a thunk returns the digest of the output."""
     out = []
     for name in sorted(os.listdir(os.path.join(ROOT, "instances"))):
@@ -203,15 +203,15 @@ class _NoPositions(Exception):
 
 
 def escape_cells_digest(decide, gens) -> str:
-    """sha256 of the escape-condition cells of a YES witness's positions."""
+    """sha256 of the escape-condition face report of a YES witness's
+    positions."""
     verdict = decide(gens, Budget())
     if verdict.kind != "yes" or "positions" not in verdict.witness:
         raise _NoPositions(f"verdict {verdict.kind} without positions")
     fs = verdict.witness["positions"]
     steps = verdict.witness["graph"].steps
-    _, _, cells = check_escape_condition(fs, range(1, len(fs) + 1), frozenset(), steps,
-                                         want_cells=True)
-    return _sha256(jsonio.dumps(cells))
+    _, faces = check_escape_condition(fs, steps)
+    return _sha256(jsonio.dumps(faces))
 
 
 def _sha256(text: str) -> str:

@@ -106,7 +106,7 @@ def test_criterion_2_structural_equivalence_500():
         if g.is_symmetric():
             symmetric_count += 1
             geometric, _ = is_face_accessible(g)
-            algebraic, _, _ = check_escape_condition(fs, range(1, g.K + 1), set(), g.steps)
+            algebraic, _ = check_escape_condition(fs, g.steps)
             assert geometric == algebraic
             ys = [[random_poly(rng, 2, max_terms=1)] for _ in range(g.K)]
             gens = GeneratorSet(pres, [GroupElement(pres, y, a) for y, a in zip(ys, g.steps)])

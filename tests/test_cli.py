@@ -4,6 +4,8 @@ import os
 import random
 from contextlib import redirect_stdout
 
+import pytest
+
 from semizn.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -30,6 +32,16 @@ def test_check_group_yes():
     doc = json.loads(out)
     assert doc["verdict"] == "yes"
     assert doc["witness"]["word"] == [1, 2]
+
+
+def test_check_group_yes_with_certificate():
+    """The escape cells are the face report of the witness's support hull,
+    in the format of `graph analyze --certificate`."""
+    code, out = run("check", "group", path("inverse_pair.json"), "--certificate")
+    assert code == 0
+    cells = json.loads(out)["witness"]["escape_cells"]
+    assert cells == [{"accessible": True, "direction": [-1], "face": [[0]]},
+                     {"accessible": True, "direction": [1], "face": [[1]]}]
 
 
 def test_check_group_no_with_certificate():
@@ -177,3 +189,30 @@ def test_inverse_target_flag():
 def test_strict_flag():
     code, _ = run("syzygy", path("inverse_pair.json"), "--strict")
     assert code == 0
+
+
+_MODULE = {"n": 1, "d": 1}
+_GENERATORS = [{"y": [[{"c": "1", "e": [0]}]], "a": [1]},
+               {"y": [[{"c": "-1", "e": [-1]}]], "a": [-1]}]
+
+
+@pytest.mark.parametrize("command, doc", [
+    (("graph", "analyze"), {"edges": 5, "steps": [[1]]}),
+    (("graph", "analyze"), {"edges": [{"s": 3, "label": 1}], "steps": [[1]]}),
+    (("graph", "analyze"), {"edges": [{"s": [0], "label": "x"}], "steps": [[1]]}),
+    (("euler-close",), {"edges": 5, "steps": [[1]]}),
+    (("euler-close",), {"edges": [{"s": 3, "label": 1}], "steps": [[1]]}),
+    (("euler-close",), {"edges": [{"s": [0], "label": "x"}], "steps": [[1]]}),
+    (("frontend",), {"s": 1, "relators": [], "gens": [[1]]}),
+    (("frontend",), {"s": 2, "relators": [[1, 3]], "gens": [[1], [2]]}),
+    (("check", "group"), {"module": dict(_MODULE, rels_N=5), "generators": _GENERATORS}),
+    (("check", "group"), {"module": dict(_MODULE, gens_M=5), "generators": _GENERATORS}),
+])
+def test_malformed_input_is_a_data_error(tmp_path, capsys, command, doc):
+    """Exit 65 with one `error:` line, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(*command, str(bad))
+    err = capsys.readouterr().err
+    assert code == 65 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

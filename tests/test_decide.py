@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from semizn import decide, geometry, linalg
+from semizn import decide, geometry, groebner, linalg
 from semizn.algebra import ModulePresentation, clear_vector, laurent_syzygies
 from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
                            decide_inverse, decide_subset, locr_refute, oracle_bfs,
@@ -174,11 +174,22 @@ def rng555_instance20():
         ({(1, -1): -2, (0, 1): 3}, (-2, 2)), ({(0, 0): -3, (1, 1): -2}, (2, 1))]])
 
 
-def test_group_timeout_bounds_the_syzygy_phase():
-    t0 = time.monotonic()
-    v = decide_group(rng555_instance20(), Budget(timeout=2))
-    assert time.monotonic() - t0 < 3.5
+def test_group_timeout_bounds_the_syzygy_phase(monkeypatch):
+    """The Groebner deadline is checked before every pair: a clock skewed
+    past it while the first pair is reduced lets no further pair start."""
+    skew, late = [0.0], []  # late: per pair, whether it started past the skew
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
+    real_pair_seeds = groebner._pair_seeds
+
+    def pair_seeds(basis, i, j):
+        late.append(skew[0] > 0)
+        skew[0] = 1e9
+        return real_pair_seeds(basis, i, j)
+
+    monkeypatch.setattr(groebner, "_pair_seeds", pair_seeds)
+    v = decide_group(rng555_instance20(), Budget(timeout=3600))
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert late == [False]
 
 
 def test_group_timeout_bounds_the_window_rounds(monkeypatch):

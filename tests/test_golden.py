@@ -1,4 +1,4 @@
-"""The canonical verdict JSON, relation-module basis JSON and hull and fan
+"""The canonical verdict JSON, relation-module basis JSON and hull
 outputs of every pinned case are unchanged, byte for byte: their sha256
 match `data/golden_verdicts.json`, `data/golden_syzygies.json` and
 `data/golden_geometry.json` (written by `make_golden.py`)."""
@@ -29,4 +29,4 @@ def test_golden_syzygy_digests():
 
 def test_golden_geometry_digests():
     changed = _changed(GOLDEN_GEOMETRY, geometry_cases())
-    assert not changed, f"hull or fan output changed on {changed}"
+    assert not changed, f"hull output changed on {changed}"
