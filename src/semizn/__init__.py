@@ -4,11 +4,10 @@ over the integer Laurent ring, plus a front-end for finite metabelian
 presentations."""
 
 from semizn.algebra import (LaurentSubmodule, ModuleElement, ModulePresentation,
-                            SyzygyBasis, residual, strong_groebner, syzygy_basis)
+                            SyzygyBasis, residual, syzygy_basis)
 from semizn.closure import ClosureResult, eulerian_closure
 from semizn.decide import (Budget, Verdict, decide_group, decide_identity,
-                           decide_inverse, locr_refute, oracle_bfs, procedure_a,
-                           verify_witness)
+                           decide_inverse, oracle_bfs, verify_witness)
 from semizn.geometry import LatticePolytope, convex_hull, is_face_accessible, refined_fan
 from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import (GeneratorSet, GroupElement, MetabelianPresentation,

@@ -114,17 +114,7 @@ class LaurentSubmodule:
         if not raw:
             return True
         basis, order = self._membership_basis(deadline=deadline)
-        return groebner.is_member(raw, basis, order)
-
-    def reduced_basis(self) -> list[list[LaurentPoly]]:
-        """The saturated strong basis, as Laurent vectors (unit-normalized)."""
-        basis, _ = self._membership_basis()
-        return [normalize_unit(raw_to_vector(e.vec, self.d, self.n), self.n) for e in basis]
-
-
-def strong_groebner(generators: Sequence[Sequence[LaurentPoly]], d: int, n: int) -> LaurentSubmodule:
-    """Membership-ready basis object for the Laurent span of `generators`."""
-    return LaurentSubmodule(d, n, generators)
+        return not groebner.normal_form(raw, basis, order)
 
 
 def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,

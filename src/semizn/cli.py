@@ -20,8 +20,8 @@ import sys
 
 from semizn import jsonio, positions
 from semizn.closure import ClosureBudgetError, ClosurePreconditionError, eulerian_closure
-from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
-                           decide_inverse, verify_witness)
+from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
+                           verify_witness)
 from semizn.geometry import HullTooLargeError, is_face_accessible
 from semizn.ggraph import graph_of_word
 from semizn.group import magnus_frontend
@@ -88,11 +88,12 @@ def _emit(doc):
 
 
 def _add_budget_flags(p):
-    p.add_argument("--budget-degree", type=int, default=2)
-    p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--closure-n", type=int, default=16)
-    p.add_argument("--timeout", type=float, default=None)
+    default = Budget()
+    p.add_argument("--budget-degree", type=int, default=default.degree)
+    p.add_argument("--samples", type=int, default=default.samples)
+    p.add_argument("--seed", type=int, default=default.seed)
+    p.add_argument("--closure-n", type=int, default=default.closure_n)
+    p.add_argument("--timeout", type=float, default=default.timeout)
     p.add_argument("--certificate", action="store_true",
                    help="include per-face detail in reports")
     p.add_argument("--strict", action="store_true",
@@ -123,7 +124,7 @@ def build_parser() -> _Parser:
 
     p_close = sub.add_parser("euler-close", help="Eulerian union of translations")
     p_close.add_argument("graph")
-    p_close.add_argument("--max-n", type=int, default=16)
+    p_close.add_argument("--max-n", type=int, default=Budget().closure_n)
     p_close.add_argument("--dot", help="also write the union's DOT to this path")
 
     p_syz = sub.add_parser("syzygy", help="relation-module generators")
@@ -150,16 +151,12 @@ def _cmd_check(args) -> int:
             verdict = decide_identity(gens, budget)
         else:
             verdict = decide_inverse(gens, args.target, budget)
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
     except ValueError as exc:  # a negative budget, or --target outside 1..K
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    if (args.certificate and args.problem == "group" and verdict.kind == "yes"
-            and "positions" in (verdict.witness or {})):
+    if args.certificate and args.problem == "group" and verdict.kind == "yes":
         _, verdict.witness["escape_cells"] = positions.check_escape_condition(
-            verdict.witness["positions"], gens.steps)
+            verdict.witness["positions"], verdict.witness["graph"].steps)
     _emit(jsonio.verdict_to_json(verdict))
     return verdict.exit_code
 

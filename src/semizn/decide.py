@@ -18,13 +18,15 @@ UNKNOWN.  The two sides are interleaved cooperatively under a fixed
 schedule, so the verdict is a pure function of instance, budget and seed.
 
 Group, Identity and Inverse run one core on a generating set: Group on the
-whole set, Identity and Inverse on subsets of it.  A set whose steps span a
-proper sublattice is re-posed over a basis of that sublattice; at rank 0
-the basis is empty, and the same core at n = 0 decides the exact rational
-feasibility the problem degenerates to: the refuter's one sample is the
-empty point, and the window LP finds a strictly positive combination
-whenever one exists.  One deadline, started at entry, bounds the Groebner
-phases and the search.
+whole set, Identity and Inverse on subsets of it.  "The steps generate Z^n"
+is a normal form, not a limit on the input: a set whose steps span a
+proper sublattice is re-posed over the Hermite basis of that sublattice,
+and its YES witness carries positions and a graph over that basis (the
+word is in the set's own letters).  At rank 0 the basis is empty, and the
+same core at n = 0 decides the exact rational feasibility the problem
+degenerates to: the refuter's one sample is the empty point, and the
+window LP finds a strictly positive combination whenever one exists.  One
+deadline, started at entry, bounds the Groebner phases and the search.
 """
 from __future__ import annotations
 
@@ -36,26 +38,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from semizn import linalg, positions
-from semizn.algebra import (ModulePresentation, clear_vector, laurent_syzygies,
-                            normalize_unit, raw_to_vector, syzygy_basis)
+from semizn.algebra import (clear_vector, laurent_syzygies, normalize_unit, raw_to_vector,
+                            syzygy_basis)
 from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.geometry import HullTooLargeError
 from semizn.ggraph import StepGraph
 from semizn.group import GeneratorSet, evaluate_word
 from semizn.groebner import GroebnerBudgetError, saturated_basis
 from semizn.laurent import LaurentPoly
-
-
-class HypothesisError(ValueError):
-    """The generator steps do not generate Z^n as a group; carries the
-    sublattice actually generated."""
-
-    def __init__(self, sublattice_basis):
-        super().__init__(
-            "generator projections generate a proper sublattice of Z^n: "
-            f"basis {sublattice_basis}"
-        )
-        self.sublattice_basis = sublattice_basis
 
 
 @dataclass
@@ -443,65 +433,27 @@ def decide_core(generators, steps, K: int, n: int, budget: Budget,
     return _unknown(budget, timed_out)
 
 
-def check_hypothesis(gens: GeneratorSet):
-    """Theorem hypothesis: the steps generate Z^n as a group."""
-    steps = [list(a) for a in gens.steps]
-    _, full = linalg.lattice_rank_and_full(steps, gens.n)
-    if not full:
-        raise HypothesisError(linalg.hermite_row_basis(steps))
-
-
 def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     """Decide whether the generated sub-semigroup is a group (sound YES and
-    NO, budget-bounded UNKNOWN).  Requires the lattice hypothesis.
+    NO, budget-bounded UNKNOWN).  Steps spanning a proper sublattice of Z^n
+    are re-posed over its Hermite basis, as for every subset.
     `budget.timeout` starts at entry and bounds the Groebner phases too."""
     budget = budget or Budget()
-    check_hypothesis(gens)
-    return _decide_generating_set(gens.presentation, gens, budget, _deadline(budget))
-
-
-def procedure_a(gens: GeneratorSet, budget: Budget = None) -> Verdict:
-    """The positive search alone: YES or UNKNOWN."""
-    budget = budget or Budget()
-    basis = syzygy_basis(gens.presentation, gens.ys, gens.steps)
-    maker = _yes_maker(gens.steps, budget, lambda w: verify_witness(w, gens))
-    for event in procedure_a_events(basis.generators, gens.steps, gens.K, gens.n,
-                                    budget, maker):
-        if event is not None:
-            return event
-    return Verdict(kind="unknown", budget_report={"degree": budget.degree})
-
-
-def locr_refute(gens: GeneratorSet, budget: Budget = None) -> Verdict:
-    """The refuter alone: NO or UNKNOWN."""
-    budget = budget or Budget()
-    basis = syzygy_basis(gens.presentation, gens.ys, gens.steps)
-    for event in locr_events(basis.generators, gens.K, gens.n, budget):
-        if event is not None:
-            return event
-    return Verdict(kind="unknown", budget_report={"samples": budget.samples,
-                                                  "seed": budget.seed})
+    return _decide_generating_set(gens, budget, _deadline(budget))
 
 
 # ---------------------------------------------------------------------------
-# Sublattice reduction for subsets
+# Sublattice reduction
 # ---------------------------------------------------------------------------
 
-def _embed_poly(p: LaurentPoly, r: int, n: int, into_w: bool) -> LaurentPoly:
-    """Embed an r-variable (W) or n-variable (X) polynomial into the joint
-    (r+n)-variable ring: W block first, X block second."""
-    out = {}
-    for e, c in p.terms.items():
-        if into_w:
-            out[tuple(e) + (0,) * n] = c
-        else:
-            out[(0,) * r + tuple(e)] = c
-    return LaurentPoly(r + n, out)
+def _embed_poly(p: LaurentPoly, r: int) -> LaurentPoly:
+    """Embed an n-variable (X) polynomial into the joint (r+n)-variable
+    ring: W block first, X block second."""
+    return LaurentPoly(r + p.n, {(0,) * r + tuple(e): c for e, c in p.terms.items()})
 
 
-def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
-                       basis_rows: list[list[int]], deadline):
-    """Relation-module generators for a subset whose steps span the proper
+def _repose_sublattice(sub: GeneratorSet, basis_rows: list[list[int]], deadline):
+    """Relation-module generators for a set whose steps span the proper
     sublattice with basis `basis_rows` (rank r >= 0; at rank 0 every step
     is zero and the generators are constant vectors over zero variables).
 
@@ -513,6 +465,7 @@ def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
     coordinates w.r.t. the lattice basis generate Z^r, restoring the theorem
     hypothesis for the reduced instance.
     """
+    pres = sub.presentation
     r = len(basis_rows)
     n = pres.n
     steps_sub = []
@@ -525,14 +478,14 @@ def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
     d = pres.d
     cols = []
     for y, a2 in zip(sub.ys, steps_sub):
-        col = [_embed_poly(p, r, n, into_w=False) for p in y]
+        col = [_embed_poly(p, r) for p in y]
         wmono = [0] * r
         for t, v in enumerate(a2):
             wmono[t] = v
         sym = LaurentPoly.monomial(tuple(wmono) + (0,) * n) - LaurentPoly.one(nv)
         cols.append(col + [sym])
     for rel in pres.rels_N:
-        cols.append([_embed_poly(-p, r, n, into_w=False) for p in rel] + [LaurentPoly.zero(nv)])
+        cols.append([_embed_poly(-p, r) for p in rel] + [LaurentPoly.zero(nv)])
     rhos = []
     for t in range(r):
         w_e = [0] * r
@@ -574,7 +527,7 @@ def _repose_sublattice(pres: ModulePresentation, sub: GeneratorSet,
     return gens_w, steps_sub
 
 
-def _decide_generating_set(pres: ModulePresentation, sub: GeneratorSet, budget: Budget,
+def _decide_generating_set(sub: GeneratorSet, budget: Budget,
                            deadline: Optional[float]) -> Verdict:
     """Group Problem for `sub`, with sublattice reduction when its steps do
     not span Z^n.  Past `deadline` the verdict is UNKNOWN with `timed_out`."""
@@ -585,11 +538,11 @@ def _decide_generating_set(pres: ModulePresentation, sub: GeneratorSet, budget: 
 
     try:
         if full:
-            basis = syzygy_basis(pres, sub.ys, sub.steps, deadline=deadline)
+            basis = syzygy_basis(sub.presentation, sub.ys, sub.steps, deadline=deadline)
             return decide_core(basis.generators, sub.steps, sub.K, sub.n, budget,
                                verify, deadline)
         lattice_basis = linalg.hermite_row_basis(sub.steps)
-        gens_w, steps_w = _repose_sublattice(pres, sub, lattice_basis, deadline)
+        gens_w, steps_w = _repose_sublattice(sub, lattice_basis, deadline)
         return decide_core(gens_w, steps_w, sub.K, len(lattice_basis), budget,
                            verify, deadline)
     except GroebnerBudgetError:
@@ -606,7 +559,7 @@ def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget,
     verdict is UNKNOWN with `timed_out`."""
     if deadline is None:
         deadline = _deadline(budget)
-    verdict = _decide_generating_set(gens.presentation, gens.subset(indices), budget, deadline)
+    verdict = _decide_generating_set(gens.subset(indices), budget, deadline)
     if verdict.kind == "yes":
         verdict.witness["word_in_original_letters"] = [
             indices[l - 1] for l in verdict.witness["word"]

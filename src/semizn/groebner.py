@@ -294,10 +294,6 @@ def _reduce_basis(basis: list[_Entry], order: TermOrder):
     return reduced, combs
 
 
-def is_member(vec: dict, basis: list[_Entry], order: TermOrder) -> bool:
-    return not normal_form(vec, basis, order)
-
-
 # ---------------------------------------------------------------------------
 # Derived computations
 # ---------------------------------------------------------------------------

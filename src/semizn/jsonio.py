@@ -171,21 +171,23 @@ def graph_from_json(data, steps=None) -> StepGraph:
             raise FormatError('graph: missing "steps" table and no instance supplied')
     if not isinstance(data["edges"], list):
         raise FormatError("graph.edges: need an array of edges")
-    if not isinstance(steps, list) or not all(isinstance(a, list) for a in steps):
-        raise FormatError("graph.steps: need an array of step vectors")
+    if not isinstance(steps, list) or not all(_int_list(a) for a in steps):
+        raise FormatError("graph.steps: need an array of integer step vectors")
     edges = []
     for i, e in enumerate(data["edges"]):
-        if not isinstance(e, dict) or not isinstance(e.get("s"), list) or "label" not in e:
-            raise FormatError(f'graph.edges[{i}]: need {{"s": [...], "label": int}}')
-        try:
-            label = int(e["label"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"graph.edges[{i}].label: need an integer") from exc
-        edges.append((tuple(e["s"]), label))
+        if not isinstance(e, dict) or not _int_list(e.get("s")) or "label" not in e:
+            raise FormatError(f'graph.edges[{i}]: need {{"s": [int, ...], "label": int}}')
+        if not isinstance(e["label"], int):
+            raise FormatError(f"graph.edges[{i}].label: need an integer")
+        edges.append((tuple(e["s"]), e["label"]))
     try:
         return StepGraph(steps, edges)
-    except (TypeError, ValueError) as exc:  # a non-integer coordinate
+    except ValueError as exc:  # a label out of range or a wrong length
         raise FormatError(f"graph: {exc}") from exc
+
+
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, int) for v in x)
 
 
 # -- verdicts and witnesses ------------------------------------------------------

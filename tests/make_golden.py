@@ -15,9 +15,8 @@ analyze --certificate` and `semizn euler-close` documents (with their exit
 codes) of the graph files in `instances/`, and the `check_escape_condition`
 face report of every YES in `data/golden_verdicts.json` whose witness
 carries position polynomials.
-Cases that raise (other than HypothesisError, which is recorded as such) or
-take longer than `SLOW_S` are left out of the files, so the checks stay
-fast.  `test_golden.py` recomputes every digest in them.
+Cases that raise or take longer than `SLOW_S` are left out of the files,
+so the checks stay fast.  `test_golden.py` recomputes every digest in them.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from math import gcd
 from semizn import jsonio
 from semizn.algebra import ModulePresentation, syzygy_basis
 from semizn.cli import main as cli_main
-from semizn.decide import Budget, HypothesisError, decide_group, decide_identity, decide_inverse
+from semizn.decide import Budget, decide_group, decide_identity, decide_inverse
 from semizn.group import GeneratorSet, GroupElement
 from semizn.laurent import LaurentPoly
 from semizn.positions import check_escape_condition
@@ -138,14 +137,9 @@ def cases():
 
 
 def digest(decide, gens) -> str:
-    """sha256 of the canonical verdict JSON, or the HypothesisError's
-    sublattice basis."""
-    try:
-        verdict = decide(gens, Budget())
-    except HypothesisError as exc:
-        return "HypothesisError " + json.dumps(exc.sublattice_basis)
-    text = jsonio.dumps(jsonio.verdict_to_json(verdict))
-    return _sha256(text)
+    """sha256 of the canonical verdict JSON."""
+    verdict = decide(gens, Budget())
+    return _sha256(jsonio.dumps(jsonio.verdict_to_json(verdict)))
 
 
 def syzygy_cases():

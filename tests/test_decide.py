@@ -7,10 +7,10 @@ from types import SimpleNamespace
 import pytest
 
 from semizn import decide, geometry, groebner, linalg
-from semizn.algebra import ModulePresentation, clear_vector, laurent_syzygies
-from semizn.decide import (Budget, HypothesisError, decide_group, decide_identity,
-                           decide_inverse, decide_subset, locr_refute, oracle_bfs,
-                           procedure_a, sample_points, verify_witness)
+from semizn.algebra import ModulePresentation, clear_vector, laurent_syzygies, syzygy_basis
+from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
+                           decide_subset, locr_events, oracle_bfs, procedure_a_events,
+                           sample_points, verify_witness)
 from semizn.ggraph import graph_of_word
 from semizn.groebner import GroebnerBudgetError, saturated_basis
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
@@ -37,33 +37,40 @@ def test_decide_group_one_way_no():
     assert v.certificate["sample"] == ["1"]
 
 
-def test_decide_group_hypothesis_violation():
-    pres = free_presentation(1)
-    gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly.one(1)], (2,))])
-    with pytest.raises(HypothesisError) as e:
-        decide_group(gens, Budget())
-    assert e.value.sublattice_basis == [[2]]
-
-
 def test_exhausted_budget_unknown():
     v = decide_group(one_way(), Budget(degree=0, samples=0))
     assert v.kind == "unknown"
     assert v.budget_report["samples"] == 0
 
 
+def _first_event(events):
+    return next((e for e in events if e is not None), None)
+
+
+def _positive_search(gens):
+    basis = syzygy_basis(gens.presentation, gens.ys, gens.steps).generators
+    maker = decide._yes_maker(gens.steps, Budget(), lambda w: verify_witness(w, gens))
+    return _first_event(procedure_a_events(basis, gens.steps, gens.K, gens.n, Budget(), maker))
+
+
+def _refuter(gens):
+    basis = syzygy_basis(gens.presentation, gens.ys, gens.steps).generators
+    return _first_event(locr_events(basis, gens.K, gens.n, Budget()))
+
+
 def test_procedure_a_alone():
-    v = procedure_a(inverse_pair(), Budget())
-    assert v.kind == "yes"
+    v = _positive_search(inverse_pair())
+    assert v.kind == "yes" and verify_witness(v.witness["word"], inverse_pair())
     # single non-invertible generator with zero step: empty relation module
     pres = free_presentation(1)
     gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly.one(1)], (0,))])
-    assert procedure_a(gens, Budget()).kind == "unknown"
-    assert locr_refute(gens, Budget()).kind == "no"
+    assert _positive_search(gens) is None
+    assert _refuter(gens).kind == "no"
 
 
 def test_locr_refute_alone():
-    assert locr_refute(one_way(), Budget()).kind == "no"
-    assert locr_refute(inverse_pair(), Budget()).kind == "unknown"  # indeed a group
+    assert _refuter(one_way()).kind == "no"
+    assert _refuter(inverse_pair()) is None  # indeed a group
 
 
 def test_sample_schedule_deterministic():
@@ -380,7 +387,7 @@ def test_rank0_route_matches_reference():
                                 for _ in range(d)], zero_step)
             for _ in range(rng.randint(1, 3))])
         want = ref_constants_module(pres, sub.ys, None)
-        gens_w, steps_w = decide._repose_sublattice(pres, sub, [], None)
+        gens_w, steps_w = decide._repose_sublattice(sub, [], None)
         assert steps_w == [()] * sub.K
         assert [[p.terms.get((), 0) for p in g] for g in gens_w] == want
         nonempty += bool(want)
@@ -491,3 +498,61 @@ def test_oracle_soundness_beyond_rank_one(n, shapes, budget):
                 assert oracle_bfs(gens, 6) is None, (shape, rels)
             kinds.append(v.kind)
     assert {"yes", "no"} <= set(kinds)
+
+
+_SUBLATTICES = {1: [[], [[2]], [[3]]],
+                2: [[], [[1, 0]], [[1, -1]], [[2, 0], [0, 1]], [[1, 1], [1, -1]]]}
+
+
+def _sublattice_set(rng, pres, shape, K):
+    """K generators with 1-term (or zero) y's whose steps are combinations,
+    with coefficients in [-1, 1], of the rows of a basis of a proper
+    sublattice of Z^n (rank 0 included): g, g^-1 and random ones; g, h,
+    (gh)^-1 and random ones; or K random ones."""
+    n = pres.n
+    basis = rng.choice(_SUBLATTICES[n])
+
+    def element():
+        c = [rng.randint(-1, 1) for _ in basis]
+        a = tuple(sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(n))
+        return GroupElement(pres, [random_poly(rng, n, max_terms=1, exp=1, coef=2)], a)
+
+    if shape == "pairs":
+        g = element()
+        els = [g, g.inverse()] + [element() for _ in range(K - 2)]
+    elif shape == "ghk":
+        g, h = element(), element()
+        els = [g, h, (g * h).inverse()] + [element() for _ in range(K - 3)]
+    else:
+        els = [element() for _ in range(K)]
+    return GeneratorSet(pres, els)
+
+
+def test_decide_group_proper_sublattice():
+    """Steps spanning a proper sublattice are re-posed, as for a subset:
+    every YES word verifies in the original letters, its graph is over the
+    sublattice's Hermite basis, and no NO has a word of length <= 6, on
+    seeded n = 1 and n = 2 sets over Z[X^pm] and (Z/2)[X^pm].  Re-posing a
+    rank-2 sublattice of Z^2 can take half a minute, so each decision has a
+    2 s timeout; an UNKNOWN is sound and allowed."""
+    rng = random.Random(65)
+    kinds, ranks = [], []
+    for case in range(24):
+        n = 1 + case % 2
+        rels = [] if case % 4 < 2 else [[LaurentPoly.constant(n, 2)]]
+        pres = ModulePresentation(n=n, d=1, rels_N=rels)
+        shape = ("pairs", "ghk", "random")[case // 4 % 3]
+        K = rng.randint({"pairs": 2, "ghk": 3, "random": 1}[shape], 4)
+        gens = _sublattice_set(rng, pres, shape, K)
+        rank, full = linalg.lattice_rank_and_full(gens.steps, n)
+        assert not full
+        v = decide_group(gens, Budget(timeout=2))
+        if v.kind == "yes":
+            assert verify_witness(v.witness["word"], gens)
+            assert v.witness["graph"].n == rank
+        elif v.kind == "no":
+            assert oracle_bfs(gens, 6) is None, (shape, rels)
+        kinds.append(v.kind)
+        ranks.append(rank)
+    assert kinds.count("yes") >= 8 and kinds.count("no") >= 4, kinds
+    assert kinds.count("unknown") <= 3 and 0 in ranks and 2 in ranks
