@@ -77,7 +77,6 @@ def _budget(args) -> Budget:
     return Budget(
         degree=args.budget_degree,
         samples=args.samples,
-        seed=args.seed,
         closure_n=args.closure_n,
         timeout=args.timeout,
     )
@@ -91,7 +90,6 @@ def _add_budget_flags(p):
     default = Budget()
     p.add_argument("--budget-degree", type=int, default=default.degree)
     p.add_argument("--samples", type=int, default=default.samples)
-    p.add_argument("--seed", type=int, default=default.seed)
     p.add_argument("--closure-n", type=int, default=default.closure_n)
     p.add_argument("--timeout", type=float, default=default.timeout)
     p.add_argument("--certificate", action="store_true",

@@ -15,7 +15,7 @@ The Group Problem runs two sound half-procedures against each other:
 
 Neither side is complete on its own; an exhausted budget is an honest
 UNKNOWN.  The two sides are interleaved cooperatively under a fixed
-schedule, so the verdict is a pure function of instance, budget and seed.
+schedule, so the verdict is a pure function of instance and budget.
 
 Group, Identity and Inverse run one core on a generating set: Group on the
 whole set, Identity and Inverse on subsets of it.  "The steps generate Z^n"
@@ -31,9 +31,9 @@ deadline, started at entry, bounds the Groebner phases and the search.
 from __future__ import annotations
 
 import itertools
-import random
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -58,7 +58,6 @@ class Budget:
 
     degree: int = 2
     samples: int = 12
-    seed: int = 0
     closure_n: int = 16
     timeout: Optional[float] = None
 
@@ -136,39 +135,32 @@ def oracle_bfs(gens: GeneratorSet, max_len: int) -> Optional[list[int]]:
 # The LocR refuter
 # ---------------------------------------------------------------------------
 
-# The positive rationals p/q of height p + q <= 11, by height and then p,
-# each once: 1, 1/2, 2, 1/3, 3, ... (41 of them).
-_SCALARS = tuple(dict.fromkeys(Fraction(p, h - p) for h in range(2, 12) for p in range(1, h)))
+def _positive_rationals():
+    """The positive rationals p/q by height p + q and then p, each once:
+    1, 1/2, 2, 1/3, 3, 1/4, 2/3, 3/2, 4, ..."""
+    for h in itertools.count(2):
+        for p in range(1, h):
+            if math.gcd(p, h - p) == 1:
+                yield Fraction(p, h - p)
 
 
-def sample_points(n: int, count: int, seed: int):
-    """Deterministic positive rational sample schedule: all-ones first, then
-    a low-height grid spiral, then seeded pseudo-random rationals."""
+def sample_points(n: int, count: int):
+    """The refuter's schedule: the first `count` points of a grid spiral over
+    the positive rationals in height order.  Level L of the spiral holds the
+    points of Q_{>0}^n whose largest height index is L - 1, so all-ones comes
+    first and every point comes once.  At n = 0 the one point is ()."""
     if n == 0:
-        yield ()
-        return
-    emitted = 0
-    level = 1
-    rng = random.Random(seed)
-    seen = set()
-    while emitted < count:
-        if level <= 6:
-            for combo in itertools.product(range(level), repeat=n):
-                if max(combo) == level - 1:
-                    pt = tuple(_SCALARS[i] for i in combo)
-                    if pt not in seen:
-                        seen.add(pt)
-                        yield pt
-                        emitted += 1
-                        if emitted >= count:
-                            return
-            level += 1
-        else:
-            pt = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(n))
-            if pt not in seen:
-                seen.add(pt)
-                yield pt
-                emitted += 1
+        return iter([()])
+    return itertools.islice(_grid_spiral(n), count)
+
+
+def _grid_spiral(n: int):
+    scalars = []
+    for top, scalar in enumerate(_positive_rationals()):
+        scalars.append(scalar)
+        for combo in itertools.product(range(top + 1), repeat=n):
+            if max(combo) == top:
+                yield tuple(scalars[i] for i in combo)
 
 
 def locr_events(generators, K: int, n: int, budget: Budget):
@@ -179,7 +171,7 @@ def locr_events(generators, K: int, n: int, budget: Budget):
     point is necessary for a positive solution to exist, and positivity at a
     point reduces to linear feasibility over the generator evaluations."""
     tested = 0
-    for r in sample_points(n, budget.samples, budget.seed):
+    for r in sample_points(n, budget.samples):
         tested += 1
         columns = [
             [g[i].evaluate_positive(r) for i in range(K)] for g in generators
@@ -395,16 +387,10 @@ def _passed(deadline: Optional[float]) -> bool:
 
 
 def _unknown(budget: Budget, timed_out: bool) -> Verdict:
-    return Verdict(
-        kind="unknown",
-        budget_report={
-            "degree": budget.degree,
-            "samples": budget.samples,
-            "seed": budget.seed,
-            "closure_n": budget.closure_n,
-            "timed_out": timed_out,
-        },
-    )
+    report = asdict(budget)
+    del report["timeout"]
+    report["timed_out"] = timed_out
+    return Verdict(kind="unknown", budget_report=report)
 
 
 def decide_core(generators, steps, K: int, n: int, budget: Budget,
@@ -576,25 +562,26 @@ def _subsets(indices: Sequence[int]):
 
 def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     """YES from the first subset that generates a group; NO once every
-    subset is refuted.  One deadline, started here, covers all subsets:
-    once it has passed, the remaining subsets are not tried and the verdict
-    is UNKNOWN with `timed_out`."""
+    subset is refuted; otherwise UNKNOWN, naming every subset left without a
+    verdict.  One deadline, started here, covers all subsets: once it has
+    passed, the remaining subsets are not tried and the report also says
+    `timed_out`."""
     deadline = _deadline(budget)
-    any_unknown = False
+    unresolved = []
     refutations = []
-    for subset in subsets:
+    for subset in map(list, subsets):
         if _passed(deadline):
-            any_unknown = True
-            break
-        v = decide_subset(gens, list(subset), budget, deadline)
+            unresolved.append(subset)
+            continue
+        v = decide_subset(gens, subset, budget, deadline)
         if v.kind == "yes":
             return v
         if v.kind == "unknown":
-            any_unknown = True
+            unresolved.append(subset)
         else:
-            refutations.append({"subset": list(subset), "certificate": v.certificate})
-    if any_unknown:
-        report = {"reason": "some subsets unresolved"}
+            refutations.append({"subset": subset, "certificate": v.certificate})
+    if unresolved:
+        report = {"reason": "some subsets unresolved", "unresolved": unresolved}
         if _passed(deadline):
             report["timed_out"] = True
         return Verdict(kind="unknown", budget_report=report)

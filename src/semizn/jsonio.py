@@ -220,5 +220,9 @@ def witness_from_json(data, gens: GeneratorSet):
             raise FormatError("witness.word: need an array of letters")
         return list(word)
     if data["type"] == "graph":
-        return graph_from_json(data.get("graph"), steps=[list(a) for a in gens.steps])
+        graph, steps = data.get("graph"), [list(a) for a in gens.steps]
+        own = graph.get("steps") if isinstance(graph, dict) else None
+        if own is not None and own != steps:
+            raise FormatError(f"witness.graph.steps: {own} differ from the instance's steps {steps}")
+        return graph_from_json(graph, steps=steps)
     raise FormatError(f"witness.type: unknown type {data['type']!r}")

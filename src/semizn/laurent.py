@@ -88,10 +88,6 @@ class LaurentPoly:
     def has_positive_coeffs(self) -> bool:
         return bool(self.terms) and all(c > 0 for c in self.terms.values())
 
-    def height(self) -> int:
-        """Max absolute coefficient (0 for the zero polynomial)."""
-        return max((abs(c) for c in self.terms.values()), default=0)
-
     # -- ring ops ----------------------------------------------------------
     def _check(self, other: "LaurentPoly"):
         if self.n != other.n:

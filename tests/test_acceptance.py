@@ -334,12 +334,14 @@ def test_criterion_9_determinism():
     commands = [
         ("check", "group", os.path.join(inst, "inverse_pair.json")),
         ("check", "group", os.path.join(inst, "one_way.json")),
-        ("check", "group", os.path.join(inst, "wreath_pairs.json"), "--seed", "7"),
+        ("check", "group", os.path.join(inst, "wreath_pairs.json")),
         ("syzygy", os.path.join(inst, "wreath_pairs.json")),
         ("euler-close", os.path.join(inst, "disjoint_loops_graph.json")),
         ("graph", "word", os.path.join(inst, "fig2.json"), "--word", "1 2 2 3 3 1 3"),
     ]
     for cmd in commands:
-        outputs = {(_cli(*cmd))[1] for _ in range(3)}
-        assert len(outputs) == 1, cmd
+        runs = {_cli(*cmd) for _ in range(3)}
+        assert len(runs) == 1, cmd
+        code, out = runs.pop()
+        assert code in (0, 1, 2) and out, (cmd, code)
     _report("criterion 9", f"{len(commands)} commands byte-identical across 3 runs")

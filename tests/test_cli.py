@@ -166,6 +166,27 @@ def test_emitted_witness_reverifies(tmp_path):
     assert code == 1
 
 
+def test_graph_witness_over_other_steps_is_a_data_error(tmp_path, capsys):
+    """A graph witness is checked over the instance's steps, so a graph
+    whose own steps differ (here the fig2 graph, over the sublattice basis)
+    is malformed for that instance; its word verifies."""
+    code, out = run("check", "group", path("fig2.json"))
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    word, graph = tmp_path / "word.json", tmp_path / "graph.json"
+    word.write_text(json.dumps({"type": "word", "word": witness["word"]}))
+    graph.write_text(json.dumps({"type": "graph", "graph": witness["graph"]}))
+    assert run("verify", str(word), path("fig2.json")) == (0, '{"valid":true}\n')
+    code, out = run("verify", str(graph), path("fig2.json"))
+    assert code == 65 and out == ""
+    err = capsys.readouterr().err
+    assert "[[-1, 3], [1, 0], [0, -2]]" in err and "[[-2, 3], [2, 0], [0, -2]]" in err
+    # a graph over the instance's own steps still verifies
+    code, out = run("check", "group", path("wreath_pairs.json"))
+    graph.write_text(json.dumps({"type": "graph", "graph": json.loads(out)["witness"]["graph"]}))
+    assert run("verify", str(graph), path("wreath_pairs.json")) == (0, '{"valid":true}\n')
+
+
 def test_byte_identical_outputs():
     outs = {run("check", "group", path("inverse_pair.json"))[1] for _ in range(3)}
     assert len(outs) == 1

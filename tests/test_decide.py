@@ -74,13 +74,15 @@ def test_locr_refute_alone():
 
 
 def test_sample_schedule_deterministic():
-    a = list(sample_points(2, 10, seed=0))
-    b = list(sample_points(2, 10, seed=0))
+    a = list(sample_points(2, 10))
+    b = list(sample_points(2, 10))
     assert a == b
     assert a[0] == (Fraction(1), Fraction(1))
     assert len(set(a)) == 10
     assert all(x > 0 for pt in a for x in pt)
-    assert list(sample_points(0, 5, seed=0)) == [()]
+    assert list(sample_points(0, 5)) == [()]
+    assert list(sample_points(1, 9)) == [(Fraction(x),) for x in
+                                         ("1", "1/2", "2", "1/3", "3", "1/4", "2/3", "3/2", "4")]
 
 
 # -- reference: sample_points before its scalar ladder was built once ---------
@@ -126,11 +128,30 @@ def ref_sample_points(n: int, count: int, seed: int):
                 emitted += 1
 
 
+def height_spiral(n: int, levels: int):
+    """The grid spiral over the positive rationals sorted by height p + q and
+    then p: level L holds the points whose coordinates all lie among the
+    first L rationals and include the L-th."""
+    ladder = sorted({Fraction(p, q) for p in range(1, 40) for q in range(1, 40)},
+                    key=lambda f: (f.numerator + f.denominator, f.numerator))
+    return [pt for top in range(levels) for pt in itertools.product(ladder[:top + 1], repeat=n)
+            if ladder[top] in pt]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_sample_schedule_matches_reference(n):
-    for count in (0, 1, 12, 60):
+    """The reference's grid prefix (levels 1-6, 6^n points) does not depend
+    on its seed, and the schedule equals it there for every seed.  Past the
+    prefix, where the reference drew seeded random points, the schedule
+    continues the spiral by height, every point once."""
+    prefix = 6 ** n if n else 1
+    for count in (0, 1, min(12, prefix), prefix):
         for seed in (0, 1, 7):
-            assert list(sample_points(n, count, seed)) == list(ref_sample_points(n, count, seed))
+            assert list(sample_points(n, count)) == list(ref_sample_points(n, count, seed))
+    if n:
+        longer = list(sample_points(n, prefix + 60))
+        assert longer == height_spiral(n, 66)[:prefix + 60]
+        assert len(set(longer)) == len(longer)
 
 
 def k5_instance():
@@ -277,11 +298,67 @@ def test_oracle_bfs_examples():
 
 
 def test_determinism_of_verdicts():
-    runs = [decide_group(inverse_pair(), Budget(seed=3)) for _ in range(2)]
+    runs = [decide_group(inverse_pair(), Budget()) for _ in range(2)]
     assert runs[0].kind == runs[1].kind == "yes"
     assert runs[0].witness["word"] == runs[1].witness["word"]
-    nos = [decide_group(one_way(), Budget(seed=3)) for _ in range(2)]
+    nos = [decide_group(one_way(), Budget()) for _ in range(2)]
     assert nos[0].certificate == nos[1].certificate
+
+
+def _n1_poly(*terms):
+    return LaurentPoly(1, {(e,): c for e, c in terms})
+
+
+def test_refuted_at_height_ninth_sample():
+    """Over Z[X^pm]/(X - 2) with steps +-2, as in three seeded perfbench
+    subset ops: the pair is re-posed over W = X^2, where the obstruction
+    sits at W = 4, the ninth point of the schedule."""
+    pres = ModulePresentation(n=1, d=1, rels_N=[[_n1_poly((1, 1), (0, -2))]])
+    gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly.one(1)], (2,)),
+                               GroupElement(pres, [LaurentPoly.zero(1)], (-2,))])
+    v = decide_identity(gens, Budget())
+    assert v.kind == "no"
+    pair = v.certificate["subsets"][-1]
+    assert pair["subset"] == [1, 2]
+    assert pair["certificate"] == {"dual": ["1", "0"], "sample": ["4"], "samples_tested": 9}
+    assert oracle_bfs(gens, 8) is None
+
+
+def test_irrational_obstruction_stays_unknown():
+    """The relation module (X^2 - 2)(1, X)Z[X^pm] vanishes at sqrt 2, so the
+    set is provably not a group, but no rational sample sees it: a known
+    limit of the refuter, UNKNOWN at every sample count."""
+    pres = ModulePresentation(n=1, d=1, rels_N=[[_n1_poly((2, 1), (0, -2))]])
+    gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly.one(1)], (1,)),
+                               GroupElement(pres, [LaurentPoly.zero(1)], (-1,))])
+    assert decide_group(gens, Budget()).kind == "unknown"
+    v = decide_identity(gens, Budget())
+    assert v.kind == "unknown" and v.budget_report["unresolved"] == [[1, 2]]
+
+
+def test_oracle_soundness_of_n1_refutations():
+    """Seeded n = 1 sets over Z[X^pm] and Z[X^pm]/(X - 2), (X - 3), (2X - 1),
+    steps +-1 and +-2: no subset of an Identity NO has a word of length
+    <= 6, and some NO is certified past the schedule's first 6 points."""
+    modules = [[], [[_n1_poly((1, 1), (0, -2))]], [[_n1_poly((1, 1), (0, -3))]],
+               [[_n1_poly((1, 2), (0, -1))]]]
+    rng = random.Random(15)
+    kinds, late = [], 0
+    for case in range(32):
+        pres = ModulePresentation(n=1, d=1, rels_N=modules[case % len(modules)])
+        K = rng.randint(2, 3)
+        gens = GeneratorSet(pres, [
+            GroupElement(pres, [_n1_poly(*[(rng.randint(-2, 2), rng.choice([-2, -1, 1, 2]))]
+                                         * rng.randint(0, 1))], (rng.choice([-2, -1, 1, 2]),))
+            for _ in range(K)])
+        v = decide_identity(gens, Budget(timeout=2))
+        if v.kind == "no":
+            for size in range(1, K + 1):
+                for sub in itertools.combinations(range(1, K + 1), size):
+                    assert oracle_bfs(gens.subset(list(sub)), 6) is None, (case, sub)
+            late += any(c["certificate"]["samples_tested"] > 6 for c in v.certificate["subsets"])
+        kinds.append(v.kind)
+    assert kinds.count("no") >= 16 and late >= 1, (kinds, late)
 
 
 def test_decide_identity_examples():
