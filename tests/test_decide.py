@@ -128,14 +128,16 @@ def ref_sample_points(n: int, count: int, seed: int):
                 emitted += 1
 
 
-def height_spiral(n: int, levels: int):
-    """The grid spiral over the positive rationals sorted by height p + q and
-    then p: level L holds the points whose coordinates all lie among the
-    first L rationals and include the L-th."""
+def height_spiral(n: int):
+    """The grid spiral over the positive rationals of height <= 40, sorted
+    by height p + q and then p: level L holds the points whose coordinates
+    all lie among the first L rationals and include the L-th."""
     ladder = sorted({Fraction(p, q) for p in range(1, 40) for q in range(1, 40)},
                     key=lambda f: (f.numerator + f.denominator, f.numerator))
-    return [pt for top in range(levels) for pt in itertools.product(ladder[:top + 1], repeat=n)
-            if ladder[top] in pt]
+    for top in range(len(ladder)):
+        for pt in itertools.product(ladder[:top + 1], repeat=n):
+            if ladder[top] in pt:
+                yield pt
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -150,7 +152,7 @@ def test_sample_schedule_matches_reference(n):
             assert list(sample_points(n, count)) == list(ref_sample_points(n, count, seed))
     if n:
         longer = list(sample_points(n, prefix + 60))
-        assert longer == height_spiral(n, 66)[:prefix + 60]
+        assert longer == list(itertools.islice(height_spiral(n), prefix + 60))
         assert len(set(longer)) == len(longer)
 
 
@@ -172,12 +174,14 @@ def test_one_deadline_for_all_subsets(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(decide, "decide_subset", counted)
-    for run in (lambda b: decide_identity(k5_instance(), b),
-                lambda b: decide_inverse(k5_instance(), 3, b)):
+    for run, subsets in ((lambda b: decide_identity(k5_instance(), b), 31),
+                         (lambda b: decide_inverse(k5_instance(), 3, b), 16)):
         calls.clear()
         v = run(Budget(timeout=0))
         assert len(calls) <= 1
         assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+        # every subset is unresolved, the untried ones included
+        assert len(v.budget_report["unresolved"]) == subsets
     # without a timeout every subset is refuted
     calls.clear()
     v = decide_identity(k5_instance(), Budget(samples=2, degree=0))
