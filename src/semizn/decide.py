@@ -19,11 +19,12 @@ schedule, so the verdict is a pure function of instance and budget.
 
 Group, Identity and Inverse run one core on a generating set: Group on the
 whole set, Identity and Inverse on subsets of it.  "The steps generate Z^n"
-is a normal form, not a limit on the input: a set whose steps span a
-proper sublattice is re-posed over the Hermite basis of that sublattice,
-and its YES witness carries positions and a graph over that basis (the
-word is in the set's own letters).  At rank 0 the basis is empty, and the
-same core at n = 0 decides the exact rational feasibility the problem
+is a normal form, not a limit on the input: every set is re-posed over the
+Hermite basis of the lattice its steps span, by restriction of scalars in
+the same n variables (one coset and no elimination when the steps generate
+Z^n), and its YES witness carries positions and a graph over that basis
+(the word is in the set's own letters).  At rank 0 the basis is empty, and
+the same core at n = 0 decides the exact rational feasibility the problem
 degenerates to: the refuter's one sample is the empty point, and the
 window LP finds a strictly positive combination whenever one exists.  One
 deadline, started at entry, bounds the Groebner phases and the search.
@@ -38,8 +39,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from semizn import linalg, positions
-from semizn.algebra import (clear_vector, laurent_syzygies, normalize_unit, raw_to_vector,
+from semizn.algebra import (ModulePresentation, clear_vector, normalize_unit, raw_to_vector,
                             syzygy_basis)
+from semizn.algebra import laurent_syzygies  # noqa: F401  (perfbench/tracer.py patches it here)
 from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.geometry import HullTooLargeError
 from semizn.ggraph import StepGraph
@@ -220,8 +222,14 @@ class _WindowSearch:
     slots form a union-closed family (solutions add), so the unique maximal
     support is reached by rounds of small feasibility systems, each keeping
     the achieved slots positive and demanding at least one new one; the
-    escape condition depends only on supports.  No round starts past the
-    deadline: the window then gives no candidate."""
+    escape condition depends only on supports.  Slots at the support points
+    in `cut` are held at zero: when the maximal candidate fails the escape
+    condition on a face F, no element of the window whose support meets F
+    passes (its own face in that direction lies on F, where every slot's step
+    is parallel to F), so `procedure_a_events` cuts F's points and maximises
+    again.  Each cut removes at least one slot, so within its window the
+    search finds a passing element whenever one exists.  No round starts
+    past the deadline: the window then gives no candidate."""
 
     size_cap = 120  # multiplier-variable cap per window; beyond it, skip
 
@@ -230,7 +238,7 @@ class _WindowSearch:
         self.K = K
         self.n = n
 
-    def candidate(self, window: int, deadline: Optional[float] = None):
+    def candidate(self, window: int, deadline: Optional[float] = None, cut=frozenset()):
         if not self.generators:
             return None
         n, K = self.n, self.K
@@ -263,7 +271,8 @@ class _WindowSearch:
 
         slot_list = [(i, beta) for i in range(K) for beta in universe[i]]
         rows = {s: coeff_row(*s) for s in slot_list}
-        base = [(rows[s], ">=", 0) for s in slot_list]
+        base = [(rows[s], "==" if s[1] in cut else ">=", 0) for s in slot_list]
+        free = [s for s in slot_list if s[1] not in cut]
         for i in range(K):
             total = [sum(col) for col in zip(*(rows[(i, b)] for b in universe[i]))]
             base.append((total, ">=", 1))  # coordinate i is nonzero
@@ -273,11 +282,11 @@ class _WindowSearch:
         if point is None:
             return None
         achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
-        while len(achieved) < len(slot_list):
+        while len(achieved) < len(free):
             if _passed(deadline):
                 return None
             cons = base + [(rows[s], ">=", 1) for s in achieved]
-            fresh = [sum(col) for col in zip(*(rows[s] for s in slot_list if s not in achieved))]
+            fresh = [sum(col) for col in zip(*(rows[s] for s in free if s not in achieved))]
             cons.append((fresh, ">=", 1))
             nxt = linalg.lp_feasible_point(cons, nlam)
             if nxt is None:
@@ -299,43 +308,50 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
     """Yield None per generator and per window, or a YES Verdict for the
     first all-positive relation-module element passing the escape
     condition.  A window cut short by `deadline` yields None."""
-    seen = set()
+    seen = {}  # candidate -> its support points on faces failing the escape condition
     tested = 0
 
     def consider(fs):
+        """A YES Verdict or None, and the support points of `fs` on the
+        faces where it fails the escape condition."""
         nonlocal tested
         key = tuple(frozenset(f.terms.items()) for f in fs)
         if key in seen:
-            return None
-        seen.add(key)
+            return None, seen[key]
+        seen[key] = frozenset()
         if not all(f.has_positive_coeffs() for f in fs):
-            return None
+            return None, seen[key]
         tested += 1
         try:
-            ok, _ = positions.check_escape_condition(fs, steps)
+            ok, report = positions.check_escape_condition(fs, steps)
         except HullTooLargeError:
-            return None
-        if not ok:
-            return None
-        return make_witness(fs, tested)
+            return None, seen[key]
+        if ok:
+            return make_witness(fs, tested), seen[key]
+        seen[key] = frozenset(tuple(p) for face in report if not face["accessible"]
+                              for p in face["face"])
+        return None, seen[key]
 
     # single generators and their sign flips
     for g in generators:
         for cand in (g, [(-p) for p in g]):
-            v = consider(normalize_unit(cand, n))
+            v, _ = consider(normalize_unit(cand, n))
             if v is not None:
                 yield v
                 return
         yield None
-    # LP window search with greedy support maximization
+    # LP window search with greedy support maximization and face cuts
     search = _WindowSearch(generators, K, n)
     for window in range(0, budget.degree + 1):
-        cand = search.candidate(window, deadline)
-        if cand is not None:
-            v = consider(cand)
+        cut = frozenset()
+        while (cand := search.candidate(window, deadline, cut)) is not None:
+            v, blocked = consider(cand)
             if v is not None:
                 yield v
                 return
+            if not blocked:
+                break
+            cut |= blocked
         yield None
 
 
@@ -421,116 +437,90 @@ def decide_core(generators, steps, K: int, n: int, budget: Budget,
 
 def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     """Decide whether the generated sub-semigroup is a group (sound YES and
-    NO, budget-bounded UNKNOWN).  Steps spanning a proper sublattice of Z^n
-    are re-posed over its Hermite basis, as for every subset.
+    NO, budget-bounded UNKNOWN), re-posed over the Hermite basis of the
+    lattice of its steps, as for every subset.
     `budget.timeout` starts at entry and bounds the Groebner phases too."""
     budget = budget or Budget()
     return _decide_generating_set(gens, budget, _deadline(budget))
 
 
 # ---------------------------------------------------------------------------
-# Sublattice reduction
+# Re-posing over the lattice of the steps
 # ---------------------------------------------------------------------------
 
-def _embed_poly(p: LaurentPoly, r: int) -> LaurentPoly:
-    """Embed an n-variable (X) polynomial into the joint (r+n)-variable
-    ring: W block first, X block second."""
-    return LaurentPoly(r + p.n, {(0,) * r + tuple(e): c for e, c in p.terms.items()})
+def _repose(sub: GeneratorSet, deadline):
+    """Relation-module generators and steps of `sub` over the Hermite basis B
+    of the lattice L its steps span, of rank r >= 0; the steps' B-coordinates
+    generate Z^r, the hypothesis of the core.
 
+    Restriction of scalars: with N the span of the unit vectors off B's
+    pivot columns p_t, Z[X^pm] is free over Z[L + N] on the monomials X^c,
+    c in the box 0 <= c_{p_t} < B_{t,p_t}.  Splitting each exponent column
+    by column (the quotient in the pivot slot, the remainder into the coset,
+    the off-pivot entries as N's coordinates) presents Y over Z[L + N] with
+    d rows per coset: the y_i split by coset, and the relations X^c * rho.
+    One syzygy run in n variables gives the relation module over Z[L + N],
+    and when r < n eliminating N's block (saturated, N dominant) leaves the
+    one over Z[L].  At B = I the split is the identity, so the instance's
+    own presentation is used as it is."""
+    n, d, K = sub.n, sub.presentation.d, sub.K
+    basis = linalg.hermite_row_basis(sub.steps)
+    r = len(basis)
+    rows = {next(j for j, v in enumerate(b) if v): b for b in basis}
+    box = list(itertools.product(*(range(b[p]) for p, b in rows.items())))
+    pres, ys, steps = sub.presentation, sub.ys, sub.steps
+    if r < n or len(box) > 1:
+        coset = {c: k for k, c in enumerate(box)}
 
-def _repose_sublattice(sub: GeneratorSet, basis_rows: list[list[int]], deadline):
-    """Relation-module generators for a set whose steps span the proper
-    sublattice with basis `basis_rows` (rank r >= 0; at rank 0 every step
-    is zero and the generators are constant vectors over zero variables).
+        def split(e):
+            e, w, m, c = list(e), [], [], []
+            for j in range(n):
+                if j in rows:
+                    q, rem = divmod(e[j], rows[j][j])
+                    e = [x - q * y for x, y in zip(e, rows[j])]
+                    w.append(q)
+                    c.append(rem)
+                else:
+                    m.append(e[j])
+            return tuple(w + m), coset[tuple(c)]
 
-    The problem is re-posed over r fresh variables W with W_t acting as
-    X^{B_t}: the joint ring Z[W,X] carries the relations rho_t = W_t - X^{B_t};
-    syzygies of the stacked system (with the relation multiples adjoined)
-    project onto the f-part, and eliminating the X block (saturated, block
-    order X >> W) leaves exactly the W-only relation module.  The step
-    coordinates w.r.t. the lattice basis generate Z^r, restoring the theorem
-    hypothesis for the reduced instance.
-    """
-    pres = sub.presentation
-    r = len(basis_rows)
-    n = pres.n
-    steps_sub = []
-    for a in sub.steps:
-        coords = linalg.lattice_coordinates(basis_rows, list(a))
-        if coords is None:
+        def restrict(vec):
+            out = [{} for _ in range(d * len(box))]
+            for i, p in enumerate(vec):
+                for e, k in p.terms.items():
+                    w, c = split(e)
+                    out[c * d + i][w] = k
+            return [LaurentPoly(n, t) for t in out]
+
+        corners = [[dict(zip(rows, c)).get(j, 0) for j in range(n)] for c in box]  # the X^c
+        pres = ModulePresentation(n, d * len(box), [
+            restrict([p.shift(z) for p in rel]) for rel in pres.rels_N for z in corners])
+        ys = [restrict(y) for y in ys]
+        splits = [split(a) for a in steps]
+        if any(c or any(w[r:]) for w, c in splits):
             raise AssertionError("step outside its own lattice")
-        steps_sub.append(tuple(coords))
-    nv = r + n
-    d = pres.d
-    cols = []
-    for y, a2 in zip(sub.ys, steps_sub):
-        col = [_embed_poly(p, r) for p in y]
-        wmono = [0] * r
-        for t, v in enumerate(a2):
-            wmono[t] = v
-        sym = LaurentPoly.monomial(tuple(wmono) + (0,) * n) - LaurentPoly.one(nv)
-        cols.append(col + [sym])
-    for rel in pres.rels_N:
-        cols.append([_embed_poly(-p, r) for p in rel] + [LaurentPoly.zero(nv)])
-    rhos = []
-    for t in range(r):
-        w_e = [0] * r
-        w_e[t] = 1
-        x_e = [0] * n
-        for i, v in enumerate(basis_rows[t]):
-            x_e[i] = v
-        rho = LaurentPoly.monomial(tuple(w_e) + (0,) * n) - LaurentPoly.monomial(
-            (0,) * r + tuple(x_e)
-        )
-        rhos.append(rho)
-    p_rows = d + 1
-    for rho in rhos:
-        for c in range(p_rows):
-            col = [LaurentPoly.zero(nv) for _ in range(p_rows)]
-            col[c] = rho
-            cols.append(col)
-    K = sub.K
-    syz = laurent_syzygies(cols, p_rows, nv, deadline=deadline)
-    fparts = [s[:K] for s in syz]
-    fparts = [f for f in fparts if not all(q.is_zero() for q in f)]
-    # eliminate the X block from the f-part span (saturated, X dominant)
-    if not fparts:
-        return [], steps_sub
-    raws = [clear_vector(f, nv)[0] for f in fparts]
-    x_block = tuple(range(r, nv))
-    w_block = tuple(range(r))
-    basis, _ = saturated_basis(raws, K, nv, deadline=deadline,
-                               var_blocks=[x_block, w_block])
-    gens_w = []
-    for e in basis:
-        if all(all(mono[i] == 0 for i in x_block) for _, mono in e.vec):
-            vec = raw_to_vector(e.vec, K, nv)
-            reduced = [
-                LaurentPoly(r, {tuple(mono[:r]): c for mono, c in q.terms.items()})
-                for q in vec
-            ]
-            gens_w.append(normalize_unit(reduced, r))
-    return gens_w, steps_sub
+        steps = [w for w, _ in splits]
+    generators = syzygy_basis(pres, ys, steps, deadline=deadline).generators
+    if r < n and generators:
+        raws = [clear_vector(f, n)[0] for f in generators]
+        eliminated, _ = saturated_basis(raws, K, n, deadline=deadline,
+                                        var_blocks=[tuple(range(r, n)), tuple(range(r))])
+        generators = [
+            normalize_unit(raw_to_vector({(i, e[:r]): c for (i, e), c in g.vec.items()}, K, r), r)
+            for g in eliminated if not any(any(e[r:]) for _, e in g.vec)]
+    return generators, [tuple(w[:r]) for w in steps]
 
 
 def _decide_generating_set(sub: GeneratorSet, budget: Budget,
                            deadline: Optional[float]) -> Verdict:
-    """Group Problem for `sub`, with sublattice reduction when its steps do
-    not span Z^n.  Past `deadline` the verdict is UNKNOWN with `timed_out`."""
-    _, full = linalg.lattice_rank_and_full(sub.steps, sub.n)
-
+    """Group Problem for `sub`, re-posed over the lattice of its steps.  Past
+    `deadline` the verdict is UNKNOWN with `timed_out`."""
     def verify(word):
         return verify_witness(word, sub)
 
     try:
-        if full:
-            basis = syzygy_basis(sub.presentation, sub.ys, sub.steps, deadline=deadline)
-            return decide_core(basis.generators, sub.steps, sub.K, sub.n, budget,
-                               verify, deadline)
-        lattice_basis = linalg.hermite_row_basis(sub.steps)
-        gens_w, steps_w = _repose_sublattice(sub, lattice_basis, deadline)
-        return decide_core(gens_w, steps_w, sub.K, len(lattice_basis), budget,
-                           verify, deadline)
+        generators, steps = _repose(sub, deadline)
+        return decide_core(generators, steps, sub.K, len(steps[0]), budget, verify, deadline)
     except GroebnerBudgetError:
         return _unknown(budget, timed_out=True)
 
@@ -538,7 +528,7 @@ def _decide_generating_set(sub: GeneratorSet, budget: Budget,
 def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget,
                   deadline: Optional[float] = None) -> Verdict:
     """Group Problem for the sub-generating-set at the given 1-based indices,
-    with sublattice reduction when the steps do not span Z^n.
+    re-posed over the lattice of its steps.
 
     `deadline` (a `time.monotonic()` value) bounds the Groebner phases and
     the search; by default `budget.timeout` starts at entry.  Past it the
