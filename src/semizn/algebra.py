@@ -52,10 +52,12 @@ def clear_vector(vec: Sequence[LaurentPoly], n: int):
 
 
 def raw_to_vector(raw: dict, p: int, n: int) -> list[LaurentPoly]:
+    """The Laurent vector of a (position, exponent tuple) dict with nonzero
+    int coefficients, as the Groebner engine returns them."""
     polys = [dict() for _ in range(p)]
     for (pos, mono), c in raw.items():
         polys[pos][mono] = c
-    return [LaurentPoly(n, t) for t in polys]
+    return [LaurentPoly._trusted(n, t) for t in polys]
 
 
 def normalize_unit(vec: Sequence[LaurentPoly], n: int) -> list[LaurentPoly]:
@@ -114,7 +116,7 @@ class LaurentSubmodule:
         if not raw:
             return True
         basis, order = self._membership_basis(deadline=deadline)
-        return not groebner.normal_form(raw, basis, order)
+        return not groebner.remainder(raw, basis, order)
 
 
 def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,

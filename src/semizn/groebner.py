@@ -3,9 +3,9 @@
 This is the computational core behind relation-module membership and syzygy
 extraction.  Coefficients stay in Z throughout (Buchberger over a PID: the
 pair set contains both S-vectors and GCD-vectors, the latter built from
-Bezout coefficients).  Module vectors are dicts mapping (position, exponent
-tuple) to a nonzero int; exponents are nonnegative here, Laurent clearing
-happens in the callers.
+Bezout coefficients).  Callers pass module vectors as dicts mapping
+(position, exponent tuple) to a nonzero int; exponents are nonnegative here,
+Laurent clearing happens in the callers.
 
 Term orders are block orders: variables are grouped into blocks compared
 left to right, graded-lex inside each block.  A block consisting of a single
@@ -17,13 +17,26 @@ A strong basis guarantees that every member of the module reduces to zero,
 and (with the canonical nonnegative-remainder convention used here) that
 normal forms are unique coset representatives.
 
-Reduction keeps the terms of the work vector in a binary heap keyed by the
-term order, with lazy deletion: a term that cancels stays in the heap and is
+Inside the engine every term is one int (`_Packing`).  From the top, its
+fields are the eliminated-position flag, each block's degree followed by
+its exponents, and the largest field value minus the position, each field
+with a guard bit above it.  Integer order is then exactly the order of
+`TermOrder.key`, the term X^s * t is the int t + s, and g divides t exactly
+when d = t - g has d >= 0 and no guard or position bit set (a field of g
+above t's borrows from its guard bit).  The field width comes from the
+inputs' largest field value; every term the engine creates is tested
+against the guard bits, and a hit restarts the whole call at double width
+(`_widening`).  The restarted call runs the same code on the same terms,
+so it makes the same reductions, and terms are decoded once, as results
+leave the engine (`_Entry.vec`, the syzygies, `remainder`), so the width
+never shows in an output.
+
+Reduction keeps the terms of the work vector in a binary heap of negated
+ints, with lazy deletion: a term that cancels stays in the heap and is
 skipped when it is popped.  A reduction step only adds terms below the
 leading term it removes, so a popped term never comes back, and each step
 finds the leading term in logarithmic time instead of scanning the vector.
-Each order caches the heap keys of the terms it has seen.  Reducers are
-looked up in per-position lists sorted by (|lc|, index).
+Reducers are looked up in per-position lists sorted by (|lc|, index).
 
 The outputs are path-dependent.  The reducer chosen for a leading term (the
 divisor with the smallest |lc|, then the lowest index), the pair order
@@ -38,13 +51,14 @@ from __future__ import annotations
 import heapq
 import time
 from math import gcd
-from operator import add, le, sub
-
-from semizn.kernels import axpy_terms
 
 
 class GroebnerBudgetError(Exception):
     """Raised when a Groebner run exceeds its deadline."""
+
+
+class _Overflow(Exception):
+    """A term does not fit the field width of its packing."""
 
 
 def _check(deadline):
@@ -64,7 +78,7 @@ class TermOrder:
         if covered != list(range(nvars)):
             raise ValueError("blocks must partition the variables")
         self.elim_positions = elim_positions
-        self._heap_entries: dict = {}
+        self._packings: dict = {}
 
     def key(self, pos: int, mono: tuple):
         parts = [1 if pos < self.elim_positions else 0]
@@ -74,21 +88,115 @@ class TermOrder:
         parts.append(-pos)
         return tuple(parts)
 
-    def heap_entry(self, term: tuple) -> tuple:
-        """(negated key, term) for term = (pos, mono): the least entry is
-        the leading term.  The negated key is `key` flattened into one tuple
-        of ints, so heap comparisons stay in C."""
-        entry = self._heap_entries.get(term)
-        if entry is None:
-            pos, mono = term
-            neg = [-1 if pos < self.elim_positions else 0]
-            for block in self.blocks:
-                part = [mono[i] for i in block]
-                neg.append(-sum(part))
-                neg.extend(-a for a in part)
-            neg.append(pos)
-            entry = self._heap_entries[term] = (tuple(neg), term)
-        return entry
+    def _packing(self, width: int) -> "_Packing":
+        """This order's terms packed with `width` bits per field."""
+        pk = self._packings.get(width)
+        if pk is None:
+            pk = self._packings[width] = _Packing(self, width)
+        return pk
+
+    def _fitting(self, vecs) -> "_Packing":
+        """The packing of the least width, 32 doubled as often as needed,
+        whose fields hold every position and block degree of the terms of
+        the (position, exponent tuple) dicts `vecs`."""
+        need = 0
+        for vec in vecs:
+            for pos, mono in vec:
+                need = max(need, pos, *(sum(mono[i] for i in b) for b in self.blocks))
+        width = 32
+        while need >> (width - 1):
+            width *= 2
+        return self._packing(width)
+
+
+class _Packing:
+    """The terms (pos, mono) of one TermOrder as ints, `width` bits per
+    field, the guard bit included; see the module docstring.  A shift X^s
+    is packed with position field and flag 0, so that term + shift is the
+    shifted term."""
+
+    def __init__(self, order: TermOrder, width: int):
+        self.order = order
+        self.width = width
+        self.top = top = (1 << (width - 1)) - 1  # largest field value
+        self.var_offsets = [0] * order.nvars
+        self.degree_fields = []  # (offset, block), the lowest block first
+        off = width  # the position field sits at offset 0
+        for block in reversed(order.blocks):
+            for i in reversed(block):
+                self.var_offsets[i] = off
+                off += width
+            self.degree_fields.append((off, block))
+            off += width
+        self.flag = 1 << off
+        self.guard = sum(1 << (k + width - 1) for k in range(0, off, width))
+        self.divmask = self.guard | top
+        self.monomask = (1 << off) - 1 - self.divmask
+
+    def pack(self, pos: int, mono: tuple) -> int:
+        top = self.top
+        if pos > top:
+            raise _Overflow
+        t = top - pos
+        if pos < self.order.elim_positions:
+            t |= self.flag
+        offsets = self.var_offsets
+        for deg_off, block in self.degree_fields:
+            deg = 0
+            for i in block:
+                e = mono[i]
+                if e < 0:
+                    raise ValueError(f"negative exponent in {mono}")
+                deg += e
+                t |= e << offsets[i]
+            if deg > top:
+                raise _Overflow
+            t |= deg << deg_off
+        return t
+
+    def unpack(self, t: int) -> tuple:
+        return self.top - (t & self.top), self.unpack_shift(t)
+
+    def unpack_shift(self, s: int) -> tuple:
+        top = self.top
+        return tuple((s >> off) & top for off in self.var_offsets)
+
+    def split(self, t: int) -> tuple:
+        """(position, packed shift) of the term t."""
+        return self.top - (t & self.top), t & self.monomask
+
+    def pack_vec(self, vec: dict) -> dict:
+        pack = self.pack
+        return {pack(pos, mono): c for (pos, mono), c in vec.items()}
+
+    def unpack_vec(self, vec: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(t): c for t, c in vec.items()}
+
+    def axpy(self, dst: dict, coef: int, shift: int, src: dict) -> dict:
+        """In place dst += coef * X^shift * src."""
+        guard = self.guard
+        for t, c in src.items():
+            t += shift
+            if t & guard:
+                raise _Overflow
+            s = dst.get(t, 0) + coef * c
+            if s:
+                dst[t] = s
+            elif t in dst:
+                del dst[t]
+        return dst
+
+
+def _widening(order: TermOrder, vecs, run, width: int = 32):
+    """run(packing) at the least width, at least `width`, that holds
+    `vecs`, and again at double the width after each guard hit."""
+    pk = order._packing(max(width, order._fitting(vecs).width))
+    while True:
+        try:
+            return run(pk)
+        except _Overflow:
+            pk = order._packing(2 * pk.width)
 
 
 def _ext_gcd(a: int, b: int):
@@ -107,28 +215,51 @@ def _ext_gcd(a: int, b: int):
 
 
 class _Entry:
-    __slots__ = ("vec", "pos", "mono", "coef", "key", "tail")
+    """A basis element over a packing: its packed terms, its leading term
+    (the largest int) with coefficient, the other terms, and the leading
+    term's position and exponents."""
+    __slots__ = ("terms", "pk", "lead", "coef", "tail", "pos", "mono")
 
-    def __init__(self, vec: dict, order: TermOrder):
-        self.vec = vec
-        lead = min(vec, key=order.heap_entry)
-        self.pos, self.mono = lead
-        self.coef = vec[lead]
-        self.key = order.key(*lead)
-        self.tail = [(t, c) for t, c in vec.items() if t != lead]
+    def __init__(self, terms: dict, pk: _Packing):
+        self.terms = terms
+        self.pk = pk
+        self.lead = lead = max(terms)
+        self.coef = terms[lead]
+        self.tail = [(t, c) for t, c in terms.items() if t != lead]
+        self.pos, self.mono = pk.unpack(lead)
+
+    @property
+    def vec(self) -> dict:
+        """The element as a (position, exponent tuple) dict."""
+        return self.pk.unpack_vec(self.terms)
 
 
-def _signed_entry(vec: dict, order: TermOrder):
+def _signed_entry(vec: dict, pk: _Packing):
     """The entry of +vec or -vec whose leading coefficient is positive, and
     the sign used."""
-    e = _Entry(vec, order)
+    e = _Entry(vec, pk)
     if e.coef > 0:
         return e, 1
-    return _Entry({k: -c for k, c in vec.items()}, order), -1
+    return _Entry({k: -c for k, c in vec.items()}, pk), -1
 
 
-def normal_form(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -> dict:
-    """Strong normal form with canonical remainders (0 <= r < |lc|).
+def remainder(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -> dict:
+    """`normal_form` for callers outside the engine: `vec` and the result
+    are (position, exponent tuple) dicts, `basis` holds entries of any
+    packing of `order`, and recorded shifts are exponent tuples."""
+    def run(pk):
+        steps = None if record is None else []
+        packed = [e if e.pk is pk else _Entry(pk.pack_vec(e.vec), pk) for e in basis]
+        out = normal_form(pk.pack_vec(vec), packed, pk, record=steps)
+        if record is not None:
+            record.extend((q, pk.unpack_shift(s), idx) for q, s, idx in steps)
+        return pk.unpack_vec(out)
+    return _widening(order, [vec], run, max((e.pk.width for e in basis), default=32))
+
+
+def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> dict:
+    """Strong normal form with canonical remainders (0 <= r < |lc|), over
+    the packing `pk` of `vec`, `basis` and the result.
 
     With a strong basis this is a unique coset representative; membership is
     normal_form == {}.  When `record` is a list, every reduction step appends
@@ -136,22 +267,23 @@ def normal_form(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -
     subtracted, so vec = remainder + sum of recorded multiples.
     """
     reducers: dict = {}
-    for idx in sorted(range(len(basis)), key=lambda i: (abs(basis[i].coef), i)):
+    top = pk.top
+    for idx in sorted(range(len(basis)), key=lambda i: abs(basis[i].coef)):  # stable: ties by index
         g = basis[idx]
-        reducers.setdefault(g.pos, []).append((g.mono, g.coef, g.tail, idx))
-    entry = order.heap_entry
+        reducers.setdefault(g.lead & top, []).append((g.lead, g.coef, g.tail, idx))
+    divmask, guard = pk.divmask, pk.guard
     work = dict(vec)
-    heap = [entry(t) for t in work]
+    heap = [-t for t in work]
     heapq.heapify(heap)
     out = {}
     while heap:
-        lead = heapq.heappop(heap)[1]
+        lead = -heapq.heappop(heap)
         c = work.pop(lead, None)
         if c is None:
             continue  # cancelled since it was pushed (lazy deletion)
-        pos, mono = lead
-        for g_mono, g_coef, g_tail, idx in reducers.get(pos, ()):
-            if all(map(le, g_mono, mono)):
+        for g_lead, g_coef, g_tail, idx in reducers.get(lead & top, ()):
+            shift = lead - g_lead
+            if shift >= 0 and not shift & divmask:
                 break
         else:
             out[lead] = c
@@ -159,14 +291,15 @@ def normal_form(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -
         r = c % abs(g_coef)
         q = (c - r) // g_coef
         if q:
-            shift = tuple(map(sub, mono, g_mono))
-            for (p, e), cg in g_tail:
-                t = (p, tuple(map(add, e, shift)))
+            for e, cg in g_tail:
+                t = e + shift
+                if t & guard:
+                    raise _Overflow
                 d = q * cg
                 old = work.get(t)
                 if old is None:
                     work[t] = -d
-                    heapq.heappush(heap, entry(t))
+                    heapq.heappush(heap, -t)
                 elif old != d:
                     work[t] = old - d
                 else:
@@ -183,9 +316,8 @@ def _pair_seeds(basis: list[_Entry], i: int, j: int) -> list:
     GCD-pair when neither leading coefficient divides the other, each as a
     list of (coef, shift, index) terms."""
     gi, gj = basis[i], basis[j]
-    lcm_mono = tuple(map(max, gi.mono, gj.mono))
-    si = tuple(map(sub, lcm_mono, gi.mono))
-    sj = tuple(map(sub, lcm_mono, gj.mono))
+    lcm = gi.pk.pack(gi.pos, tuple(map(max, gi.mono, gj.mono)))
+    si, sj = lcm - gi.lead, lcm - gj.lead
     ci, cj = gi.coef, gj.coef
     l = abs(ci * cj) // gcd(ci, cj)
     seeds = [[(l // ci, si, i), (-(l // cj), sj, j)]]
@@ -198,21 +330,23 @@ def _pair_seeds(basis: list[_Entry], i: int, j: int) -> list:
 def _seed_vector(seed: list, basis: list[_Entry]) -> dict:
     vec: dict = {}
     for coef, shift, idx in seed:
-        axpy_terms(vec, coef, shift, basis[idx].vec)
+        basis[idx].pk.axpy(vec, coef, shift, basis[idx].terms)
     return vec
 
 
 def buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_Entry]:
     """Reduced strong Groebner basis of the module generated by `gens`."""
-    raw, _ = _buchberger_raw(gens, order, deadline=deadline)
-    return _reduce_basis(raw, order)[0]
+    def run(pk):
+        raw, _ = _buchberger_raw([pk.pack_vec(g) for g in gens], pk, deadline=deadline)
+        return _reduce_basis(raw, pk)[0]
+    return _widening(order, gens, run)
 
 
-def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
-    """Incremental strong-basis run that records, per raw element, a one-level
-    recipe: ("gen", j, sign) for (sign-normalized) input j, or
-    ("comb", [(coef, shift, raw_idx), ...]) meaning the signed sum of shifted
-    earlier raw elements.  Returns (raw entries, recipes).
+def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
+    """Incremental strong-basis run on packed generators that records, per
+    raw element, a one-level recipe: ("gen", j, sign) for (sign-normalized)
+    input j, or ("comb", [(coef, shift, raw_idx), ...]) meaning the signed
+    sum of shifted earlier raw elements.  Returns (raw entries, recipes).
 
     Processes S-vectors and GCD-vectors by the normal strategy (smallest lcm
     term first); deterministic for a fixed input order.
@@ -221,7 +355,7 @@ def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
     recipes: list = []
     for j, g in enumerate(gens):
         if g:
-            e, sign = _signed_entry(dict(g), order)
+            e, sign = _signed_entry(dict(g), pk)
             basis.append(e)
             recipes.append(("gen", j, sign))
 
@@ -235,9 +369,9 @@ def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
             gi = basis[i]
             if gi.pos != gnew.pos:
                 continue
-            lcm_mono = tuple(map(max, gi.mono, gnew.mono))
             counter += 1
-            heapq.heappush(pending, (order.key(gi.pos, lcm_mono), counter, i, new_idx))
+            lcm = pk.pack(gi.pos, tuple(map(max, gi.mono, gnew.mono)))
+            heapq.heappush(pending, (lcm, counter, i, new_idx))
 
     for idx in range(len(basis)):
         push_pairs(idx)
@@ -247,11 +381,11 @@ def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
         _, _, i, j = heapq.heappop(pending)
         for seed in _pair_seeds(basis, i, j):
             rec: list = []
-            rem = normal_form(_seed_vector(seed, basis), basis, order, record=rec)
+            rem = normal_form(_seed_vector(seed, basis), basis, pk, record=rec)
             if not rem:
                 continue
             comb = seed + [(-qq, shift, m) for qq, shift, m in rec]
-            e, sign = _signed_entry(rem, order)
+            e, sign = _signed_entry(rem, pk)
             if sign < 0:
                 comb = [(-c, s2, m) for c, s2, m in comb]
             basis.append(e)
@@ -260,7 +394,7 @@ def _buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
     return basis, recipes
 
 
-def _reduce_basis(basis: list[_Entry], order: TermOrder):
+def _reduce_basis(basis: list[_Entry], pk: _Packing):
     """Minimalize (drop entries whose leading term is a multiple of another's)
     and tail-reduce against the other survivors, in ascending order of
     (leading term, |lc|), which is also the order of the result.
@@ -268,29 +402,29 @@ def _reduce_basis(basis: list[_Entry], order: TermOrder):
     Returns (reduced entries, combinations): each reduced entry is the signed
     sum of the (coef, shift, index) terms of its combination, over `basis`.
     """
-    ranked = sorted(range(len(basis)), key=lambda t: (basis[t].key, abs(basis[t].coef)))
+    ranked = sorted(range(len(basis)), key=lambda t: (basis[t].lead, abs(basis[t].coef)))
+    divmask = pk.divmask
     kept: list[int] = []
     for t in ranked:
         e = basis[t]
-        redundant = any(
-            basis[k].pos == e.pos
-            and all(map(le, basis[k].mono, e.mono))
-            and e.coef % basis[k].coef == 0
-            for k in kept
-        )
+        redundant = False
+        for k in kept:
+            d = e.lead - basis[k].lead
+            if d >= 0 and not d & divmask and e.coef % basis[k].coef == 0:
+                redundant = True
+                break
         if not redundant:
             kept.append(t)
-    zero = (0,) * order.nvars
     reduced: list[_Entry] = []
     combs: list = []
     for t in kept:
         e = basis[t]
         others = [k for k in kept if k != t]
         rec: list = []
-        nf_tail = normal_form(dict(e.tail), [basis[k] for k in others], order, record=rec)
-        nf_tail[(e.pos, e.mono)] = e.coef
-        reduced.append(_Entry(nf_tail, order))
-        combs.append([(1, zero, t)] + [(-qq, shift, others[m]) for qq, shift, m in rec])
+        nf_tail = normal_form(dict(e.tail), [basis[k] for k in others], pk, record=rec)
+        nf_tail[e.lead] = e.coef
+        reduced.append(_Entry(nf_tail, pk))
+        combs.append([(1, 0, t)] + [(-qq, shift, others[m]) for qq, shift, m in rec])
     return reduced, combs
 
 
@@ -311,11 +445,20 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     verified exactly against the columns before being returned.  `deadline`
     is checked in every phase, the raw run and the lifting alike.
     """
-    q = len(columns)
-    zero = (0,) * nvars
     order = TermOrder(nvars, elim_positions=p)
-    raw, recipes = _buchberger_raw(columns, order, deadline=deadline)
-    final_entries, final_combs = _reduce_basis(raw, order)
+    return _widening(order, columns, lambda pk: _syzygies(columns, pk, deadline))
+
+
+def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
+    """`syzygy_generators` over one packing.  The rows of A and the
+    candidate syzygies are packed with the column indices as positions;
+    the generators are decoded on return."""
+    q = len(columns)
+    zero = (0,) * pk.order.nvars
+    axpy = pk.axpy
+    packed_cols = [pk.pack_vec(col) for col in columns]
+    raw, recipes = _buchberger_raw(packed_cols, pk, deadline=deadline)
+    final_entries, final_combs = _reduce_basis(raw, pk)
 
     # A: each final element as a combination of the original columns
     memo: dict = {}
@@ -326,18 +469,18 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
         _check(deadline)
         kind = recipes[raw_idx]
         if kind[0] == "gen":
-            row = {(kind[1], zero): kind[2]}
+            row = {pk.pack(kind[1], zero): kind[2]}
         else:
             row = {}
             for coef, shift, m in kind[1]:
-                axpy_terms(row, coef, shift, a_row(m))
+                axpy(row, coef, shift, a_row(m))
         memo[raw_idx] = row
         return row
 
     def compose(coeff_vec: dict, rows: list) -> dict:
         out: dict = {}
-        for (k, mono), c in coeff_vec.items():
-            axpy_terms(out, c, mono, rows[k])
+        for (k, shift), c in coeff_vec.items():
+            axpy(out, c, shift, rows[k])
         return out
 
     a_final = []
@@ -345,15 +488,15 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
         _check(deadline)
         row = {}
         for coef, shift, m in comb:
-            axpy_terms(row, coef, shift, a_row(m))
+            axpy(row, coef, shift, a_row(m))
         a_final.append(row)
 
     # B: each column reduced to zero by the final strong basis
     b_rows = []
-    for col in columns:
+    for col in packed_cols:
         _check(deadline)
         rec = []
-        rem = normal_form(dict(col), final_entries, order, record=rec)
+        rem = normal_form(dict(col), final_entries, pk, record=rec)
         if rem:
             raise AssertionError("column failed to reduce by its own strong basis")
         row: dict = {}
@@ -371,7 +514,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
             for seed in _pair_seeds(final_entries, i, j):
                 _check(deadline)
                 rec = []
-                rem = normal_form(_seed_vector(seed, final_entries), final_entries, order,
+                rem = normal_form(_seed_vector(seed, final_entries), final_entries, pk,
                                   record=rec)
                 if rem:
                     raise AssertionError("pair of a strong basis failed to reduce to zero")
@@ -387,7 +530,7 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     # rows of I - B*A
     for i in range(q):
         _check(deadline)
-        row = {(i, zero): 1}
+        row = {pk.pack(i, zero): 1}
         ba = compose(b_rows[i], a_final)
         for k, c in ba.items():
             row[k] = row.get(k, 0) - c
@@ -402,15 +545,16 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
         if not cand:
             continue
         check: dict = {}
-        for (j, mono), c in cand.items():
-            axpy_terms(check, c, mono, columns[j])
+        for t, c in cand.items():
+            j, shift = pk.split(t)
+            axpy(check, c, shift, packed_cols[j])
         if check:
             raise AssertionError("produced vector is not a syzygy of the columns")
         key = frozenset(cand.items())
         if key not in seen:
             seen.add(key)
             out.append(cand)
-    return out
+    return [pk.unpack_vec(s) for s in out]
 
 
 def saturated_basis(columns: list[dict], p: int, nvars: int, deadline=None, var_blocks=None):
@@ -441,9 +585,10 @@ def saturated_basis(columns: list[dict], p: int, nvars: int, deadline=None, var_
     base_order = TermOrder(nvars, blocks=[tuple(b) for b in var_blocks])
     kept = []
     for e in gb:
-        if all(mono[0] == 0 for _, mono in e.vec):
-            kept.append(
-                _Entry({(pos, mono[1:]): c for (pos, mono), c in e.vec.items()}, base_order)
-            )
-    kept.sort(key=lambda e: e.key)
+        vec = e.vec
+        if all(mono[0] == 0 for _, mono in vec):
+            kept.append({(pos, mono[1:]): c for (pos, mono), c in vec.items()})
+    pk = base_order._fitting(kept)
+    kept = [_Entry(pk.pack_vec(vec), pk) for vec in kept]
+    kept.sort(key=lambda e: e.lead)
     return kept, base_order

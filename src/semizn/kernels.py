@@ -1,9 +1,9 @@
 """Sparse-term kernels.
 
 Terms are dicts mapping an exponent tuple (or any hashable key) to a nonzero
-coefficient.  These three functions are the inner loops of Laurent
-polynomial multiplication and of module-vector arithmetic in the Groebner
-code.
+coefficient.  These two functions are the inner loops of Laurent polynomial
+multiplication and addition.  The Groebner engine packs its terms into ints
+and does its own module-vector arithmetic (`groebner._Packing.axpy`).
 """
 
 BACKEND = "pure"
@@ -35,19 +35,3 @@ def add_terms(a, b):
         elif k in out:
             del out[k]
     return out
-
-
-def axpy_terms(dst, coef, shift, src):
-    """In-place dst += coef * X^shift * src for keys of the form (pos, expo).
-
-    `shift` is an exponent tuple added to the exponent part of each key; used
-    by module-vector arithmetic where keys are (position, exponents) pairs.
-    """
-    for (pos, expo), c in src.items():
-        key = (pos, tuple(x + y for x, y in zip(expo, shift)))
-        s = dst.get(key, 0) + coef * c
-        if s:
-            dst[key] = s
-        elif key in dst:
-            del dst[key]
-    return dst

@@ -9,6 +9,7 @@ the rest of the package is built on.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from collections.abc import Iterable, Mapping, Sequence
 
 from semizn.kernels import add_terms, mul_terms
@@ -50,6 +51,18 @@ class LaurentPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "LaurentPoly":
+        """The polynomial with `terms` as they are: exponent tuples of length
+        n and nonzero coefficients, ints or Fractions that are not integers.
+        For results valid by construction; input from outside goes through
+        `__init__`, which checks it."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -101,7 +114,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.n, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
@@ -115,8 +128,8 @@ class LaurentPoly:
         z = tuple(int(v) for v in z)
         if len(z) != self.n:
             raise ValueError("shift vector length mismatch")
-        return LaurentPoly(
-            self.n, {tuple(a + b for a, b in zip(e, z)): c for e, c in self.terms.items()}
+        return LaurentPoly._trusted(
+            self.n, {tuple(map(add, e, z)): c for e, c in self.terms.items()}
         )
 
     def __eq__(self, other) -> bool:

@@ -1,13 +1,15 @@
-"""The heap-ordered Groebner engine against the engine it replaced.
+"""The packed Groebner engine against the engine it replaced.
 
-`ref_*` below are verbatim copies of the previous `normal_form`,
+`ref_*` below are verbatim copies of an earlier `normal_form`,
 `buchberger`, `_reduce_basis`, `_buchberger_raw` and `syzygy_generators`,
-with only their names changed.  They found the leading term with a `max`
-over the work vector and the reducer with a linear scan.  The reducer
-choice, the pair order and the recipes fix the bytes of every syzygy output,
-so the new engine must match them exactly: the same remainders (with the
-same insertion order), the same reduction records, raw bases, recipes,
-reduced bases and syzygy generators.
+with only their names changed; `axpy_terms`, the module-vector kernel they
+use, is kept with them.  They keep terms as (position, exponent tuple)
+pairs, find the leading term with a `max` over the work vector and the
+reducer with a linear scan.  The reducer choice, the pair order and the
+recipes fix the bytes of every syzygy output, so the engine must match them
+exactly: the same remainders (with the same insertion order), the same
+reduction records, raw bases, recipes, reduced bases and syzygy generators,
+at every field width of its packed terms.
 """
 import heapq
 import random
@@ -18,7 +20,28 @@ import pytest
 
 from semizn import groebner
 from semizn.groebner import GroebnerBudgetError, TermOrder, _ext_gcd
-from semizn.kernels import axpy_terms
+
+
+def axpy_terms(dst, coef, shift, src):
+    """In-place dst += coef * X^shift * src for keys of the form (pos, expo).
+
+    `shift` is an exponent tuple added to the exponent part of each key; used
+    by module-vector arithmetic where keys are (position, exponents) pairs.
+    """
+    for (pos, expo), c in src.items():
+        key = (pos, tuple(x + y for x, y in zip(expo, shift)))
+        s = dst.get(key, 0) + coef * c
+        if s:
+            dst[key] = s
+        elif key in dst:
+            del dst[key]
+    return dst
+
+
+def test_axpy_removes_zeros():
+    dst = {(0, (0,)): 2}
+    axpy_terms(dst, -2, (0,), {(0, (0,)): 1})
+    assert dst == {}
 
 
 # -- reference: the previous engine, verbatim apart from names ----------------
@@ -386,18 +409,25 @@ def ref_syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None
 # -- inputs -----------------------------------------------------------------
 
 COEFS = (1, -1, 2, -2, 2, 3, -3, 4, 6)  # repeated |lc| values make reducer ties
+HUGE = (2 ** 31 - 1, 2 ** 40, 2 ** 70)  # the largest exponent at width 32, and past it
 
 
-def random_vec(rng, nvars, npos, nterms, maxexp=2):
+def random_vec(rng, nvars, npos, nterms, maxexp=2, big=None):
+    """Random terms with exponents in 0..maxexp; with `big`, the first
+    variable's exponents are 0, big or 2 * big instead, so that the
+    reductions take as many steps as with small exponents."""
     vec = {}
     for _ in range(nterms):
-        term = (rng.randrange(npos), tuple(rng.randint(0, maxexp) for _ in range(nvars)))
-        vec[term] = rng.choice(COEFS)
+        pos, mono = rng.randrange(npos), tuple(rng.randint(0, maxexp) for _ in range(nvars))
+        if big:
+            mono = (rng.randint(0, 2) * big,) + mono[1:]
+        vec[(pos, mono)] = rng.choice(COEFS)
     return vec
 
 
-def random_gens(rng, nvars, npos):
-    return [random_vec(rng, nvars, npos, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+def random_gens(rng, nvars, npos, big=None):
+    return [random_vec(rng, nvars, npos, rng.randint(1, 3), big=big)
+            for _ in range(rng.randint(1, 3))]
 
 
 def saturation_input(gens, nvars, npos):
@@ -413,12 +443,37 @@ def items(entries):
     return [list(e.vec.items()) for e in entries]
 
 
+def syzygy_items(syzygies):
+    return [list(s.items()) for s in syzygies]
+
+
+def entries(vecs, order):
+    """Engine entries of arbitrary vectors, packed at the width they need."""
+    pk = order._fitting(vecs)
+    return [groebner._Entry(pk.pack_vec(v), pk) for v in vecs]
+
+
+def unpacked_recipes(recipes, pk):
+    return [r if r[0] == "gen" else ("comb", [(c, pk.unpack_shift(s), m) for c, s, m in r[1]])
+            for r in recipes]
+
+
 def random_order(rng, nvars, npos):
     """A plain order with some eliminated positions, or a block order whose
     first block is one eliminated variable."""
     if nvars > 1 and rng.random() < 0.5:
         return TermOrder(nvars, blocks=[(0,), tuple(range(1, nvars))])
     return TermOrder(nvars, elim_positions=rng.randint(0, npos))
+
+
+def random_block_order(rng, nvars, npos):
+    """The variables shuffled into one to three blocks, and some eliminated
+    positions."""
+    perm = list(range(nvars))
+    rng.shuffle(perm)
+    cuts = sorted(rng.sample(range(1, nvars), min(max(nvars - 1, 0), rng.randint(0, 2))))
+    blocks = [tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [nvars])]
+    return TermOrder(nvars, blocks=blocks, elim_positions=rng.randint(0, npos))
 
 
 def tied_divisors(basis, record):
@@ -436,7 +491,69 @@ def tied_divisors(basis, record):
     return ties
 
 
-# -- checks -----------------------------------------------------------------
+def recorded_widths(monkeypatch):
+    """The list that collects the width of every packing asked for."""
+    widths = []
+    real = TermOrder._packing
+
+    def packing(self, width):
+        widths.append(width)
+        return real(self, width)
+
+    monkeypatch.setattr(TermOrder, "_packing", packing)
+    return widths
+
+
+# -- the packed terms -----------------------------------------------------------
+
+def test_packing_matches_the_order():
+    """Over random block orders with eliminated positions and n <= 4: the
+    int order is `TermOrder.key`'s order, unpacking inverts packing,
+    shifting is addition, the mask test is divisibility, and the guard
+    bits see every field that a shift takes past the width."""
+    rng = random.Random(34)
+    for _ in range(300):
+        nvars, npos = rng.randint(0, 4), rng.randint(1, 4)
+        order = random_block_order(rng, nvars, npos)
+        pk = order._packing(rng.choice((32, 64, 128)))
+        big = pk.top // 4
+
+        def mono():
+            return tuple(rng.choice((rng.randint(0, 3), rng.randint(0, big))) for _ in range(nvars))
+
+        terms = [(rng.randrange(npos), mono()) for _ in range(8)]
+        terms += [(pos, tuple(e + rng.randint(0, 2) for e in m)) for pos, m in terms]
+        terms += [(rng.randrange(npos), m) for _, m in terms]
+        for a in terms:
+            ta = pk.pack(*a)
+            assert pk.unpack(ta) == a
+            for b in terms:
+                tb = pk.pack(*b)
+                assert (ta < tb) == (order.key(*a) < order.key(*b))
+                assert (ta == tb) == (a == b)
+                d = tb - ta
+                divides = a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+                assert (d >= 0 and not d & pk.divmask) == divides
+                if divides:  # d is the shift X^(b - a): adding it shifts every term
+                    s = tuple(y - x for x, y in zip(a[1], b[1]))
+                    assert pk.unpack_shift(d) == s
+                    for c in terms[:4]:
+                        shifted = tuple(x + y for x, y in zip(c[1], s))
+                        fits = all(sum(shifted[i] for i in blk) <= pk.top for blk in order.blocks)
+                        assert not (pk.pack(*c) + d) & pk.guard == fits
+                        if fits:
+                            assert pk.pack(*c) + d == pk.pack(c[0], shifted)
+
+
+def test_fitting_starts_at_32_bits():
+    order = TermOrder(2, blocks=[(0,), (1,)])
+    assert order._fitting([{(0, (2 ** 31 - 1, 2 ** 31 - 1)): 1}]).width == 32
+    assert order._fitting([{(0, (2 ** 31, 0)): 1}]).width == 64
+    assert order._fitting([{(0, (2 ** 70, 0)): 1}]).width == 128
+    assert TermOrder(2)._fitting([{(0, (2 ** 30, 2 ** 30)): 1}]).width == 64  # the degree field
+
+
+# -- the engine against the reference ---------------------------------------------
 
 def test_normal_form_matches_reference():
     rng = random.Random(31)
@@ -449,8 +566,8 @@ def test_normal_form_matches_reference():
         vec = random_vec(rng, nvars, npos, rng.randint(1, 8), maxexp=4)
         want_rec, got_rec = [], []
         want = ref_normal_form(vec, [_RefEntry(v, order) for v in vecs], order, record=want_rec)
-        basis = [groebner._Entry(v, order) for v in vecs]
-        got = groebner.normal_form(vec, basis, order, record=got_rec)
+        basis = entries(vecs, order)
+        got = groebner.remainder(vec, basis, order, record=got_rec)
         assert list(got.items()) == list(want.items())
         assert got_rec == want_rec
         ties += tied_divisors(basis, got_rec)
@@ -468,9 +585,10 @@ def test_buchberger_matches_reference():
         else:
             order = random_order(rng, nvars, npos)
         want_raw, want_recipes = ref_buchberger_raw(gens, order)
-        got_raw, got_recipes = groebner._buchberger_raw(gens, order)
+        pk = order._fitting(gens)
+        got_raw, got_recipes = groebner._buchberger_raw([pk.pack_vec(g) for g in gens], pk)
         assert items(got_raw) == items(want_raw)
-        assert got_recipes == want_recipes
+        assert unpacked_recipes(got_recipes, pk) == want_recipes
         want = ref_buchberger(gens, order)
         got = groebner.buchberger(gens, order)
         assert items(got) == items(want)
@@ -478,7 +596,7 @@ def test_buchberger_matches_reference():
             vec = random_vec(rng, order.nvars, npos, rng.randint(1, 5), maxexp=3)
             want_rec, got_rec = [], []
             assert ref_normal_form(vec, want, order, record=want_rec) == \
-                groebner.normal_form(vec, got, order, record=got_rec)
+                groebner.remainder(vec, got, order, record=got_rec)
             assert got_rec == want_rec
 
 
@@ -489,7 +607,76 @@ def test_syzygy_generators_match_reference():
         columns = [random_vec(rng, nvars, p, rng.randint(1, 2)) for _ in range(rng.randint(3, 5))]
         want = ref_syzygy_generators(columns, p, nvars)
         got = groebner.syzygy_generators(columns, p, nvars)
-        assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+        assert syzygy_items(got) == syzygy_items(want)
+
+
+@pytest.mark.parametrize("big", HUGE)
+def test_huge_exponents_match_reference(big):
+    """Exponents at and past the width of 32 bits, beside small ones,
+    through all three entry points."""
+    rng = random.Random(big)
+    for _ in range(30):
+        nvars, npos = rng.randint(1, 2), rng.randint(1, 2)
+        order = random_order(rng, nvars, npos)
+        vecs = [random_vec(rng, nvars, npos, rng.randint(1, 3), big=big)
+                for _ in range(rng.randint(1, 4))]
+        vec = random_vec(rng, nvars, npos, rng.randint(1, 6), big=big)
+        want_rec, got_rec = [], []
+        want = ref_normal_form(vec, [_RefEntry(v, order) for v in vecs], order, record=want_rec)
+        got = groebner.remainder(vec, entries(vecs, order), order, record=got_rec)
+        assert list(got.items()) == list(want.items())
+        assert got_rec == want_rec
+        gens = random_gens(rng, nvars, npos, big=big)
+        assert items(groebner.buchberger(gens, order)) == items(ref_buchberger(gens, order))
+        columns = [random_vec(rng, nvars, npos, rng.randint(1, 2), big=big) for _ in range(3)]
+        assert syzygy_items(groebner.syzygy_generators(columns, npos, nvars)) == \
+            syzygy_items(ref_syzygy_generators(columns, npos, nvars))
+
+
+A = 2 ** 30 + 3  # fits the width of 32 bits; 2 * A does not
+
+
+def test_normal_form_widens_mid_run(monkeypatch):
+    """x0 -> x1^A under x0 dominant: reducing x0^3 creates x1^(2A) and then
+    x1^(3A), past the width the inputs fit, and the call restarts wider."""
+    order = TermOrder(2, blocks=[(0,), (1,)])
+    vecs = [{(0, (1, 0)): 1, (0, (0, A)): -1}]
+    vec = {(0, (3, 0)): 2, (0, (0, 1)): 5}
+    basis = entries(vecs, order)
+    assert basis[0].pk.width == 32
+    widths = recorded_widths(monkeypatch)
+    want_rec, got_rec = [], []
+    want = ref_normal_form(vec, [_RefEntry(v, order) for v in vecs], order, record=want_rec)
+    got = groebner.remainder(vec, basis, order, record=got_rec)
+    assert list(got.items()) == list(want.items()) == [((0, (0, 3 * A)), 2), ((0, (0, 1)), 5)]
+    assert got_rec == want_rec
+    assert widths[0] == 32 and widths[-1] == 64
+
+
+def test_buchberger_and_syzygies_widen_mid_run(monkeypatch):
+    widths = recorded_widths(monkeypatch)
+    order = TermOrder(2, blocks=[(0,), (1,)])
+    gens = [{(0, (1, 0)): 1, (0, (0, A)): -1}, {(0, (2, 0)): 1, (0, (0, 1)): 1}]
+    assert items(groebner.buchberger(gens, order)) == items(ref_buchberger(gens, order))
+    assert widths[0] == 32 and widths[-1] == 64
+    del widths[:]
+    columns = [{(0, (A, 0)): 1, (1, (0, 0)): 2}, {(0, (0, A)): 3, (1, (0, 1)): -1},
+               {(1, (1, 1)): 1}]
+    assert syzygy_items(groebner.syzygy_generators(columns, 2, 2)) == \
+        syzygy_items(ref_syzygy_generators(columns, 2, 2))
+    assert widths[0] == 32 and widths[-1] == 64
+
+
+def test_negative_exponents_are_refused():
+    with pytest.raises(ValueError):
+        groebner.buchberger([{(0, (1, -1)): 1}], TermOrder(2))
+
+
+def test_axpy_guard_raises():
+    pk = TermOrder(1)._packing(32)
+    dst = {}
+    with pytest.raises(groebner._Overflow):
+        pk.axpy(dst, 1, pk.pack(0, (2 ** 31 - 2,)) - pk.pack(0, (0,)), {pk.pack(0, (2,)): 1})
 
 
 def test_deadline_raises():

@@ -8,11 +8,5 @@ def test_mul_cancellation():
     assert kernels.mul_terms(a, b) == {(0,): 1, (2,): -1}
 
 
-def test_axpy_removes_zeros():
-    dst = {(0, (0,)): 2}
-    kernels.axpy_terms(dst, -2, (0,), {(0, (0,)): 1})
-    assert dst == {}
-
-
 def test_backend_reported():
     assert kernels.BACKEND == "pure"
