@@ -295,7 +295,7 @@ def residual(f: Sequence[LaurentPoly], presentation: ModulePresentation, ys, ste
     neu = presentation.zero_vector()
     for fi, y, a in zip(f, ys, steps):
         if n:
-            sym = sym + fi * (LaurentPoly.monomial(tuple(a)) - LaurentPoly.one(n))
+            sym = sym + fi.shift(a) - fi
         for j in range(presentation.d):
             neu[j] = neu[j] + fi * y[j]
     return sym, presentation.element(neu)

@@ -38,13 +38,19 @@ leading term it removes, so a popped term never comes back, and each step
 finds the leading term in logarithmic time instead of scanning the vector.
 Reducers are looked up in per-position lists sorted by (|lc|, index).
 
+Syzygies are lifted on the augmented module (see `syzygy_generators`):
+only the reduced basis carries its representation by the columns, as an
+e-part below every column term.  The raw run keeps a one-level recipe per
+element instead, because carrying the e-part through every pair reduction,
+most of which go to zero, costs more.
+
 The outputs are path-dependent.  The reducer chosen for a leading term (the
 divisor with the smallest |lc|, then the lowest index), the pair order
 (smallest lcm term first, then creation order) and the canonical remainders
-fix every raw basis element and its recipe, hence the lifting matrices and
-the syzygy generators that `syzygy_generators` returns.  Another choice gives
-a basis of the same module, but other bytes, so these choices are part of
-the output contract.
+fix every raw basis element and its recipe, hence the rows of A and the
+syzygy generators that `syzygy_generators` returns.  Another choice gives a
+basis of the same module, but other bytes, so these choices are part of the
+output contract.
 """
 from __future__ import annotations
 
@@ -338,7 +344,7 @@ def buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_Entry
     """Reduced strong Groebner basis of the module generated by `gens`."""
     def run(pk):
         raw, _ = _buchberger_raw([pk.pack_vec(g) for g in gens], pk, deadline=deadline)
-        return _reduce_basis(raw, pk)[0]
+        return _tail_reduced([raw[t] for t in _minimal(raw, pk)], pk, deadline)
     return _widening(order, gens, run)
 
 
@@ -394,38 +400,34 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
     return basis, recipes
 
 
-def _reduce_basis(basis: list[_Entry], pk: _Packing):
-    """Minimalize (drop entries whose leading term is a multiple of another's)
-    and tail-reduce against the other survivors, in ascending order of
-    (leading term, |lc|), which is also the order of the result.
-
-    Returns (reduced entries, combinations): each reduced entry is the signed
-    sum of the (coef, shift, index) terms of its combination, over `basis`.
-    """
+def _minimal(basis: list[_Entry], pk: _Packing) -> list[int]:
+    """The indices of the entries that minimalization keeps (it drops an
+    entry whose leading term is a multiple of a kept one's), in ascending
+    order of (leading term, |lc|)."""
     ranked = sorted(range(len(basis)), key=lambda t: (basis[t].lead, abs(basis[t].coef)))
     divmask = pk.divmask
     kept: list[int] = []
     for t in ranked:
         e = basis[t]
-        redundant = False
         for k in kept:
             d = e.lead - basis[k].lead
             if d >= 0 and not d & divmask and e.coef % basis[k].coef == 0:
-                redundant = True
                 break
-        if not redundant:
+        else:
             kept.append(t)
-    reduced: list[_Entry] = []
-    combs: list = []
-    for t in kept:
-        e = basis[t]
-        others = [k for k in kept if k != t]
-        rec: list = []
-        nf_tail = normal_form(dict(e.tail), [basis[k] for k in others], pk, record=rec)
-        nf_tail[e.lead] = e.coef
-        reduced.append(_Entry(nf_tail, pk))
-        combs.append([(1, 0, t)] + [(-qq, shift, others[m]) for qq, shift, m in rec])
-    return reduced, combs
+    return kept
+
+
+def _tail_reduced(entries: list[_Entry], pk: _Packing, deadline=None) -> list[_Entry]:
+    """Each entry with its tail reduced against the other entries, in the
+    order given."""
+    out = []
+    for t, e in enumerate(entries):
+        _check(deadline)
+        tail = normal_form(dict(e.tail), entries[:t] + entries[t + 1:], pk)
+        tail[e.lead] = e.coef
+        out.append(_Entry(tail, pk))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +437,16 @@ def _reduce_basis(basis: list[_Entry], pk: _Packing):
 def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) -> list[dict]:
     """Generators of {h in Z[x]^q : sum_i h_i * columns[i] = 0}.
 
-    Extended-basis (lifting) route in three matrices: a strong basis G of
-    the column module with per-element recipes, the representation A with
-    G = A * columns (recipes composed lazily), the representation B with
-    columns = B * G (recorded reductions), and the syzygies of G itself read
-    off the S- and GCD-pair reductions of the final basis (over a PID the
-    pairwise S-syzygies generate the term syzygies, by the Bezout
-    induction).  The output is {sigma * A} + rows(I - B * A), every row
+    Lifting on the augmented module: each element g of the reduced strong
+    basis G of the column module carries its row of A (g = sum_j A_j c_j)
+    as an e-part, the unit vector e_j at position p + j.  The elimination
+    order keeps every e-part term below every column term, so reducing an
+    augmented vector makes the same steps as reducing its column part, and
+    the e-part records them.  The candidates are the normal forms of each
+    S- and GCD-pair of G (sigma * A: over a PID the pairwise S-syzygies
+    generate the term syzygies, by the Bezout induction), then of each
+    (c_j, e_j) (the row e_j - B_j * A, with c_j = B_j * G).  Their column
+    parts must reduce to zero, and their e-parts are the syzygies, each
     verified exactly against the columns before being returned.  `deadline`
     is checked in every phase, the raw run and the lifting alike.
     """
@@ -450,17 +455,13 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
 
 
 def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
-    """`syzygy_generators` over one packing.  The rows of A and the
-    candidate syzygies are packed with the column indices as positions;
-    the generators are decoded on return."""
-    q = len(columns)
+    """`syzygy_generators` over one packing.  The rows of A are built
+    lazily from the recipes of the kept raw elements; the generators are
+    decoded on return, e-part position p + j as position j."""
+    p = pk.order.elim_positions
     zero = (0,) * pk.order.nvars
-    axpy = pk.axpy
     packed_cols = [pk.pack_vec(col) for col in columns]
     raw, recipes = _buchberger_raw(packed_cols, pk, deadline=deadline)
-    final_entries, final_combs = _reduce_basis(raw, pk)
-
-    # A: each final element as a combination of the original columns
     memo: dict = {}
 
     def a_row(raw_idx: int) -> dict:
@@ -469,92 +470,46 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
         _check(deadline)
         kind = recipes[raw_idx]
         if kind[0] == "gen":
-            row = {pk.pack(kind[1], zero): kind[2]}
+            row = {pk.pack(p + kind[1], zero): kind[2]}
         else:
             row = {}
             for coef, shift, m in kind[1]:
-                axpy(row, coef, shift, a_row(m))
+                pk.axpy(row, coef, shift, a_row(m))
         memo[raw_idx] = row
         return row
 
-    def compose(coeff_vec: dict, rows: list) -> dict:
-        out: dict = {}
-        for (k, shift), c in coeff_vec.items():
-            axpy(out, c, shift, rows[k])
-        return out
+    basis = _tail_reduced([_Entry({**raw[t].terms, **a_row(t)}, pk) for t in _minimal(raw, pk)],
+                          pk, deadline)
 
-    a_final = []
-    for comb in final_combs:
-        _check(deadline)
-        row = {}
-        for coef, shift, m in comb:
-            axpy(row, coef, shift, a_row(m))
-        a_final.append(row)
-
-    # B: each column reduced to zero by the final strong basis
-    b_rows = []
-    for col in packed_cols:
-        _check(deadline)
-        rec = []
-        rem = normal_form(dict(col), final_entries, pk, record=rec)
-        if rem:
-            raise AssertionError("column failed to reduce by its own strong basis")
-        row: dict = {}
-        for qq, shift, k in rec:
-            row[(k, shift)] = row.get((k, shift), 0) + qq
-        b_rows.append({k: c for k, c in row.items() if c})
-
-    # syzygies of the final basis from its S- and GCD-pairs
-    candidates: list[dict] = []
-    t_count = len(final_entries)
-    for i in range(t_count):
-        for j in range(i + 1, t_count):
-            if final_entries[i].pos != final_entries[j].pos:
-                continue
-            for seed in _pair_seeds(final_entries, i, j):
-                _check(deadline)
-                rec = []
-                rem = normal_form(_seed_vector(seed, final_entries), final_entries, pk,
-                                  record=rec)
-                if rem:
-                    raise AssertionError("pair of a strong basis failed to reduce to zero")
-                sigma: dict = {}
-                for coef, shift, idx in seed:
-                    sigma[(idx, shift)] = sigma.get((idx, shift), 0) + coef
-                for qq, shift, m in rec:
-                    sigma[(m, shift)] = sigma.get((m, shift), 0) - qq
-                sigma = {k: c for k, c in sigma.items() if c}
-                if sigma:
-                    candidates.append(compose(sigma, a_final))
-
-    # rows of I - B*A
-    for i in range(q):
-        _check(deadline)
-        row = {pk.pack(i, zero): 1}
-        ba = compose(b_rows[i], a_final)
-        for k, c in ba.items():
-            row[k] = row.get(k, 0) - c
-        row = {k: c for k, c in row.items() if c}
-        if row:
-            candidates.append(row)
+    def candidates():
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                if basis[i].pos == basis[j].pos:
+                    for seed in _pair_seeds(basis, i, j):
+                        yield _seed_vector(seed, basis)
+        for j, col in enumerate(packed_cols):
+            yield {**col, pk.pack(p + j, zero): 1}
 
     out = []
     seen = set()
-    for cand in candidates:
+    for vec in candidates():
         _check(deadline)
-        if not cand:
+        syz = normal_form(vec, basis, pk)
+        if any(t & pk.flag for t in syz):
+            raise AssertionError("a pair or column failed to reduce by its own strong basis")
+        if not syz:
             continue
         check: dict = {}
-        for t, c in cand.items():
-            j, shift = pk.split(t)
-            axpy(check, c, shift, packed_cols[j])
+        for t, c in syz.items():
+            pos, shift = pk.split(t)
+            pk.axpy(check, c, shift, packed_cols[pos - p])
         if check:
             raise AssertionError("produced vector is not a syzygy of the columns")
-        key = frozenset(cand.items())
+        key = frozenset(syz.items())
         if key not in seen:
             seen.add(key)
-            out.append(cand)
-    return [pk.unpack_vec(s) for s in out]
+            out.append(syz)
+    return [{(pos - p, mono): c for (pos, mono), c in pk.unpack_vec(s).items()} for s in out]
 
 
 def saturated_basis(columns: list[dict], p: int, nvars: int, deadline=None, var_blocks=None):

@@ -18,6 +18,7 @@ from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
 from conftest import free_presentation, inverse_pair, mono, random_poly
+from corpus import no_instances, yes_instances
 
 
 def one_way():
@@ -273,6 +274,71 @@ def test_verify_witness_examples():
     g3 = GeneratorSet(pres, els)
     graph = graph_of_word(g3, [1, 2, 2, 3, 3, 1, 3])
     assert verify_witness(graph, g3)
+
+
+def _word_oracle(word, gens):
+    """The verification `verify_witness` replaced: the letter set, then the
+    product of the letters, one group multiplication at a time."""
+    return bool(word) and set(word) == set(range(1, gens.K + 1)) and \
+        evaluate_word(gens, word).is_neutral()
+
+
+def _mutations(rng, word, K):
+    """`word`, and words near it: one letter dropped, two neighbours
+    swapped, one letter appended, one letter replaced."""
+    out = [word]
+    if word:
+        i = rng.randrange(len(word))
+        out += [word[:i] + word[i + 1:], word[:i] + [rng.randint(1, K)] + word[i + 1:]]
+    if len(word) > 1:
+        i = rng.randrange(len(word) - 1)
+        out.append(word[:i] + [word[i + 1], word[i]] + word[i + 2:])
+    return out + [word + [rng.randint(1, K)]]
+
+
+def _inverse_closed(rng, n, torsion):
+    """m random elements and their inverses (letter i + m inverts letter i),
+    over the free module of rank 1 or over a torsion quotient of it."""
+    rels = [[LaurentPoly.constant(n, 2)]] if torsion else []
+    pres = ModulePresentation(n=n, d=1, rels_N=rels)
+    els = [GroupElement(pres, [random_poly(rng, n)],
+                        tuple(rng.randint(-2, 2) for _ in range(n)))
+           for _ in range(rng.randint(1, 3))]
+    return GeneratorSet(pres, els + [g.inverse() for g in els])
+
+
+def test_verify_witness_agrees_with_the_product():
+    """On the corpus and on seeded inverse-closed sets at n = 0, 1, 2, the
+    one-pass check of `verify_witness` gives the verdict of the product of
+    the letters, for neutral words and for words near them: words that are
+    not neutral, that miss a letter or that do not close.  The graph of a
+    word gets the same verdict as the word."""
+    rng = random.Random(36)
+    words = []
+    for _, gens in yes_instances(12) + no_instances(9):
+        neutral = oracle_bfs(gens, 4)
+        for word in ([neutral] if neutral else []) + [
+                [rng.randint(1, gens.K) for _ in range(rng.randint(1, 6))] for _ in range(3)]:
+            words += [(gens, w) for w in _mutations(rng, word, gens.K)]
+    for case in range(60):
+        gens = _inverse_closed(rng, case % 3, case % 2)
+        m = gens.K // 2
+        half = [rng.randint(1, gens.K) for _ in range(rng.randint(m, 6))]
+        neutral = half + [(i - 1 + m) % gens.K + 1 for i in reversed(half)]
+        words += [(gens, w) for w in _mutations(rng, neutral, gens.K)]
+        words.append((gens, [i for i in neutral if i != gens.K]))  # misses a letter
+    seen = set()
+    for gens, word in words:
+        want = _word_oracle(word, gens)
+        assert verify_witness(word, gens) == want
+        if word:
+            assert verify_witness(graph_of_word(gens, word), gens) == want
+        closes = not any(map(sum, zip(*(gens.steps[i - 1] for i in word))))
+        seen.add((want, closes, set(word) == set(range(1, gens.K + 1))))
+    assert seen >= {(True, True, True), (False, True, True), (False, False, True),
+                    (False, True, False)}
+    assert not verify_witness([], gens) and not verify_witness([0, 1], gens)
+    assert not verify_witness([1, gens.K + 1], gens)
 
 
 @pytest.mark.parametrize("generators", [

@@ -7,9 +7,12 @@ use, is kept with them.  They keep terms as (position, exponent tuple)
 pairs, find the leading term with a `max` over the work vector and the
 reducer with a linear scan.  The reducer choice, the pair order and the
 recipes fix the bytes of every syzygy output, so the engine must match them
-exactly: the same remainders (with the same insertion order), the same
-reduction records, raw bases, recipes, reduced bases and syzygy generators,
-at every field width of its packed terms.
+exactly, at every field width of its packed terms: the same remainders
+(with the same insertion order), the same reduction records, raw bases,
+recipes and reduced bases, and the same syzygy generators in the same
+order.  The engine lifts syzygies by reducing augmented vectors, where the
+reference composes the lifting matrices, so a generator's terms come in
+another order; they are compared as a dict.
 """
 import heapq
 import random
@@ -444,7 +447,10 @@ def items(entries):
 
 
 def syzygy_items(syzygies):
-    return [list(s.items()) for s in syzygies]
+    """Each generator's terms as a dict, in generator order: the order of the
+    terms inside a generator is not output (`jsonio.poly_to_json` sorts
+    them, `syzygy_basis` deduplicates by frozenset)."""
+    return [dict(s) for s in syzygies]
 
 
 def entries(vecs, order):
@@ -608,6 +614,33 @@ def test_syzygy_generators_match_reference():
         want = ref_syzygy_generators(columns, p, nvars)
         got = groebner.syzygy_generators(columns, p, nvars)
         assert syzygy_items(got) == syzygy_items(want)
+
+
+def test_lifting_refuses_a_basis_without_one_element(monkeypatch):
+    """Without any one element of the minimal strong basis, some column or
+    pair no longer reduces to zero, and the lifting raises instead of
+    reading syzygies off the remainders."""
+    minimal = groebner._minimal
+    sizes = []
+
+    def without(drop):
+        def patched(basis, pk):
+            kept = minimal(basis, pk)
+            sizes.append(len(kept))
+            return kept[:drop] + kept[drop + 1:]
+        return patched
+
+    rng = random.Random(35)
+    for _ in range(40):
+        nvars, p = rng.randint(1, 3), rng.randint(1, 3)
+        columns = [random_vec(rng, nvars, p, rng.randint(1, 2)) for _ in range(rng.randint(3, 5))]
+        drop = 0
+        while drop == 0 or drop < sizes[-1]:
+            monkeypatch.setattr(groebner, "_minimal", without(drop))
+            with pytest.raises(AssertionError, match="failed to reduce"):
+                groebner.syzygy_generators(columns, p, nvars)
+            drop += 1
+    assert len(sizes) > 40 and max(sizes) >= 3
 
 
 @pytest.mark.parametrize("big", HUGE)
