@@ -10,6 +10,7 @@ a fresh eliminated variable; syzygy modules localize as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Optional, Sequence
 
 from semizn import groebner
@@ -129,6 +130,17 @@ def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,
     result; localization flatness makes the polynomial generators generate
     the Laurent syzygy module.
     """
+    return _syzygies(columns, p, n, len(columns), deadline)
+
+
+def _syzygies(columns, p: int, n: int, k: int, deadline) -> list[list[LaurentPoly]]:
+    """`laurent_syzygies` cut to their first k coordinates, each decoded in
+    one pass as `normalize_unit` of the cut vector: column j's clearing
+    shift undone, then one shift to componentwise minimum exponent zero and
+    one sign.  That is the map `raw_to_vector`, the shifts, `normalize_unit`
+    of the whole vector and `normalize_unit` of its cut composed to (a unit
+    multiple of the whole vector cuts to a unit multiple of the cut).  An
+    all-zero cut comes back as zeros."""
     cleared = []
     shifts = []
     for col in columns:
@@ -136,13 +148,19 @@ def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,
         raw, shift = clear_vector(col, n)
         cleared.append(raw)
         shifts.append(shift)
-    raw_syz = groebner.syzygy_generators(cleared, p, n, deadline=deadline)
     out = []
-    for s in raw_syz:
+    for s in groebner.syzygy_generators(cleared, p, n, deadline=deadline):
         groebner._check(deadline)
-        vec = raw_to_vector(s, len(columns), n)
-        vec = [f.shift(shifts[i]) for i, f in enumerate(vec)]
-        out.append(normalize_unit(vec, n))
+        polys = [{} for _ in range(k)]
+        for (pos, mono), c in s.items():
+            if pos < k:
+                polys[pos][tuple(map(add, mono, shifts[pos]))] = c
+        lead = next((t for t in polys if t), None)
+        if lead is not None:
+            low = tuple(map(min, zip(*(e for t in polys for e in t))))
+            sign = -1 if lead[max(lead, key=lambda e: (sum(e), e))] < 0 else 1
+            polys = [{tuple(map(sub, e, low)): sign * c for e, c in t.items()} for t in polys]
+        out.append([LaurentPoly._trusted(n, t) for t in polys])
     return out
 
 
@@ -272,11 +290,9 @@ def syzygy_basis(presentation: ModulePresentation, ys, steps, deadline=None) -> 
     stacked system projected to the first K coordinates."""
     K = len(ys)
     cols, p = stacked_columns(presentation, ys, steps)
-    syz = laurent_syzygies(cols, p, presentation.n, deadline=deadline)
     gens = []
     seen = set()
-    for s in syz:
-        f = normalize_unit(s[:K], presentation.n)
+    for f in _syzygies(cols, p, presentation.n, K, deadline):
         if all(q.is_zero() for q in f):
             continue
         key = tuple(frozenset(q.terms.items()) for q in f)

@@ -44,7 +44,7 @@ from semizn.algebra import (ModulePresentation, clear_vector, normalize_unit, ra
 from semizn.algebra import laurent_syzygies  # noqa: F401  (perfbench/tracer.py patches it here)
 from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.geometry import HullTooLargeError
-from semizn.ggraph import StepGraph, graph_of_word
+from semizn.ggraph import StepGraph, WitnessBudgetError, _check_deadline, graph_of_word
 from semizn.group import GeneratorSet, evaluate_word
 from semizn.groebner import GroebnerBudgetError, saturated_basis
 from semizn.laurent import LaurentPoly
@@ -84,12 +84,13 @@ class Verdict:
 # Witness checking (independent of how a witness was produced)
 # ---------------------------------------------------------------------------
 
-def verify_witness(witness, gens: GeneratorSet) -> bool:
+def verify_witness(witness, gens: GeneratorSet, deadline=None) -> bool:
     """Check a word (list of letters) or a StepGraph as a group-ness witness:
     a connected (a word's trace always is), full-image graph whose position
     polynomials have zero symmetry residual (the graph is symmetric, so a
     word closes) and zero neutrality residual in Y.  One pass over the
-    letters: no product of group elements is formed."""
+    letters: no product of group elements is formed.  Past `deadline` (a
+    `time.monotonic()` value, or None) it raises WitnessBudgetError."""
     if isinstance(witness, StepGraph):
         graph = witness
         if graph.steps != tuple(gens.steps):
@@ -100,7 +101,8 @@ def verify_witness(witness, gens: GeneratorSet) -> bool:
         word = list(witness)
         if not word or not set(word) <= set(range(1, gens.K + 1)):
             return False
-        graph = graph_of_word(gens, word)
+        graph = graph_of_word(gens, word, deadline)
+        _check_deadline(deadline)
     if not graph.is_full_image():
         return False
     sym, neu = residual(positions.position_polynomials(graph), gens.presentation, gens.ys,
@@ -211,8 +213,9 @@ def _check_refutation(columns, lam, K: int):
         raise AssertionError("refutation failed independent Fourier-Motzkin recheck")
     if lam is None or len(lam) != K or any(x < 0 for x in lam) or all(x == 0 for x in lam):
         raise AssertionError("invalid dual certificate")
+    lam, _ = linalg._int_row(lam)  # positive multiples: the same zeros
     for col in columns:
-        if sum(l * c for l, c in zip(lam, col)) != 0:
+        if linalg.dot(lam, linalg._int_row(col)[0]):
             raise AssertionError("dual certificate does not annihilate the generators")
 
 
@@ -367,26 +370,33 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
 # Cores and public drivers
 # ---------------------------------------------------------------------------
 
-def _graph_witness(fs, steps, budget: Budget):
-    """Build the Eulerian graph + word witness for an accepted tuple."""
+def _graph_witness(fs, steps, budget: Budget, deadline=None):
+    """Build the Eulerian graph + word witness for an accepted tuple,
+    checking `deadline` after each phase and inside the Euler circuit."""
     graph = positions.graph_from_positions(fs, steps)
+    _check_deadline(deadline)
     translations = [(0,) * len(steps[0])]
     union = graph
     if not union.is_connected():
         result = eulerian_closure(graph, max_n=budget.closure_n)
         union = result.union
         translations = result.translations
+    _check_deadline(deadline)
     start = min(union.vertices())
-    word = union.euler_circuit(start)
+    word = union.euler_circuit(start, deadline)
     if word is None:
         raise AssertionError("closure union failed to yield an Euler circuit")
     return graph, union, translations, word
 
 
-def _yes_maker(steps, budget: Budget, verify_word: Callable):
+def _yes_maker(steps, budget: Budget, verify_word: Callable, deadline=None):
+    """The positive search's witness maker.  Past `deadline` it raises
+    WitnessBudgetError: between the graph, closure and Euler circuit phases,
+    inside the circuit, and in `verify_word` (`verify_witness` checks it
+    before the word's first letter and every 4096 letters after)."""
     def maker(fs, tested):
         try:
-            graph, union, translations, word = _graph_witness(fs, steps, budget)
+            graph, union, translations, word = _graph_witness(fs, steps, budget, deadline)
         except (ClosureBudgetError, HullTooLargeError):
             return None
         if not verify_word(word):
@@ -424,7 +434,7 @@ def decide_core(generators, steps, K: int, n: int, budget: Budget,
     Past `deadline` (a `time.monotonic()` value, or None) the verdict is
     UNKNOWN with `timed_out`."""
     a_iter = procedure_a_events(generators, steps, K, n, budget,
-                                _yes_maker(steps, budget, verify_word), deadline)
+                                _yes_maker(steps, budget, verify_word, deadline), deadline)
     r_iter = locr_events(generators, K, n, budget)
     live = [r_iter, a_iter]
     timed_out = False
@@ -438,6 +448,9 @@ def decide_core(generators, steps, K: int, n: int, budget: Budget,
             except StopIteration:
                 live.remove(it)
                 continue
+            except WitnessBudgetError:
+                timed_out = True
+                break
             if event is not None:
                 return event
     return _unknown(budget, timed_out)
@@ -524,7 +537,7 @@ def _decide_generating_set(sub: GeneratorSet, budget: Budget,
     """Group Problem for `sub`, re-posed over the lattice of its steps.  Past
     `deadline` the verdict is UNKNOWN with `timed_out`."""
     def verify(word):
-        return verify_witness(word, sub)
+        return verify_witness(word, sub, deadline)
 
     try:
         generators, steps = _repose(sub, deadline)

@@ -6,11 +6,26 @@ circuit of a suitable graph reads back a word.
 """
 from __future__ import annotations
 
+import time
 from collections import Counter, defaultdict
+from operator import add
 from typing import Optional, Sequence
 
 from semizn import linalg
 from semizn.group import GeneratorSet, GroupElement
+
+_CHECK_EVERY = 4096  # letters or circuit steps between two deadline checks
+
+
+class WitnessBudgetError(Exception):
+    """Raised when building or checking a witness runs past its deadline."""
+
+
+def _check_deadline(deadline: Optional[float]):
+    """Raise WitnessBudgetError once `deadline` (a `time.monotonic()` value,
+    or None) has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise WitnessBudgetError("witness deadline exceeded")
 
 
 class StepGraph:
@@ -128,16 +143,19 @@ class StepGraph:
         return GroupElement(pres, y, tuple(a))
 
     # -- Euler circuits --------------------------------------------------------
-    def euler_circuit(self, start: Sequence[int]) -> Optional[list[int]]:
+    def euler_circuit(self, start: Sequence[int], deadline=None) -> Optional[list[int]]:
         """Label sequence of an Euler circuit from `start`, or None when the
         graph is not symmetric or not connected.  Ties are broken by smallest
-        (destination vertex, label), so the output is deterministic."""
+        (destination vertex, label), so the output is deterministic.
+        `deadline` is checked before each of the two tests and every
+        _CHECK_EVERY steps of the walk."""
         start = tuple(int(v) for v in start)
-        verts = self.vertices()
-        if start not in verts:
+        if start not in self.vertices():
             raise ValueError(f"start {start} is not a vertex")
-        if not self.is_symmetric() or not self.is_connected():
-            return None
+        for holds in (self.is_symmetric, self.is_connected):
+            _check_deadline(deadline)
+            if not holds():
+                return None
         adj = defaultdict(list)
         for idx, (s, label) in enumerate(self.edges):
             adj[s].append((self.destination((s, label)), label, idx))
@@ -147,7 +165,11 @@ class StepGraph:
         used = [False] * len(self.edges)
         stack: list[tuple] = [(start, None)]
         out_rev: list[int] = []
+        steps = 0
         while stack:
+            if not steps % _CHECK_EVERY:
+                _check_deadline(deadline)
+            steps += 1
             v, incoming = stack[-1]
             moved = False
             lst = adj.get(v, ())
@@ -194,20 +216,25 @@ class StepGraph:
         return "\n".join(lines) + "\n"
 
 
-def graph_of_word(gens_or_steps, word: Sequence[int]) -> StepGraph:
+def graph_of_word(gens_or_steps, word: Sequence[int], deadline=None) -> StepGraph:
     """Graph traced by a word's lattice partial sums (edge j starts at the
     sum of the first j-1 steps, labeled by letter j).  The trace is connected
-    and starts at 0, so it already is the component of the origin."""
+    and starts at 0, so it already is the component of the origin.  The
+    edges are built here from checked letters, so only the steps go through
+    `StepGraph`'s checks.  `deadline` is checked every _CHECK_EVERY letters."""
     if not word:
         raise ValueError("empty word has no graph")
     steps = gens_or_steps.steps if isinstance(gens_or_steps, GeneratorSet) else gens_or_steps
-    steps = [tuple(int(v) for v in a) for a in steps]
-    n = len(steps[0])
-    pos = (0,) * n
+    graph = StepGraph(steps, ())
+    steps = graph.steps
+    pos = (0,) * graph.n
     edges = []
-    for letter in word:
-        if not 1 <= letter <= len(steps):
+    for k, letter in enumerate(word):
+        if not k % _CHECK_EVERY:
+            _check_deadline(deadline)
+        if not 1 <= letter <= graph.K:
             raise ValueError(f"letter {letter} out of range")
         edges.append((pos, letter))
-        pos = tuple(a + b for a, b in zip(pos, steps[letter - 1]))
-    return StepGraph(steps, edges)
+        pos = tuple(map(add, pos, steps[letter - 1]))
+    graph.edges = tuple(sorted(edges))
+    return graph

@@ -36,7 +36,13 @@ ints, with lazy deletion: a term that cancels stays in the heap and is
 skipped when it is popped.  A reduction step only adds terms below the
 leading term it removes, so a popped term never comes back, and each step
 finds the leading term in logarithmic time instead of scanning the vector.
-Reducers are looked up in per-position lists sorted by (|lc|, index).
+Reducers are looked up in per-position lists sorted by (|lc|, index), which
+a `_Basis` keeps across calls: the raw run adds one sorted insert per new
+element, and the fixed bases of `_tail_reduced` and of the lifting build
+theirs once.  While every leading term is a column term (flag set), no
+e-part term is reducible: those terms stay in the work vector but off the
+heap, and join the result at the end in descending order, where the heap
+would have put them.
 
 Syzygies are lifted on the augmented module (see `syzygy_generators`):
 only the reduced basis carries its representation by the columns, as an
@@ -54,6 +60,7 @@ output contract.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import time
 from math import gcd
@@ -263,23 +270,61 @@ def remainder(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -> 
     return _widening(order, [vec], run, max((e.pk.width for e in basis), default=32))
 
 
+class _Basis(list):
+    """Basis entries with their reducer lists, kept across `normal_form`
+    calls: per position, (|lc|, index, lead, coef, tail, low tail) in
+    ascending order.  `cut` is the flag bit when the entries carry e-part
+    terms (below the flag) and every leading term is a column term (flag
+    set), and 0 otherwise.  No term below `cut` is ever reducible then, so
+    each tail is split at it, and the terms below it stay off the heap."""
+    __slots__ = ("pk", "cut", "reducers")
+
+    def __init__(self, pk: _Packing, entries=()):
+        super().__init__(entries)
+        self.pk = pk
+        self._index()
+
+    def _index(self):
+        pk, flag = self.pk, self.pk.flag
+        columns = all(e.lead & flag for e in self)
+        self.cut = flag if columns and any(min(e.terms) < flag for e in self) else 0
+        self.reducers = {}
+        for r in sorted(map(self._reducer, range(len(self)))):
+            self.reducers.setdefault(r[2] & pk.top, []).append(r)
+
+    def _reducer(self, idx: int) -> tuple:
+        e, cut = self[idx], self.cut
+        if not cut:
+            return abs(e.coef), idx, e.lead, e.coef, e.tail, ()
+        return (abs(e.coef), idx, e.lead, e.coef, [tc for tc in e.tail if tc[0] >= cut],
+                [tc for tc in e.tail if tc[0] < cut])
+
+    def append(self, e: _Entry):
+        super().append(e)
+        if self.cut and not e.lead & self.cut:
+            self._index()  # a leading term below the cut: no split any more
+        else:
+            bisect.insort(self.reducers.setdefault(e.lead & self.pk.top, []),
+                          self._reducer(len(self) - 1))
+
+
 def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> dict:
     """Strong normal form with canonical remainders (0 <= r < |lc|), over
-    the packing `pk` of `vec`, `basis` and the result.
+    the packing `pk` of `vec`, `basis` and the result.  A `_Basis` brings
+    its kept reducer lists; a plain list gets them built for this call.
 
     With a strong basis this is a unique coset representative; membership is
     normal_form == {}.  When `record` is a list, every reduction step appends
     (q, shift, basis_index) meaning q * X^shift * basis[index] was
-    subtracted, so vec = remainder + sum of recorded multiples.
+    subtracted, so vec = remainder + sum of recorded multiples.  The terms
+    of the result come in the order the heap would pop them: the column
+    terms as they leave the heap, then the terms below the cut, descending.
     """
-    reducers: dict = {}
-    top = pk.top
-    for idx in sorted(range(len(basis)), key=lambda i: abs(basis[i].coef)):  # stable: ties by index
-        g = basis[idx]
-        reducers.setdefault(g.lead & top, []).append((g.lead, g.coef, g.tail, idx))
-    divmask, guard = pk.divmask, pk.guard
+    table = basis if isinstance(basis, _Basis) else _Basis(pk, basis)
+    reducers, cut = table.reducers, table.cut
+    top, divmask, guard = pk.top, pk.divmask, pk.guard
     work = dict(vec)
-    heap = [-t for t in work]
+    heap = [-t for t in work if t >= cut]  # terms below the cut stay off the heap
     heapq.heapify(heap)
     out = {}
     while heap:
@@ -287,7 +332,7 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
         c = work.pop(lead, None)
         if c is None:
             continue  # cancelled since it was pushed (lazy deletion)
-        for g_lead, g_coef, g_tail, idx in reducers.get(lead & top, ()):
+        for _, idx, g_lead, g_coef, g_tail, g_low in reducers.get(lead & top, ()):
             shift = lead - g_lead
             if shift >= 0 and not shift & divmask:
                 break
@@ -310,10 +355,24 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
                     work[t] = old - d
                 else:
                     del work[t]
+            for e, cg in g_low:
+                t = e + shift
+                if t & guard:
+                    raise _Overflow
+                d = q * cg
+                old = work.get(t)
+                if old is None:
+                    work[t] = -d
+                elif old != d:
+                    work[t] = old - d
+                else:
+                    del work[t]
             if record is not None:
                 record.append((q, shift, idx))
         if r:
             out[lead] = r
+    if work:  # only terms below the cut are left
+        out.update(sorted(work.items(), reverse=True))
     return out
 
 
@@ -357,13 +416,14 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
     Processes S-vectors and GCD-vectors by the normal strategy (smallest lcm
     term first); deterministic for a fixed input order.
     """
-    basis: list[_Entry] = []
+    entries: list[_Entry] = []
     recipes: list = []
     for j, g in enumerate(gens):
         if g:
             e, sign = _signed_entry(dict(g), pk)
-            basis.append(e)
+            entries.append(e)
             recipes.append(("gen", j, sign))
+    basis = _Basis(pk, entries)
 
     pending: list = []
     counter = 0
@@ -420,11 +480,14 @@ def _minimal(basis: list[_Entry], pk: _Packing) -> list[int]:
 
 def _tail_reduced(entries: list[_Entry], pk: _Packing, deadline=None) -> list[_Entry]:
     """Each entry with its tail reduced against the other entries, in the
-    order given."""
+    order given.  One reducer table serves every entry: an entry's own
+    leading term lies above every term of its tail and of each reduction
+    of it, so it never divides one, and the others keep their order."""
+    table = _Basis(pk, entries)
     out = []
-    for t, e in enumerate(entries):
+    for e in entries:
         _check(deadline)
-        tail = normal_form(dict(e.tail), entries[:t] + entries[t + 1:], pk)
+        tail = normal_form(dict(e.tail), table, pk)
         tail[e.lead] = e.coef
         out.append(_Entry(tail, pk))
     return out
@@ -478,8 +541,8 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
         memo[raw_idx] = row
         return row
 
-    basis = _tail_reduced([_Entry({**raw[t].terms, **a_row(t)}, pk) for t in _minimal(raw, pk)],
-                          pk, deadline)
+    basis = _Basis(pk, _tail_reduced(
+        [_Entry({**raw[t].terms, **a_row(t)}, pk) for t in _minimal(raw, pk)], pk, deadline))
 
     def candidates():
         for i in range(len(basis)):

@@ -161,19 +161,31 @@ class LaurentPoly:
         )
 
     def evaluate_positive(self, r: Sequence) -> Fraction:
-        """Exact value at a strictly positive rational point."""
+        """Exact value at a strictly positive rational point.  With each
+        coordinate p/q in lowest terms, and lo and hi the least and the
+        largest exponent of its variable over the support, the value is
+        sum c * prod p^(e - lo) * q^(hi - e) (in integers when the
+        coefficients are) times prod p^lo / q^hi, made one Fraction."""
         r = [Fraction(x) for x in r]
         if len(r) != self.n:
             raise ValueError("evaluation point length mismatch")
         if any(x <= 0 for x in r):
             raise ValueError("evaluation point must be strictly positive")
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        lo = list(map(min, zip(*self.terms)))
+        hi = list(map(max, zip(*self.terms)))
+        pq = [(x.numerator, x.denominator) for x in r]
+        total = 0
         for e, c in self.terms.items():
-            val = Fraction(1)
-            for base, exp in zip(r, e):
-                val *= base ** exp
-            total += c * val
-        return total
+            for (p, q), a, l, h in zip(pq, e, lo, hi):
+                c *= p ** (a - l) * q ** (h - a)
+            total += c
+        num = den = 1
+        for (p, q), l, h in zip(pq, lo, hi):
+            num *= p ** max(l, 0) * q ** max(-h, 0)
+            den *= p ** max(-l, 0) * q ** max(h, 0)
+        return Fraction(total * num, den)
 
     def __repr__(self):
         if not self.terms:

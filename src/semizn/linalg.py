@@ -309,7 +309,8 @@ def strict_positive_combination(columns: list[Sequence]):
 
 def fm_strictly_feasible(columns: list[Sequence]) -> bool:
     """Fourier-Motzkin decision of the same system as
-    strict_positive_combination; independent of the simplex path."""
+    strict_positive_combination; independent of the simplex path.  The rows
+    are primitive integer vectors, and so are their combinations."""
     if not columns:
         return False
     K = len(columns[0])
@@ -326,11 +327,9 @@ def fm_strictly_feasible(columns: list[Sequence]) -> bool:
             new = set(zero)
             for p in pos:
                 for q in neg:
-                    comb = tuple(
-                        Fraction(pc) * -q[var] + Fraction(qc) * p[var]
-                        for pc, qc in zip(p, q)
-                    )
-                    new.add(primitive_vector(comb))
+                    comb = [pc * -q[var] + qc * p[var] for pc, qc in zip(p, q)]
+                    g = gcd(*comb) or 1
+                    new.add(tuple(x // g for x in comb))
             rows = new
         else:
             rows = set(zero)  # one-signed rows satisfied by pushing x_var

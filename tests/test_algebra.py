@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
-from semizn import linalg
-from semizn.algebra import (LaurentSubmodule, ModulePresentation, normalize_unit,
-                            residual, syzygy_basis)
+from semizn import algebra, groebner, linalg
+from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, normalize_unit,
+                            raw_to_vector, residual, stacked_columns, syzygy_basis)
 from semizn.laurent import LaurentPoly
 
 from conftest import free_presentation, mono, random_poly
@@ -163,3 +165,34 @@ def test_non_integral_coefficients_rejected():
 
     with pytest.raises(ValueError):
         LaurentSubmodule(1, 1, [[LaurentPoly.constant(1, Fraction(1, 2))]])
+
+
+def test_one_pass_decoding_matches_the_composition():
+    """The decoder against what it replaced, on seeded instances shaped like
+    acceptance criterion 5 (n <= 2, d <= 2, K <= 3, up to two relations):
+    each raw syzygy through `raw_to_vector`, the column shifts and
+    `normalize_unit`, then `normalize_unit` again on its first K
+    coordinates.  The same vectors with their terms in the same order, for
+    the first K coordinates and for all of them."""
+    rng = random.Random(556)
+    decoded = 0
+    for _ in range(40):
+        n, d, K = rng.randint(0, 2), rng.randint(1, 2), rng.randint(1, 3)
+        rels = [[random_poly(rng, n, max_terms=2) for _ in range(d)]
+                for _ in range(rng.randint(0, 2))]
+        rels = [r for r in rels if any(not f.is_zero() for f in r)]
+        pres = ModulePresentation(n=n, d=d, rels_N=rels)
+        ys = [[random_poly(rng, n, max_terms=2) for _ in range(d)] for _ in range(K)]
+        steps = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(K)]
+        cols, p = stacked_columns(pres, ys, steps)
+        cleared = [clear_vector(col, n) for col in cols]
+        whole = []
+        for s in groebner.syzygy_generators([raw for raw, _ in cleared], p, n):
+            vec = raw_to_vector(s, len(cols), n)
+            whole.append(normalize_unit([f.shift(cleared[i][1]) for i, f in enumerate(vec)], n))
+        for k, want in ((len(cols), whole), (K, [normalize_unit(v[:K], n) for v in whole])):
+            got = algebra._syzygies(cols, p, n, k, None)
+            assert [[list(f.terms.items()) for f in v] for v in got] == \
+                [[list(f.terms.items()) for f in v] for v in want]
+            decoded += len(got)
+    assert decoded >= 100

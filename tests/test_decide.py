@@ -6,13 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from semizn import decide, geometry, groebner, jsonio, linalg
+from semizn import decide, geometry, ggraph, groebner, jsonio, linalg
 from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, laurent_syzygies,
                             normalize_unit, raw_to_vector, syzygy_basis)
 from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
                            decide_subset, locr_events, oracle_bfs, procedure_a_events,
                            sample_points, verify_witness)
-from semizn.ggraph import graph_of_word
+from semizn.ggraph import StepGraph, graph_of_word
 from semizn.groebner import GroebnerBudgetError, saturated_basis
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
@@ -224,6 +224,43 @@ def test_group_timeout_bounds_the_syzygy_phase(monkeypatch):
     v = decide_group(rng555_instance20(), Budget(timeout=3600))
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
     assert late == [False]
+
+
+def long_witness():
+    """CI's long-witness instance: n = 1 over Z[X^pm]/(X - 2), with
+    (2X^-1 - 2X^2, 1), (2X^-2, -2) and (2X^2, -1).  Its `yes` word has
+    244,360 letters."""
+    pres = ModulePresentation(n=1, d=1, rels_N=[[LaurentPoly(1, {(1,): 1, (0,): -2})]])
+    return GeneratorSet(pres, [GroupElement(pres, [LaurentPoly(1, y)], a) for y, a in [
+        ({(-1,): 2, (2,): -2}, (1,)), ({(-2,): 2}, (-2,)), ({(2,): 2}, (-1,))]])
+
+
+@pytest.mark.parametrize("phase, nth", [("graph", 1), ("graph", 2), ("circuit", 4), ("trace", 2)])
+def test_group_timeout_bounds_the_witness(monkeypatch, phase, nth):
+    """The witness checks the deadline after the positions' graph, after its
+    connectivity test and closure, before each of the Euler circuit's two
+    graph tests and every 4096 steps of its walk, and every 4096 letters of
+    the word's trace.  A clock skewed past the deadline at the nth check of
+    a phase ends the run there, `unknown` with `timed_out`: no further check
+    is made, so no phase goes on."""
+    current, reads = ["graph"], []  # reads: the phase of every deadline check
+
+    def clock():
+        reads.append(current[0])
+        return time.monotonic() + (1e9 if reads.count(phase) >= nth else 0.0)
+
+    def entering(name, fn):
+        def wrapped(*args, **kwargs):
+            current[0] = name
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ggraph, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(StepGraph, "euler_circuit", entering("circuit", StepGraph.euler_circuit))
+    monkeypatch.setattr(decide, "graph_of_word", entering("trace", graph_of_word))
+    v = decide_group(long_witness(), Budget(timeout=3600))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert reads.count(phase) == nth and reads[-1] == phase
 
 
 def test_group_timeout_bounds_the_window_rounds(monkeypatch):

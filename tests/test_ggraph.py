@@ -35,6 +35,26 @@ def test_graph_of_word_small():
         graph_of_word([(1,)], [])
 
 
+def test_graph_of_word_matches_the_checked_construction(rng):
+    """The trace's edges skip `StepGraph`'s checks; the graph is still the
+    one the checked constructor makes of the same edges, and bad letters
+    and steps are still refused."""
+    for _ in range(200):
+        n, K = rng.randint(0, 3), rng.randint(1, 4)
+        steps = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(K)]
+        word = [rng.randint(1, K) for _ in range(rng.randint(1, 30))]
+        edges, pos = [], (0,) * n
+        for letter in word:
+            edges.append((pos, letter))
+            pos = tuple(a + b for a, b in zip(pos, steps[letter - 1]))
+        g = graph_of_word(steps, word)
+        assert g == StepGraph(steps, edges) and (g.n, g.K) == (n, K)
+    for letter in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            graph_of_word([(1,), (-1,)], [1, letter])
+    with pytest.raises(ValueError, match="inconsistent step lengths"):
+        graph_of_word([(1,), (-1, 0)], [1])
+
 def test_represented_element_matches_word(rng):
     pres = free_presentation(2)
     els = [

@@ -13,6 +13,10 @@ recipes and reduced bases, and the same syzygy generators in the same
 order.  The engine lifts syzygies by reducing augmented vectors, where the
 reference composes the lifting matrices, so a generator's terms come in
 another order; they are compared as a dict.
+
+`old_normal_form` is the packed engine's `normal_form` before it kept its
+reducer lists across calls and its e-part terms off the heap, verbatim
+apart from its name.
 """
 import heapq
 import random
@@ -510,6 +514,60 @@ def recorded_widths(monkeypatch):
     return widths
 
 
+def old_normal_form(vec: dict, basis: list, pk, record=None) -> dict:
+    """Strong normal form with canonical remainders (0 <= r < |lc|), over
+    the packing `pk` of `vec`, `basis` and the result.
+
+    With a strong basis this is a unique coset representative; membership is
+    normal_form == {}.  When `record` is a list, every reduction step appends
+    (q, shift, basis_index) meaning q * X^shift * basis[index] was
+    subtracted, so vec = remainder + sum of recorded multiples.
+    """
+    reducers: dict = {}
+    top = pk.top
+    for idx in sorted(range(len(basis)), key=lambda i: abs(basis[i].coef)):  # stable: ties by index
+        g = basis[idx]
+        reducers.setdefault(g.lead & top, []).append((g.lead, g.coef, g.tail, idx))
+    divmask, guard = pk.divmask, pk.guard
+    work = dict(vec)
+    heap = [-t for t in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        lead = -heapq.heappop(heap)
+        c = work.pop(lead, None)
+        if c is None:
+            continue  # cancelled since it was pushed (lazy deletion)
+        for g_lead, g_coef, g_tail, idx in reducers.get(lead & top, ()):
+            shift = lead - g_lead
+            if shift >= 0 and not shift & divmask:
+                break
+        else:
+            out[lead] = c
+            continue
+        r = c % abs(g_coef)
+        q = (c - r) // g_coef
+        if q:
+            for e, cg in g_tail:
+                t = e + shift
+                if t & guard:
+                    raise groebner._Overflow
+                d = q * cg
+                old = work.get(t)
+                if old is None:
+                    work[t] = -d
+                    heapq.heappush(heap, -t)
+                elif old != d:
+                    work[t] = old - d
+                else:
+                    del work[t]
+            if record is not None:
+                record.append((q, shift, idx))
+        if r:
+            out[lead] = r
+    return out
+
+
 # -- the packed terms -----------------------------------------------------------
 
 def test_packing_matches_the_order():
@@ -578,6 +636,49 @@ def test_normal_form_matches_reference():
         assert got_rec == want_rec
         ties += tied_divisors(basis, got_rec)
     assert ties >= 200
+
+
+def test_kept_tables_match_the_old_normal_form():
+    """`normal_form` over a kept `_Basis` (built at once, or built from one
+    entry and appended to, as in the raw run) and over a plain list,
+    against the body it replaced: the same remainder, in the same insertion
+    order, and the same record.  Half the bases are augmented, so every leading term is a column
+    term and the e-part terms stay off the heap; in the other half some
+    leading term may sit below the flag, and nothing is split."""
+    rng = random.Random(36)
+    split = 0
+    for case in range(600):
+        nvars, p = rng.randint(1, 3), rng.randint(1, 3)
+        npos = p + rng.randint(1, 3)
+        order = TermOrder(nvars, elim_positions=p)
+        if case % 2:
+            vecs = [{**random_vec(rng, nvars, npos, rng.randint(0, 3), maxexp=3),
+                     **random_vec(rng, nvars, p, rng.randint(1, 3), maxexp=1)}
+                    for _ in range(rng.randint(1, 6))]
+        else:
+            vecs = [random_vec(rng, nvars, npos, rng.randint(1, 3), maxexp=1)
+                    for _ in range(rng.randint(1, 6))]
+        basis = entries(vecs, order)
+        pk = basis[0].pk
+        grown = groebner._Basis(pk, basis[:1])  # as the raw run: built, then appended to
+        for e in basis[1:]:
+            grown.append(e)
+        kept = groebner._Basis(pk, basis)
+        for table in (grown, kept):  # every index once, each list in (|lc|, index) order
+            indices = sorted(r[1] for rs in table.reducers.values() for r in rs)
+            assert indices == list(range(len(basis)))
+            assert all(rs == sorted(rs) for rs in table.reducers.values())
+        split += bool(kept.cut) and any(low for rs in kept.reducers.values() for *_, low in rs)
+        for _ in range(3):
+            vec = pk.pack_vec(random_vec(rng, nvars, npos, rng.randint(1, 8), maxexp=4))
+            want_rec = []
+            want = old_normal_form(vec, basis, pk, record=want_rec)
+            for table in (kept, grown, basis):
+                got_rec = []
+                got = groebner.normal_form(vec, table, pk, record=got_rec)
+                assert list(got.items()) == list(want.items())
+                assert got_rec == want_rec
+    assert split >= 200
 
 
 def test_buchberger_matches_reference():

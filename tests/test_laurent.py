@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,37 @@ def test_evaluate_positive_examples():
         X.evaluate_positive((0,))
     with pytest.raises(ValueError):
         X.evaluate_positive((-2,))
+
+
+def ref_evaluate_positive(p: LaurentPoly, r) -> Fraction:
+    """The formula `evaluate_positive` replaced: term by term in Fractions."""
+    r = [Fraction(x) for x in r]
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        val = Fraction(1)
+        for base, exp in zip(r, e):
+            val *= base ** exp
+        total += c * val
+    return total
+
+
+def test_evaluate_positive_matches_the_fraction_formula():
+    """n = 0..3, negative exponents, int and Fraction coefficients, and
+    points p/q with p, q <= 7, ints among them."""
+    rng = random.Random(47)
+    for _ in range(600):
+        n = rng.randint(0, 3)
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            c = rng.randint(-9, 9)
+            if rng.random() < 0.3:
+                c = Fraction(c, rng.randint(1, 6))
+            terms[tuple(rng.randint(-4, 4) for _ in range(n))] = c
+        p = LaurentPoly(n, terms)
+        r = [rng.choice((rng.randint(1, 7), Fraction(rng.randint(1, 7), rng.randint(1, 7))))
+             for _ in range(n)]
+        got = p.evaluate_positive(r)
+        assert type(got) is Fraction and got == ref_evaluate_positive(p, r)
 
 
 def test_variable_count_mismatch():
