@@ -6,8 +6,11 @@ meant to keep the output can be checked byte for byte.
 
 `data/golden_verdicts.json` holds verdicts: the instance files of
 `instances/` under group, identity and inverse 1; the yes/no families of
-`corpus.py` under group; and seeded n = 2 group instances with 1-term y's,
-which reach the window LP and the refuter.  `data/golden_syzygies.json`
+`corpus.py` under group; seeded n = 2 group instances with 1-term y's,
+which reach the window LP and the refuter; and seeded n = 1 instances
+with K = 3..5 over Z[X^±], (Z/2)[X^±], Z[X^±]/(X - 2) and Z[X^±]/(X + 1)
+under identity and inverse 1, whose subset refutations pin the refuter's
+dual certificates.  `data/golden_syzygies.json`
 holds `syzygy_basis` outputs, serialized as `semizn syzygy` prints them:
 the instance files, and seeded instances shaped like acceptance criterion 5.
 `data/golden_geometry.json` holds what the hulls decide: the `semizn graph
@@ -89,6 +92,24 @@ def _n2_instances(count: int, seed: int = 2304):
     return out
 
 
+def _subsets_instances(count: int, seed: int = 4711):
+    """n = 1 generating sets with K = 3..5 over the four modules in turn:
+    0-2-term y's (exponents and coefficients in [-2, 2]), steps in [-2, 2]."""
+    rng = random.Random(seed)
+    modules = [("free", []), ("z2", [[LaurentPoly.constant(1, 2)]]),
+               ("bs12", [[LaurentPoly(1, {(1,): 1, (0,): -2})]]),
+               ("xplus1", [[LaurentPoly(1, {(1,): 1, (0,): 1})]])]
+    out = []
+    for i in range(count):
+        name, rels = modules[i % 4]
+        K = 3 + i // 4 % 3
+        pres = ModulePresentation(n=1, d=1, rels_N=rels)
+        els = [GroupElement(pres, [random_poly(rng, 1, max_terms=2, exp=2, coef=2)],
+                            (rng.randint(-2, 2),)) for _ in range(K)]
+        out.append((f"{name}-K{K}", GeneratorSet(pres, els)))
+    return out
+
+
 def _criterion5_instances(count: int, seed: int = 5550):
     """(presentation, ys, steps) shaped like acceptance criterion 5: n <= 2,
     d <= 2, K <= 4, 0-2 relations, polynomials of at most two terms."""
@@ -126,6 +147,9 @@ def _decisions():
         out.append((f"corpus/{i}-{family}:group", decide_group, gens))
     for i, gens in enumerate(_n2_instances(24)):
         out.append((f"n2/{i}:group", decide_group, gens))
+    for i, (shape, gens) in enumerate(_subsets_instances(24)):
+        for kind in ("identity", "inverse1"):
+            out.append((f"subsets/{i}-{shape}:{kind}", DECIDERS[kind], gens))
     return out
 
 
