@@ -274,14 +274,17 @@ def stacked_columns(presentation: ModulePresentation, ys: Sequence[Sequence[Laur
                     steps: Sequence[Sequence[int]]):
     """Columns of the combined system from the appendix reduction: for each
     generator the vector (y_i stacked over X^{a_i} - 1), and for each module
-    relation the vector (-n_j stacked over 0)."""
+    relation the vector (-n_j stacked over 0).  The steps are n-vectors of
+    ints, so X^{a_i} - 1 is built from its two terms."""
     n, d = presentation.n, presentation.d
+    zero = (0,) * n
     cols = []
     for y, a in zip(ys, steps):
-        sym = LaurentPoly.monomial(tuple(a)) - LaurentPoly.one(n)
+        a = tuple(map(int, a))
+        sym = LaurentPoly._trusted(n, {a: 1, zero: -1} if a != zero else {})
         cols.append(list(y) + [sym])
     for rel in presentation.rels_N:
-        cols.append([-r for r in rel] + [LaurentPoly.zero(n)])
+        cols.append([-r for r in rel] + [LaurentPoly._trusted(n, {})])
     return cols, d + 1
 
 

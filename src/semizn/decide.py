@@ -7,11 +7,12 @@ The Group Problem runs two sound half-procedures against each other:
   exact LPs; a candidate with everywhere-positive coefficients that passes
   the escape condition becomes an Eulerian graph and a verified word
   witness (a sound YES);
-* the refuter samples positive rational points and decides, by one exact
-  LP (Gordan's alternative), whether some combination of the relation-module
-  generators is strictly positive there; a single infeasible point is a
-  sound NO with a rational dual certificate (the local positivity condition
-  is necessary).
+* the refuter samples positive rational points and decides, by Gordan's
+  alternative, whether some combination of the relation-module generators
+  is strictly positive there (`linalg.strict_positive_combination`: exact
+  elimination, and one exact LP when the dual is not unique); a single
+  infeasible point is a sound NO with a rational dual certificate (the local
+  positivity condition is necessary).
 
 Neither side is complete on its own; an exhausted budget is an honest
 UNKNOWN.  The two sides are interleaved cooperatively under a fixed
@@ -55,8 +56,10 @@ class Budget:
     """Search budgets; the procedures are unbounded in the abstract, so every
     knob is explicit.  `degree` is the largest window of the LP search,
     `samples` the refuter's sample count and `closure_n` the translation
-    bound of the Eulerian closure.  Fields must be nonnegative (0 disables
-    that search axis); timeout is in seconds, None disables it."""
+    bound of the Eulerian closure.  Fields must be nonnegative: `samples=0`
+    tests no point, `closure_n=0` tries no translation, and `degree=0` still
+    searches window 0 (multipliers in {X^0}).  timeout is in seconds, None
+    disables it."""
 
     degree: int = 2
     samples: int = 12
@@ -160,9 +163,10 @@ def sample_points(n: int, count: int):
     """The refuter's schedule: the first `count` points of a grid spiral over
     the positive rationals in height order.  Level L of the spiral holds the
     points of Q_{>0}^n whose largest height index is L - 1, so all-ones comes
-    first and every point comes once.  At n = 0 the one point is ()."""
+    first and every point comes once.  At n = 0 the one point is (), and
+    there is none when `count` is 0."""
     if n == 0:
-        return iter([()])
+        return iter([()] if count else [])
     return itertools.islice(_grid_spiral(n), count)
 
 

@@ -56,12 +56,14 @@ class StepGraph:
         s, label = edge
         return tuple(a + b for a, b in zip(s, self.steps[label - 1]))
 
+    def _vertex_set(self, distinct) -> set:
+        """The starts and destinations of the distinct edges `distinct`.  The
+        predicates walk each distinct (start, label) pair once, not every
+        parallel copy; `is_symmetric` weights it by its count."""
+        return {v for e in distinct for v in (e[0], self.destination(e))}
+
     def vertices(self) -> list[tuple]:
-        vs = set()
-        for e in self.edges:
-            vs.add(e[0])
-            vs.add(self.destination(e))
-        return sorted(vs)
+        return sorted(self._vertex_set(set(self.edges)))
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -70,9 +72,9 @@ class StepGraph:
     def is_symmetric(self) -> bool:
         """Out-degree equals in-degree at every vertex."""
         bal = Counter()
-        for e in self.edges:
-            bal[e[0]] += 1
-            bal[self.destination(e)] -= 1
+        for e, k in Counter(self.edges).items():
+            bal[e[0]] += k
+            bal[self.destination(e)] -= k
         return all(v == 0 for v in bal.values())
 
     def is_full_image(self) -> bool:
@@ -89,7 +91,8 @@ class StepGraph:
 
     def is_connected(self) -> bool:
         """Weak connectivity on the vertex set (every vertex touches an edge)."""
-        verts = self.vertices()
+        distinct = set(self.edges)
+        verts = self._vertex_set(distinct)
         if len(verts) <= 1:
             return True
         index = {v: i for i, v in enumerate(verts)}
@@ -101,7 +104,7 @@ class StepGraph:
                 i = parent[i]
             return i
 
-        for e in self.edges:
+        for e in distinct:
             a, b = find(index[e[0]]), find(index[self.destination(e)])
             if a != b:
                 parent[a] = b
@@ -150,7 +153,7 @@ class StepGraph:
         `deadline` is checked before each of the two tests and every
         _CHECK_EVERY steps of the walk."""
         start = tuple(int(v) for v in start)
-        if start not in self.vertices():
+        if start not in self._vertex_set(set(self.edges)):
             raise ValueError(f"start {start} is not a vertex")
         for holds in (self.is_symmetric, self.is_connected):
             _check_deadline(deadline)

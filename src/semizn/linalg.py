@@ -1,28 +1,28 @@
-"""Exact rational linear algebra: Gauss-Jordan elimination, a two-phase
-simplex (Dantzig's most-negative-reduced-cost rule for the first 500 pivots
-of a phase, then Bland's rule) behind one front end for LPs over free
-variables, Fourier-Motzkin elimination, and the Hermite basis of an integer
-lattice, which also gives its rank and whether it is all of Z^n.
+"""Exact rational linear algebra: fraction-free Gauss-Jordan elimination
+(integer rows, each kept primitive, read off as the unique reduced row
+echelon form), a two-phase simplex (Dantzig's most-negative-reduced-cost
+rule for the first 500 pivots of a phase, then Bland's rule) behind one
+front end for LPs over free variables, Fourier-Motzkin elimination, and the
+Hermite basis of an integer lattice, which also gives its rank and whether
+it is all of Z^n.
 Everything runs on Fractions / ints; no floats.  The simplex tableau is
 fraction-free: each row is a list of integers over one positive denominator,
 and only the final vertex is built as Fractions.  Its pivot sequence is part
 of the output contract, because the final vertex is.
 
-Strict positivity of a combination of columns is decided by one LP, the
-Gordan alternative, which yields the dual certificate on a NO.
+Strict positivity of a combination of columns is decided by the Gordan
+alternative, which yields the dual certificate on a NO: read off the kernel
+of the columns when that kernel has dimension at most 1 (the certificate
+is then unique or absent), and found by one exact LP otherwise.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vec = list
 Mat = list
-
-
-def frac_vec(v: Iterable) -> list[Fraction]:
-    return [Fraction(x) for x in v]
 
 
 def dot(a: Sequence, b: Sequence):
@@ -46,50 +46,66 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over Q
+# Gaussian elimination over Q, fraction-free
 # ---------------------------------------------------------------------------
 
-def _gauss_jordan(a: Mat, ncols: int) -> list[int]:
-    """Reduce the Fraction rows `a` in place to reduced row echelon form over
-    their first `ncols` columns (later columns are carried along); returns
-    the pivot column of each leading row."""
+def _echelon(rows: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of the int / Fraction `rows`
+    over their first `ncols` columns (later columns are carried along).
+
+    Each row is scaled to integers; a pivot row is kept primitive with a
+    positive pivot, and each other row r with a nonzero entry f in the pivot
+    column becomes the primitive part of p * r - f * pivot row.  Scaling a
+    row changes neither its row space nor its zeros, so row k / (its pivot)
+    is row k of the reduced row echelon form, which is unique.  Returns the
+    integer rows, pivot rows first, and the pivot column of each."""
+    a = [_int_row(r)[0] for r in rows]
     m = len(a)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == m:
             break
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, m) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        prow = a[r]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            a[r] = prow = [x // g for x in prow]
+        p = prow[c]
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-    return pivots
+    return a, pivots
 
 
 def solve_linear(rows: Mat, rhs: Vec):
-    """One exact solution of rows * x = rhs, or None if inconsistent."""
+    """One exact solution of rows * x = rhs, or None if inconsistent: each
+    pivot variable takes its row's right-hand side, the free ones 0."""
     n = len(rows[0]) if rows else 0
-    aug = [frac_vec(r) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    pivots = _gauss_jordan(aug, n)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
+    a, pivots = _echelon([list(r) + [v] for r, v in zip(rows, rhs)], n)
+    if any(row[n] for row in a[len(pivots):]):
         return None
     x = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
-        x[c] = row[n]
+    for row, c in zip(a, pivots):
+        x[c] = Fraction(row[n], row[c])
     return x
 
 
 def nullspace(rows: Mat, n: int) -> list[list[Fraction]]:
-    """Basis of {x : rows * x = 0} over Q."""
-    a = [frac_vec(r) for r in rows]
-    pivots = _gauss_jordan(a, n)
+    """Basis of {x : rows * x = 0} over Q, read off the reduced row echelon
+    form (one vector per free column fc, with x_fc = 1 and the other free
+    coordinates 0) with one division per entry; the same Fractions as
+    Gauss-Jordan elimination over Q."""
+    a, pivots = _echelon(rows, n)
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -97,13 +113,14 @@ def nullspace(rows: Mat, n: int) -> list[list[Fraction]]:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for row, pc in zip(a, pivots):
-            v[pc] = -row[fc]
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
 def rank(rows: Mat, n: int) -> int:
-    return n - len(nullspace(rows, n)) if rows else 0
+    return len(_echelon(rows, n)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +306,27 @@ def strict_positive_combination(columns: list[Sequence]):
 
     Columns are rational K-vectors.  By Gordan's alternative exactly one of
     two things holds: some combination is strictly positive, or some lam >= 0,
-    lam != 0 annihilates every column.  One exact LP decides which: the
-    second system, solved for lam.  Returns ('infeasible', lam) with that
+    lam != 0 annihilates every column.  Returns ('infeasible', lam) with that
     certificate (lam >= 0, sum lam = 1, sum_i lam_i * columns[j][i] = 0 for
     every j), or ('feasible', None).
+
+    The certificates are the points of the kernel of the columns (taken as
+    rows) on the simplex sum lam = 1, lam >= 0.  A kernel of dimension 0 has
+    none.  A kernel spanned by one vector v has at most one, v / sum v, when
+    sum v != 0 and v / sum v >= 0.  Only a kernel of dimension 2 or more
+    goes to one exact LP, which finds a vertex of that set; a unique point
+    is the LP's vertex as well, so the certificate is the same either way.
     """
     if not columns:
         raise ValueError("need at least one column")
     K = len(columns[0])
+    kernel = nullspace(columns, K)
+    if len(kernel) < 2:
+        if kernel:
+            total = sum(kernel[0])
+            if total and all(x * total >= 0 for x in kernel[0]):
+                return "infeasible", [x / total for x in kernel[0]]
+        return "feasible", None
     # Gordan alternative: lam >= 0, sum lam = 1, lam . col_j = 0 for all j
     cons = [([1] * K, "==", 1)]
     cons += [(col, "==", 0) for col in columns]

@@ -27,6 +27,15 @@ def inverse_pair():
     return GeneratorSet(pres, [g1, g2])
 
 
+def long_witness():
+    """CI's long-witness instance: n = 1 over Z[X^pm]/(X - 2), with
+    (2X^-1 - 2X^2, 1), (2X^-2, -2) and (2X^2, -1).  Its `yes` word has
+    244,360 letters."""
+    pres = ModulePresentation(n=1, d=1, rels_N=[[LaurentPoly(1, {(1,): 1, (0,): -2})]])
+    return GeneratorSet(pres, [GroupElement(pres, [LaurentPoly(1, y)], a) for y, a in [
+        ({(-1,): 2, (2,): -2}, (1,)), ({(-2,): 2}, (-2,)), ({(2,): 2}, (-1,))]])
+
+
 def random_poly(rng: random.Random, n, max_terms=3, exp=2, coef=4, allow_zero=True):
     t = {}
     for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import pytest
 
+from semizn.decide import Budget, decide_group
 from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
-from conftest import free_presentation, inverse_pair, random_poly
+from conftest import free_presentation, inverse_pair, long_witness, random_poly
 
 FIG_STEPS = [(-2, 3), (2, 0), (0, -2)]
 FIG_WORD = [1, 2, 2, 3, 3, 1, 3]
@@ -86,6 +89,96 @@ def test_structural_predicates():
     assert graph_of_word(FIG_STEPS, FIG_WORD).is_symmetric()
     # x-coordinates of the figure steps are all even: proper sublattice
     assert not graph_of_word(FIG_STEPS, FIG_WORD).is_zn_generating()
+
+
+# -- reference: the predicates walking every parallel edge -------------------
+# Kept verbatim as an oracle for the walks over distinct (start, label) pairs.
+
+def ref_vertices(g):
+    vs = set()
+    for e in g.edges:
+        vs.add(e[0])
+        vs.add(g.destination(e))
+    return sorted(vs)
+
+
+def ref_is_symmetric(g):
+    bal = Counter()
+    for e in g.edges:
+        bal[e[0]] += 1
+        bal[g.destination(e)] -= 1
+    return all(v == 0 for v in bal.values())
+
+
+def ref_is_connected(g):
+    verts = ref_vertices(g)
+    if len(verts) <= 1:
+        return True
+    index = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for e in g.edges:
+        a, b = find(index[e[0]]), find(index[g.destination(e)])
+        if a != b:
+            parent[a] = b
+    roots = {find(i) for i in range(len(verts))}
+    return len(roots) == 1
+
+
+def _assert_predicates_match_reference(g):
+    assert g.vertices() == ref_vertices(g)
+    assert g.is_symmetric() == ref_is_symmetric(g)
+    assert g.is_connected() == ref_is_connected(g)
+
+
+def test_predicates_match_edge_walks(rng):
+    """Seeded multigraphs with parallel edges: closed walks traced once or
+    several times, with translated copies near or far, and random edge
+    multisets; every combination of symmetric and connected occurs."""
+    seen = Counter()
+    for case in range(300):
+        n = rng.randint(0, 3)
+        if case % 2:
+            K = rng.randint(1, 4)
+            steps = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(K)]
+            edges = [(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(1, K))
+                     for _ in range(rng.randint(0, 8))]
+            edges += [rng.choice(edges) for _ in range(rng.randint(0, 6))] if edges else []
+        else:  # letters 2i + 1 and 2i + 2 step by a and -a, so the walk closes
+            base = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+            steps = [s for a in base for s in (a, tuple(-x for x in a))]
+            half = [rng.randint(1, len(steps)) for _ in range(rng.randint(1, 5))]
+            back = [x + 1 if x % 2 else x - 1 for x in reversed(half)]
+            walk = graph_of_word(steps, half + back).edges
+            far = rng.choice([1, 20])  # 20: the translate is a second component
+            shift = tuple(far * rng.randint(-1, 1) for _ in range(n))
+            edges = list(walk) * rng.randint(1, 3) + [
+                (tuple(a + b for a, b in zip(s, shift)), label) for s, label in walk
+            ] * rng.randint(0, 2)
+            if rng.random() < 0.3:  # one more copy of an edge: not symmetric
+                edges.append(rng.choice(walk))
+        g = StepGraph(steps, edges)
+        _assert_predicates_match_reference(g)
+        seen[(g.is_symmetric(), g.is_connected())] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 15, seen
+
+
+def test_predicates_match_edge_walks_on_the_long_witness():
+    """The long witness's graph has 244,360 edges over a handful of distinct
+    (start, label) pairs."""
+    v = decide_group(long_witness(), Budget())
+    assert v.kind == "yes"
+    graph = v.witness["graph"]
+    assert len(graph.edges) == 244360
+    _assert_predicates_match_reference(graph)
+    halves = StepGraph(graph.steps, graph.edges[::2])  # parallel copies split unevenly
+    _assert_predicates_match_reference(halves)
 
 
 def test_translate_and_union():

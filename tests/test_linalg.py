@@ -8,7 +8,7 @@ import pytest
 
 from semizn import linalg
 from semizn.decide import sample_points
-from semizn.linalg import frac_vec, lp_feasible_point
+from semizn.linalg import lp_feasible_point
 
 from conftest import random_poly
 
@@ -23,9 +23,14 @@ def test_solve_linear_and_nullspace():
         assert v[0] + v[1] == 0
 
 
-# -- reference: solve_linear and nullspace before they shared one elimination -
-# Kept verbatim as an oracle: geometry's facets and fan cells are read off
-# these solutions, so they must not move.
+def frac_vec(v):
+    return [Fraction(x) for x in v]
+
+
+# -- reference: solve_linear and nullspace by Gauss-Jordan over Fractions ----
+# Kept verbatim as an oracle for the fraction-free elimination: geometry's
+# facets and fan cells and the refuter's certificates are read off these
+# solutions, so they must not move.
 
 def ref_solve_linear(rows, rhs):
     """One exact solution of rows * x = rhs, or None if inconsistent."""
@@ -93,15 +98,18 @@ def ref_nullspace(rows, n):
 def test_elimination_matches_reference():
     rng = random.Random(5150)
     seen = {"solved": 0, "inconsistent": 0, "kernel": 0, "empty": 0}
-    for _ in range(500):
-        m = rng.randint(0, 5)
+    for case in range(600):
+        m = rng.randint(0, 7 if case % 2 else 5)
         n = rng.randint(1, 5)
-        A = [[Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.choice([1, 1, 2, 3]))
-              for _ in range(n)] for _ in range(m)]
+        nums, dens = ([0, 0, 1, -1, 2, -3], [1, 1, 2, 3]) if case % 2 else (
+            [0, 5, -7, 12, -30], [1, 4, 9])
+        A = [[Fraction(rng.choice(nums), rng.choice(dens)) for _ in range(n)]
+             for _ in range(m)]
         if m >= 2 and rng.random() < 0.3:
             A.append([x - 2 * y for x, y in zip(A[0], A[1])])
         rhs = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in A]
         assert linalg.nullspace(A, n) == ref_nullspace(A, n), A
+        assert linalg.rank(A, n) == n - len(ref_nullspace(A, n)), A
         if A:
             want = ref_solve_linear(A, rhs)
             assert linalg.solve_linear(A, rhs) == want, (A, rhs)
@@ -206,9 +214,9 @@ def _ref_simplex(A, b, c, log=None):
     log = [] if log is None else log
     m = len(A)
     n = len(c)
-    A = [linalg.frac_vec(row) for row in A]
-    b = linalg.frac_vec(b)
-    c = linalg.frac_vec(c)
+    A = [frac_vec(row) for row in A]
+    b = frac_vec(b)
+    c = frac_vec(c)
     for i in range(m):
         if b[i] < 0:
             A[i] = [-x for x in A[i]]
@@ -504,6 +512,69 @@ def test_refuter_lp_matches_reference():
         if any(isinstance(x, Fraction) and x.denominator != 1 for c in cols for x in c):
             seen["fraction"] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def _kernel_column_sets(rng):
+    """(columns, kernel vectors) with a prescribed kernel: K 1-5, kernel
+    vectors that are nonnegative, mixed-sign with a nonzero sum, or of sum
+    zero, and columns that are rational combinations of a basis of the
+    kernel's orthogonal complement, zero columns among them."""
+    def entry():
+        v = rng.randint(-3, 3)
+        return Fraction(v, rng.choice([1, 2, 3])) if rng.random() < 0.4 else v
+
+    for case in range(600):
+        K = 1 + case % 5
+        kernel = []
+        for _ in range(rng.choice([0, 1, 1, 1, 2, 3])):
+            shape = rng.choice(["nonneg", "mixed", "sum0"])
+            v = [rng.randint(0, 3) if shape == "nonneg" else rng.randint(-3, 3)
+                 for _ in range(K)]
+            if shape == "sum0":
+                v[-1] -= sum(v)
+            kernel.append(v)
+        complement = ref_nullspace(kernel, K) if kernel else [
+            [int(i == k) for k in range(K)] for i in range(K)]
+        columns = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.15:
+                columns.append([0] * K)
+                continue
+            coef = [entry() for _ in complement]
+            columns.append([sum(c * w[k] for c, w in zip(coef, complement))
+                            for k in range(K)])
+        yield columns
+
+
+def test_kernel_path_matches_refuter_lp():
+    """Kernels of dimension 0 and 1 are decided without the LP; every
+    verdict and certificate is the LP's, and each case the kernel path tells
+    apart is covered: no kernel, a unique certificate, a mixed-sign vector,
+    a vector of sum zero, zero columns, Fraction entries, and kernels of
+    dimension 2 or more, which still go to the LP."""
+    rng = random.Random(2121)
+    seen = {f"K{K}": 0 for K in range(1, 6)}
+    seen.update(dict.fromkeys(["dim0", "unique", "mixed", "sum0", "dim2+", "zero_column",
+                               "fraction"], 0))
+    for cols in _kernel_column_sets(rng):
+        K = len(cols[0])
+        kernel = ref_nullspace(cols, K)
+        assert linalg.strict_positive_combination(cols) == ref_strict_positive_combination(cols)
+        seen[f"K{K}"] += 1
+        if len(kernel) == 1:
+            v, total = kernel[0], sum(kernel[0])
+            if not total:
+                seen["sum0"] += 1
+            elif all(x * total >= 0 for x in v):
+                seen["unique"] += 1
+            else:
+                seen["mixed"] += 1
+        else:
+            seen["dim0" if not kernel else "dim2+"] += 1
+        seen["zero_column"] += any(not any(c) for c in cols)
+        seen["fraction"] += any(isinstance(x, Fraction) and x.denominator != 1
+                                for c in cols for x in c)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_gordan_agrees_with_fourier_motzkin():
