@@ -13,8 +13,7 @@ from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import (GeneratorSet, GroupElement, MetabelianPresentation,
                           evaluate_word, magnus_frontend, neutral)
 from semizn.laurent import LaurentPoly
-from semizn.positions import (check_escape_condition, check_full_image, check_neutral,
-                              check_symmetry, crossing_indices, graph_from_positions,
-                              leading_indices, position_polynomials)
+from semizn.positions import (check_escape_condition, check_symmetry, crossing_indices,
+                              graph_from_positions, leading_indices, position_polynomials)
 
 __version__ = "0.1.0"

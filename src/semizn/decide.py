@@ -58,8 +58,8 @@ class Budget:
     `samples` the refuter's sample count and `closure_n` the translation
     bound of the Eulerian closure.  Fields must be nonnegative: `samples=0`
     tests no point, `closure_n=0` tries no translation, and `degree=0` still
-    searches window 0 (multipliers in {X^0}).  timeout is in seconds, None
-    disables it."""
+    searches window 0 (multipliers in {X^0}).  timeout is in seconds (0 has
+    expired, a negative or NaN one is refused), None disables it."""
 
     degree: int = 2
     samples: int = 12
@@ -69,6 +69,8 @@ class Budget:
     def __post_init__(self):
         if min(self.degree, self.samples, self.closure_n) < 0:
             raise ValueError("budgets must be nonnegative")
+        if self.timeout is not None and not self.timeout >= 0:  # NaN fails >= too
+            raise ValueError(f"timeout must be nonnegative, got {self.timeout}")
 
 
 @dataclass

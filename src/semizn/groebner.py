@@ -50,20 +50,39 @@ e-part below every column term.  The raw run keeps a one-level recipe per
 element instead, because carrying the e-part through every pair reduction,
 most of which go to zero, costs more.
 
+The raw run skips the S-vector of a popped pair (i, j), i < j, with lcm
+term T when another element k at its position has a leading term dividing
+T, c_k | l = lcm(c_i, c_j), and (i, k) and (j, k) were popped first: the
+chain criterion of Gebauer and Moeller, with the coefficient condition of
+strong bases over Z (Lichtblau, 2012).  S_ij = (l / l_ik) X^(T - T_ik) S_ik
+- (l / l_jk) X^(T - T_jk) S_jk (T_ik, l_ik: the lcms of (i, k)), each of
+which reduced below its lcm term or was skipped in turn, so S_ij is a
+combination of basis elements with every term below T.  The heap pops the
+least key, so every pair with lcm below T has been handled, the basis is
+strong below T, and `normal_form` would have returned {}.  At lcm T pairs
+pop in creation order: (i, k) came first iff k < j, (j, k) iff k < i.  A
+GCD-vector keeps T as its leading term and may reduce to nonzero although
+another lead divides T, so each is reduced; the product criterion (coprime
+leading terms) holds for ideals, not for module vectors.
+
 The outputs are path-dependent.  The reducer chosen for a leading term (the
 divisor with the smallest |lc|, then the lowest index), the pair order
 (smallest lcm term first, then creation order) and the canonical remainders
 fix every raw basis element and its recipe, hence the rows of A and the
 syzygy generators that `syzygy_generators` returns.  Another choice gives a
 basis of the same module, but other bytes, so these choices are part of the
-output contract.
+output contract.  The chain criterion skips only S-vectors that would have
+reduced to {}, so the path stays.
 """
 from __future__ import annotations
 
 import bisect
 import heapq
 import time
-from math import gcd
+from math import gcd, lcm
+
+
+_CHAIN_SCAN = 16  # the largest leads <= T that `_chained` tries; trying all costs more
 
 
 class GroebnerBudgetError(Exception):
@@ -143,6 +162,7 @@ class _Packing:
             off += width
         self.flag = 1 << off
         self.guard = sum(1 << (k + width - 1) for k in range(0, off, width))
+        self.varguard = sum(1 << (k + width - 1) for k in self.var_offsets)
         self.divmask = self.guard | top
         self.monomask = (1 << off) - 1 - self.divmask
 
@@ -427,10 +447,12 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
 
     pending: list = []
     counter = 0
+    leads: dict = {}  # per position, (leading term, index) ascending
 
     def push_pairs(new_idx: int):
         nonlocal counter
         gnew = basis[new_idx]
+        bisect.insort(leads.setdefault(gnew.lead & pk.top, []), (gnew.lead, new_idx))
         for i in range(new_idx):
             gi = basis[i]
             if gi.pos != gnew.pos:
@@ -444,8 +466,12 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
 
     while pending:
         _check(deadline)
-        _, _, i, j = heapq.heappop(pending)
-        for seed in _pair_seeds(basis, i, j):
+        lcm_term, _, i, j = heapq.heappop(pending)
+        seeds = _pair_seeds(basis, i, j)
+        same_pos = leads[lcm_term & pk.top]
+        if len(same_pos) > 2 and _chained(basis, same_pos, lcm_term, i, j):
+            del seeds[0]  # the S-vector; the GCD-vector is still reduced
+        for seed in seeds:
             rec: list = []
             rem = normal_form(_seed_vector(seed, basis), basis, pk, record=rec)
             if not rem:
@@ -458,6 +484,28 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
             recipes.append(("comb", comb))
             push_pairs(len(basis) - 1)
     return basis, recipes
+
+
+def _chained(basis: list[_Entry], leads: list, T: int, i: int, j: int) -> bool:
+    """Whether the chain criterion (module docstring) skips the S-vector of
+    the pair (i, j) with lcm term T; `leads` holds (lead, index) of T's
+    position, ascending, and the `_CHAIN_SCAN` largest leads <= T are tried."""
+    pk = basis[i].pk
+    monomask, guard, varguard = pk.monomask, pk.guard, pk.varguard
+
+    def at_top(t):  # the guard bits of the variable fields where t equals T
+        return ((t & monomask | guard) - (T & monomask)) & varguard
+
+    hi = bisect.bisect_right(leads, (T, len(basis)))
+    for lead_k, k in reversed(leads[max(0, hi - _CHAIN_SCAN):hi]):
+        if k == i or k == j or (T - lead_k) & pk.divmask:  # lead_k <= T: only the mask
+            continue
+        if k > i and (k > j and at_top(basis[i].lead) | at_top(lead_k) == varguard
+                      or at_top(basis[j].lead) | at_top(lead_k) == varguard):
+            continue  # (i, k) or (j, k) has lcm T and comes after (i, j)
+        if lcm(basis[i].coef, basis[j].coef) % basis[k].coef == 0:
+            return True
+    return False
 
 
 def _minimal(basis: list[_Entry], pk: _Packing) -> list[int]:

@@ -2,9 +2,10 @@
 
 Polynomial: array of {"c": coefficient string (integer or "p/q"), "e": [int;n]};
 the zero polynomial is the empty array.  Module presentation, instance,
-metabelian presentation, graph, witness and verdict formats build on it.
-Serialization is canonical (sorted keys, fixed separators, trailing newline)
-so identical inputs produce byte-identical outputs.
+metabelian presentation, graph, witness and verdict formats build on it;
+module and instance coefficients must be integers.  Serialization is
+canonical (sorted keys, fixed separators, trailing newline) so identical
+inputs produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ def poly_to_json(p: LaurentPoly) -> list:
     return out
 
 
-def poly_from_json(data, n: int, path: str) -> LaurentPoly:
+def poly_from_json(data, n: int, path: str, integer: bool = False) -> LaurentPoly:
     if not isinstance(data, list):
         raise FormatError(f"{path}: polynomial must be an array of terms")
     terms = {}
@@ -47,6 +48,8 @@ def poly_from_json(data, n: int, path: str) -> LaurentPoly:
             c = Fraction(str(t["c"]))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"{where}.c: bad coefficient {t['c']!r}") from exc
+        if integer and c.denominator != 1:
+            raise FormatError(f"{where}.c: need an integer coefficient, got {t['c']!r}")
         e = t["e"]
         if not isinstance(e, list) or len(e) != n or not all(isinstance(x, int) for x in e):
             raise FormatError(f"{where}.e: need {n} integer exponents")
@@ -58,10 +61,10 @@ def vector_to_json(vec) -> list:
     return [poly_to_json(p) for p in vec]
 
 
-def vector_from_json(data, n: int, d: int, path: str) -> list:
+def vector_from_json(data, n: int, d: int, path: str, integer: bool = False) -> list:
     if not isinstance(data, list) or len(data) != d:
         raise FormatError(f"{path}: need a vector of {d} polynomials")
-    return [poly_from_json(p, n, f"{path}[{j}]") for j, p in enumerate(data)]
+    return [poly_from_json(p, n, f"{path}[{j}]", integer) for j, p in enumerate(data)]
 
 
 # -- modules and instances ----------------------------------------------------
@@ -91,13 +94,13 @@ def module_from_json(data, path: str = "module") -> ModulePresentation:
         if not isinstance(data.get(name, []), list):
             raise FormatError(f"{path}.{name}: need an array of vectors")
     rels = [
-        vector_from_json(r, n, d, f"{path}.rels_N[{j}]")
+        vector_from_json(r, n, d, f"{path}.rels_N[{j}]", integer=True)
         for j, r in enumerate(data.get("rels_N", []))
     ]
     gens_m = None
     if "gens_M" in data:
         gens_m = [
-            vector_from_json(g, n, d, f"{path}.gens_M[{j}]")
+            vector_from_json(g, n, d, f"{path}.gens_M[{j}]", integer=True)
             for j, g in enumerate(data["gens_M"])
         ]
     return ModulePresentation(n=n, d=d, rels_N=rels, gens_M=gens_m)
@@ -124,7 +127,7 @@ def instance_from_json(data) -> GeneratorSet:
         path = f"instance.generators[{i}]"
         if not isinstance(g, dict) or "y" not in g or "a" not in g:
             raise FormatError(f'{path}: need {{"y": [...], "a": [...]}}')
-        y = vector_from_json(g["y"], pres.n, pres.d, f"{path}.y")
+        y = vector_from_json(g["y"], pres.n, pres.d, f"{path}.y", integer=True)
         a = g["a"]
         if not isinstance(a, list) or len(a) != pres.n or not all(isinstance(x, int) for x in a):
             raise FormatError(f"{path}.a: need {pres.n} integers")

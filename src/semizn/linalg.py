@@ -87,19 +87,6 @@ def _echelon(rows: Mat, ncols: int) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def solve_linear(rows: Mat, rhs: Vec):
-    """One exact solution of rows * x = rhs, or None if inconsistent: each
-    pivot variable takes its row's right-hand side, the free ones 0."""
-    n = len(rows[0]) if rows else 0
-    a, pivots = _echelon([list(r) + [v] for r, v in zip(rows, rhs)], n)
-    if any(row[n] for row in a[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(a, pivots):
-        x[c] = Fraction(row[n], row[c])
-    return x
-
-
 def nullspace(rows: Mat, n: int) -> list[list[Fraction]]:
     """Basis of {x : rows * x = 0} over Q, read off the reduced row echelon
     form (one vector per free column fc, with x_fc = 1 and the other free
@@ -423,15 +410,3 @@ def hermite_row_basis(vectors: list[Sequence[int]]) -> list[list[int]]:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
     return basis
 
-
-def lattice_coordinates(basis_rows: list[Sequence[int]], target: Sequence[int]):
-    """Integer coordinates of `target` in the lattice basis, or None."""
-    if not basis_rows:
-        return [] if not any(target) else None
-    cols = [[Fraction(row[j]) for row in basis_rows] for j in range(len(target))]
-    sol = solve_linear(cols, [Fraction(t) for t in target])
-    if sol is None:
-        return None
-    if any(x.denominator != 1 for x in sol):
-        return None
-    return [int(x) for x in sol]

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from semizn import geometry
-from semizn.algebra import ModulePresentation
 from semizn.ggraph import StepGraph
 from semizn.laurent import NEG_INF, LaurentPoly, as_direction
 
@@ -78,29 +77,12 @@ def crossing_indices(steps, v) -> frozenset:
 # Structural checks (polynomial side)
 # ---------------------------------------------------------------------------
 
-def check_full_image(fs: Sequence[LaurentPoly]) -> bool:
-    return all(not f.is_zero() for f in fs)
-
-
 def check_symmetry(fs: Sequence[LaurentPoly], steps) -> bool:
     n = fs[0].n
     acc = LaurentPoly.zero(n)
     for f, a in zip(fs, steps):
         acc = acc + f * (LaurentPoly.monomial(tuple(a)) - LaurentPoly.one(n))
     return acc.is_zero()
-
-
-def check_neutral(fs: Sequence[LaurentPoly], presentation: ModulePresentation,
-                  ys, steps) -> bool:
-    """Whether the graph of `fs` represents the neutral element; only
-    meaningful (and only accepted) for symmetric tuples."""
-    if not check_symmetry(fs, steps):
-        raise ValueError("neutrality test requires a symmetric tuple")
-    acc = presentation.zero_vector()
-    for f, y in zip(fs, ys):
-        for j in range(presentation.d):
-            acc[j] = acc[j] + f * y[j]
-    return presentation.is_zero(acc)
 
 
 def check_escape_condition(fs: Sequence[LaurentPoly], steps):

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from semizn.algebra import ModulePresentation
 from semizn.group import GeneratorSet, GroupElement
 from semizn.laurent import LaurentPoly
+from semizn.linalg import _echelon
 
 
 def mono(e, c=1):
@@ -44,6 +46,32 @@ def random_poly(rng: random.Random, n, max_terms=3, exp=2, coef=4, allow_zero=Tr
         if c:
             t[e] = t.get(e, 0) + c
     return LaurentPoly(n, t)
+
+
+def solve_linear(rows, rhs):
+    """One exact solution of rows * x = rhs, or None if inconsistent: each
+    pivot variable takes its row's right-hand side, the free ones 0."""
+    n = len(rows[0]) if rows else 0
+    a, pivots = _echelon([list(r) + [v] for r, v in zip(rows, rhs)], n)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(a, pivots):
+        x[c] = Fraction(row[n], row[c])
+    return x
+
+
+def lattice_coordinates(basis_rows, target):
+    """Integer coordinates of `target` in the lattice basis, or None."""
+    if not basis_rows:
+        return [] if not any(target) else None
+    cols = [[Fraction(row[j]) for row in basis_rows] for j in range(len(target))]
+    sol = solve_linear(cols, [Fraction(t) for t in target])
+    if sol is None:
+        return None
+    if any(x.denominator != 1 for x in sol):
+        return None
+    return [int(x) for x in sol]
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, 
                             raw_to_vector, residual, stacked_columns, syzygy_basis)
 from semizn.laurent import LaurentPoly
 
-from conftest import free_presentation, mono, random_poly
+from conftest import free_presentation, lattice_coordinates, mono, random_poly
 
 
 def test_strong_groebner_free_module():
@@ -135,12 +135,12 @@ def test_syzygy_agrees_with_integer_kernel_at_n0(rng):
                    for j in range(d)]
             if not any(img):
                 return True
-            return linalg.lattice_coordinates(rel_lattice, img) is not None
+            return lattice_coordinates(rel_lattice, img) is not None
 
         import itertools
         for f in itertools.product(range(-2, 3), repeat=K):
             expected = in_module(list(f))
-            got = (not any(f)) or linalg.lattice_coordinates(lattice, list(f)) is not None
+            got = (not any(f)) or lattice_coordinates(lattice, list(f)) is not None
             assert got == expected, (f, ys, rels)
 
 

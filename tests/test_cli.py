@@ -210,7 +210,9 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     for argv in (["inverse", path("fig2.json"), "--target", "9"],
                  ["inverse", path("fig2.json"), "--target", "0"],
                  ["group", path("inverse_pair.json"), "--samples", "-1"],
-                 ["identity", path("inverse_pair.json"), "--budget-degree", "-1"]):
+                 ["identity", path("inverse_pair.json"), "--budget-degree", "-1"],
+                 ["group", path("fig2.json"), "--timeout", "-1"],
+                 ["group", path("fig2.json"), "--timeout", "nan"]):
         capsys.readouterr()
         code, out = run("check", *argv)
         err = capsys.readouterr().err
@@ -252,6 +254,11 @@ _GENERATORS = [{"y": [[{"c": "1", "e": [0]}]], "a": [1]},
     (("frontend",), {"s": 2, "relators": [[1, 3]], "gens": [[1], [2]]}),
     (("check", "group"), {"module": dict(_MODULE, rels_N=5), "generators": _GENERATORS}),
     (("check", "group"), {"module": dict(_MODULE, gens_M=5), "generators": _GENERATORS}),
+    # module and instance coefficients must be integers
+    *[(command, doc) for doc in (
+        {"module": dict(_MODULE, rels_N=[[[{"c": "1/2", "e": [0]}]]]), "generators": _GENERATORS},
+        {"module": _MODULE, "generators": [{"y": [[{"c": "1/2", "e": [0]}]], "a": [1]}]},
+    ) for command in (("check", "group"), ("check", "identity"), ("syzygy",))],
     # numbers with a fraction part are refused, not truncated
     (("graph", "analyze"), {"edges": [{"s": [0.7], "label": 1.9}, {"s": [1], "label": 2}],
                             "steps": [[1], [-1]]}),
@@ -266,4 +273,20 @@ def test_malformed_input_is_a_data_error(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert code == 65 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fractional_instance_is_a_data_error_everywhere(tmp_path, capsys):
+    """`graph word` and `verify` load the instance too; the error names the
+    coefficient's JSON path."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"module": _MODULE, "generators": [
+        _GENERATORS[0], {"y": [[{"c": "1/2", "e": [0]}]], "a": [-1]}]}))
+    word = tmp_path / "word.json"
+    word.write_text(json.dumps({"type": "word", "word": [1, 2]}))
+    for argv in (("graph", "word", str(bad), "--word", "1 2"), ("verify", str(word), str(bad))):
+        capsys.readouterr()
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 65 and out == ""
+        assert "instance.generators[1].y[0][0].c" in err and err.count("\n") == 1
 

@@ -17,7 +17,8 @@ from semizn.groebner import GroebnerBudgetError, saturated_basis
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
-from conftest import free_presentation, inverse_pair, long_witness, mono, random_poly
+from conftest import (free_presentation, inverse_pair, lattice_coordinates, long_witness, mono,
+                      random_poly)
 from corpus import no_instances, yes_instances
 
 
@@ -496,6 +497,20 @@ def test_decide_inverse_examples():
         decide_inverse(gens, 5, Budget())
 
 
+@pytest.mark.parametrize("timeout", [-1, -0.5, float("-inf"), float("nan")])
+def test_budget_refuses_a_negative_or_nan_timeout(timeout):
+    """A NaN deadline would never pass (`monotonic() > nan` is false)."""
+    with pytest.raises(ValueError, match="timeout"):
+        Budget(timeout=timeout)
+
+
+def test_budget_timeout_none_inf_and_zero():
+    assert decide_group(inverse_pair(), Budget(timeout=None)).kind == "yes"
+    assert decide_group(inverse_pair(), Budget(timeout=float("inf"))).kind == "yes"
+    v = decide_group(inverse_pair(), Budget(timeout=0))  # already expired
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+
+
 def test_decide_subset_sublattice_repose():
     # steps {2, -2}: proper sublattice 2Z, re-posed over one variable
     pres = free_presentation(1)
@@ -620,7 +635,7 @@ def ref_repose_sublattice(sub: GeneratorSet, basis_rows: list[list[int]], deadli
     n = pres.n
     steps_sub = []
     for a in sub.steps:
-        coords = linalg.lattice_coordinates(basis_rows, list(a))
+        coords = lattice_coordinates(basis_rows, list(a))
         if coords is None:
             raise AssertionError("step outside its own lattice")
         steps_sub.append(tuple(coords))

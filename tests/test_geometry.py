@@ -9,6 +9,8 @@ from semizn.ggraph import StepGraph
 from semizn.positions import crossing_indices, leading_indices
 from semizn.laurent import LaurentPoly
 
+from conftest import solve_linear
+
 
 def test_hull_point_and_segment():
     P = convex_hull([(0,)])
@@ -88,7 +90,7 @@ def ref_build(self):
     self._coords = []
     for p in self.points:
         rhs = [a - b for a, b in zip(p, p0)]
-        c = linalg.solve_linear(bmat, rhs) if self.dim else []
+        c = solve_linear(bmat, rhs) if self.dim else []
         self._coords.append(tuple(c))
     self._facets = self._facet_hyperplanes()
     self._faces = self._face_lattice()
@@ -104,7 +106,7 @@ def ref_build(self):
 def ref_ambient_normal(self, h_coords):
     """Lift a coord-space normal to an ambient integer direction."""
     rows = [list(b) for b in self._basis]
-    w = linalg.solve_linear(rows, list(h_coords))
+    w = solve_linear(rows, list(h_coords))
     return linalg.primitive_vector(w)
 
 

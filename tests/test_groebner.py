@@ -12,7 +12,10 @@ exactly, at every field width of its packed terms: the same remainders
 recipes and reduced bases, and the same syzygy generators in the same
 order.  The engine lifts syzygies by reducing augmented vectors, where the
 reference composes the lifting matrices, so a generator's terms come in
-another order; they are compared as a dict.
+another order; they are compared as a dict.  The engine's raw run skips
+the S-vectors that the chain criterion shows to reduce to zero, where the
+reference reduces every pair, so equal raw bases and recipes check the
+criterion, and the tests count the reductions it saves.
 
 `old_normal_form` is the packed engine's `normal_form` before it kept its
 reducer lists across calls and its e-part terms off the heap, verbatim
@@ -681,7 +684,31 @@ def test_kept_tables_match_the_old_normal_form():
     assert split >= 200
 
 
-def test_buchberger_matches_reference():
+def counted_normal_forms(monkeypatch) -> list:
+    """Patch `groebner.normal_form` so that the returned one-item list counts
+    its calls."""
+    calls = [0]
+    real = groebner.normal_form
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    return calls
+
+
+def pair_vectors(raw) -> int:
+    """The S- and GCD-vectors that `ref_buchberger_raw` reduces to end at
+    the raw basis `raw`: it tests no pair, and it pops every pair of
+    elements at one position once."""
+    return sum(1 + (gi.coef % gj.coef != 0 and gj.coef % gi.coef != 0)
+               for i, gi in enumerate(raw) for gj in raw[i + 1:] if gi.pos == gj.pos)
+
+
+def test_buchberger_matches_reference(monkeypatch):
+    calls = counted_normal_forms(monkeypatch)
+    made = reduced = 0
     rng = random.Random(32)
     for case in range(150):
         saturate = case % 2 == 1  # with the fresh variable, at most 3 in all
@@ -693,7 +720,10 @@ def test_buchberger_matches_reference():
             order = random_order(rng, nvars, npos)
         want_raw, want_recipes = ref_buchberger_raw(gens, order)
         pk = order._fitting(gens)
+        before = calls[0]
         got_raw, got_recipes = groebner._buchberger_raw([pk.pack_vec(g) for g in gens], pk)
+        made += calls[0] - before
+        reduced += pair_vectors(want_raw)
         assert items(got_raw) == items(want_raw)
         assert unpacked_recipes(got_recipes, pk) == want_recipes
         want = ref_buchberger(gens, order)
@@ -705,9 +735,22 @@ def test_buchberger_matches_reference():
             assert ref_normal_form(vec, want, order, record=want_rec) == \
                 groebner.remainder(vec, got, order, record=got_rec)
             assert got_rec == want_rec
+    assert made <= reduced - 1000  # the chain criterion skips S-vectors
 
 
-def test_syzygy_generators_match_reference():
+def test_syzygy_generators_match_reference(monkeypatch):
+    calls = counted_normal_forms(monkeypatch)
+    made = [0]
+    raw_run = groebner._buchberger_raw
+
+    def counted_raw_run(*args, **kwargs):
+        before = calls[0]
+        out = raw_run(*args, **kwargs)
+        made[0] += calls[0] - before
+        return out
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted_raw_run)
+    reduced = 0
     rng = random.Random(33)
     for _ in range(150):
         nvars, p = rng.randint(1, 3), rng.randint(1, 3)
@@ -715,6 +758,63 @@ def test_syzygy_generators_match_reference():
         want = ref_syzygy_generators(columns, p, nvars)
         got = groebner.syzygy_generators(columns, p, nvars)
         assert syzygy_items(got) == syzygy_items(want)
+        reduced += pair_vectors(ref_buchberger_raw(columns, TermOrder(nvars, elim_positions=p))[0])
+    assert made[0] <= reduced - 1000  # the chain criterion skips S-vectors
+
+
+def chain_witnesses(basis, i: int, j: int) -> list:
+    """The chain criterion at the pair (i, j), i < j, of `basis`, checked
+    on unpacked terms: per middle element k, (lcm(i, k) == T, lcm(j, k) ==
+    T) for the pair's lcm T.  A pair with lcm T is popped in creation
+    order, so (i, k) comes before (i, j) iff k < j, and (j, k) iff k < i."""
+    gi, gj = basis[i], basis[j]
+    t = tuple(map(max, gi.mono, gj.mono))
+    l_ij = abs(gi.coef * gj.coef) // gcd(gi.coef, gj.coef)
+    out = []
+    for k, gk in enumerate(basis):
+        if k in (i, j) or gk.pos != gi.pos or l_ij % gk.coef:
+            continue
+        if any(a > b for a, b in zip(gk.mono, t)):
+            continue
+        ik = tuple(map(max, gi.mono, gk.mono)) == t
+        jk = tuple(map(max, gj.mono, gk.mono)) == t
+        if not (ik and k > j or jk and k > i):
+            out.append((ik, jk))
+    return out
+
+
+@pytest.mark.parametrize("gens, order, kind", [
+    # n = 2: lcm(i, k) and lcm(j, k) both below T
+    ([{(0, (0, 0)): 2}, {(0, (2, 0)): 6, (0, (0, 2)): 1}], TermOrder(2), (False, False)),
+    # n = 1: the monomials are totally ordered, so lcm(i, k) or lcm(j, k) is T
+    ([{(0, (1,)): -3}, {(0, (2,)): 4, (0, (0,)): -2}], TermOrder(1), (False, True)),
+    # n = 0: constants, every lcm is T and c_k | lcm(c_i, c_j) decides
+    ([{(0, ()): 6}, {(0, ()): 2, (1, ()): 2}, {(0, ()): -3}], TermOrder(0), (True, True)),
+    # `saturated_basis`'s order: the fresh variable in a block of its own
+    (*saturation_input([{(0, (1,)): -1}], 1, 1), (True, False)),
+], ids=["n2-both-below", "n1-equal-lcm", "n0-constants", "saturation"])
+def test_chain_criterion_pinned(monkeypatch, gens, order, kind):
+    """Each kind of middle element skips a nonzero S-vector that reduces to
+    zero, and the raw run still matches the reference, which skips none."""
+    skipped = []
+    chained = groebner._chained
+
+    def spy(basis, leads, lcm_term, i, j):
+        skip = chained(basis, leads, lcm_term, i, j)
+        if skip:
+            s_vector = groebner._seed_vector(groebner._pair_seeds(basis, i, j)[0], basis)
+            skipped.append((chain_witnesses(basis, i, j), s_vector,
+                            groebner.normal_form(s_vector, basis, basis.pk)))
+        return skip
+
+    monkeypatch.setattr(groebner, "_chained", spy)
+    want_raw, want_recipes = ref_buchberger_raw(gens, order)
+    pk = order._fitting(gens)
+    got_raw, got_recipes = groebner._buchberger_raw([pk.pack_vec(g) for g in gens], pk)
+    assert items(got_raw) == items(want_raw)
+    assert unpacked_recipes(got_recipes, pk) == want_recipes
+    assert all(witnesses and rem == {} for witnesses, _, rem in skipped)
+    assert any(kind in witnesses and s_vector for witnesses, s_vector, _ in skipped)
 
 
 def test_lifting_refuses_a_basis_without_one_element(monkeypatch):

@@ -61,6 +61,26 @@ def test_instance_errors():
         })
 
 
+HALF = [{"c": "1/2", "e": [0]}]
+
+
+def test_module_and_instance_refuse_fractions():
+    """Module and instance documents need integer coefficients; the error
+    names the coefficient.  Other polynomials may still be p/q."""
+    with pytest.raises(FormatError, match=r"^module\.rels_N\[0\]\[0\]\[0\]\.c: "):
+        jsonio.module_from_json({"n": 1, "d": 1, "rels_N": [[HALF]]})
+    with pytest.raises(FormatError, match=r"^module\.gens_M\[0\]\[0\]\[0\]\.c: "):
+        jsonio.module_from_json({"n": 1, "d": 1, "gens_M": [[HALF]]})
+    with pytest.raises(FormatError, match=r"^instance\.generators\[1\]\.y\[0\]\[0\]\.c: "):
+        jsonio.instance_from_json({
+            "module": {"n": 1, "d": 1},
+            "generators": [{"y": [[]], "a": [1]}, {"y": [HALF], "a": [-1]}],
+        })
+    whole = jsonio.module_from_json({"n": 1, "d": 1, "rels_N": [[[{"c": "4/2", "e": [0]}]]]})
+    assert whole.rels_N == [[LaurentPoly(1, {(0,): 2})]]
+    assert jsonio.poly_from_json(HALF, 1, "p") == LaurentPoly(1, {(0,): Fraction(1, 2)})
+
+
 def test_graph_round_trip():
     g = StepGraph([(1, 0), (0, 1)], [((0, 0), 1), ((0, 0), 1), ((1, 0), 2)])
     doc = jsonio.graph_to_json(g)

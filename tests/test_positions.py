@@ -10,12 +10,25 @@ from semizn.decide import Budget, decide_group
 from semizn.geometry import convex_hull, is_face_accessible
 from semizn.ggraph import StepGraph
 from semizn.laurent import LaurentPoly
-from semizn.positions import (check_escape_condition, check_full_image, check_neutral,
-                              check_symmetry, crossing_indices, graph_from_positions,
-                              leading_indices, position_polynomials)
+from semizn.algebra import residual
+from semizn.positions import (check_escape_condition, check_symmetry, crossing_indices,
+                              graph_from_positions, leading_indices, position_polynomials)
 
 from conftest import free_presentation, mono
 from corpus import no_instances, yes_instances
+
+def check_full_image(fs) -> bool:
+    return all(not f.is_zero() for f in fs)
+
+
+def check_neutral(fs, presentation, ys, steps) -> bool:
+    """Whether the graph of `fs` represents the neutral element: the
+    neutrality half of `algebra.residual`.  Only meaningful (and only
+    accepted) for symmetric tuples."""
+    if not check_symmetry(fs, steps):
+        raise ValueError("neutrality test requires a symmetric tuple")
+    return residual(fs, presentation, ys, steps)[1].is_zero()
+
 
 FIG_STEPS = [(-2, 3), (2, 0), (0, -2)]
 FIG_GRAPH = StepGraph(
