@@ -150,7 +150,7 @@ def _syzygies(columns, p: int, n: int, k: int, deadline) -> list[list[LaurentPol
         shifts.append(shift)
     out = []
     for s in groebner.syzygy_generators(cleared, p, n, deadline=deadline):
-        groebner._check(deadline)
+        groebner.check_deadline(deadline)
         polys = [{} for _ in range(k)]
         for (pos, mono), c in s.items():
             if pos < k:
@@ -192,9 +192,10 @@ class ModulePresentation:
     def zero_vector(self) -> list[LaurentPoly]:
         return [LaurentPoly.zero(self.n) for _ in range(self.d)]
 
-    def is_zero(self, rep: Sequence[LaurentPoly]) -> bool:
-        """rep lies in N, i.e. represents 0 in Y."""
-        return self._N.contains(rep)
+    def is_zero(self, rep: Sequence[LaurentPoly], deadline=None) -> bool:
+        """rep lies in N, i.e. represents 0 in Y.  `deadline` bounds the
+        saturation that builds N's membership basis, on first use."""
+        return self._N.contains(rep, deadline)
 
     def element(self, rep: Sequence[LaurentPoly]) -> "ModuleElement":
         return ModuleElement(self, list(rep))
@@ -223,8 +224,8 @@ class ModuleElement:
         self.presentation = presentation
         self.rep = tuple(rep)
 
-    def is_zero(self) -> bool:
-        return self.presentation.is_zero(list(self.rep))
+    def is_zero(self, deadline=None) -> bool:
+        return self.presentation.is_zero(list(self.rep), deadline)
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._same(other)

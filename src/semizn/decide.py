@@ -45,9 +45,9 @@ from semizn.algebra import (ModulePresentation, clear_vector, normalize_unit, ra
 from semizn.algebra import laurent_syzygies  # noqa: F401  (perfbench/tracer.py patches it here)
 from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.geometry import HullTooLargeError
-from semizn.ggraph import StepGraph, WitnessBudgetError, _check_deadline, graph_of_word
+from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import GeneratorSet, evaluate_word
-from semizn.groebner import GroebnerBudgetError, saturated_basis
+from semizn.groebner import DeadlineExceeded, check_deadline, saturated_basis
 from semizn.laurent import LaurentPoly
 
 
@@ -95,7 +95,8 @@ def verify_witness(witness, gens: GeneratorSet, deadline=None) -> bool:
     polynomials have zero symmetry residual (the graph is symmetric, so a
     word closes) and zero neutrality residual in Y.  One pass over the
     letters: no product of group elements is formed.  Past `deadline` (a
-    `time.monotonic()` value, or None) it raises WitnessBudgetError."""
+    `time.monotonic()` value, or None) it raises DeadlineExceeded, in the
+    trace and in the membership check of the neutrality residual alike."""
     if isinstance(witness, StepGraph):
         graph = witness
         if graph.steps != tuple(gens.steps):
@@ -107,12 +108,12 @@ def verify_witness(witness, gens: GeneratorSet, deadline=None) -> bool:
         if not word or not set(word) <= set(range(1, gens.K + 1)):
             return False
         graph = graph_of_word(gens, word, deadline)
-        _check_deadline(deadline)
+        check_deadline(deadline)
     if not graph.is_full_image():
         return False
     sym, neu = residual(positions.position_polynomials(graph), gens.presentation, gens.ys,
                         gens.steps)
-    return sym.is_zero() and neu.is_zero()
+    return sym.is_zero() and neu.is_zero(deadline)
 
 
 def oracle_bfs(gens: GeneratorSet, max_len: int) -> Optional[list[int]]:
@@ -246,7 +247,7 @@ class _WindowSearch:
     is parallel to F), so `procedure_a_events` cuts F's points and maximises
     again.  Each cut removes at least one slot, so within its window the
     search finds a passing element whenever one exists.  No round starts
-    past the deadline: the window then gives no candidate."""
+    past the deadline: `candidate` raises DeadlineExceeded instead."""
 
     size_cap = 120  # multiplier-variable cap per window; beyond it, skip
 
@@ -293,15 +294,13 @@ class _WindowSearch:
         for i in range(K):
             total = [sum(col) for col in zip(*(rows[(i, b)] for b in universe[i]))]
             base.append((total, ">=", 1))  # coordinate i is nonzero
-        if _passed(deadline):
-            return None
+        check_deadline(deadline)
         point = linalg.lp_feasible_point(base, nlam)
         if point is None:
             return None
         achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
         while len(achieved) < len(free):
-            if _passed(deadline):
-                return None
+            check_deadline(deadline)
             cons = base + [(rows[s], ">=", 1) for s in achieved]
             fresh = [sum(col) for col in zip(*(rows[s] for s in free if s not in achieved))]
             cons.append((fresh, ">=", 1))
@@ -324,7 +323,7 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
                        make_witness: Callable, deadline: Optional[float] = None):
     """Yield None per generator and per window, or a YES Verdict for the
     first all-positive relation-module element passing the escape
-    condition.  A window cut short by `deadline` yields None."""
+    condition.  Past `deadline` a window round raises DeadlineExceeded."""
     seen = {}  # candidate -> its support points on faces failing the escape condition
     tested = 0
 
@@ -380,14 +379,14 @@ def _graph_witness(fs, steps, budget: Budget, deadline=None):
     """Build the Eulerian graph + word witness for an accepted tuple,
     checking `deadline` after each phase and inside the Euler circuit."""
     graph = positions.graph_from_positions(fs, steps)
-    _check_deadline(deadline)
+    check_deadline(deadline)
     translations = [(0,) * len(steps[0])]
     union = graph
     if not union.is_connected():
         result = eulerian_closure(graph, max_n=budget.closure_n)
         union = result.union
         translations = result.translations
-    _check_deadline(deadline)
+    check_deadline(deadline)
     start = min(union.vertices())
     word = union.euler_circuit(start, deadline)
     if word is None:
@@ -397,9 +396,10 @@ def _graph_witness(fs, steps, budget: Budget, deadline=None):
 
 def _yes_maker(steps, budget: Budget, verify_word: Callable, deadline=None):
     """The positive search's witness maker.  Past `deadline` it raises
-    WitnessBudgetError: between the graph, closure and Euler circuit phases,
+    DeadlineExceeded: between the graph, closure and Euler circuit phases,
     inside the circuit, and in `verify_word` (`verify_witness` checks it
-    before the word's first letter and every 4096 letters after)."""
+    before the word's first letter and every 4096 letters after, and in the
+    membership check)."""
     def maker(fs, tested):
         try:
             graph, union, translations, word = _graph_witness(fs, steps, budget, deadline)
@@ -422,10 +422,6 @@ def _deadline(budget: Budget) -> Optional[float]:
     return None if budget.timeout is None else time.monotonic() + budget.timeout
 
 
-def _passed(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.monotonic() > deadline
-
-
 def _unknown(budget: Budget, timed_out: bool) -> Verdict:
     report = asdict(budget)
     del report["timeout"]
@@ -437,29 +433,23 @@ def decide_core(generators, steps, K: int, n: int, budget: Budget,
                 verify_word: Callable[[list], bool], deadline: Optional[float]) -> Verdict:
     """Interleave the positive search and the refuter; first conclusive
     verdict wins (a fixed alternation, so the outcome is deterministic).
-    Past `deadline` (a `time.monotonic()` value, or None) the verdict is
-    UNKNOWN with `timed_out`."""
+    Past `deadline` (a `time.monotonic()` value, or None) it raises
+    DeadlineExceeded, checked before every event and inside the search."""
     a_iter = procedure_a_events(generators, steps, K, n, budget,
                                 _yes_maker(steps, budget, verify_word, deadline), deadline)
     r_iter = locr_events(generators, K, n, budget)
     live = [r_iter, a_iter]
-    timed_out = False
-    while live and not timed_out:
+    while live:
         for it in list(live):
-            if _passed(deadline):
-                timed_out = True
-                break
+            check_deadline(deadline)
             try:
                 event = next(it)
             except StopIteration:
                 live.remove(it)
                 continue
-            except WitnessBudgetError:
-                timed_out = True
-                break
             if event is not None:
                 return event
-    return _unknown(budget, timed_out)
+    return _unknown(budget, timed_out=False)
 
 
 def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
@@ -541,14 +531,15 @@ def _repose(sub: GeneratorSet, deadline):
 def _decide_generating_set(sub: GeneratorSet, budget: Budget,
                            deadline: Optional[float]) -> Verdict:
     """Group Problem for `sub`, re-posed over the lattice of its steps.  Past
-    `deadline` the verdict is UNKNOWN with `timed_out`."""
+    `deadline` the verdict is UNKNOWN with `timed_out`: the one place a
+    DeadlineExceeded, from any phase, becomes a verdict."""
     def verify(word):
         return verify_witness(word, sub, deadline)
 
     try:
         generators, steps = _repose(sub, deadline)
         return decide_core(generators, steps, sub.K, len(steps[0]), budget, verify, deadline)
-    except GroebnerBudgetError:
+    except DeadlineExceeded:
         return _unknown(budget, timed_out=True)
 
 
@@ -580,14 +571,15 @@ def _subsets(indices: Sequence[int]):
 def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     """YES from the first subset that generates a group; NO once every
     subset is refuted; otherwise UNKNOWN, naming every subset left without a
-    verdict.  One deadline, started here, covers all subsets: once it has
-    passed, the remaining subsets are not tried and the report also says
-    `timed_out`."""
+    verdict.  One deadline, started here, covers all subsets: once a subset
+    comes back timed out, the remaining subsets are not tried and the report
+    also says `timed_out`."""
     deadline = _deadline(budget)
     unresolved = []
     refutations = []
+    timed_out = False
     for subset in map(list, subsets):
-        if _passed(deadline):
+        if timed_out:
             unresolved.append(subset)
             continue
         v = decide_subset(gens, subset, budget, deadline)
@@ -595,11 +587,12 @@ def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
             return v
         if v.kind == "unknown":
             unresolved.append(subset)
+            timed_out = v.budget_report["timed_out"]
         else:
             refutations.append({"subset": subset, "certificate": v.certificate})
     if unresolved:
         report = {"reason": "some subsets unresolved", "unresolved": unresolved}
-        if _passed(deadline):
+        if timed_out:
             report["timed_out"] = True
         return Verdict(kind="unknown", budget_report=report)
     return Verdict(kind="no", certificate={"subsets": refutations})

@@ -6,26 +6,15 @@ circuit of a suitable graph reads back a word.
 """
 from __future__ import annotations
 
-import time
 from collections import Counter, defaultdict
 from operator import add
 from typing import Optional, Sequence
 
 from semizn import linalg
+from semizn.groebner import check_deadline
 from semizn.group import GeneratorSet, GroupElement
 
 _CHECK_EVERY = 4096  # letters or circuit steps between two deadline checks
-
-
-class WitnessBudgetError(Exception):
-    """Raised when building or checking a witness runs past its deadline."""
-
-
-def _check_deadline(deadline: Optional[float]):
-    """Raise WitnessBudgetError once `deadline` (a `time.monotonic()` value,
-    or None) has passed."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise WitnessBudgetError("witness deadline exceeded")
 
 
 class StepGraph:
@@ -156,7 +145,7 @@ class StepGraph:
         if start not in self._vertex_set(set(self.edges)):
             raise ValueError(f"start {start} is not a vertex")
         for holds in (self.is_symmetric, self.is_connected):
-            _check_deadline(deadline)
+            check_deadline(deadline)
             if not holds():
                 return None
         adj = defaultdict(list)
@@ -171,7 +160,7 @@ class StepGraph:
         steps = 0
         while stack:
             if not steps % _CHECK_EVERY:
-                _check_deadline(deadline)
+                check_deadline(deadline)
             steps += 1
             v, incoming = stack[-1]
             moved = False
@@ -234,7 +223,7 @@ def graph_of_word(gens_or_steps, word: Sequence[int], deadline=None) -> StepGrap
     edges = []
     for k, letter in enumerate(word):
         if not k % _CHECK_EVERY:
-            _check_deadline(deadline)
+            check_deadline(deadline)
         if not 1 <= letter <= graph.K:
             raise ValueError(f"letter {letter} out of range")
         edges.append((pos, letter))

@@ -85,19 +85,20 @@ from math import gcd, lcm
 _CHAIN_SCAN = 16  # the largest leads <= T that `_chained` tries; trying all costs more
 
 
-class GroebnerBudgetError(Exception):
-    """Raised when a Groebner run exceeds its deadline."""
+class DeadlineExceeded(Exception):
+    """Raised by `check_deadline` once a run's deadline has passed."""
 
 
 class _Overflow(Exception):
     """A term does not fit the field width of its packing."""
 
 
-def _check(deadline):
-    """Raise GroebnerBudgetError once `deadline` (a `time.monotonic()`
-    value, or None) has passed."""
+def check_deadline(deadline):
+    """Raise DeadlineExceeded once `deadline` (a `time.monotonic()` value,
+    or None) has passed: the one budget check of every phase, from the
+    Groebner runs to the witness."""
     if deadline is not None and time.monotonic() > deadline:
-        raise GroebnerBudgetError("groebner deadline exceeded")
+        raise DeadlineExceeded("deadline exceeded")
 
 
 class TermOrder:
@@ -465,7 +466,7 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
         push_pairs(idx)
 
     while pending:
-        _check(deadline)
+        check_deadline(deadline)
         lcm_term, _, i, j = heapq.heappop(pending)
         seeds = _pair_seeds(basis, i, j)
         same_pos = leads[lcm_term & pk.top]
@@ -534,7 +535,7 @@ def _tail_reduced(entries: list[_Entry], pk: _Packing, deadline=None) -> list[_E
     table = _Basis(pk, entries)
     out = []
     for e in entries:
-        _check(deadline)
+        check_deadline(deadline)
         tail = normal_form(dict(e.tail), table, pk)
         tail[e.lead] = e.coef
         out.append(_Entry(tail, pk))
@@ -578,7 +579,7 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
     def a_row(raw_idx: int) -> dict:
         if raw_idx in memo:
             return memo[raw_idx]
-        _check(deadline)
+        check_deadline(deadline)
         kind = recipes[raw_idx]
         if kind[0] == "gen":
             row = {pk.pack(p + kind[1], zero): kind[2]}
@@ -604,7 +605,7 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
     out = []
     seen = set()
     for vec in candidates():
-        _check(deadline)
+        check_deadline(deadline)
         syz = normal_form(vec, basis, pk)
         if any(t & pk.flag for t in syz):
             raise AssertionError("a pair or column failed to reduce by its own strong basis")

@@ -83,13 +83,10 @@ def module_to_json(pres: ModulePresentation) -> dict:
 def module_from_json(data, path: str = "module") -> ModulePresentation:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: must be an object")
-    try:
-        n = int(data["n"])
-        d = int(data["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: need integer fields n and d") from exc
-    if n < 0 or d < 0:
-        raise FormatError(f"{path}: n and d must be nonnegative")
+    n, d = data.get("n"), data.get("d")
+    for name, v in (("n", n), ("d", d)):
+        if not isinstance(v, int) or v < 0:
+            raise FormatError(f"{path}.{name}: need a nonnegative integer, got {v!r}")
     for name in ("rels_N", "gens_M"):
         if not isinstance(data.get(name, []), list):
             raise FormatError(f"{path}.{name}: need an array of vectors")
@@ -138,10 +135,9 @@ def instance_from_json(data) -> GeneratorSet:
 def metabelian_from_json(data) -> tuple:
     if not isinstance(data, dict) or "s" not in data:
         raise FormatError('metabelian: need {"s": int, "relators": [...], "gens": [...]}')
-    try:
-        s = int(data["s"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError("metabelian.s: must be an integer") from exc
+    s = data["s"]
+    if not isinstance(s, int):
+        raise FormatError(f"metabelian.s: need an integer, got {s!r}")
     relators = data.get("relators", [])
     gens = data.get("gens", [])
     for name, words in (("relators", relators), ("gens", gens)):
@@ -172,8 +168,8 @@ def graph_from_json(data, steps=None) -> StepGraph:
         steps = data.get("steps")
         if steps is None:
             raise FormatError('graph: missing "steps" table and no instance supplied')
-    if not isinstance(data["edges"], list):
-        raise FormatError("graph.edges: need an array of edges")
+    if not isinstance(data["edges"], list) or not data["edges"]:
+        raise FormatError("graph.edges: need a nonempty array of edges")
     if not isinstance(steps, list) or not all(_int_list(a) for a in steps):
         raise FormatError("graph.steps: need an array of integer step vectors")
     edges = []

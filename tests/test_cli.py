@@ -264,6 +264,13 @@ _GENERATORS = [{"y": [[{"c": "1", "e": [0]}]], "a": [1]},
                             "steps": [[1], [-1]]}),
     (("graph", "analyze"), {"edges": [{"s": [0], "label": 1.0}], "steps": [[1]]}),
     (("euler-close",), {"edges": [{"s": [0], "label": 1}], "steps": [[1.5]]}),
+    # a graph with no edges has no hull to analyze or close
+    (("graph", "analyze"), {"edges": [], "steps": [[1], [-1]]}),
+    (("euler-close",), {"edges": [], "steps": [[1], [-1]]}),
+    # header fields with a fraction part, or as strings, are refused too
+    (("check", "group"), {"module": dict(_MODULE, n=1.9), "generators": _GENERATORS}),
+    (("check", "group"), {"module": dict(_MODULE, d="1"), "generators": _GENERATORS}),
+    (("frontend",), {"s": 2.9, "relators": [], "gens": [[1], [2]]}),
 ])
 def test_malformed_input_is_a_data_error(tmp_path, capsys, command, doc):
     """Exit 65 with one `error:` line, not a traceback."""

@@ -6,14 +6,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from semizn import decide, geometry, ggraph, groebner, jsonio, linalg
+from semizn import decide, geometry, groebner, jsonio, linalg, positions
 from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, laurent_syzygies,
                             normalize_unit, raw_to_vector, syzygy_basis)
 from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
                            decide_subset, locr_events, oracle_bfs, procedure_a_events,
                            sample_points, verify_witness)
 from semizn.ggraph import StepGraph, graph_of_word
-from semizn.groebner import GroebnerBudgetError, saturated_basis
+from semizn.groebner import DeadlineExceeded, TermOrder, saturated_basis
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
@@ -203,7 +203,7 @@ def test_one_deadline_for_all_subsets(monkeypatch):
 
 def test_groebner_deadline_is_unknown(monkeypatch):
     def out_of_time(*args, **kwargs):
-        raise GroebnerBudgetError("groebner deadline exceeded")
+        raise DeadlineExceeded("deadline exceeded")
 
     monkeypatch.setattr(decide, "syzygy_basis", out_of_time)
     v = decide_subset(inverse_pair(), [1, 2], Budget(timeout=60))
@@ -245,7 +245,7 @@ def test_group_timeout_bounds_the_witness(monkeypatch, phase, nth):
     the word's trace.  A clock skewed past the deadline at the nth check of
     a phase ends the run there, `unknown` with `timed_out`: no further check
     is made, so no phase goes on."""
-    current, reads = ["graph"], []  # reads: the phase of every deadline check
+    current, reads = [None], []  # reads: the phase of every deadline check
 
     def clock():
         reads.append(current[0])
@@ -257,7 +257,9 @@ def test_group_timeout_bounds_the_witness(monkeypatch, phase, nth):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(ggraph, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(positions, "graph_from_positions",
+                        entering("graph", positions.graph_from_positions))
     monkeypatch.setattr(StepGraph, "euler_circuit", entering("circuit", StepGraph.euler_circuit))
     monkeypatch.setattr(decide, "graph_of_word", entering("trace", graph_of_word))
     v = decide_group(long_witness(), Budget(timeout=3600))
@@ -276,7 +278,7 @@ def test_group_timeout_bounds_the_window_rounds(monkeypatch):
         ({(1, 1, 0): 1}, (0, 1, 0)), ({}, (0, 0, -1)), ({(-1, 0, -1): 1}, (1, 0, 1)),
         ({(0, 0, 0): -1, (-2, 0, -2): -1}, (-1, -1, 0))]])
     skew, window, calls = [0.0], [None], []  # calls: (window, started past the deadline)
-    monkeypatch.setattr(decide, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
     real_candidate, real_lp = decide._WindowSearch.candidate, linalg.lp_feasible_point
 
     def candidate(self, w, *rest):
@@ -299,6 +301,57 @@ def test_group_timeout_bounds_the_window_rounds(monkeypatch):
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
     assert [w for w, _ in calls].count(1) == 1
     assert not any(late for _, late in calls)
+
+
+def test_group_timeout_bounds_the_membership_check(monkeypatch):
+    """Z[X^pm]/(X - 2) with (X, 1) and (-2X^-1, -1): the word 1 2 leaves the
+    nonzero neutrality residual X - 2, so checking it saturates N, the one
+    saturation of the run.  A clock skewed past the deadline as that
+    saturation starts ends the run `unknown` with `timed_out`."""
+    def torsion_pair():
+        pres = ModulePresentation(n=1, d=1, rels_N=[[LaurentPoly(1, {(1,): 1, (0,): -2})]])
+        return GeneratorSet(pres, [GroupElement(pres, [LaurentPoly(1, y)], a)
+                                   for y, a in [({(1,): 1}, (1,)), ({(-1,): -2}, (-1,))]])
+
+    assert decide_group(torsion_pair(), Budget()).witness["word"] == [1, 2]
+    skew, deadlines = [0.0], []
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
+    real = groebner.saturated_basis
+
+    def saturated(*args, deadline=None, **kwargs):
+        deadlines.append(deadline)
+        skew[0] = 1e9
+        return real(*args, deadline=deadline, **kwargs)
+
+    monkeypatch.setattr(groebner, "saturated_basis", saturated)
+    v = decide_group(torsion_pair(), Budget(timeout=3600))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert len(deadlines) == 1 and deadlines[0] is not None
+
+
+_GB_GENS = [{(0, (2, 1)): 2, (0, (0, 0)): 3}, {(0, (1, 2)): 3, (0, (1, 0)): -2}]
+_PHASES = {
+    "buchberger": lambda dl: groebner.buchberger(_GB_GENS, TermOrder(2), deadline=dl),
+    "syzygy_generators": lambda dl: groebner.syzygy_generators(_GB_GENS, 1, 2, deadline=dl),
+    "graph_of_word": lambda dl: graph_of_word(inverse_pair(), [1, 2], dl),
+    "euler_circuit": lambda dl: StepGraph([(1,), (-1,)], [((0,), 1), ((1,), 2)]).euler_circuit(
+        (0,), dl),
+    "window_search": lambda dl: _window_search(inverse_pair()).candidate(0, dl),
+    "verify_witness": lambda dl: verify_witness([1, 2], inverse_pair(), dl),
+}
+
+
+def _window_search(gens):
+    fs = syzygy_basis(gens.presentation, gens.ys, gens.steps).generators
+    return decide._WindowSearch(fs, gens.K, gens.n)
+
+
+@pytest.mark.parametrize("phase", _PHASES)
+def test_every_phase_stops_the_same_way(phase):
+    """Each phase's entry point, from the Groebner runs to the witness,
+    checks an already-expired deadline and raises the one DeadlineExceeded."""
+    with pytest.raises(DeadlineExceeded):
+        _PHASES[phase](time.monotonic() - 1)
 
 
 def test_verify_witness_examples():
@@ -726,7 +779,7 @@ def test_repose_matches_reference():
                 gens, steps = decide._repose(sub, None)
                 try:
                     want, want_steps = ref_repose_sublattice(sub, basis, time.monotonic() + 2)
-                except GroebnerBudgetError:
+                except DeadlineExceeded:
                     skipped += 1
                     continue
                 assert steps == want_steps
