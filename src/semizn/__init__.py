@@ -7,13 +7,13 @@ from semizn.algebra import (LaurentSubmodule, ModuleElement, ModulePresentation,
                             SyzygyBasis, residual, syzygy_basis)
 from semizn.closure import ClosureResult, eulerian_closure
 from semizn.decide import (Budget, Verdict, decide_group, decide_identity,
-                           decide_inverse, oracle_bfs, verify_witness)
+                           decide_inverse, verify_witness)
 from semizn.geometry import LatticePolytope, convex_hull, is_face_accessible, refined_fan
 from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import (GeneratorSet, GroupElement, MetabelianPresentation,
                           evaluate_word, magnus_frontend, neutral)
 from semizn.laurent import LaurentPoly
-from semizn.positions import (check_escape_condition, check_symmetry, crossing_indices,
-                              graph_from_positions, leading_indices, position_polynomials)
+from semizn.positions import (check_escape_condition, check_symmetry, graph_from_positions,
+                              position_polynomials)
 
 __version__ = "0.1.0"

@@ -227,35 +227,6 @@ class ModuleElement:
     def is_zero(self, deadline=None) -> bool:
         return self.presentation.is_zero(list(self.rep), deadline)
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        self._same(other)
-        return ModuleElement(self.presentation, [a + b for a, b in zip(self.rep, other.rep)])
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.presentation, [-a for a in self.rep])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def shift(self, z: Sequence[int]) -> "ModuleElement":
-        return ModuleElement(self.presentation, [a.shift(z) for a in self.rep])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        self._same(other)
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("ModuleElement is unhashable (equality is coset equality)")
-
-    def _same(self, other: "ModuleElement"):
-        if self.presentation is not other.presentation:
-            raise ValueError("elements of different presentations")
-
-    def __repr__(self):
-        return f"ModuleElement({list(self.rep)!r})"
-
 
 # ---------------------------------------------------------------------------
 # The relation module of a generating set (symmetry + neutrality equations)

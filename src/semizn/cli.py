@@ -38,39 +38,37 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _load_json(path: str):
+def _data_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(DATA_EXIT)
+
+
+def _read(path: str, parse, *args):
+    """parse(document, *args) of the JSON file at `path`; a file that cannot
+    be read, parsed or decoded ends the run with one error line, exit 65."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(DATA_EXIT)
+        _data_error(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        print(f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        sys.exit(DATA_EXIT)
+        _data_error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # past Python's digit or depth limit, bad UTF-8
+        _data_error(f"{path}: {exc}")
+    try:
+        return parse(doc, *args)
+    except FormatError as exc:
+        _data_error(f"{path}: {exc}")
 
 
 def _load_instance(path: str, strict: bool = False):
-    try:
-        gens = jsonio.instance_from_json(_load_json(path))
-    except FormatError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        sys.exit(DATA_EXIT)
+    gens = _read(path, jsonio.instance_from_json)
     if strict:
         try:
             gens.presentation.validate_strict(extra_vectors=[list(g.y) for g in gens.elements])
         except ValueError as exc:
-            print(f"error: {path}: strict validation failed: {exc}", file=sys.stderr)
-            sys.exit(DATA_EXIT)
+            _data_error(f"{path}: strict validation failed: {exc}")
     return gens
-
-
-def _load_graph(path: str):
-    try:
-        return jsonio.graph_from_json(_load_json(path))
-    except FormatError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        sys.exit(DATA_EXIT)
 
 
 def _budget(args) -> Budget:
@@ -109,6 +107,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--target", type=int, default=1,
                          help="1-based generator index for the inverse problem")
     _add_budget_flags(p_check)
+    p_check.set_defaults(func=_cmd_check)
 
     p_graph = sub.add_parser("graph", help="graph construction and analysis")
     graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
@@ -116,26 +115,32 @@ def build_parser() -> _Parser:
     p_word.add_argument("instance")
     p_word.add_argument("--word", required=True, help='letters, e.g. "1 2 2 3"')
     p_word.add_argument("--dot", help="also write DOT to this path")
+    p_word.set_defaults(func=_cmd_graph_word)
     p_analyze = graph_sub.add_parser("analyze")
     p_analyze.add_argument("graph")
     p_analyze.add_argument("--certificate", action="store_true")
+    p_analyze.set_defaults(func=_cmd_graph_analyze)
 
     p_close = sub.add_parser("euler-close", help="Eulerian union of translations")
     p_close.add_argument("graph")
     p_close.add_argument("--max-n", type=int, default=Budget().closure_n)
     p_close.add_argument("--dot", help="also write the union's DOT to this path")
+    p_close.set_defaults(func=_cmd_euler_close)
 
     p_syz = sub.add_parser("syzygy", help="relation-module generators")
     p_syz.add_argument("instance")
     p_syz.add_argument("--strict", action="store_true")
+    p_syz.set_defaults(func=_cmd_syzygy)
 
     p_front = sub.add_parser("frontend", help="metabelian presentation -> instance")
     p_front.add_argument("presentation")
     p_front.add_argument("-o", "--output", help="write the instance here instead of stdout")
+    p_front.set_defaults(func=_cmd_frontend)
 
     p_verify = sub.add_parser("verify", help="re-check a witness document")
     p_verify.add_argument("witness")
     p_verify.add_argument("instance")
+    p_verify.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -185,7 +190,7 @@ def _cmd_graph_word(args) -> int:
 
 
 def _cmd_graph_analyze(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _read(args.graph, jsonio.graph_from_json)
     try:
         accessible, report = is_face_accessible(graph)
     except HullTooLargeError as exc:
@@ -207,7 +212,7 @@ def _cmd_graph_analyze(args) -> int:
 
 
 def _cmd_euler_close(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _read(args.graph, jsonio.graph_from_json)
     try:
         result = eulerian_closure(graph, max_n=args.max_n)
     except ClosurePreconditionError as exc:
@@ -243,11 +248,7 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_frontend(args) -> int:
-    try:
-        pres, gen_words = jsonio.metabelian_from_json(_load_json(args.presentation))
-    except FormatError as exc:
-        print(f"error: {args.presentation}: {exc}", file=sys.stderr)
-        return DATA_EXIT
+    pres, gen_words = _read(args.presentation, jsonio.metabelian_from_json)
     try:
         _, gens = magnus_frontend(pres, gen_words)
     except ValueError as exc:
@@ -264,11 +265,7 @@ def _cmd_frontend(args) -> int:
 
 def _cmd_verify(args) -> int:
     gens = _load_instance(args.instance)
-    try:
-        witness = jsonio.witness_from_json(_load_json(args.witness), gens)
-    except FormatError as exc:
-        print(f"error: {args.witness}: {exc}", file=sys.stderr)
-        return DATA_EXIT
+    witness = _read(args.witness, jsonio.witness_from_json, gens)
     ok = verify_witness(witness, gens)
     _emit({"valid": ok})
     return 0 if ok else 1
@@ -276,21 +273,7 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "graph":
-        if args.graph_command == "word":
-            return _cmd_graph_word(args)
-        return _cmd_graph_analyze(args)
-    if args.command == "euler-close":
-        return _cmd_euler_close(args)
-    if args.command == "syzygy":
-        return _cmd_syzygy(args)
-    if args.command == "frontend":
-        return _cmd_frontend(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return USAGE_EXIT
+    return args.func(args)
 
 
 if __name__ == "__main__":

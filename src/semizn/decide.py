@@ -46,7 +46,8 @@ from semizn.algebra import laurent_syzygies  # noqa: F401  (perfbench/tracer.py 
 from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.geometry import HullTooLargeError
 from semizn.ggraph import StepGraph, graph_of_word
-from semizn.group import GeneratorSet, evaluate_word
+from semizn.group import GeneratorSet
+from semizn.group import evaluate_word  # noqa: F401  (perfbench/tracer.py patches it here)
 from semizn.groebner import DeadlineExceeded, check_deadline, saturated_basis
 from semizn.laurent import LaurentPoly
 
@@ -114,39 +115,6 @@ def verify_witness(witness, gens: GeneratorSet, deadline=None) -> bool:
     sym, neu = residual(positions.position_polynomials(graph), gens.presentation, gens.ys,
                         gens.steps)
     return sym.is_zero() and neu.is_zero(deadline)
-
-
-def oracle_bfs(gens: GeneratorSet, max_len: int) -> Optional[list[int]]:
-    """Breadth-first ground truth: the shortest (then lexicographically
-    smallest) full-image word evaluating to the neutral element, within the
-    length bound.  States deduplicate on exact representatives only, so this
-    shares no machinery with the decision procedures."""
-    if max_len <= 0:
-        return None
-    pres = gens.presentation
-    full_mask = (1 << gens.K) - 1
-
-    def key_of(el, mask):
-        return (el.a, tuple(frozenset(p.terms.items()) for p in el.y), mask)
-
-    frontier = [(evaluate_word(gens, []), 0, [])]
-    seen = {key_of(frontier[0][0], 0)}
-    for _ in range(max_len):
-        nxt = []
-        for el, mask, word in frontier:
-            for i in range(1, gens.K + 1):
-                el2 = el * gens.elements[i - 1]
-                mask2 = mask | (1 << (i - 1))
-                word2 = word + [i]
-                if mask2 == full_mask and all(v == 0 for v in el2.a):
-                    if pres.is_zero(list(el2.y)):
-                        return word2
-                k = key_of(el2, mask2)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append((el2, mask2, word2))
-        frontier = nxt
-    return None
 
 
 # ---------------------------------------------------------------------------

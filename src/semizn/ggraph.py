@@ -54,9 +54,6 @@ class StepGraph:
     def vertices(self) -> list[tuple]:
         return sorted(self._vertex_set(set(self.edges)))
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     # -- predicates ----------------------------------------------------------
     def is_symmetric(self) -> bool:
         """Out-degree equals in-degree at every vertex."""
@@ -99,24 +96,6 @@ class StepGraph:
                 parent[a] = b
         roots = {find(i) for i in range(len(verts))}
         return len(roots) == 1
-
-    # -- transformations -----------------------------------------------------
-    def translate(self, z: Sequence[int]) -> "StepGraph":
-        z = tuple(int(v) for v in z)
-        if len(z) != self.n:
-            raise ValueError("translation vector has wrong length")
-        return StepGraph(
-            self.steps,
-            [(tuple(a + b for a, b in zip(s, z)), label) for s, label in self.edges],
-        )
-
-    def union(self, *others: "StepGraph") -> "StepGraph":
-        edges = list(self.edges)
-        for g in others:
-            if g.steps != self.steps:
-                raise ValueError("union across different generator sets")
-            edges.extend(g.edges)
-        return StepGraph(self.steps, edges)
 
     # -- represented element ---------------------------------------------------
     def represented_element(self, gens: GeneratorSet) -> GroupElement:

@@ -277,17 +277,13 @@ def _signed_entry(vec: dict, pk: _Packing):
     return _Entry({k: -c for k, c in vec.items()}, pk), -1
 
 
-def remainder(vec: dict, basis: list[_Entry], order: TermOrder, record=None) -> dict:
+def remainder(vec: dict, basis: list[_Entry], order: TermOrder) -> dict:
     """`normal_form` for callers outside the engine: `vec` and the result
-    are (position, exponent tuple) dicts, `basis` holds entries of any
-    packing of `order`, and recorded shifts are exponent tuples."""
+    are (position, exponent tuple) dicts, and `basis` holds entries of any
+    packing of `order`."""
     def run(pk):
-        steps = None if record is None else []
         packed = [e if e.pk is pk else _Entry(pk.pack_vec(e.vec), pk) for e in basis]
-        out = normal_form(pk.pack_vec(vec), packed, pk, record=steps)
-        if record is not None:
-            record.extend((q, pk.unpack_shift(s), idx) for q, s, idx in steps)
-        return pk.unpack_vec(out)
+        return pk.unpack_vec(normal_form(pk.pack_vec(vec), packed, pk))
     return _widening(order, [vec], run, max((e.pk.width for e in basis), default=32))
 
 

@@ -1,6 +1,7 @@
 """JSON encodings for all exchange formats.
 
-Polynomial: array of {"c": coefficient string (integer or "p/q"), "e": [int;n]};
+Polynomial: array of {"c": coefficient, "e": [int;n]}, the coefficient a JSON
+integer or a string holding an integer or "p/q" (q positive);
 the zero polynomial is the empty array.  Module presentation, instance,
 metabelian presentation, graph, witness and verdict formats build on it;
 module and instance coefficients must be integers.  Serialization is
@@ -10,6 +11,7 @@ inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from semizn.algebra import ModulePresentation
@@ -21,6 +23,18 @@ from semizn.laurent import LaurentPoly, grlex_key
 
 class FormatError(ValueError):
     """Malformed input document; message carries the JSON path."""
+
+
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # exponent and decimal forms refused
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: an int and not a bool (`true` is not 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
 
 
 def dumps(obj) -> str:
@@ -44,14 +58,17 @@ def poly_from_json(data, n: int, path: str, integer: bool = False) -> LaurentPol
         where = f"{path}[{i}]"
         if not isinstance(t, dict) or "c" not in t or "e" not in t:
             raise FormatError(f'{where}: term must be {{"c": ..., "e": [...]}}')
+        c = t["c"]
+        if not (_is_int(c) or isinstance(c, str) and _COEFFICIENT.fullmatch(c)):
+            raise FormatError(f"{where}.c: bad coefficient {c!r}")
         try:
-            c = Fraction(str(t["c"]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"{where}.c: bad coefficient {t['c']!r}") from exc
+            c = Fraction(c)
+        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or past the digit limit
+            raise FormatError(f"{where}.c: bad coefficient {c!r}") from exc
         if integer and c.denominator != 1:
             raise FormatError(f"{where}.c: need an integer coefficient, got {t['c']!r}")
         e = t["e"]
-        if not isinstance(e, list) or len(e) != n or not all(isinstance(x, int) for x in e):
+        if not _int_list(e) or len(e) != n:
             raise FormatError(f"{where}.e: need {n} integer exponents")
         terms[tuple(e)] = terms.get(tuple(e), 0) + c
     return LaurentPoly(n, terms)
@@ -85,7 +102,7 @@ def module_from_json(data, path: str = "module") -> ModulePresentation:
         raise FormatError(f"{path}: must be an object")
     n, d = data.get("n"), data.get("d")
     for name, v in (("n", n), ("d", d)):
-        if not isinstance(v, int) or v < 0:
+        if not _is_int(v) or v < 0:
             raise FormatError(f"{path}.{name}: need a nonnegative integer, got {v!r}")
     for name in ("rels_N", "gens_M"):
         if not isinstance(data.get(name, []), list):
@@ -126,7 +143,7 @@ def instance_from_json(data) -> GeneratorSet:
             raise FormatError(f'{path}: need {{"y": [...], "a": [...]}}')
         y = vector_from_json(g["y"], pres.n, pres.d, f"{path}.y", integer=True)
         a = g["a"]
-        if not isinstance(a, list) or len(a) != pres.n or not all(isinstance(x, int) for x in a):
+        if not _int_list(a) or len(a) != pres.n:
             raise FormatError(f"{path}.a: need {pres.n} integers")
         gens.append(GroupElement(pres, y, a))
     return GeneratorSet(pres, gens)
@@ -136,14 +153,12 @@ def metabelian_from_json(data) -> tuple:
     if not isinstance(data, dict) or "s" not in data:
         raise FormatError('metabelian: need {"s": int, "relators": [...], "gens": [...]}')
     s = data["s"]
-    if not isinstance(s, int):
+    if not _is_int(s):
         raise FormatError(f"metabelian.s: need an integer, got {s!r}")
     relators = data.get("relators", [])
     gens = data.get("gens", [])
     for name, words in (("relators", relators), ("gens", gens)):
-        if not isinstance(words, list) or not all(
-            isinstance(w, list) and all(isinstance(x, int) for x in w) for w in words
-        ):
+        if not isinstance(words, list) or not all(map(_int_list, words)):
             raise FormatError(f"metabelian.{name}: need arrays of signed integers")
     try:
         pres = MetabelianPresentation(s=s, relators=[list(r) for r in relators])
@@ -176,17 +191,13 @@ def graph_from_json(data, steps=None) -> StepGraph:
     for i, e in enumerate(data["edges"]):
         if not isinstance(e, dict) or not _int_list(e.get("s")) or "label" not in e:
             raise FormatError(f'graph.edges[{i}]: need {{"s": [int, ...], "label": int}}')
-        if not isinstance(e["label"], int):
+        if not _is_int(e["label"]):
             raise FormatError(f"graph.edges[{i}].label: need an integer")
         edges.append((tuple(e["s"]), e["label"]))
     try:
         return StepGraph(steps, edges)
     except ValueError as exc:  # a label out of range or a wrong length
         raise FormatError(f"graph: {exc}") from exc
-
-
-def _int_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(v, int) for v in x)
 
 
 # -- verdicts and witnesses ------------------------------------------------------
@@ -215,7 +226,7 @@ def witness_from_json(data, gens: GeneratorSet):
         raise FormatError('witness: need {"type": "word"|"graph", ...}')
     if data["type"] == "word":
         word = data.get("word")
-        if not isinstance(word, list) or not all(isinstance(x, int) for x in word):
+        if not _int_list(word):
             raise FormatError("witness.word: need an array of letters")
         return list(word)
     if data["type"] == "graph":

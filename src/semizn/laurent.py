@@ -2,9 +2,9 @@
 
 A polynomial in n variables is stored as a dict mapping exponent tuples
 (length n, entries may be negative) to nonzero coefficients.  Coefficients
-are Python ints or Fractions; all arithmetic is exact.  Weighted degrees,
-initial forms and evaluation at positive rational points are the operations
-the rest of the package is built on.
+are Python ints or Fractions; all arithmetic is exact.  Ring operations,
+monomial shifts and evaluation at positive rational points are the
+operations the rest of the package is built on.
 """
 from __future__ import annotations
 
@@ -13,9 +13,6 @@ from operator import add
 from collections.abc import Iterable, Mapping, Sequence
 
 from semizn.kernels import add_terms, mul_terms
-
-NEG_INF = float("-inf")  # order-only sentinel for deg of the zero polynomial
-
 
 def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -92,9 +89,6 @@ class LaurentPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
-    def coefficient(self, expo: Sequence[int]):
-        return self.terms.get(tuple(expo), 0)
-
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.terms.values())
 
@@ -142,24 +136,6 @@ class LaurentPoly:
             object.__setattr__(self, "_hash", hash((self.n, frozenset(self.terms.items()))))
         return self._hash
 
-    # -- weighted degree machinery ------------------------------------------
-    def weighted_degree(self, v: Sequence):
-        """Max of v . a over the support; NEG_INF for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        v = as_direction(v, self.n)
-        return max(_dot(v, e) for e in self.terms)
-
-    def initial(self, v: Sequence) -> "LaurentPoly":
-        """Sub-sum of the terms attaining the maximal v-weighted degree."""
-        if not self.terms:
-            return self
-        v = as_direction(v, self.n)
-        deg = max(_dot(v, e) for e in self.terms)
-        return LaurentPoly(
-            self.n, {e: c for e, c in self.terms.items() if _dot(v, e) == deg}
-        )
-
     def evaluate_positive(self, r: Sequence) -> Fraction:
         """Exact value at a strictly positive rational point.  With each
         coordinate p/q in lowest terms, and lo and hi the least and the
@@ -196,16 +172,3 @@ class LaurentPoly:
             bits.append(f"{c}*{mono}")
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
-
-def _dot(v, e) -> Fraction:
-    return sum((a * b for a, b in zip(v, e)), Fraction(0))
-
-
-def as_direction(v: Sequence, n: int):
-    """Validate and normalize a nonzero rational direction vector."""
-    vec = tuple(Fraction(x) for x in v)
-    if len(vec) != n:
-        raise ValueError(f"direction has length {len(vec)}, expected {n}")
-    if all(x == 0 for x in vec):
-        raise ValueError("direction must be nonzero")
-    return vec

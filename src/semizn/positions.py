@@ -12,12 +12,11 @@ that lead and the steps that leave the face do not change.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from semizn import geometry
 from semizn.ggraph import StepGraph
-from semizn.laurent import NEG_INF, LaurentPoly, as_direction
+from semizn.laurent import LaurentPoly
 
 
 def position_polynomials(graph: StepGraph) -> list[LaurentPoly]:
@@ -40,37 +39,6 @@ def graph_from_positions(fs: Sequence[LaurentPoly], steps) -> StepGraph:
     if not edges:
         raise ValueError("all position polynomials are zero")
     return StepGraph(steps, edges)
-
-
-# ---------------------------------------------------------------------------
-# Index sets
-# ---------------------------------------------------------------------------
-
-def leading_indices(subset, fs: Sequence[LaurentPoly], v) -> frozenset:
-    """Indices of `subset` whose v-weighted degree is maximal.
-
-    Zero entries have degree -inf and never attain a maximum against a
-    nonzero entry; if every entry of the subset is zero, the whole subset is
-    returned (all attain -inf)."""
-    subset = sorted(subset)
-    if not subset:
-        raise ValueError("empty index subset")
-    n = fs[0].n
-    v = as_direction(v, n)
-    degs = {i: fs[i - 1].weighted_degree(v) for i in subset}
-    top = max(degs.values())
-    if top == NEG_INF:
-        return frozenset(subset)
-    return frozenset(i for i in subset if degs[i] == top)
-
-
-def crossing_indices(steps, v) -> frozenset:
-    """Indices whose step vector is not orthogonal to v."""
-    out = set()
-    for i, a in enumerate(steps, start=1):
-        if sum(Fraction(x) * y for x, y in zip(v, a)) != 0:
-            out.add(i)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

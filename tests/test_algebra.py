@@ -125,13 +125,13 @@ def test_syzygy_agrees_with_integer_kernel_at_n0(rng):
         rels = [r for r in rels if any(not p.is_zero() for p in r)]
         pres = ModulePresentation(n=0, d=d, rels_N=rels)
         basis = syzygy_basis(pres, ys, [()] * K)
-        gen_rows = [[int(g[i].coefficient(())) for i in range(K)] for g in basis.generators]
+        gen_rows = [[int(g[i].terms.get((), 0)) for i in range(K)] for g in basis.generators]
         lattice = linalg.hermite_row_basis(gen_rows) if gen_rows else []
-        rel_rows = [[int(r[i].coefficient(())) for i in range(d)] for r in rels]
+        rel_rows = [[int(r[i].terms.get((), 0)) for i in range(d)] for r in rels]
         rel_lattice = linalg.hermite_row_basis(rel_rows) if rel_rows else []
 
         def in_module(f):  # independent check: sum f_i y_i lies in the relation lattice
-            img = [sum(f[i] * int(ys[i][j].coefficient(())) for i in range(K))
+            img = [sum(f[i] * int(ys[i][j].terms.get((), 0)) for i in range(K))
                    for j in range(d)]
             if not any(img):
                 return True

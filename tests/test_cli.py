@@ -241,6 +241,8 @@ def test_strict_flag():
 _MODULE = {"n": 1, "d": 1}
 _GENERATORS = [{"y": [[{"c": "1", "e": [0]}]], "a": [1]},
                {"y": [[{"c": "-1", "e": [-1]}]], "a": [-1]}]
+_BOOLEAN_INSTANCE = {"module": {"n": True, "d": 1, "rels_N": []}, "generators": [
+    {"a": [True], "y": [[{"c": "1", "e": [False]}]]}, {"a": [-1], "y": [[{"c": "-1", "e": [0]}]]}]}
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -271,6 +273,25 @@ _GENERATORS = [{"y": [[{"c": "1", "e": [0]}]], "a": [1]},
     (("check", "group"), {"module": dict(_MODULE, n=1.9), "generators": _GENERATORS}),
     (("check", "group"), {"module": dict(_MODULE, d="1"), "generators": _GENERATORS}),
     (("frontend",), {"s": 2.9, "relators": [], "gens": [[1], [2]]}),
+    # booleans are not integers
+    (("check", "group"), _BOOLEAN_INSTANCE),
+    (("check", "group"), {"module": dict(_MODULE, d=True), "generators": _GENERATORS}),
+    (("check", "group"), {"module": _MODULE, "generators": [dict(_GENERATORS[0], a=[True]),
+                                                            _GENERATORS[1]]}),
+    (("check", "group"), {"module": _MODULE, "generators": [
+        {"y": [[{"c": "1", "e": [False]}]], "a": [1]}, _GENERATORS[1]]}),
+    (("frontend",), {"s": 2, "relators": [[True, 2, -1, -2]], "gens": [[1], [2], [-1], [-2]]}),
+    (("frontend",), {"s": 2, "relators": [], "gens": [[1], [2], [-1], [-2], [True]]}),
+    (("graph", "analyze"), {"edges": [{"s": [0], "label": True}, {"s": [1], "label": 2}],
+                            "steps": [[1], [-1]]}),
+    (("graph", "analyze"), {"edges": [{"s": [False], "label": 1}, {"s": [1], "label": 2}],
+                            "steps": [[1], [-1]]}),
+    (("euler-close",), {"edges": [{"s": [0], "label": 1}, {"s": [1], "label": 2}],
+                        "steps": [[True], [-1]]}),
+    # coefficients in exponent or decimal notation are refused before they are read
+    *[(("check", "group"), {"module": _MODULE, "generators": [
+        {"y": [[{"c": c, "e": [0]}]], "a": [1]}, _GENERATORS[1]]})
+      for c in ("1e999999999", "1e0", "1.0", 1.0)],
 ])
 def test_malformed_input_is_a_data_error(tmp_path, capsys, command, doc):
     """Exit 65 with one `error:` line, not a traceback."""
@@ -297,3 +318,31 @@ def test_fractional_instance_is_a_data_error_everywhere(tmp_path, capsys):
         assert code == 65 and out == ""
         assert "instance.generators[1].y[0][0].c" in err and err.count("\n") == 1
 
+
+
+def test_booleans_and_oversized_numbers_name_their_path(tmp_path, capsys):
+    """A boolean header field or witness letter and a coefficient in
+    exponent notation are named by their JSON path; an integer past
+    Python's 4,300-digit limit and arrays nested past its recursion limit,
+    which the JSON reader itself refuses, by the file's path."""
+    instance, witness = tmp_path / "instance.json", tmp_path / "witness.json"
+    huge = tmp_path / "huge.json"
+    instance.write_text(json.dumps(_BOOLEAN_INSTANCE))
+    witness.write_text(json.dumps({"type": "word", "word": [1, True]}))
+    huge.write_text(json.dumps({"module": _MODULE, "generators": _GENERATORS})
+                    .replace('"e": [0]', '"e": [' + "9" * 5000 + "]"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    exponent = tmp_path / "exponent.json"
+    exponent.write_text(json.dumps({"module": _MODULE, "generators": [
+        {"y": [[{"c": "1e999999999", "e": [0]}]], "a": [1]}, _GENERATORS[1]]}))
+    for argv, where in ((("check", "group", str(instance)), "module.n"),
+                        (("verify", str(witness), path("inverse_pair.json")), "witness.word"),
+                        (("check", "group", str(exponent)), "instance.generators[0].y[0][0].c"),
+                        (("check", "group", str(huge)), f"{huge}: "),
+                        (("check", "group", str(deep)), f"{deep}: ")):
+        capsys.readouterr()
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 65 and out == ""
+        assert err.startswith("error: ") and where in err and err.count("\n") == 1

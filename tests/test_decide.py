@@ -10,7 +10,7 @@ from semizn import decide, geometry, groebner, jsonio, linalg, positions
 from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, laurent_syzygies,
                             normalize_unit, raw_to_vector, syzygy_basis)
 from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
-                           decide_subset, locr_events, oracle_bfs, procedure_a_events,
+                           decide_subset, locr_events, procedure_a_events,
                            sample_points, verify_witness)
 from semizn.ggraph import StepGraph, graph_of_word
 from semizn.groebner import DeadlineExceeded, TermOrder, saturated_basis
@@ -18,7 +18,7 @@ from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
 from conftest import (free_presentation, inverse_pair, lattice_coordinates, long_witness, mono,
-                      random_poly)
+                      oracle_bfs, random_poly)
 from corpus import no_instances, yes_instances
 
 

@@ -6,10 +6,9 @@ import pytest
 from semizn import linalg
 from semizn.geometry import LatticePolytope, convex_hull, is_face_accessible, refined_fan
 from semizn.ggraph import StepGraph
-from semizn.positions import crossing_indices, leading_indices
 from semizn.laurent import LaurentPoly
 
-from conftest import solve_linear
+from conftest import crossing_indices, leading_indices, solve_linear
 
 
 def test_hull_point_and_segment():

@@ -21,7 +21,7 @@ def fig_gens():
 
 def test_graph_of_word_figure_trace():
     g = graph_of_word(FIG_STEPS, FIG_WORD)
-    assert g.edge_count() == 7
+    assert len(g.edges) == 7
     assert g.vertices() == sorted(
         [(0, 0), (-2, 3), (0, 3), (2, 3), (2, 1), (2, -1), (0, 2)]
     )
@@ -181,25 +181,18 @@ def test_predicates_match_edge_walks_on_the_long_witness():
     _assert_predicates_match_reference(halves)
 
 
-def test_translate_and_union():
-    g = graph_of_word(FIG_STEPS, FIG_WORD)
-    assert g.translate((0, 0)) == g
-    assert g.union() == g
-    t = g.translate((3, 1))
-    assert t.vertices() == sorted(tuple(a + b for a, b in zip(v, (3, 1))) for v in g.vertices())
-    with pytest.raises(ValueError):
-        g.union(StepGraph([(1, 0)], [((0, 0), 1)]))
-
-
 def test_translate_union_represented(rng):
+    """The translate of a graph by z represents the element shifted by X^z,
+    and the union with it the sum."""
     gens = inverse_pair()
     g = graph_of_word(gens, [1, 2, 1, 2])
     el = g.represented_element(gens)
     z = (3,)
-    shifted = g.translate(z).represented_element(gens)
+    moved = [(tuple(a + b for a, b in zip(s, z)), label) for s, label in g.edges]
+    shifted = StepGraph(g.steps, moved).represented_element(gens)
     assert shifted.a == el.a
     assert list(shifted.y) == [p.shift(z) for p in el.y]
-    u = g.union(g.translate(z)).represented_element(gens)
+    u = StepGraph(g.steps, list(g.edges) + moved).represented_element(gens)
     assert u.a == tuple(2 * v for v in el.a)
     assert list(u.y) == [p + q for p, q in zip(el.y, shifted.y)]
 

@@ -489,6 +489,18 @@ def random_block_order(rng, nvars, npos):
     return TermOrder(nvars, blocks=blocks, elim_positions=rng.randint(0, npos))
 
 
+def recorded_remainder(vec: dict, basis, order: TermOrder, record: list) -> dict:
+    """`groebner.remainder`, with the steps of the `normal_form` run that
+    finished appended to `record` as (quotient, shift tuple, index)."""
+    def run(pk):
+        steps = []
+        packed = [e if e.pk is pk else groebner._Entry(pk.pack_vec(e.vec), pk) for e in basis]
+        out = groebner.normal_form(pk.pack_vec(vec), packed, pk, record=steps)
+        record.extend((q, pk.unpack_shift(s), idx) for q, s, idx in steps)
+        return pk.unpack_vec(out)
+    return groebner._widening(order, [vec], run, max((e.pk.width for e in basis), default=32))
+
+
 def tied_divisors(basis, record):
     """How many recorded steps had another divisor with the same |lc| at the
     reduced term, so that the tie-break chose the reducer."""
@@ -634,8 +646,9 @@ def test_normal_form_matches_reference():
         want_rec, got_rec = [], []
         want = ref_normal_form(vec, [_RefEntry(v, order) for v in vecs], order, record=want_rec)
         basis = entries(vecs, order)
-        got = groebner.remainder(vec, basis, order, record=got_rec)
+        got = recorded_remainder(vec, basis, order, got_rec)
         assert list(got.items()) == list(want.items())
+        assert list(groebner.remainder(vec, basis, order).items()) == list(got.items())
         assert got_rec == want_rec
         ties += tied_divisors(basis, got_rec)
     assert ties >= 200
@@ -733,7 +746,7 @@ def test_buchberger_matches_reference(monkeypatch):
             vec = random_vec(rng, order.nvars, npos, rng.randint(1, 5), maxexp=3)
             want_rec, got_rec = [], []
             assert ref_normal_form(vec, want, order, record=want_rec) == \
-                groebner.remainder(vec, got, order, record=got_rec)
+                recorded_remainder(vec, got, order, got_rec) == groebner.remainder(vec, got, order)
             assert got_rec == want_rec
     assert made <= reduced - 1000  # the chain criterion skips S-vectors
 
@@ -857,8 +870,10 @@ def test_huge_exponents_match_reference(big):
         vec = random_vec(rng, nvars, npos, rng.randint(1, 6), big=big)
         want_rec, got_rec = [], []
         want = ref_normal_form(vec, [_RefEntry(v, order) for v in vecs], order, record=want_rec)
-        got = groebner.remainder(vec, entries(vecs, order), order, record=got_rec)
+        basis = entries(vecs, order)
+        got = recorded_remainder(vec, basis, order, got_rec)
         assert list(got.items()) == list(want.items())
+        assert list(groebner.remainder(vec, basis, order).items()) == list(got.items())
         assert got_rec == want_rec
         gens = random_gens(rng, nvars, npos, big=big)
         assert items(groebner.buchberger(gens, order)) == items(ref_buchberger(gens, order))
@@ -881,8 +896,9 @@ def test_normal_form_widens_mid_run(monkeypatch):
     widths = recorded_widths(monkeypatch)
     want_rec, got_rec = [], []
     want = ref_normal_form(vec, [_RefEntry(v, order) for v in vecs], order, record=want_rec)
-    got = groebner.remainder(vec, basis, order, record=got_rec)
+    got = recorded_remainder(vec, basis, order, got_rec)
     assert list(got.items()) == list(want.items()) == [((0, (0, 3 * A)), 2), ((0, (0, 1)), 5)]
+    assert list(groebner.remainder(vec, basis, order).items()) == list(got.items())
     assert got_rec == want_rec
     assert widths[0] == 32 and widths[-1] == 64
 

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,3 +110,42 @@ def test_dumps_canonical():
     s = jsonio.dumps(doc)
     assert s == '{"a":[2,{"y":1,"z":0}],"b":1}\n'
     assert json.loads(s) == doc
+
+
+ONE = [{"c": "1", "e": [0]}]
+
+
+@pytest.mark.parametrize("where, read, args", [
+    ("p[0].e", jsonio.poly_from_json, ([{"c": "1", "e": [False]}], 1, "p")),
+    ("module.n", jsonio.module_from_json, ({"n": True, "d": 1},)),
+    ("module.d", jsonio.module_from_json, ({"n": 1, "d": True},)),
+    ("instance.generators[0].a", jsonio.instance_from_json,
+     ({"module": {"n": 1, "d": 1}, "generators": [{"y": [ONE], "a": [True]}]},)),
+    ("metabelian.s", jsonio.metabelian_from_json, ({"s": True, "gens": [[1]]},)),
+    ("metabelian.gens", jsonio.metabelian_from_json, ({"s": 2, "gens": [[1], [True]]},)),
+    ("graph.edges[0].label", jsonio.graph_from_json,
+     ({"edges": [{"s": [0], "label": True}], "steps": [[1]]},)),
+    ("graph.edges[0]", jsonio.graph_from_json,
+     ({"edges": [{"s": [False], "label": 1}], "steps": [[1]]},)),
+    ("graph.steps", jsonio.graph_from_json,
+     ({"edges": [{"s": [0], "label": 1}], "steps": [[True]]},)),
+    ("witness.word", jsonio.witness_from_json, ({"type": "word", "word": [True]}, None)),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_booleans_are_not_integers(where, read, args):
+    with pytest.raises(FormatError, match="^" + re.escape(where)):
+        read(*args)
+
+
+def test_coefficient_grammar():
+    """A coefficient is a JSON integer, or a string holding an integer or
+    p/q with q positive; exponent and decimal notation is refused before it
+    is read, so "1e999999999" is not expanded."""
+    read = jsonio.poly_from_json
+    assert read([{"c": "4/2", "e": [0]}], 1, "p") == LaurentPoly(1, {(0,): 2})
+    assert read([{"c": "-5/7", "e": [0]}], 1, "p") == LaurentPoly(1, {(0,): Fraction(-5, 7)})
+    assert read([{"c": "-12", "e": [0]}, {"c": 4, "e": [1]}], 1, "p") == \
+        LaurentPoly(1, {(0,): -12, (1,): 4})
+    for c in ("1E5", "1.5", "2.0", 2.0, "+1", " 1", "1/-2", "1/0", "1_000", "٣", "inf", True,
+              None, "1e999999999"):
+        with pytest.raises(FormatError, match=r"^p\[0\]\.c: bad coefficient"):
+            read([{"c": c, "e": [0]}], 1, "p")

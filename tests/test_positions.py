@@ -11,10 +11,10 @@ from semizn.geometry import convex_hull, is_face_accessible
 from semizn.ggraph import StepGraph
 from semizn.laurent import LaurentPoly
 from semizn.algebra import residual
-from semizn.positions import (check_escape_condition, check_symmetry, crossing_indices,
-                              graph_from_positions, leading_indices, position_polynomials)
+from semizn.positions import (check_escape_condition, check_symmetry, graph_from_positions,
+                              position_polynomials)
 
-from conftest import free_presentation, mono
+from conftest import crossing_indices, free_presentation, leading_indices, mono
 from corpus import no_instances, yes_instances
 
 def check_full_image(fs) -> bool:
