@@ -203,7 +203,7 @@ class ModulePresentation:
     def validate_strict(self, extra_vectors: Sequence[Sequence[LaurentPoly]] = ()):
         """Check rels_N (and any extra vectors) lie in span(gens_M).
 
-        Costs a Groebner run; off by default per the strictness flag.
+        Costs a Groebner run; the CLI runs it whenever gens_M is given.
         """
         if self.gens_M is None:
             return  # M is the full free module

@@ -53,21 +53,23 @@ def _read(path: str, parse, *args):
         _data_error(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         _data_error(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except (ValueError, RecursionError) as exc:  # past Python's digit or depth limit, bad UTF-8
+    except (UnicodeDecodeError, RecursionError) as exc:  # bad UTF-8, or nested past the depth limit
         _data_error(f"{path}: {exc}")
+    except ValueError:  # the reader's int() stops at Python's digit limit
+        _data_error(f"{path}: integer over {sys.get_int_max_str_digits():,} digits")
     try:
         return parse(doc, *args)
     except FormatError as exc:
         _data_error(f"{path}: {exc}")
 
 
-def _load_instance(path: str, strict: bool = False):
+def _load_instance(path: str):
+    """The instance at `path`, checked against its module's gens_M if given."""
     gens = _read(path, jsonio.instance_from_json)
-    if strict:
-        try:
-            gens.presentation.validate_strict(extra_vectors=[list(g.y) for g in gens.elements])
-        except ValueError as exc:
-            _data_error(f"{path}: strict validation failed: {exc}")
+    try:
+        gens.presentation.validate_strict(extra_vectors=[list(g.y) for g in gens.elements])
+    except ValueError as exc:
+        _data_error(f"{path}: module.gens_M: {exc}")
     return gens
 
 
@@ -92,8 +94,6 @@ def _add_budget_flags(p):
     p.add_argument("--timeout", type=float, default=default.timeout)
     p.add_argument("--certificate", action="store_true",
                    help="include per-face detail in reports")
-    p.add_argument("--strict", action="store_true",
-                   help="verify rels_N and generators lie in span(gens_M)")
 
 
 def build_parser() -> _Parser:
@@ -129,7 +129,6 @@ def build_parser() -> _Parser:
 
     p_syz = sub.add_parser("syzygy", help="relation-module generators")
     p_syz.add_argument("instance")
-    p_syz.add_argument("--strict", action="store_true")
     p_syz.set_defaults(func=_cmd_syzygy)
 
     p_front = sub.add_parser("frontend", help="metabelian presentation -> instance")
@@ -145,7 +144,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_check(args) -> int:
-    gens = _load_instance(args.instance, strict=args.strict)
+    gens = _load_instance(args.instance)
     try:
         budget = _budget(args)
         if args.problem == "group":
@@ -238,7 +237,7 @@ def _cmd_euler_close(args) -> int:
 def _cmd_syzygy(args) -> int:
     from semizn.algebra import syzygy_basis
 
-    gens = _load_instance(args.instance, strict=args.strict)
+    gens = _load_instance(args.instance)
     basis = syzygy_basis(gens.presentation, gens.ys, gens.steps)
     _emit({
         "K": basis.K,

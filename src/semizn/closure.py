@@ -12,6 +12,7 @@ sufficient, not necessary).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -74,17 +75,15 @@ def eulerian_closure(graph: StepGraph, max_n: int = 16) -> ClosureResult:
     if graph.n == 0:
         return ClosureResult(translations=[()], union=graph, N=1)
     hull = geometry.convex_hull(graph.vertices())
-    base_edges = list(graph.edges)
     for N in range(1, max_n + 1):
         zs = translation_set(hull, N)
         if not zs:
             continue
-        edges = [
-            (tuple(a + b for a, b in zip(s, z)), label)
-            for z in zs
-            for s, label in base_edges
-        ]
-        union = StepGraph(graph.steps, edges)
+        counts = Counter()
+        for z in zs:
+            for (s, label), k in graph.counts.items():
+                counts[tuple(a + b for a, b in zip(s, z)), label] += k
+        union = StepGraph(graph.steps, counts)
         if union.is_connected():
             return ClosureResult(translations=sorted(zs), union=union, N=N)
     raise ClosureBudgetError(max_n)

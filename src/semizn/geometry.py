@@ -280,7 +280,7 @@ def is_face_accessible(graph):
     for face in P.strict_faces():
         fpts = set(face.points)
         acc = any(
-            e[0] in fpts and graph.destination(e) not in fpts for e in graph.edges
+            e[0] in fpts and graph.destination(e) not in fpts for e in graph.counts
         )
         report.append({
             "direction": list(face.direction),

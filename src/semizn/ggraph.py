@@ -7,6 +7,7 @@ circuit of a suitable graph reads back a word.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Mapping
 from operator import add
 from typing import Optional, Sequence
 
@@ -18,11 +19,13 @@ _CHECK_EVERY = 4096  # letters or circuit steps between two deadline checks
 
 
 class StepGraph:
-    """Immutable edge multiset over a fixed step table."""
+    """Immutable edge multiset over a fixed step table: `counts` maps each
+    distinct edge (start, label), in sorted order, to its multiplicity.  The
+    constructor takes such a mapping, or an iterable of parallel copies."""
 
-    __slots__ = ("steps", "n", "K", "edges")
+    __slots__ = ("steps", "n", "K", "counts")
 
-    def __init__(self, steps: Sequence[Sequence[int]], edges):
+    def __init__(self, steps: Sequence[Sequence[int]], edges: Mapping | Iterable = ()):
         self.steps = tuple(tuple(int(v) for v in a) for a in steps)
         if not self.steps:
             raise ValueError("need at least one label")
@@ -30,55 +33,51 @@ class StepGraph:
         if any(len(a) != self.n for a in self.steps):
             raise ValueError("inconsistent step lengths")
         self.K = len(self.steps)
-        norm = []
-        for s, label in edges:
+        items = edges.items() if isinstance(edges, Mapping) else ((e, 1) for e in edges)
+        counts = Counter()
+        for (s, label), k in items:
             label = int(label)
             if not 1 <= label <= self.K:
                 raise ValueError(f"label {label} out of range 1..{self.K}")
             s = tuple(int(v) for v in s)
             if len(s) != self.n:
                 raise ValueError("edge start has wrong length")
-            norm.append((s, label))
-        self.edges = tuple(sorted(norm))
+            if k < 1:
+                raise ValueError(f"multiplicity {k} of edge {(s, label)} is not positive")
+            counts[s, label] += k
+        self.counts = dict(sorted(counts.items()))
 
     def destination(self, edge) -> tuple:
         s, label = edge
         return tuple(a + b for a, b in zip(s, self.steps[label - 1]))
 
-    def _vertex_set(self, distinct) -> set:
-        """The starts and destinations of the distinct edges `distinct`.  The
-        predicates walk each distinct (start, label) pair once, not every
-        parallel copy; `is_symmetric` weights it by its count."""
-        return {v for e in distinct for v in (e[0], self.destination(e))}
-
     def vertices(self) -> list[tuple]:
-        return sorted(self._vertex_set(set(self.edges)))
+        return sorted({v for e in self.counts for v in (e[0], self.destination(e))})
 
     # -- predicates ----------------------------------------------------------
     def is_symmetric(self) -> bool:
         """Out-degree equals in-degree at every vertex."""
         bal = Counter()
-        for e, k in Counter(self.edges).items():
+        for e, k in self.counts.items():
             bal[e[0]] += k
             bal[self.destination(e)] -= k
         return all(v == 0 for v in bal.values())
 
     def is_full_image(self) -> bool:
-        used = {label for _, label in self.edges}
+        used = {label for _, label in self.counts}
         return used == set(range(1, self.K + 1))
 
     def is_zn_generating(self) -> bool:
         """Whether the edge steps generate Z^n as a group (read off their
         Hermite basis; for symmetric graphs the step semigroup is a group, so
         this is the semigroup property as well)."""
-        present = sorted({self.steps[label - 1] for _, label in self.edges})
+        present = sorted({self.steps[label - 1] for _, label in self.counts})
         _, full = linalg.lattice_rank_and_full([list(a) for a in present], self.n)
         return full
 
     def is_connected(self) -> bool:
         """Weak connectivity on the vertex set (every vertex touches an edge)."""
-        distinct = set(self.edges)
-        verts = self._vertex_set(distinct)
+        verts = self.vertices()
         if len(verts) <= 1:
             return True
         index = {v: i for i, v in enumerate(verts)}
@@ -90,7 +89,7 @@ class StepGraph:
                 i = parent[i]
             return i
 
-        for e in distinct:
+        for e in self.counts:
             a, b = find(index[e[0]]), find(index[self.destination(e)])
             if a != b:
                 parent[a] = b
@@ -105,12 +104,12 @@ class StepGraph:
         pres = gens.presentation
         y = pres.zero_vector()
         a = [0] * self.n
-        for s, label in self.edges:
+        for (s, label), k in self.counts.items():
             g = gens.elements[label - 1]
             for j in range(pres.d):
-                y[j] = y[j] + g.y[j].shift(s)
+                y[j] = y[j] + g.y[j].shift(s).scale(k)
             for i in range(self.n):
-                a[i] += g.a[i]
+                a[i] += k * g.a[i]
         return GroupElement(pres, y, tuple(a))
 
     # -- Euler circuits --------------------------------------------------------
@@ -121,19 +120,17 @@ class StepGraph:
         `deadline` is checked before each of the two tests and every
         _CHECK_EVERY steps of the walk."""
         start = tuple(int(v) for v in start)
-        if start not in self._vertex_set(set(self.edges)):
+        if start not in self.vertices():
             raise ValueError(f"start {start} is not a vertex")
         for holds in (self.is_symmetric, self.is_connected):
             check_deadline(deadline)
             if not holds():
                 return None
-        adj = defaultdict(list)
-        for idx, (s, label) in enumerate(self.edges):
-            adj[s].append((self.destination((s, label)), label, idx))
+        adj = defaultdict(list)  # start -> [destination, label, copies left], least last
+        for (s, label), k in self.counts.items():
+            adj[s].append([self.destination((s, label)), label, k])
         for v in adj:
-            adj[v].sort()
-        ptr = defaultdict(int)
-        used = [False] * len(self.edges)
+            adj[v].sort(reverse=True)
         stack: list[tuple] = [(start, None)]
         out_rev: list[int] = []
         steps = 0
@@ -142,21 +139,18 @@ class StepGraph:
                 check_deadline(deadline)
             steps += 1
             v, incoming = stack[-1]
-            moved = False
-            lst = adj.get(v, ())
-            while ptr[v] < len(lst):
-                dest, label, idx = lst[ptr[v]]
-                ptr[v] += 1
-                if not used[idx]:
-                    used[idx] = True
-                    stack.append((dest, label))
-                    moved = True
-                    break
-            if not moved:
+            out = adj.get(v)
+            if out:
+                edge = out[-1]
+                edge[2] -= 1
+                if not edge[2]:
+                    out.pop()
+                stack.append((edge[0], edge[1]))
+            else:
                 stack.pop()
                 if incoming is not None:
                     out_rev.append(incoming)
-        if len(out_rev) != len(self.edges):
+        if len(out_rev) != sum(self.counts.values()):
             return None
         return out_rev[::-1]
 
@@ -164,25 +158,25 @@ class StepGraph:
         return (
             isinstance(other, StepGraph)
             and self.steps == other.steps
-            and self.edges == other.edges
+            and self.counts == other.counts
         )
 
     def __hash__(self):
-        return hash((self.steps, self.edges))
+        return hash((self.steps, tuple(self.counts.items())))
 
     def __repr__(self):
-        return f"StepGraph(edges={len(self.edges)}, n={self.n}, K={self.K})"
+        return f"StepGraph(edges={sum(self.counts.values())}, n={self.n}, K={self.K})"
 
     def to_dot(self) -> str:
-        """Stable DOT text: vertex names v(x1,..,xn), labels on edges."""
+        """Stable DOT text: vertex names v(x1,..,xn), one labeled line per copy."""
         def vname(v):
             return '"v(' + ",".join(str(x) for x in v) + ')"'
 
         lines = ["digraph stepgraph {"]
         for v in self.vertices():
             lines.append(f"  {vname(v)};")
-        for s, label in self.edges:
-            lines.append(f"  {vname(s)} -> {vname(self.destination((s, label)))} [label={label}];")
+        for (s, label), k in self.counts.items():
+            lines += [f"  {vname(s)} -> {vname(self.destination((s, label)))} [label={label}];"] * k
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -191,21 +185,21 @@ def graph_of_word(gens_or_steps, word: Sequence[int], deadline=None) -> StepGrap
     """Graph traced by a word's lattice partial sums (edge j starts at the
     sum of the first j-1 steps, labeled by letter j).  The trace is connected
     and starts at 0, so it already is the component of the origin.  The
-    edges are built here from checked letters, so only the steps go through
+    edges are counted here from checked letters, so only the steps go through
     `StepGraph`'s checks.  `deadline` is checked every _CHECK_EVERY letters."""
     if not word:
         raise ValueError("empty word has no graph")
     steps = gens_or_steps.steps if isinstance(gens_or_steps, GeneratorSet) else gens_or_steps
-    graph = StepGraph(steps, ())
+    graph = StepGraph(steps)
     steps = graph.steps
     pos = (0,) * graph.n
-    edges = []
+    counts = Counter()
     for k, letter in enumerate(word):
         if not k % _CHECK_EVERY:
             check_deadline(deadline)
         if not 1 <= letter <= graph.K:
             raise ValueError(f"letter {letter} out of range")
-        edges.append((pos, letter))
+        counts[pos, letter] += 1
         pos = tuple(map(add, pos, steps[letter - 1]))
-    graph.edges = tuple(sorted(edges))
+    graph.counts = dict(sorted(counts.items()))
     return graph

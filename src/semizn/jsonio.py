@@ -60,13 +60,13 @@ def poly_from_json(data, n: int, path: str, integer: bool = False) -> LaurentPol
             raise FormatError(f'{where}: term must be {{"c": ..., "e": [...]}}')
         c = t["c"]
         if not (_is_int(c) or isinstance(c, str) and _COEFFICIENT.fullmatch(c)):
-            raise FormatError(f"{where}.c: bad coefficient {c!r}")
+            raise FormatError(f"{where}.c: bad coefficient {json.dumps(c)}")
         try:
             c = Fraction(c)
         except (ValueError, ZeroDivisionError) as exc:  # q = 0, or past the digit limit
-            raise FormatError(f"{where}.c: bad coefficient {c!r}") from exc
+            raise FormatError(f"{where}.c: bad coefficient {json.dumps(c)}") from exc
         if integer and c.denominator != 1:
-            raise FormatError(f"{where}.c: need an integer coefficient, got {t['c']!r}")
+            raise FormatError(f"{where}.c: need an integer coefficient, got {json.dumps(t['c'])}")
         e = t["e"]
         if not _int_list(e) or len(e) != n:
             raise FormatError(f"{where}.e: need {n} integer exponents")
@@ -103,7 +103,7 @@ def module_from_json(data, path: str = "module") -> ModulePresentation:
     n, d = data.get("n"), data.get("d")
     for name, v in (("n", n), ("d", d)):
         if not _is_int(v) or v < 0:
-            raise FormatError(f"{path}.{name}: need a nonnegative integer, got {v!r}")
+            raise FormatError(f"{path}.{name}: need a nonnegative integer, got {json.dumps(v)}")
     for name in ("rels_N", "gens_M"):
         if not isinstance(data.get(name, []), list):
             raise FormatError(f"{path}.{name}: need an array of vectors")
@@ -154,7 +154,7 @@ def metabelian_from_json(data) -> tuple:
         raise FormatError('metabelian: need {"s": int, "relators": [...], "gens": [...]}')
     s = data["s"]
     if not _is_int(s):
-        raise FormatError(f"metabelian.s: need an integer, got {s!r}")
+        raise FormatError(f"metabelian.s: need an integer, got {json.dumps(s)}")
     relators = data.get("relators", [])
     gens = data.get("gens", [])
     for name, words in (("relators", relators), ("gens", gens)):
@@ -170,8 +170,10 @@ def metabelian_from_json(data) -> tuple:
 # -- graphs ---------------------------------------------------------------------
 
 def graph_to_json(graph: StepGraph) -> dict:
+    # the parallel copies of an edge share one dict: the document is only written out
     return {
-        "edges": [{"s": list(s), "label": label} for s, label in graph.edges],
+        "edges": [e for (s, label), k in graph.counts.items()
+                  for e in [{"s": list(s), "label": label}] * k],
         "steps": [list(a) for a in graph.steps],
     }
 
@@ -235,4 +237,4 @@ def witness_from_json(data, gens: GeneratorSet):
         if own is not None and own != steps:
             raise FormatError(f"witness.graph.steps: {own} differ from the instance's steps {steps}")
         return graph_from_json(graph, steps=steps)
-    raise FormatError(f"witness.type: unknown type {data['type']!r}")
+    raise FormatError(f"witness.type: unknown type {json.dumps(data['type'])}")

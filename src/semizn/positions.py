@@ -21,24 +21,23 @@ from semizn.laurent import LaurentPoly
 
 def position_polynomials(graph: StepGraph) -> list[LaurentPoly]:
     terms = [dict() for _ in range(graph.K)]
-    for s, label in graph.edges:
-        t = terms[label - 1]
-        t[s] = t.get(s, 0) + 1
+    for (s, label), k in graph.counts.items():
+        terms[label - 1][s] = k
     return [LaurentPoly(graph.n, t) for t in terms]
 
 
 def graph_from_positions(fs: Sequence[LaurentPoly], steps) -> StepGraph:
-    """Inverse of position_polynomials: one parallel edge per unit of each
-    coefficient.  Requires nonnegative integer coefficients."""
-    edges = []
-    for i, f in enumerate(fs):
+    """Inverse of position_polynomials: each coefficient is the multiplicity
+    of its edge.  Requires nonnegative integer coefficients."""
+    counts = {}
+    for i, f in enumerate(fs, start=1):
         for e, c in f.terms.items():
             if not isinstance(c, int) or c < 0:
                 raise ValueError("position polynomials need coefficients in N")
-            edges.extend([(e, i + 1)] * c)
-    if not edges:
+            counts[e, i] = c
+    if not counts:
         raise ValueError("all position polynomials are zero")
-    return StepGraph(steps, edges)
+    return StepGraph(steps, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +60,9 @@ def check_escape_condition(fs: Sequence[LaurentPoly], steps):
     Symmetry puts s + a_i in the union U of the supports for every support
     point s of f_i.  So if s is on the face of conv U that v selects, the
     edge (s, i) leaves that face exactly when a_i.v != 0, and the condition
-    is face accessibility of the graph with one such edge per support point.
+    is face accessibility of the tuple's graph.  Raises ValueError on a
+    tuple that is not symmetric, not in N or all zero.
     """
-    if any(c < 0 for f in fs for c in f.terms.values()):
-        raise ValueError("escape condition needs coefficients in N")
     if not check_symmetry(fs, steps):
         raise ValueError("escape condition needs a symmetric tuple")
-    edges = [(s, i) for i, f in enumerate(fs, start=1) for s in f.support()]
-    if not edges:
-        raise ValueError("escape condition undefined: all polynomials are zero")
-    return geometry.is_face_accessible(StepGraph(steps, edges))
+    return geometry.is_face_accessible(graph_from_positions(fs, steps))

@@ -233,9 +233,27 @@ def test_inverse_target_flag():
     assert json.loads(out)["verdict"] == "yes"
 
 
-def test_strict_flag():
-    code, _ = run("syzygy", path("inverse_pair.json"), "--strict")
-    assert code == 0
+def test_gens_m_is_checked_without_a_flag(tmp_path, capsys):
+    """A module that carries gens_M asks for the span check: with the
+    relations and generators inside span(gens_M) a run prints what it prints
+    without gens_M, and with a generator outside it is exit 65.  There is no
+    `--strict` flag."""
+    with open(path("inverse_pair.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    inst = tmp_path / "instance.json"
+    for gens_m, inside in (([[[{"c": "1", "e": [0]}]]], True), ([[[{"c": "2", "e": [0]}]]], False)):
+        doc["module"]["gens_M"] = gens_m
+        inst.write_text(json.dumps(doc))
+        for argv in (("syzygy",), ("check", "group")):
+            capsys.readouterr()
+            code, out = run(*argv, str(inst))
+            err = capsys.readouterr().err
+            if inside:
+                assert (code, out) == run(*argv, path("inverse_pair.json")) and code == 0
+            else:
+                assert code == 65 and out == ""
+                assert err == f"error: {inst}: module.gens_M: vector outside span(gens_M)\n"
+    assert run("syzygy", path("inverse_pair.json"), "--strict")[0] == 64
 
 
 _MODULE = {"n": 1, "d": 1}
@@ -321,10 +339,11 @@ def test_fractional_instance_is_a_data_error_everywhere(tmp_path, capsys):
 
 
 def test_booleans_and_oversized_numbers_name_their_path(tmp_path, capsys):
-    """A boolean header field or witness letter and a coefficient in
-    exponent notation are named by their JSON path; an integer past
-    Python's 4,300-digit limit and arrays nested past its recursion limit,
-    which the JSON reader itself refuses, by the file's path."""
+    """A boolean or missing header field, a witness letter and a coefficient
+    in exponent notation are named by their JSON path, and the value is
+    spelled as JSON; an integer past Python's 4,300-digit limit and arrays
+    nested past its recursion limit, which the JSON reader itself refuses,
+    by the file's path."""
     instance, witness = tmp_path / "instance.json", tmp_path / "witness.json"
     huge = tmp_path / "huge.json"
     instance.write_text(json.dumps(_BOOLEAN_INSTANCE))
@@ -336,13 +355,19 @@ def test_booleans_and_oversized_numbers_name_their_path(tmp_path, capsys):
     exponent = tmp_path / "exponent.json"
     exponent.write_text(json.dumps({"module": _MODULE, "generators": [
         {"y": [[{"c": "1e999999999", "e": [0]}]], "a": [1]}, _GENERATORS[1]]}))
-    for argv, where in ((("check", "group", str(instance)), "module.n"),
-                        (("verify", str(witness), path("inverse_pair.json")), "witness.word"),
-                        (("check", "group", str(exponent)), "instance.generators[0].y[0][0].c"),
-                        (("check", "group", str(huge)), f"{huge}: "),
-                        (("check", "group", str(deep)), f"{deep}: ")):
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps({"module": {"d": 1}, "generators": _GENERATORS}))
+    for argv, where in (
+            (("check", "group", str(instance)), "module.n: need a nonnegative integer, got true"),
+            (("check", "group", str(missing)), "module.n: need a nonnegative integer, got null"),
+            (("verify", str(witness), path("inverse_pair.json")), "witness.word"),
+            (("check", "group", str(exponent)),
+             'instance.generators[0].y[0][0].c: bad coefficient "1e999999999"'),
+            (("check", "group", str(huge)), f"{huge}: integer over 4,300 digits"),
+            (("check", "group", str(deep)), f"{deep}: ")):
         capsys.readouterr()
         code, out = run(*argv)
         err = capsys.readouterr().err
         assert code == 65 and out == ""
         assert err.startswith("error: ") and where in err and err.count("\n") == 1
+        assert "sys." not in err
