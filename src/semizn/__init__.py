@@ -13,7 +13,6 @@ from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import (GeneratorSet, GroupElement, MetabelianPresentation,
                           evaluate_word, magnus_frontend, neutral)
 from semizn.laurent import LaurentPoly
-from semizn.positions import (check_escape_condition, check_symmetry, graph_from_positions,
-                              position_polynomials)
+from semizn.positions import check_escape_condition, graph_from_positions, position_polynomials
 
 __version__ = "0.1.0"

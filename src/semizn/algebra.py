@@ -23,12 +23,6 @@ PolyVec = list  # list[LaurentPoly]
 # Raw <-> Laurent conversion and clearing
 # ---------------------------------------------------------------------------
 
-def _require_integral(vec: Sequence[LaurentPoly]):
-    for p in vec:
-        if not p.is_integral():
-            raise ValueError("module computations require integer coefficients")
-
-
 def vector_min_exponents(vec: Sequence[LaurentPoly], n: int) -> tuple:
     mins = [0] * n
     for p in vec:
@@ -98,7 +92,6 @@ class LaurentSubmodule:
         for g in self.generators:
             if len(g) != d:
                 raise ValueError("generator has wrong rank")
-            _require_integral(g)
         self._basis = None
         self._order = None
 
@@ -112,7 +105,6 @@ class LaurentSubmodule:
         return self._basis, self._order
 
     def contains(self, vec: Sequence[LaurentPoly], deadline=None) -> bool:
-        _require_integral(vec)
         raw, _ = clear_vector(vec, self.n)
         if not raw:
             return True
@@ -144,7 +136,6 @@ def _syzygies(columns, p: int, n: int, k: int, deadline) -> list[list[LaurentPol
     cleared = []
     shifts = []
     for col in columns:
-        _require_integral(col)
         raw, shift = clear_vector(col, n)
         cleared.append(raw)
         shifts.append(shift)
@@ -181,12 +172,10 @@ class ModulePresentation:
         for r in self.rels_N:
             if len(r) != self.d:
                 raise ValueError("relation vector has wrong rank")
-            _require_integral(r)
         if self.gens_M is not None:
             for g in self.gens_M:
                 if len(g) != self.d:
                     raise ValueError("gens_M vector has wrong rank")
-                _require_integral(g)
         self._N = LaurentSubmodule(self.d, self.n, self.rels_N)
 
     def zero_vector(self) -> list[LaurentPoly]:

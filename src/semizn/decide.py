@@ -316,13 +316,12 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
                               for p in face["face"])
         return None, seen[key]
 
-    # single generators and their sign flips
+    # single generators, each up to a unit (normalize_unit fixes the sign)
     for g in generators:
-        for cand in (g, [(-p) for p in g]):
-            v, _ = consider(normalize_unit(cand, n))
-            if v is not None:
-                yield v
-                return
+        v, _ = consider(normalize_unit(g, n))
+        if v is not None:
+            yield v
+            return
         yield None
     # LP window search with greedy support maximization and face cuts
     search = _WindowSearch(generators, K, n)

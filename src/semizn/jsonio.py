@@ -1,18 +1,16 @@
 """JSON encodings for all exchange formats.
 
 Polynomial: array of {"c": coefficient, "e": [int;n]}, the coefficient a JSON
-integer or a string holding an integer or "p/q" (q positive);
+integer or a string holding one (every coefficient is in Z; "p/q" is refused);
 the zero polynomial is the empty array.  Module presentation, instance,
-metabelian presentation, graph, witness and verdict formats build on it;
-module and instance coefficients must be integers.  Serialization is
-canonical (sorted keys, fixed separators, trailing newline) so identical
-inputs produce byte-identical outputs.
+metabelian presentation, graph, witness and verdict formats build on it.
+Serialization is canonical (sorted keys, fixed separators, trailing newline)
+so identical inputs produce byte-identical outputs.
 """
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from semizn.algebra import ModulePresentation
 from semizn.decide import Verdict
@@ -25,7 +23,7 @@ class FormatError(ValueError):
     """Malformed input document; message carries the JSON path."""
 
 
-_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # exponent and decimal forms refused
+_COEFFICIENT = re.compile(r"-?[0-9]+")  # exponent, decimal and p/q forms refused
 
 
 def _is_int(x) -> bool:
@@ -50,7 +48,7 @@ def poly_to_json(p: LaurentPoly) -> list:
     return out
 
 
-def poly_from_json(data, n: int, path: str, integer: bool = False) -> LaurentPoly:
+def poly_from_json(data, n: int, path: str) -> LaurentPoly:
     if not isinstance(data, list):
         raise FormatError(f"{path}: polynomial must be an array of terms")
     terms = {}
@@ -62,11 +60,9 @@ def poly_from_json(data, n: int, path: str, integer: bool = False) -> LaurentPol
         if not (_is_int(c) or isinstance(c, str) and _COEFFICIENT.fullmatch(c)):
             raise FormatError(f"{where}.c: bad coefficient {json.dumps(c)}")
         try:
-            c = Fraction(c)
-        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or past the digit limit
+            c = int(c)
+        except ValueError as exc:  # past the digit limit
             raise FormatError(f"{where}.c: bad coefficient {json.dumps(c)}") from exc
-        if integer and c.denominator != 1:
-            raise FormatError(f"{where}.c: need an integer coefficient, got {json.dumps(t['c'])}")
         e = t["e"]
         if not _int_list(e) or len(e) != n:
             raise FormatError(f"{where}.e: need {n} integer exponents")
@@ -78,10 +74,10 @@ def vector_to_json(vec) -> list:
     return [poly_to_json(p) for p in vec]
 
 
-def vector_from_json(data, n: int, d: int, path: str, integer: bool = False) -> list:
+def vector_from_json(data, n: int, d: int, path: str) -> list:
     if not isinstance(data, list) or len(data) != d:
         raise FormatError(f"{path}: need a vector of {d} polynomials")
-    return [poly_from_json(p, n, f"{path}[{j}]", integer) for j, p in enumerate(data)]
+    return [poly_from_json(p, n, f"{path}[{j}]") for j, p in enumerate(data)]
 
 
 # -- modules and instances ----------------------------------------------------
@@ -107,16 +103,12 @@ def module_from_json(data, path: str = "module") -> ModulePresentation:
     for name in ("rels_N", "gens_M"):
         if not isinstance(data.get(name, []), list):
             raise FormatError(f"{path}.{name}: need an array of vectors")
-    rels = [
-        vector_from_json(r, n, d, f"{path}.rels_N[{j}]", integer=True)
-        for j, r in enumerate(data.get("rels_N", []))
-    ]
+    rels = [vector_from_json(r, n, d, f"{path}.rels_N[{j}]")
+            for j, r in enumerate(data.get("rels_N", []))]
     gens_m = None
     if "gens_M" in data:
-        gens_m = [
-            vector_from_json(g, n, d, f"{path}.gens_M[{j}]", integer=True)
-            for j, g in enumerate(data["gens_M"])
-        ]
+        gens_m = [vector_from_json(g, n, d, f"{path}.gens_M[{j}]")
+                  for j, g in enumerate(data["gens_M"])]
     return ModulePresentation(n=n, d=d, rels_N=rels, gens_M=gens_m)
 
 
@@ -141,7 +133,7 @@ def instance_from_json(data) -> GeneratorSet:
         path = f"instance.generators[{i}]"
         if not isinstance(g, dict) or "y" not in g or "a" not in g:
             raise FormatError(f'{path}: need {{"y": [...], "a": [...]}}')
-        y = vector_from_json(g["y"], pres.n, pres.d, f"{path}.y", integer=True)
+        y = vector_from_json(g["y"], pres.n, pres.d, f"{path}.y")
         a = g["a"]
         if not _int_list(a) or len(a) != pres.n:
             raise FormatError(f"{path}.a: need {pres.n} integers")

@@ -1,9 +1,10 @@
 """Exact sparse multivariate Laurent polynomials.
 
 A polynomial in n variables is stored as a dict mapping exponent tuples
-(length n, entries may be negative) to nonzero coefficients.  Coefficients
-are Python ints or Fractions; all arithmetic is exact.  Ring operations,
-monomial shifts and evaluation at positive rational points are the
+(length n, entries may be negative) to nonzero int coefficients: the ring
+is Z[X^±], and the constructor refuses any other coefficient, so
+integrality is checked once, where a polynomial is built.  Ring operations,
+monomial shifts and exact evaluation at positive rational points are the
 operations the rest of the package is built on.
 """
 from __future__ import annotations
@@ -14,19 +15,13 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from semizn.kernels import add_terms, mul_terms
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def grlex_key(expo: Sequence[int]):
     """Graded-lexicographic sort key; used for determinism only."""
     return (sum(expo), tuple(expo))
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial with exact coefficients."""
+    """Immutable sparse Laurent polynomial with int coefficients."""
 
     __slots__ = ("n", "terms", "_hash")
 
@@ -37,7 +32,8 @@ class LaurentPoly:
             expo = tuple(int(e) for e in expo)
             if len(expo) != n:
                 raise ValueError(f"exponent vector {expo} has length {len(expo)}, expected {n}")
-            c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an int")
             if c:
                 clean[expo] = clean.get(expo, 0) + c
                 if not clean[expo]:
@@ -52,9 +48,8 @@ class LaurentPoly:
     @classmethod
     def _trusted(cls, n: int, terms: dict) -> "LaurentPoly":
         """The polynomial with `terms` as they are: exponent tuples of length
-        n and nonzero coefficients, ints or Fractions that are not integers.
-        For results valid by construction; input from outside goes through
-        `__init__`, which checks it."""
+        n and nonzero int coefficients.  For results valid by construction;
+        input from outside goes through `__init__`, which checks it."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "n", n)
         object.__setattr__(poly, "terms", terms)
@@ -88,9 +83,6 @@ class LaurentPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
 
     def has_positive_coeffs(self) -> bool:
         return bool(self.terms) and all(c > 0 for c in self.terms.values())
@@ -140,8 +132,8 @@ class LaurentPoly:
         """Exact value at a strictly positive rational point.  With each
         coordinate p/q in lowest terms, and lo and hi the least and the
         largest exponent of its variable over the support, the value is
-        sum c * prod p^(e - lo) * q^(hi - e) (in integers when the
-        coefficients are) times prod p^lo / q^hi, made one Fraction."""
+        sum c * prod p^(e - lo) * q^(hi - e), in integers, times
+        prod p^lo / q^hi, made one Fraction."""
         r = [Fraction(x) for x in r]
         if len(r) != self.n:
             raise ValueError("evaluation point length mismatch")

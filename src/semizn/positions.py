@@ -28,11 +28,11 @@ def position_polynomials(graph: StepGraph) -> list[LaurentPoly]:
 
 def graph_from_positions(fs: Sequence[LaurentPoly], steps) -> StepGraph:
     """Inverse of position_polynomials: each coefficient is the multiplicity
-    of its edge.  Requires nonnegative integer coefficients."""
+    of its edge.  Requires nonnegative coefficients."""
     counts = {}
     for i, f in enumerate(fs, start=1):
         for e, c in f.terms.items():
-            if not isinstance(c, int) or c < 0:
+            if c < 0:
                 raise ValueError("position polynomials need coefficients in N")
             counts[e, i] = c
     if not counts:
@@ -44,14 +44,6 @@ def graph_from_positions(fs: Sequence[LaurentPoly], steps) -> StepGraph:
 # Structural checks (polynomial side)
 # ---------------------------------------------------------------------------
 
-def check_symmetry(fs: Sequence[LaurentPoly], steps) -> bool:
-    n = fs[0].n
-    acc = LaurentPoly.zero(n)
-    for f, a in zip(fs, steps):
-        acc = acc + f * (LaurentPoly.monomial(tuple(a)) - LaurentPoly.one(n))
-    return acc.is_zero()
-
-
 def check_escape_condition(fs: Sequence[LaurentPoly], steps):
     """The escape condition of a symmetric tuple with coefficients in N: for
     every nonzero direction v, some index of maximal v-degree has a step that
@@ -61,8 +53,9 @@ def check_escape_condition(fs: Sequence[LaurentPoly], steps):
     point s of f_i.  So if s is on the face of conv U that v selects, the
     edge (s, i) leaves that face exactly when a_i.v != 0, and the condition
     is face accessibility of the tuple's graph.  Raises ValueError on a
-    tuple that is not symmetric, not in N or all zero.
+    tuple that is not in N, all zero or not symmetric.
     """
-    if not check_symmetry(fs, steps):
+    graph = graph_from_positions(fs, steps)
+    if not graph.is_symmetric():
         raise ValueError("escape condition needs a symmetric tuple")
-    return geometry.is_face_accessible(graph_from_positions(fs, steps))
+    return geometry.is_face_accessible(graph)

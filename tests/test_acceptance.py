@@ -30,11 +30,12 @@ from semizn.geometry import is_face_accessible
 from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
-from semizn.positions import check_symmetry, position_polynomials
+from semizn.positions import position_polynomials
 
 from conftest import crossing_indices, free_presentation, leading_indices, oracle_bfs, random_poly
 from corpus import no_instances, yes_instances
-from test_positions import check_full_image, check_neutral, ref_check_escape_condition
+from test_positions import (check_full_image, check_neutral, check_symmetry,
+                            ref_check_escape_condition)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -310,6 +310,12 @@ _BOOLEAN_INSTANCE = {"module": {"n": True, "d": 1, "rels_N": []}, "generators": 
     *[(("check", "group"), {"module": _MODULE, "generators": [
         {"y": [[{"c": c, "e": [0]}]], "a": [1]}, _GENERATORS[1]]})
       for c in ("1e999999999", "1e0", "1.0", 1.0)],
+    # "p/q" is refused even when q divides p: "4/2" is not read as 2
+    *[(command, doc) for doc in (
+        {"module": dict(_MODULE, rels_N=[[[{"c": "4/2", "e": [0]}]]]), "generators": _GENERATORS},
+        {"module": _MODULE, "generators": [_GENERATORS[0], {"y": [[{"c": "4/2", "e": [0]}]],
+                                                            "a": [-1]}]},
+    ) for command in (("check", "group"), ("syzygy",))],
 ])
 def test_malformed_input_is_a_data_error(tmp_path, capsys, command, doc):
     """Exit 65 with one `error:` line, not a traceback."""

@@ -59,17 +59,14 @@ def ref_evaluate_positive(p: LaurentPoly, r) -> Fraction:
 
 
 def test_evaluate_positive_matches_the_fraction_formula():
-    """n = 0..3, negative exponents, int and Fraction coefficients, and
-    points p/q with p, q <= 7, ints among them."""
+    """n = 0..3, negative exponents, int coefficients, and points p/q with
+    p, q <= 7, ints among them."""
     rng = random.Random(47)
     for _ in range(600):
         n = rng.randint(0, 3)
         terms = {}
         for _ in range(rng.randint(0, 5)):
-            c = rng.randint(-9, 9)
-            if rng.random() < 0.3:
-                c = Fraction(c, rng.randint(1, 6))
-            terms[tuple(rng.randint(-4, 4) for _ in range(n))] = c
+            terms[tuple(rng.randint(-4, 4) for _ in range(n))] = rng.randint(-9, 9)
         p = LaurentPoly(n, terms)
         r = [rng.choice((rng.randint(1, 7), Fraction(rng.randint(1, 7), rng.randint(1, 7))))
              for _ in range(n)]
@@ -85,11 +82,19 @@ def test_variable_count_mismatch():
 
 
 def test_json_style_invariants():
-    p = LaurentPoly(2, {(1, 0): Fraction(6, 3), (0, 1): Fraction(1, 2)})
-    assert p.terms.get((1, 0), 0) == 2
-    assert isinstance(p.terms.get((1, 0), 0), int)  # normalized integral coeff
-    assert p.terms.get((0, 1), 0) == Fraction(1, 2)
-    assert not p.is_integral()
+    """Terms are stored with int coefficients, repeated exponents summed and
+    zero coefficients dropped."""
+    p = LaurentPoly(2, [((1, 0), 5), ((0, 1), -3), ((1, 0), -3), ((2, 2), 0), ((0, 1), 3)])
+    assert p.terms == {(1, 0): 2}
+    assert all(type(c) is int for c in p.terms.values())
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(4, 2), 0.5, "3"], ids=repr)
+def test_coefficients_must_be_ints(c):
+    """The ring is Z[X^pm]: a Fraction, even an integral one, a float or a
+    string is refused where the polynomial is built."""
+    with pytest.raises(ValueError, match="not an int"):
+        LaurentPoly(1, {(0,): c})
 
 
 # -- property tests ------------------------------------------------------------

@@ -11,14 +11,24 @@ from semizn.geometry import convex_hull, is_face_accessible
 from semizn.ggraph import StepGraph
 from semizn.laurent import LaurentPoly
 from semizn.algebra import residual
-from semizn.positions import (check_escape_condition, check_symmetry, graph_from_positions,
-                              position_polynomials)
+from semizn.positions import check_escape_condition, graph_from_positions, position_polynomials
 
 from conftest import crossing_indices, free_presentation, leading_indices, mono
 from corpus import no_instances, yes_instances
 
 def check_full_image(fs) -> bool:
     return all(not f.is_zero() for f in fs)
+
+
+def check_symmetry(fs: Sequence[LaurentPoly], steps) -> bool:
+    """Whether sum f_i * (X^{a_i} - 1) = 0, by multiplying polynomials: the
+    reference for `StepGraph.is_symmetric`, the one symmetry test the escape
+    check runs."""
+    n = fs[0].n
+    acc = LaurentPoly.zero(n)
+    for f, a in zip(fs, steps):
+        acc = acc + f * (LaurentPoly.monomial(tuple(a)) - LaurentPoly.one(n))
+    return acc.is_zero()
 
 
 def check_neutral(fs, presentation, ys, steps) -> bool:
@@ -98,6 +108,9 @@ def test_check_symmetry_and_neutral():
     assert not check_full_image([LaurentPoly.one(1), LaurentPoly.zero(1)])
     asym = [LaurentPoly.one(1), LaurentPoly.zero(1)]
     assert not check_symmetry(asym, steps)
+    # the reference agrees with the symmetry half of `algebra.residual`
+    assert residual(fs, pres, ys, steps)[0].is_zero()
+    assert not residual(asym, pres, ys, steps)[0].is_zero()
     with pytest.raises(ValueError):
         check_neutral(asym, pres, ys, steps)
 
