@@ -28,7 +28,14 @@ Z^n), and its YES witness carries positions and a graph over that basis
 the same core at n = 0 decides the exact rational feasibility the problem
 degenerates to: the refuter's one sample is the empty point, and the
 window LP finds a strictly positive combination whenever one exists.  One
-deadline, started at entry, bounds the Groebner phases and the search.
+deadline, started at entry, bounds the Groebner phases and the search; for
+Identity and Inverse it covers every subset, and the first subset that
+times out ends the loop.
+
+The YES side is one call chain, in the paper's order: `decide_core` runs
+`procedure_a_events`, whose candidates (the generators, then
+`_window_candidate`) that pass the escape condition go to `_witness`:
+Eulerian graph, closure unless connected, Euler circuit, verified word.
 """
 from __future__ import annotations
 
@@ -37,7 +44,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from semizn import linalg, positions
 from semizn.algebra import (ModulePresentation, clear_vector, normalize_unit, raw_to_vector,
@@ -198,7 +205,11 @@ def _check_refutation(columns, lam, K: int):
 # The positive search (Procedure A)
 # ---------------------------------------------------------------------------
 
-class _WindowSearch:
+_WINDOW_CAP = 120  # multiplier-variable cap per window; beyond it, skip
+
+
+def _window_candidate(generators, K: int, n: int, window: int,
+                      deadline: Optional[float] = None, cut=frozenset()):
     """Exact-LP search for an all-positive element of the relation module
     with multiplier supports inside a degree window.
 
@@ -215,83 +226,106 @@ class _WindowSearch:
     is parallel to F), so `procedure_a_events` cuts F's points and maximises
     again.  Each cut removes at least one slot, so within its window the
     search finds a passing element whenever one exists.  No round starts
-    past the deadline: `candidate` raises DeadlineExceeded instead."""
+    past the deadline: it raises DeadlineExceeded instead."""
+    if not generators:
+        return None
+    monos = sorted(
+        itertools.product(range(-window, window + 1), repeat=n),
+        key=lambda m: (sum(map(abs, m)), m),
+    )
+    variables = [(j, mu) for j in range(len(generators)) for mu in monos]
+    nlam = len(variables)
+    if nlam > _WINDOW_CAP:
+        return None
+    # slot universe: possible f-monomials per coordinate
+    universe = []
+    for i in range(K):
+        slots = set()
+        for j, g in enumerate(generators):
+            for mu in monos:
+                for e in g[i].terms:
+                    slots.add(tuple(a + b for a, b in zip(e, mu)))
+        universe.append(sorted(slots))
+    if any(not u for u in universe):
+        return None
 
-    size_cap = 120  # multiplier-variable cap per window; beyond it, skip
+    def coeff_row(i, beta):
+        row = [0] * nlam
+        for col, (j, mu) in enumerate(variables):
+            e = tuple(a - b for a, b in zip(beta, mu))
+            row[col] = generators[j][i].terms.get(e, 0)
+        return row
 
-    def __init__(self, generators, K: int, n: int):
-        self.generators = generators
-        self.K = K
-        self.n = n
-
-    def candidate(self, window: int, deadline: Optional[float] = None, cut=frozenset()):
-        if not self.generators:
-            return None
-        n, K = self.n, self.K
-        monos = sorted(
-            itertools.product(range(-window, window + 1), repeat=n),
-            key=lambda m: (sum(map(abs, m)), m),
-        )
-        variables = [(j, mu) for j in range(len(self.generators)) for mu in monos]
-        nlam = len(variables)
-        if nlam > self.size_cap:
-            return None
-        # slot universe: possible f-monomials per coordinate
-        universe = []
-        for i in range(K):
-            slots = set()
-            for j, g in enumerate(self.generators):
-                for mu in monos:
-                    for e in g[i].terms:
-                        slots.add(tuple(a + b for a, b in zip(e, mu)))
-            universe.append(sorted(slots))
-        if any(not u for u in universe):
-            return None
-
-        def coeff_row(i, beta):
-            row = [0] * nlam
-            for col, (j, mu) in enumerate(variables):
-                e = tuple(a - b for a, b in zip(beta, mu))
-                row[col] = self.generators[j][i].terms.get(e, 0)
-            return row
-
-        slot_list = [(i, beta) for i in range(K) for beta in universe[i]]
-        rows = {s: coeff_row(*s) for s in slot_list}
-        base = [(rows[s], "==" if s[1] in cut else ">=", 0) for s in slot_list]
-        free = [s for s in slot_list if s[1] not in cut]
-        for i in range(K):
-            total = [sum(col) for col in zip(*(rows[(i, b)] for b in universe[i]))]
-            base.append((total, ">=", 1))  # coordinate i is nonzero
+    slot_list = [(i, beta) for i in range(K) for beta in universe[i]]
+    rows = {s: coeff_row(*s) for s in slot_list}
+    base = [(rows[s], "==" if s[1] in cut else ">=", 0) for s in slot_list]
+    free = [s for s in slot_list if s[1] not in cut]
+    for i in range(K):
+        total = [sum(col) for col in zip(*(rows[(i, b)] for b in universe[i]))]
+        base.append((total, ">=", 1))  # coordinate i is nonzero
+    check_deadline(deadline)
+    point = linalg.lp_feasible_point(base, nlam)
+    if point is None:
+        return None
+    achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
+    while len(achieved) < len(free):
         check_deadline(deadline)
-        point = linalg.lp_feasible_point(base, nlam)
-        if point is None:
-            return None
+        cons = base + [(rows[s], ">=", 1) for s in achieved]
+        fresh = [sum(col) for col in zip(*(rows[s] for s in free if s not in achieved))]
+        cons.append((fresh, ">=", 1))
+        nxt = linalg.lp_feasible_point(cons, nlam)
+        if nxt is None:
+            break
+        point = nxt
         achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
-        while len(achieved) < len(free):
-            check_deadline(deadline)
-            cons = base + [(rows[s], ">=", 1) for s in achieved]
-            fresh = [sum(col) for col in zip(*(rows[s] for s in free if s not in achieved))]
-            cons.append((fresh, ">=", 1))
-            nxt = linalg.lp_feasible_point(cons, nlam)
-            if nxt is None:
-                break
-            point = nxt
-            achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
-        # Clear the multipliers, not the values: an integer combination of
-        # the generators is in the relation module, but a rational one whose
-        # values happen to be integers need not be when Y has torsion.
-        multipliers, _ = linalg._int_row(point)
-        return [
-            LaurentPoly(n, {b: int(linalg.dot(rows[(i, b)], multipliers)) for b in universe[i]})
-            for i in range(K)
-        ]
+    # Clear the multipliers, not the values: an integer combination of
+    # the generators is in the relation module, but a rational one whose
+    # values happen to be integers need not be when Y has torsion.
+    multipliers, _ = linalg._int_row(point)
+    return [
+        LaurentPoly(n, {b: int(linalg.dot(rows[(i, b)], multipliers)) for b in universe[i]})
+        for i in range(K)
+    ]
 
 
-def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
-                       make_witness: Callable, deadline: Optional[float] = None):
+def _witness(fs, tested: int, sub: GeneratorSet, steps, budget: Budget, deadline=None):
+    """The YES Verdict for an accepted tuple `fs`: its graph, closed by
+    translations unless connected, and an Euler circuit of the union as a
+    word verified in the letters of `sub`; None when the hull or closure is
+    over budget.  Past `deadline` it raises DeadlineExceeded: after the
+    graph and the closure, inside the circuit, and in `verify_witness`."""
+    try:
+        graph = positions.graph_from_positions(fs, steps)
+        check_deadline(deadline)
+        union, translations = graph, [(0,) * len(steps[0])]
+        if not graph.is_connected():
+            closed = eulerian_closure(graph, max_n=budget.closure_n)
+            union, translations = closed.union, closed.translations
+    except (ClosureBudgetError, HullTooLargeError):
+        return None
+    check_deadline(deadline)
+    word = union.euler_circuit(min(union.vertices()), deadline)
+    if word is None:
+        raise AssertionError("closure union failed to yield an Euler circuit")
+    if not verify_witness(word, sub, deadline):
+        raise AssertionError("produced witness failed verification")
+    return Verdict(kind="yes", witness={
+        "word": word,
+        "positions": fs,
+        "graph": union,
+        "translations": [list(z) for z in translations],
+        "candidates_tested": tested,
+    })
+
+
+def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget,
+                       deadline: Optional[float] = None):
     """Yield None per generator and per window, or a YES Verdict for the
     first all-positive relation-module element passing the escape
-    condition.  Past `deadline` a window round raises DeadlineExceeded."""
+    condition whose witness is within budget.  `generators` and `steps`
+    are those of `sub` re-posed (K from `sub`, n from the steps).  Past
+    `deadline` a window round or the witness raises DeadlineExceeded."""
+    K, n = sub.K, len(steps[0])
     seen = {}  # candidate -> its support points on faces failing the escape condition
     tested = 0
 
@@ -311,7 +345,7 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
         except HullTooLargeError:
             return None, seen[key]
         if ok:
-            return make_witness(fs, tested), seen[key]
+            return _witness(fs, tested, sub, steps, budget, deadline), seen[key]
         seen[key] = frozenset(tuple(p) for face in report if not face["accessible"]
                               for p in face["face"])
         return None, seen[key]
@@ -324,10 +358,9 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
             return
         yield None
     # LP window search with greedy support maximization and face cuts
-    search = _WindowSearch(generators, K, n)
     for window in range(0, budget.degree + 1):
         cut = frozenset()
-        while (cand := search.candidate(window, deadline, cut)) is not None:
+        while (cand := _window_candidate(generators, K, n, window, deadline, cut)) is not None:
             v, blocked = consider(cand)
             if v is not None:
                 yield v
@@ -342,48 +375,6 @@ def procedure_a_events(generators, steps, K: int, n: int, budget: Budget,
 # Cores and public drivers
 # ---------------------------------------------------------------------------
 
-def _graph_witness(fs, steps, budget: Budget, deadline=None):
-    """Build the Eulerian graph + word witness for an accepted tuple,
-    checking `deadline` after each phase and inside the Euler circuit."""
-    graph = positions.graph_from_positions(fs, steps)
-    check_deadline(deadline)
-    translations = [(0,) * len(steps[0])]
-    union = graph
-    if not union.is_connected():
-        result = eulerian_closure(graph, max_n=budget.closure_n)
-        union = result.union
-        translations = result.translations
-    check_deadline(deadline)
-    start = min(union.vertices())
-    word = union.euler_circuit(start, deadline)
-    if word is None:
-        raise AssertionError("closure union failed to yield an Euler circuit")
-    return graph, union, translations, word
-
-
-def _yes_maker(steps, budget: Budget, verify_word: Callable, deadline=None):
-    """The positive search's witness maker.  Past `deadline` it raises
-    DeadlineExceeded: between the graph, closure and Euler circuit phases,
-    inside the circuit, and in `verify_word` (`verify_witness` checks it
-    before the word's first letter and every 4096 letters after, and in the
-    membership check)."""
-    def maker(fs, tested):
-        try:
-            graph, union, translations, word = _graph_witness(fs, steps, budget, deadline)
-        except (ClosureBudgetError, HullTooLargeError):
-            return None
-        if not verify_word(word):
-            raise AssertionError("produced witness failed verification")
-        return Verdict(kind="yes", witness={
-            "word": word,
-            "positions": fs,
-            "graph": union,
-            "translations": [list(z) for z in translations],
-            "candidates_tested": tested,
-        })
-    return maker
-
-
 def _deadline(budget: Budget) -> Optional[float]:
     """The `time.monotonic()` value at which `budget.timeout` runs out."""
     return None if budget.timeout is None else time.monotonic() + budget.timeout
@@ -396,16 +387,15 @@ def _unknown(budget: Budget, timed_out: bool) -> Verdict:
     return Verdict(kind="unknown", budget_report=report)
 
 
-def decide_core(generators, steps, K: int, n: int, budget: Budget,
-                verify_word: Callable[[list], bool], deadline: Optional[float]) -> Verdict:
-    """Interleave the positive search and the refuter; first conclusive
-    verdict wins (a fixed alternation, so the outcome is deterministic).
-    Past `deadline` (a `time.monotonic()` value, or None) it raises
+def decide_core(sub: GeneratorSet, generators, steps, budget: Budget,
+                deadline: Optional[float]) -> Verdict:
+    """Interleave the positive search and the refuter on the relation-module
+    `generators` and `steps` of `sub` re-posed; first conclusive verdict
+    wins (a fixed alternation, so the outcome is deterministic).  Past
+    `deadline` (a `time.monotonic()` value, or None) it raises
     DeadlineExceeded, checked before every event and inside the search."""
-    a_iter = procedure_a_events(generators, steps, K, n, budget,
-                                _yes_maker(steps, budget, verify_word, deadline), deadline)
-    r_iter = locr_events(generators, K, n, budget)
-    live = [r_iter, a_iter]
+    live = [locr_events(generators, sub.K, len(steps[0]), budget),
+            procedure_a_events(generators, sub, steps, budget, deadline)]
     while live:
         for it in list(live):
             check_deadline(deadline)
@@ -500,12 +490,9 @@ def _decide_generating_set(sub: GeneratorSet, budget: Budget,
     """Group Problem for `sub`, re-posed over the lattice of its steps.  Past
     `deadline` the verdict is UNKNOWN with `timed_out`: the one place a
     DeadlineExceeded, from any phase, becomes a verdict."""
-    def verify(word):
-        return verify_witness(word, sub, deadline)
-
     try:
         generators, steps = _repose(sub, deadline)
-        return decide_core(generators, steps, sub.K, len(steps[0]), budget, verify, deadline)
+        return decide_core(sub, generators, steps, budget, deadline)
     except DeadlineExceeded:
         return _unknown(budget, timed_out=True)
 
@@ -537,30 +524,31 @@ def _subsets(indices: Sequence[int]):
 
 def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     """YES from the first subset that generates a group; NO once every
-    subset is refuted; otherwise UNKNOWN, naming every subset left without a
-    verdict.  One deadline, started here, covers all subsets: once a subset
-    comes back timed out, the remaining subsets are not tried and the report
-    also says `timed_out`."""
+    subset is refuted; otherwise UNKNOWN, naming in `unresolved` the subsets
+    tried without a verdict.  One deadline, started here, covers all
+    subsets: once a subset comes back timed out, no further subset is tried,
+    and the report says `timed_out` and, unless that subset was the last,
+    names in `untried_from` the first one not tried (it and every later one
+    in the order of `subsets` were not tried)."""
     deadline = _deadline(budget)
-    unresolved = []
+    report = {"reason": "some subsets unresolved", "unresolved": []}
     refutations = []
-    timed_out = False
+    subsets = iter(subsets)
     for subset in map(list, subsets):
-        if timed_out:
-            unresolved.append(subset)
-            continue
         v = decide_subset(gens, subset, budget, deadline)
         if v.kind == "yes":
             return v
-        if v.kind == "unknown":
-            unresolved.append(subset)
-            timed_out = v.budget_report["timed_out"]
-        else:
+        if v.kind == "no":
             refutations.append({"subset": subset, "certificate": v.certificate})
-    if unresolved:
-        report = {"reason": "some subsets unresolved", "unresolved": unresolved}
-        if timed_out:
+            continue
+        report["unresolved"].append(subset)
+        if v.budget_report["timed_out"]:
             report["timed_out"] = True
+            untried = next(subsets, None)
+            if untried is not None:
+                report["untried_from"] = list(untried)
+            break
+    if report["unresolved"]:
         return Verdict(kind="unknown", budget_report=report)
     return Verdict(kind="no", certificate={"subsets": refutations})
 
@@ -577,5 +565,5 @@ def decide_inverse(gens: GeneratorSet, target: int, budget: Budget = None) -> Ve
     if not 1 <= target <= gens.K:
         raise ValueError(f"target index {target} out of range 1..{gens.K}")
     rest = [i for i in range(1, gens.K + 1) if i != target]
-    subsets = [[target]] + [sorted([target, *extra]) for extra in _subsets(rest)]
+    subsets = itertools.chain([[target]], (sorted([target, *extra]) for extra in _subsets(rest)))
     return _decide_subsets(gens, subsets, budget or Budget())

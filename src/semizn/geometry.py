@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 from typing import Sequence
 
 from semizn import linalg
@@ -60,24 +60,10 @@ class LatticePolytope:
     # -- construction ---------------------------------------------------------
     def _build(self):
         p0 = self.points[0]
-        basis = []
-        echelon = []  # (pivot column, integer row) spanning the picked diffs
-        for p in self.points[1:]:
-            diff = [a - b for a, b in zip(p, p0)]
-            v = diff
-            for pc, row in echelon:
-                if v[pc]:
-                    f, g = v[pc], row[pc]
-                    v = [g * x - f * y for x, y in zip(v, row)]
-            pc = next((j for j, x in enumerate(v) if x), None)
-            if pc is not None:  # diff is independent of the picked ones
-                g = gcd(*v)
-                echelon.append((pc, [x // g for x in v]))
-                basis.append(diff)
-        self.dim = len(basis)
-        self._basis = basis
+        self._diffs = [[a - b for a, b in zip(p, p0)] for p in self.points[1:]]
         # p - p0 at the echelon's pivot columns: one-to-one on the affine hull
-        self._pivots = [pc for pc, _ in echelon]
+        self._pivots = linalg._echelon(self._diffs, self.n)[1]
+        self.dim = len(self._pivots)
         self._coords = [
             tuple(p[pc] - p0[pc] for pc in self._pivots) for p in self.points
         ]
@@ -231,7 +217,7 @@ class LatticePolytope:
         affine hull's direction space (empty when full-dimensional)."""
         if self.dim == self.n:
             return []
-        return [linalg.primitive_vector(v) for v in linalg.nullspace(self._basis, self.n)]
+        return [linalg.primitive_vector(v) for v in linalg.nullspace(self._diffs, self.n)]
 
     def ambient_halfspaces(self) -> list[tuple]:
         """Facet description {x : w.x <= b} in ambient coordinates; only

@@ -9,6 +9,7 @@ import pytest
 from semizn import decide, geometry, groebner, jsonio, linalg, positions
 from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, laurent_syzygies,
                             normalize_unit, raw_to_vector, syzygy_basis)
+from semizn.closure import ClosureBudgetError
 from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
                            decide_subset, locr_events, procedure_a_events,
                            sample_points, verify_witness)
@@ -59,8 +60,7 @@ def _first_event(events):
 
 def _positive_search(gens):
     basis = syzygy_basis(gens.presentation, gens.ys, gens.steps).generators
-    maker = decide._yes_maker(gens.steps, Budget(), lambda w: verify_witness(w, gens))
-    return _first_event(procedure_a_events(basis, gens.steps, gens.K, gens.n, Budget(), maker))
+    return _first_event(procedure_a_events(basis, gens, gens.steps, Budget()))
 
 
 def _refuter(gens):
@@ -187,18 +187,35 @@ def test_one_deadline_for_all_subsets(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(decide, "decide_subset", counted)
-    for run, subsets in ((lambda b: decide_identity(k5_instance(), b), 31),
-                         (lambda b: decide_inverse(k5_instance(), 3, b), 16)):
+    for run, first, second in ((lambda b: decide_identity(k5_instance(), b), [1], [2]),
+                               (lambda b: decide_inverse(k5_instance(), 3, b), [3], [1, 3])):
         calls.clear()
         v = run(Budget(timeout=0))
-        assert len(calls) <= 1
+        assert calls == [first]
         assert v.kind == "unknown" and v.budget_report["timed_out"] is True
-        # every subset is unresolved, the untried ones included
-        assert len(v.budget_report["unresolved"]) == subsets
+        # the one subset tried is unresolved; the report names the first untried one
+        assert v.budget_report["unresolved"] == [first]
+        assert v.budget_report["untried_from"] == second
     # without a timeout every subset is refuted
     calls.clear()
     v = decide_identity(k5_instance(), Budget(samples=2, degree=0))
     assert v.kind == "no" and len(calls) == 31
+
+
+def test_a_timeout_report_does_not_grow_with_the_subsets():
+    """n = 1, a free module, and the K = 20 generators (X^i, 1): once the
+    deadline passes, Identity and Inverse stop, so the report names the few
+    subsets tried and the first untried one, not the 2^20 - 1 or 2^19
+    subsets, and Inverse does not list its subsets before trying one."""
+    pres = free_presentation(1)
+    gens = GeneratorSet(pres, [GroupElement(pres, [mono((i,))], (1,)) for i in range(20)])
+    for run in (decide_identity, lambda g, b: decide_inverse(g, 1, b)):
+        t0 = time.monotonic()
+        v = run(gens, Budget(timeout=0.2))
+        assert time.monotonic() - t0 < 10
+        assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+        assert "untried_from" in v.budget_report
+        assert len(jsonio.dumps(jsonio.verdict_to_json(v))) < 10_000
 
 
 def test_groebner_deadline_is_unknown(monkeypatch):
@@ -279,12 +296,12 @@ def test_group_timeout_bounds_the_window_rounds(monkeypatch):
         ({(0, 0, 0): -1, (-2, 0, -2): -1}, (-1, -1, 0))]])
     skew, window, calls = [0.0], [None], []  # calls: (window, started past the deadline)
     monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
-    real_candidate, real_lp = decide._WindowSearch.candidate, linalg.lp_feasible_point
+    real_candidate, real_lp = decide._window_candidate, linalg.lp_feasible_point
 
-    def candidate(self, w, *rest):
+    def candidate(generators, K, n, w, *rest):
         window[0] = w
         try:
-            return real_candidate(self, w, *rest)
+            return real_candidate(generators, K, n, w, *rest)
         finally:
             window[0] = None
 
@@ -295,7 +312,7 @@ def test_group_timeout_bounds_the_window_rounds(monkeypatch):
             skew[0] = 1e9
         return point
 
-    monkeypatch.setattr(decide._WindowSearch, "candidate", candidate)
+    monkeypatch.setattr(decide, "_window_candidate", candidate)
     monkeypatch.setattr(linalg, "lp_feasible_point", lp_feasible_point)
     v = decide_group(gens, Budget(timeout=3600))
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
@@ -336,14 +353,14 @@ _PHASES = {
     "graph_of_word": lambda dl: graph_of_word(inverse_pair(), [1, 2], dl),
     "euler_circuit": lambda dl: StepGraph([(1,), (-1,)], [((0,), 1), ((1,), 2)]).euler_circuit(
         (0,), dl),
-    "window_search": lambda dl: _window_search(inverse_pair()).candidate(0, dl),
+    "window_search": lambda dl: decide._window_candidate(_relation_module(inverse_pair()), 2, 1,
+                                                         0, dl),
     "verify_witness": lambda dl: verify_witness([1, 2], inverse_pair(), dl),
 }
 
 
-def _window_search(gens):
-    fs = syzygy_basis(gens.presentation, gens.ys, gens.steps).generators
-    return decide._WindowSearch(fs, gens.K, gens.n)
+def _relation_module(gens):
+    return syzygy_basis(gens.presentation, gens.ys, gens.steps).generators
 
 
 @pytest.mark.parametrize("phase", _PHASES)
@@ -820,10 +837,62 @@ def test_face_cuts_find_a_smaller_support():
                    LaurentPoly.zero(1)]]
     steps = [(-1,), (1,), (0,), (0,)]
     assert decide._repose(gens, None) == (restricted, steps)
-    maker = decide._yes_maker(steps, Budget(), lambda w: verify_witness(w, gens))
-    v = _first_event(procedure_a_events(restricted, steps, 4, 1, Budget(), maker))
+    v = _first_event(procedure_a_events(restricted, gens, steps, Budget()))
     assert v is not None and v.kind == "yes"
     assert verify_witness(v.witness["word"], gens)
+
+
+def closure_instance():
+    """Z[X^pm]/(-2X) with (2X, -1), (1 + X^3, 1) and (2X^-3, 2): the graph
+    of the first accepted candidate is not connected, so its word comes from
+    the Eulerian closure."""
+    return jsonio.instance_from_json({
+        "module": {"n": 1, "d": 1, "rels_N": [[[{"c": "-2", "e": [1]}]]]},
+        "generators": [{"a": [-1], "y": [[{"c": "2", "e": [1]}]]},
+                       {"a": [1], "y": [[{"c": "1", "e": [0]}, {"c": "1", "e": [3]}]]},
+                       {"a": [2], "y": [[{"c": "2", "e": [-3]}]]}]})
+
+
+def test_decide_path_closes_a_disconnected_graph(monkeypatch):
+    """The witness of the first candidate needs six translations.  With
+    `closure_n=0` the closure gives up on it (ClosureBudgetError), the
+    candidate is dropped, and the second candidate's graph is connected."""
+    outcomes = []
+    real = decide.eulerian_closure
+
+    def closure(*args, **kwargs):
+        try:
+            result = real(*args, **kwargs)
+        except Exception as exc:
+            outcomes.append(type(exc))
+            raise
+        outcomes.append(None)
+        return result
+
+    monkeypatch.setattr(decide, "eulerian_closure", closure)
+    v = decide_group(closure_instance(), Budget())
+    assert outcomes == [None]
+    assert v.kind == "yes" and v.witness["candidates_tested"] == 1
+    assert v.witness["translations"] == [[z] for z in range(6)]
+    assert v.witness["word"] == [2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 1, 3, 1, 1, 3, 1, 2, 1, 2, 1,
+                                 3, 1, 1, 3, 1, 2, 1, 2, 1, 3, 1, 1, 3, 1, 3, 1, 1, 3, 1, 3, 1, 1,
+                                 3, 1, 3, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+    outcomes.clear()
+    v = decide_group(closure_instance(), Budget(closure_n=0))
+    assert outcomes == [ClosureBudgetError]
+    assert v.kind == "yes" and v.witness["candidates_tested"] == 2
+    assert v.witness["translations"] == [[0]]
+    assert v.witness["word"] == [2, 1, 2, 2, 1, 2, 2, 1, 2, 3, 1, 1, 3, 1, 3, 1, 1, 3, 1, 3, 1, 1,
+                                 3, 1, 1, 1, 1, 1, 1, 1]
+    for b in (Budget(), Budget(closure_n=0)):
+        assert verify_witness(decide_group(closure_instance(), b).witness["word"],
+                              closure_instance())
+
+
+def test_a_word_failing_verification_is_an_error(monkeypatch):
+    monkeypatch.setattr(decide, "verify_witness", lambda *args: False)
+    with pytest.raises(AssertionError, match="produced witness failed verification"):
+        decide_group(inverse_pair(), Budget())
 
 
 def test_identity_replay_consistency():

@@ -50,21 +50,20 @@ def test_hull_idempotence(rng):
         assert Q.vertices == P.vertices
 
 
-def test_hull_affine_basis_is_the_greedy_rank_basis(rng):
-    # each point's difference is picked iff it raises the rank of the picks
+def test_hull_pivots_are_the_rank_jumps(rng):
+    # column j is a pivot iff the differences' first j + 1 columns have a
+    # larger rank than their first j
     for _ in range(60):
         n = rng.randint(1, 4)
         pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 7))]
         if rng.random() < 0.5:  # a flat point set
             pts = [p[:1] + (p[0],) * (n - 1) for p in pts]
         hull = convex_hull(pts)
-        want = []
         p0 = hull.points[0]
-        for p in hull.points[1:]:
-            diff = [a - b for a, b in zip(p, p0)]
-            if linalg.rank(want + [diff], n) > len(want):
-                want.append(diff)
-        assert hull._basis == want
+        diffs = [[a - b for a, b in zip(p, p0)] for p in hull.points[1:]]
+        ranks = [linalg.rank([d[:j] for d in diffs], j) for j in range(n + 1)]
+        assert hull._pivots == [j for j in range(n) if ranks[j + 1] > ranks[j]]
+        assert hull.dim == ranks[n]
 
 
 def ref_build(self):
@@ -84,7 +83,7 @@ def ref_build(self):
             echelon.append((pc, [x // g for x in v]))
             basis.append(diff)
     self.dim = len(basis)
-    self._basis = basis
+    self._basis = self._diffs = basis
     bmat = [[basis[j][i] for j in range(self.dim)] for i in range(self.n)]
     self._coords = []
     for p in self.points:
