@@ -873,6 +873,7 @@ def test_decide_path_closes_a_disconnected_graph(monkeypatch):
     v = decide_group(closure_instance(), Budget())
     assert outcomes == [None]
     assert v.kind == "yes" and v.witness["candidates_tested"] == 1
+    assert verify_witness(v.witness["word"], closure_instance())
     assert v.witness["translations"] == [[z] for z in range(6)]
     assert v.witness["word"] == [2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 1, 3, 1, 1, 3, 1, 2, 1, 2, 1,
                                  3, 1, 1, 3, 1, 2, 1, 2, 1, 3, 1, 1, 3, 1, 3, 1, 1, 3, 1, 3, 1, 1,
@@ -881,12 +882,10 @@ def test_decide_path_closes_a_disconnected_graph(monkeypatch):
     v = decide_group(closure_instance(), Budget(closure_n=0))
     assert outcomes == [ClosureBudgetError]
     assert v.kind == "yes" and v.witness["candidates_tested"] == 2
+    assert verify_witness(v.witness["word"], closure_instance())
     assert v.witness["translations"] == [[0]]
     assert v.witness["word"] == [2, 1, 2, 2, 1, 2, 2, 1, 2, 3, 1, 1, 3, 1, 3, 1, 1, 3, 1, 3, 1, 1,
                                  3, 1, 1, 1, 1, 1, 1, 1]
-    for b in (Budget(), Budget(closure_n=0)):
-        assert verify_witness(decide_group(closure_instance(), b).witness["word"],
-                              closure_instance())
 
 
 def test_a_word_failing_verification_is_an_error(monkeypatch):
