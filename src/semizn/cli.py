@@ -22,7 +22,7 @@ from semizn import jsonio, positions
 from semizn.closure import ClosureBudgetError, ClosurePreconditionError, eulerian_closure
 from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
                            verify_witness)
-from semizn.geometry import HullTooLargeError, is_face_accessible
+from semizn.geometry import is_face_accessible
 from semizn.ggraph import graph_of_word
 from semizn.group import magnus_frontend
 from semizn.jsonio import FormatError
@@ -190,11 +190,7 @@ def _cmd_graph_word(args) -> int:
 
 def _cmd_graph_analyze(args) -> int:
     graph = _read(args.graph, jsonio.graph_from_json)
-    try:
-        accessible, report = is_face_accessible(graph)
-    except HullTooLargeError as exc:
-        print(f"error: {args.graph}: {exc}", file=sys.stderr)
-        return DATA_EXIT
+    accessible, report = is_face_accessible(graph)
     doc = {
         "symmetric": graph.is_symmetric(),
         "full_image": graph.is_full_image(),
@@ -220,9 +216,6 @@ def _cmd_euler_close(args) -> int:
     except ClosureBudgetError as exc:
         _emit({"error": "budget", "max_n": exc.max_n})
         return 2
-    except HullTooLargeError as exc:
-        print(f"error: {args.graph}: {exc}", file=sys.stderr)
-        return DATA_EXIT
     _emit({
         "N": result.N,
         "translations": [list(z) for z in result.translations],

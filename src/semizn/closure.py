@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from semizn import geometry
-from semizn.ggraph import StepGraph
+from semizn.ggraph import _CHECK_EVERY, StepGraph
+from semizn.groebner import check_deadline
 
 
 class ClosurePreconditionError(ValueError):
@@ -43,9 +44,11 @@ class ClosureResult:
     N: int
 
 
-def translation_set(hull: geometry.LatticePolytope, N: int) -> list[tuple]:
+def translation_set(hull: geometry.LatticePolytope, N: int, deadline=None) -> list[tuple]:
     """All z in Z^n with z + C contained in N*C, by exact facet arithmetic:
-    w.z <= (N-1) * b for every facet {x : w.x <= b} of C."""
+    w.z <= (N-1) * b for every facet {x : w.x <= b} of C, over the box
+    (N-1) * [lo, hi]^n; `deadline` is checked every _CHECK_EVERY points of
+    the box."""
     halfspaces = hull.ambient_halfspaces()
     n = hull.n
     los, his = [], []
@@ -55,7 +58,9 @@ def translation_set(hull: geometry.LatticePolytope, N: int) -> list[tuple]:
         los.append(N * lo - lo)
         his.append(N * hi - hi)
     out = []
-    for z in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
+    for t, z in enumerate(product(*(range(lo, hi + 1) for lo, hi in zip(los, his))), start=1):
+        if t % _CHECK_EVERY == 0:
+            check_deadline(deadline)
         if all(
             sum(w[i] * z[i] for i in range(n)) <= (N - 1) * b
             for w, b in halfspaces
@@ -64,23 +69,29 @@ def translation_set(hull: geometry.LatticePolytope, N: int) -> list[tuple]:
     return out
 
 
-def eulerian_closure(graph: StepGraph, max_n: int = 16) -> ClosureResult:
+def eulerian_closure(graph: StepGraph, max_n: int = 16, deadline=None) -> ClosureResult:
+    """Past `deadline` (a `time.monotonic()` value, or None) it raises
+    DeadlineExceeded: inside the hull, before each N, and every
+    _CHECK_EVERY points of the translation box and translations."""
     if not graph.is_symmetric():
         raise ClosurePreconditionError("symmetric")
-    accessible, report = geometry.is_face_accessible(graph)
+    hull = geometry.convex_hull(graph.vertices(), deadline)
+    accessible, report = geometry.face_accessibility(hull, graph)
     if not accessible:
         raise ClosurePreconditionError("face_accessible", report)
     if not graph.is_zn_generating():
         raise ClosurePreconditionError("zn_generating")
     if graph.n == 0:
         return ClosureResult(translations=[()], union=graph, N=1)
-    hull = geometry.convex_hull(graph.vertices())
     for N in range(1, max_n + 1):
-        zs = translation_set(hull, N)
+        check_deadline(deadline)
+        zs = translation_set(hull, N, deadline)
         if not zs:
             continue
         counts = Counter()
-        for z in zs:
+        for t, z in enumerate(zs, start=1):
+            if t % _CHECK_EVERY == 0:
+                check_deadline(deadline)
             for (s, label), k in graph.counts.items():
                 counts[tuple(a + b for a, b in zip(s, z)), label] += k
         union = StepGraph(graph.steps, counts)

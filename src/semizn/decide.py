@@ -51,7 +51,6 @@ from semizn.algebra import (ModulePresentation, clear_vector, normalize_unit, ra
                             residual, syzygy_basis)
 from semizn.algebra import laurent_syzygies  # noqa: F401  (perfbench/tracer.py patches it here)
 from semizn.closure import ClosureBudgetError, eulerian_closure
-from semizn.geometry import HullTooLargeError
 from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import GeneratorSet
 from semizn.group import evaluate_word  # noqa: F401  (perfbench/tracer.py patches it here)
@@ -291,18 +290,19 @@ def _window_candidate(generators, K: int, n: int, window: int,
 def _witness(fs, tested: int, sub: GeneratorSet, steps, budget: Budget, deadline=None):
     """The YES Verdict for an accepted tuple `fs`: its graph, closed by
     translations unless connected, and an Euler circuit of the union as a
-    word verified in the letters of `sub`; None when the hull or closure is
-    over budget.  Past `deadline` it raises DeadlineExceeded: after the
-    graph and the closure, inside the circuit, and in `verify_witness`."""
-    try:
-        graph = positions.graph_from_positions(fs, steps)
-        check_deadline(deadline)
-        union, translations = graph, [(0,) * len(steps[0])]
-        if not graph.is_connected():
-            closed = eulerian_closure(graph, max_n=budget.closure_n)
-            union, translations = closed.union, closed.translations
-    except (ClosureBudgetError, HullTooLargeError):
-        return None
+    word verified in the letters of `sub`; None when the closure is over
+    budget.  Past `deadline` it raises DeadlineExceeded: after the graph,
+    inside and after the closure, inside the circuit, and in
+    `verify_witness`."""
+    graph = positions.graph_from_positions(fs, steps)
+    check_deadline(deadline)
+    union, translations = graph, [(0,) * len(steps[0])]
+    if not graph.is_connected():
+        try:
+            closed = eulerian_closure(graph, max_n=budget.closure_n, deadline=deadline)
+        except ClosureBudgetError:
+            return None
+        union, translations = closed.union, closed.translations
     check_deadline(deadline)
     word = union.euler_circuit(min(union.vertices()), deadline)
     if word is None:
@@ -324,7 +324,8 @@ def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget,
     first all-positive relation-module element passing the escape
     condition whose witness is within budget.  `generators` and `steps`
     are those of `sub` re-posed (K from `sub`, n from the steps).  Past
-    `deadline` a window round or the witness raises DeadlineExceeded."""
+    `deadline` a window round, the escape check's hull or the witness
+    raises DeadlineExceeded."""
     K, n = sub.K, len(steps[0])
     seen = {}  # candidate -> its support points on faces failing the escape condition
     tested = 0
@@ -340,10 +341,7 @@ def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget,
         if not all(f.has_positive_coeffs() for f in fs):
             return None, seen[key]
         tested += 1
-        try:
-            ok, report = positions.check_escape_condition(fs, steps)
-        except HullTooLargeError:
-            return None, seen[key]
+        ok, report = positions.check_escape_condition(fs, steps, deadline)
         if ok:
             return _witness(fs, tested, sub, steps, budget, deadline), seen[key]
         seen[key] = frozenset(tuple(p) for face in report if not face["accessible"]

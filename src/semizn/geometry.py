@@ -9,6 +9,13 @@ A hull works in the coordinates p - p0 read at the pivot columns of an
 integer echelon form of the point differences; the echelon is triangular
 there, so these coordinates are one-to-one on the affine hull, and a facet
 normal lifts to the ambient space by writing it into the same columns.
+Its facets come from one incremental algorithm in every dimension,
+beneath-beyond (Kallay 1981; Seidel 1981): a simplex on the first affinely
+independent points, then every other point in a fixed order, each deleting
+the facets it sees and joining itself to the ridges on their horizon.  A
+facet is a primitive integer normal with an integer support, so nothing is
+rounded, and the run's deadline is checked once per point, so a large hull
+stops like any other phase of a decision.
 
 The fan construction rests on two standard facts: the common refinement of
 the normal fans of several polytopes is the normal fan of their Minkowski
@@ -24,15 +31,10 @@ enumeration is self-certifying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from typing import Sequence
 
 from semizn import linalg
-
-
-class HullTooLargeError(ValueError):
-    """The point set is too large for exact facet enumeration."""
+from semizn.groebner import check_deadline
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class Face:
 
 
 class LatticePolytope:
-    def __init__(self, points: Sequence[Sequence[int]]):
+    def __init__(self, points: Sequence[Sequence[int]], deadline=None):
         if not points:
             raise ValueError("empty point set")
         pts = sorted({tuple(int(v) for v in p) for p in points})
@@ -55,10 +57,10 @@ class LatticePolytope:
         self.n = len(pts[0])
         if any(len(p) != self.n for p in pts):
             raise ValueError("points of mixed dimension")
-        self._build()
+        self._build(deadline)
 
     # -- construction ---------------------------------------------------------
-    def _build(self):
+    def _build(self, deadline):
         p0 = self.points[0]
         self._diffs = [[a - b for a, b in zip(p, p0)] for p in self.points[1:]]
         # p - p0 at the echelon's pivot columns: one-to-one on the affine hull
@@ -67,7 +69,7 @@ class LatticePolytope:
         self._coords = [
             tuple(p[pc] - p0[pc] for pc in self._pivots) for p in self.points
         ]
-        self._facets = self._facet_hyperplanes()
+        self._facets = self._facet_hyperplanes(deadline)
         self._faces = self._face_lattice()
         if self.dim == 0:
             self.vertices = [self.points[0]]
@@ -77,78 +79,56 @@ class LatticePolytope:
             )
         self._verify_faces()
 
-    def _facet_hyperplanes(self):
-        """Facets as (coord normal, support, point index set), exact."""
-        k = self.dim
-        coords = self._coords
-        m = len(coords)
+    def _facet_hyperplanes(self, deadline):
+        """Facets as (coord normal, support, point index set), exact, by
+        beneath-beyond: the first affinely independent points as a simplex,
+        then each further point in order deletes the facets it sees and
+        spans a new facet with each horizon ridge (the points a seen facet
+        shares with an unseen one, when their affine dimension is k - 2).
+        A facet is keyed by its primitive outer normal, oriented against
+        the simplex's centroid, so a new facet on an unseen facet's
+        hyperplane merges into it.  Past `deadline` it raises
+        DeadlineExceeded, checked once per point."""
+        k, coords = self.dim, self._coords
         if k == 0:
             return []
-        if k == 1:
-            vals = [c[0] for c in coords]
-            top = max(vals)
-            bot = min(vals)
-            return [
-                ((1,), top, frozenset(i for i in range(m) if vals[i] == top)),
-                ((-1,), -bot, frozenset(i for i in range(m) if vals[i] == bot)),
-            ]
-        if k == 2:
-            return self._facets_2d()
-        if comb(m, k) > 2_000_000:
-            raise HullTooLargeError("point set too large for exact facet enumeration")
-        found = {}
-        for idxs in combinations(range(m), k):
+        simplex = [0]
+        for i in range(1, len(coords)):
+            if len(simplex) > k:
+                break
+            rows = [[a - b for a, b in zip(coords[j], coords[0])] for j in simplex[1:] + [i]]
+            if linalg.rank(rows, k) == len(simplex):
+                simplex.append(i)
+        centre = [sum(col) for col in zip(*(coords[j] for j in simplex))]  # (k + 1) x centroid
+        facets = {}  # outer normal -> (support, indices of points on it, its vertices included)
+
+        def span(idxs):
             base = coords[idxs[0]]
-            diffs = [
-                [coords[i][j] - base[j] for j in range(k)] for i in idxs[1:]
-            ]
-            null = linalg.nullspace(diffs, k)
+            null = linalg.nullspace([[a - b for a, b in zip(coords[i], base)] for i in idxs[1:]], k)
             if len(null) != 1:
-                continue
+                return
             h = linalg.primitive_vector(null[0])
-            vals = [linalg.dot(h, c) for c in coords]
-            ref = linalg.dot(h, base)
-            if all(v <= ref for v in vals):
-                pass
-            elif all(v >= ref for v in vals):
-                h = tuple(-x for x in h)
-                vals = [-v for v in vals]
-                ref = -ref
-            else:
+            b = linalg.dot(h, base)
+            if linalg.dot(h, centre) > (k + 1) * b:
+                h, b = tuple(-x for x in h), -b
+            facets.setdefault(h, (b, set()))[1].update(idxs)
+
+        for j in simplex:
+            span([i for i in simplex if i != j])
+        for i, q in enumerate(coords):
+            check_deadline(deadline)
+            if i in simplex:
                 continue
-            on = frozenset(i for i in range(m) if vals[i] == ref)
-            found[h] = (h, ref, on)
-        return sorted(found.values())
-
-    def _facets_2d(self):
-        coords = self._coords
-        order = sorted(range(len(coords)), key=lambda i: coords[i])
-
-        def cross(o, a, b):
-            return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-        lower: list[int] = []
-        for i in order:
-            while len(lower) >= 2 and cross(coords[lower[-2]], coords[lower[-1]], coords[i]) <= 0:
-                lower.pop()
-            lower.append(i)
-        upper: list[int] = []
-        for i in reversed(order):
-            while len(upper) >= 2 and cross(coords[upper[-2]], coords[upper[-1]], coords[i]) <= 0:
-                upper.pop()
-            upper.append(i)
-        ring = lower[:-1] + upper[:-1]
-        facets = {}
-        for t in range(len(ring)):
-            p = coords[ring[t]]
-            q = coords[ring[(t + 1) % len(ring)]]
-            h = linalg.primitive_vector((q[1] - p[1], -(q[0] - p[0])))
-            ref = linalg.dot(h, p)
-            on = frozenset(
-                i for i, c in enumerate(coords) if linalg.dot(h, c) == ref
-            )
-            facets[h] = (h, ref, on)
-        return sorted(facets.values())
+            visible = [h for h, (b, _) in facets.items() if linalg.dot(h, q) > b]
+            seen = [facets.pop(h)[1] for h in visible]
+            for r in [v & on for v in seen for _, on in facets.values()]:
+                if len(r) >= k - 1:
+                    span([i, *r])
+        m = len(coords)
+        return sorted(
+            (h, b, frozenset(i for i in range(m) if linalg.dot(h, coords[i]) == b))
+            for h, (b, _) in facets.items()
+        )
 
     def _ambient_normal(self, h_coords):
         """Lift a primitive coord-space normal to an ambient integer
@@ -243,15 +223,17 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)})"
 
 
-def convex_hull(points: Sequence[Sequence[int]]) -> LatticePolytope:
-    return LatticePolytope(points)
+def convex_hull(points: Sequence[Sequence[int]], deadline=None) -> LatticePolytope:
+    """The exact hull; past `deadline` (a `time.monotonic()` value, or None)
+    it raises DeadlineExceeded."""
+    return LatticePolytope(points, deadline)
 
 
 # ---------------------------------------------------------------------------
 # Face accessibility of step graphs
 # ---------------------------------------------------------------------------
 
-def is_face_accessible(graph):
+def is_face_accessible(graph, deadline=None):
     """Directional accessibility: for every nonzero direction, the argmax
     face of the vertex hull must contain the start of an edge leaving it.
 
@@ -259,8 +241,13 @@ def is_face_accessible(graph):
     "every strict face has an escaping edge"; lower-dimensional hulls are
     never accessible (any direction flattening the hull selects the whole
     polytope, which no edge can leave), and the report marks them so.
+    `deadline` bounds the hull.
     """
-    P = convex_hull(graph.vertices())
+    return face_accessibility(convex_hull(graph.vertices(), deadline), graph)
+
+
+def face_accessibility(P: LatticePolytope, graph):
+    """`is_face_accessible` on `P`, the hull of the graph's vertices."""
     report = []
     ok = True
     for face in P.strict_faces():

@@ -15,7 +15,7 @@ from semizn import linalg
 from semizn.groebner import check_deadline
 from semizn.group import GeneratorSet, GroupElement
 
-_CHECK_EVERY = 4096  # letters or circuit steps between two deadline checks
+_CHECK_EVERY = 4096  # letters, circuit steps, translations or translation-box points per deadline check
 
 
 class StepGraph:

@@ -44,7 +44,7 @@ def graph_from_positions(fs: Sequence[LaurentPoly], steps) -> StepGraph:
 # Structural checks (polynomial side)
 # ---------------------------------------------------------------------------
 
-def check_escape_condition(fs: Sequence[LaurentPoly], steps):
+def check_escape_condition(fs: Sequence[LaurentPoly], steps, deadline=None):
     """The escape condition of a symmetric tuple with coefficients in N: for
     every nonzero direction v, some index of maximal v-degree has a step that
     crosses v's hyperplane.  Returns (ok, face report).
@@ -53,9 +53,10 @@ def check_escape_condition(fs: Sequence[LaurentPoly], steps):
     point s of f_i.  So if s is on the face of conv U that v selects, the
     edge (s, i) leaves that face exactly when a_i.v != 0, and the condition
     is face accessibility of the tuple's graph.  Raises ValueError on a
-    tuple that is not in N, all zero or not symmetric.
+    tuple that is not in N, all zero or not symmetric, and DeadlineExceeded
+    past `deadline` (a `time.monotonic()` value, or None).
     """
     graph = graph_from_positions(fs, steps)
     if not graph.is_symmetric():
         raise ValueError("escape condition needs a symmetric tuple")
-    return geometry.is_face_accessible(graph)
+    return geometry.is_face_accessible(graph, deadline)

@@ -107,10 +107,10 @@ def test_graph_analyze_and_euler_close():
     assert doc["N"] == 2 and len(doc["translations"]) == 5
 
 
-def test_oversized_hull_is_a_data_error(tmp_path, capsys):
+def test_a_large_3d_graph_gets_an_exact_hull(tmp_path):
     """A symmetric 3-D graph with 240 vertices (random starts in [-40, 40]^3,
-    each unit-step edge paired with its reverse) is past the facet
-    enumeration cap: one error line and exit 65, not a traceback."""
+    each unit-step edge paired with its reverse) has an exact hull with no
+    cap on its size; its faces are not all accessible."""
     rng = random.Random(240)
     steps = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     edges, seen = [], set()
@@ -125,11 +125,12 @@ def test_oversized_hull_is_a_data_error(tmp_path, capsys):
         edges += [{"label": label, "s": list(s)}, {"label": back, "s": list(d)}]
     graph = tmp_path / "big_graph.json"
     graph.write_text(json.dumps({"edges": edges, "steps": steps}))
-    for command in (("graph", "analyze"), ("euler-close",)):
-        code, out = run(*command, str(graph))
-        assert code == 65 and out == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out = run("graph", "analyze", str(graph))
+    assert code == 0
+    assert json.loads(out)["face_accessible"] is False
+    code, out = run("euler-close", str(graph))
+    assert code == 1
+    assert json.loads(out)["failed"] == "face_accessible"
 
 
 def test_syzygy_command():

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from semizn.closure import (ClosureBudgetError, ClosurePreconditionError,
                             eulerian_closure, translation_set)
 from semizn.geometry import convex_hull
 from semizn.ggraph import StepGraph, graph_of_word
+from semizn.groebner import DeadlineExceeded
 
 from conftest import inverse_pair
 
@@ -30,6 +33,31 @@ def test_translation_set_exact():
     hull = convex_hull([(0,), (4,)])
     assert translation_set(hull, 1) == [(0,)]
     assert translation_set(hull, 2) == [(0,), (1,), (2,), (3,), (4,)]
+
+
+def two_cube_walks(d):
+    """Two closed walks around a unit cube of Z^3, d apart along (1, 1, 1):
+    symmetric, face-accessible, Z^3-generating, but disconnected."""
+    steps = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    cycle = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 0, 1), (0, 0, 1)]
+    edges = []
+    for off in (0, d):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            step = tuple(y - x for x, y in zip(a, b))
+            edges.append((tuple(x + off for x in a), steps.index(step) + 1))
+    return StepGraph(steps, edges)
+
+
+def test_a_deadline_stops_the_closure():
+    """Past the deadline the closure stops in its hull, and its translation
+    set stops inside the box it scans: for walks 60 apart that box has
+    61^3 points at N = 2, so it reaches a check every 4096 points."""
+    graph = two_cube_walks(60)
+    assert eulerian_closure(two_cube_walks(2)).N == 2
+    with pytest.raises(DeadlineExceeded):
+        eulerian_closure(graph, deadline=time.monotonic() - 1)
+    with pytest.raises(DeadlineExceeded):
+        translation_set(convex_hull(graph.vertices()), 2, deadline=time.monotonic() - 1)
 
 
 def test_two_separated_squares():

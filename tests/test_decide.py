@@ -254,14 +254,16 @@ def test_group_timeout_bounds_the_syzygy_phase(monkeypatch):
     assert late == [False]
 
 
-@pytest.mark.parametrize("phase, nth", [("graph", 1), ("graph", 2), ("circuit", 4), ("trace", 2)])
+@pytest.mark.parametrize("phase, nth", [("hull", 1), ("graph", 1), ("graph", 2), ("circuit", 4),
+                                         ("trace", 2)])
 def test_group_timeout_bounds_the_witness(monkeypatch, phase, nth):
-    """The witness checks the deadline after the positions' graph, after its
-    connectivity test and closure, before each of the Euler circuit's two
-    graph tests and every 4096 steps of its walk, and every 4096 letters of
-    the word's trace.  A clock skewed past the deadline at the nth check of
-    a phase ends the run there, `unknown` with `timed_out`: no further check
-    is made, so no phase goes on."""
+    """The escape check's hull checks the deadline once per point, and the
+    witness checks it after the positions' graph, after its connectivity
+    test and closure, before each of the Euler circuit's two graph tests and
+    every 4096 steps of its walk, and every 4096 letters of the word's
+    trace.  A clock skewed past the deadline at the nth check of a phase
+    ends the run there, `unknown` with `timed_out`: no further check is
+    made, so no phase goes on."""
     current, reads = [None], []  # reads: the phase of every deadline check
 
     def clock():
@@ -279,6 +281,7 @@ def test_group_timeout_bounds_the_witness(monkeypatch, phase, nth):
                         entering("graph", positions.graph_from_positions))
     monkeypatch.setattr(StepGraph, "euler_circuit", entering("circuit", StepGraph.euler_circuit))
     monkeypatch.setattr(decide, "graph_of_word", entering("trace", graph_of_word))
+    monkeypatch.setattr(geometry, "convex_hull", entering("hull", geometry.convex_hull))
     v = decide_group(long_witness(), Budget(timeout=3600))
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
     assert reads.count(phase) == nth and reads[-1] == phase
@@ -888,6 +891,34 @@ def test_decide_path_closes_a_disconnected_graph(monkeypatch):
                                  3, 1, 1, 1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("nth", [1, 6, 7])
+def test_group_timeout_bounds_the_closure(monkeypatch, nth):
+    """The closure of `closure_instance`'s first candidate makes seven
+    deadline checks: one per point of its five-point hull, then one before
+    N = 1 and one before N = 2.  A clock skewed past the deadline at the
+    nth of them ends the run there, `unknown` with `timed_out`."""
+    inside, reads = [False], []  # reads: per deadline check, whether inside the closure
+
+    def clock():
+        reads.append(inside[0])
+        return time.monotonic() + (1e9 if reads.count(True) >= nth else 0.0)
+
+    real = decide.eulerian_closure
+
+    def closure(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(decide, "eulerian_closure", closure)
+    v = decide_group(closure_instance(), Budget(timeout=3600))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert reads.count(True) == nth and reads[-1] is True
+
+
 def test_a_word_failing_verification_is_an_error(monkeypatch):
     monkeypatch.setattr(decide, "verify_witness", lambda *args: False)
     with pytest.raises(AssertionError, match="produced witness failed verification"):
@@ -919,9 +950,9 @@ def test_n0_degeneration():
     assert decide_group(GeneratorSet(pres, [plus]), Budget()).kind == "no"
 
 
-def test_hull_cap_makes_the_candidate_unknown(monkeypatch):
-    """A candidate whose hull is over the facet-enumeration cap is skipped,
-    like one over the closure budget: the verdict is UNKNOWN, not a raise."""
+def test_three_inverse_pairs_in_3d_form_a_group():
+    """The n = 3 hull of the first candidate is exact, with no cap on its
+    size: the candidate is accepted under a small and the default budget."""
     pres = free_presentation(3)
     els = []
     for i in range(3):
@@ -929,15 +960,9 @@ def test_hull_cap_makes_the_candidate_unknown(monkeypatch):
         els.append(GroupElement(pres, [LaurentPoly.one(3)], a))
         els.append(GroupElement(pres, [mono(tuple(-x for x in a), -1)], tuple(-x for x in a)))
     gens = GeneratorSet(pres, els)
-    budget = Budget(degree=0, samples=1)
-    assert decide_group(gens, budget).kind == "yes"
-    monkeypatch.setattr(geometry, "comb", lambda m, k: 10**9)
-    assert decide_group(gens, budget).kind == "unknown"
-    # the default budget's search steps run out in well under a second
-    t0 = time.monotonic()
-    v = decide_group(gens, Budget())
-    assert time.monotonic() - t0 < 5
-    assert v.kind == "unknown" and v.budget_report["timed_out"] is False
+    for budget in (Budget(degree=0, samples=1), Budget()):
+        v = decide_group(gens, budget)
+        assert v.kind == "yes" and v.witness["candidates_tested"] == 1
 
 
 def _spanning_set(rng, pres, shape):

@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from semizn import linalg
 from semizn.geometry import LatticePolytope, convex_hull, is_face_accessible, refined_fan
 from semizn.ggraph import StepGraph
+from semizn.groebner import DeadlineExceeded
 from semizn.laurent import LaurentPoly
 
 from conftest import crossing_indices, leading_indices, solve_linear
@@ -66,7 +70,7 @@ def test_hull_pivots_are_the_rank_jumps(rng):
         assert hull.dim == ranks[n]
 
 
-def ref_build(self):
+def ref_build(self, deadline=None):
     p0 = self.points[0]
     basis = []
     echelon = []  # (pivot column, integer row) spanning the picked diffs
@@ -108,17 +112,108 @@ def ref_ambient_normal(self, h_coords):
     return linalg.primitive_vector(w)
 
 
+def ref_facet_hyperplanes(self):
+    """Facets as (coord normal, support, point index set), exact."""
+    k = self.dim
+    coords = self._coords
+    m = len(coords)
+    if k == 0:
+        return []
+    if k == 1:
+        vals = [c[0] for c in coords]
+        top = max(vals)
+        bot = min(vals)
+        return [
+            ((1,), top, frozenset(i for i in range(m) if vals[i] == top)),
+            ((-1,), -bot, frozenset(i for i in range(m) if vals[i] == bot)),
+        ]
+    if k == 2:
+        return ref_facets_2d(self)
+    found = {}
+    for idxs in combinations(range(m), k):
+        base = coords[idxs[0]]
+        diffs = [
+            [coords[i][j] - base[j] for j in range(k)] for i in idxs[1:]
+        ]
+        null = linalg.nullspace(diffs, k)
+        if len(null) != 1:
+            continue
+        h = linalg.primitive_vector(null[0])
+        vals = [linalg.dot(h, c) for c in coords]
+        ref = linalg.dot(h, base)
+        if all(v <= ref for v in vals):
+            pass
+        elif all(v >= ref for v in vals):
+            h = tuple(-x for x in h)
+            vals = [-v for v in vals]
+            ref = -ref
+        else:
+            continue
+        on = frozenset(i for i in range(m) if vals[i] == ref)
+        found[h] = (h, ref, on)
+    return sorted(found.values())
+
+
+def ref_facets_2d(self):
+    coords = self._coords
+    order = sorted(range(len(coords)), key=lambda i: coords[i])
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[int] = []
+    for i in order:
+        while len(lower) >= 2 and cross(coords[lower[-2]], coords[lower[-1]], coords[i]) <= 0:
+            lower.pop()
+        lower.append(i)
+    upper: list[int] = []
+    for i in reversed(order):
+        while len(upper) >= 2 and cross(coords[upper[-2]], coords[upper[-1]], coords[i]) <= 0:
+            upper.pop()
+        upper.append(i)
+    ring = lower[:-1] + upper[:-1]
+    facets = {}
+    for t in range(len(ring)):
+        p = coords[ring[t]]
+        q = coords[ring[(t + 1) % len(ring)]]
+        h = linalg.primitive_vector((q[1] - p[1], -(q[0] - p[0])))
+        ref = linalg.dot(h, p)
+        on = frozenset(
+            i for i, c in enumerate(coords) if linalg.dot(h, c) == ref
+        )
+        facets[h] = (h, ref, on)
+    return sorted(facets.values())
+
+
 class RefPolytope(LatticePolytope):
     """The hull in Fraction coordinates over the picked differences, with
-    facet normals lifted by an exact solve."""
+    facet normals lifted by an exact solve, and facets found by min/max at
+    k = 1, Andrew's monotone chain at k = 2 and one nullspace per k-subset
+    of the points from k = 3."""
 
     _build = ref_build
     _ambient_normal = ref_ambient_normal
+    _facet_hyperplanes = ref_facet_hyperplanes
+
+
+def assert_matches_reference(pts):
+    """Same facets (in the pivot coordinates), faces, vertices, complement
+    basis and halfspaces as the reference."""
+    got, want = LatticePolytope(pts), RefPolytope(pts)
+    assert got._facets == sorted(ref_facet_hyperplanes(got))
+    assert [(f.point_indices, f.dim, f.direction) for f in got.strict_faces()] == \
+        [(f.point_indices, f.dim, f.direction) for f in want.strict_faces()]
+    assert got.vertices == want.vertices
+    assert got.complement_basis() == want.complement_basis()
+    if want.dim == len(pts[0]):
+        assert got.ambient_halfspaces() == want.ambient_halfspaces()
+    return want.dim
 
 
 def test_hull_matches_reference(rng):
-    """Integer pivot coordinates give the same faces, vertices, complement
-    basis and halfspaces as the solve-based reference."""
+    """The beneath-beyond hull in integer pivot coordinates gives the same
+    facets, faces, vertices, complement basis and halfspaces as the
+    solve-based, facet-enumerating reference."""
     flat = 0
     for t in range(2000):
         n = rng.randint(1, 3)
@@ -129,16 +224,35 @@ def test_hull_matches_reference(rng):
                    for _ in range(rng.randint(1, 8))]
         else:
             pts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 9))]
-        got, want = LatticePolytope(pts), RefPolytope(pts)
-        assert [(f.point_indices, f.dim, f.direction) for f in got.strict_faces()] == \
-            [(f.point_indices, f.dim, f.direction) for f in want.strict_faces()]
-        assert got.vertices == want.vertices
-        assert got.complement_basis() == want.complement_basis()
-        if want.dim == n:
-            assert got.ambient_halfspaces() == want.ambient_halfspaces()
-        else:
+        if assert_matches_reference(pts) < n:
             flat += 1
     assert flat >= 1000
+
+
+@pytest.mark.parametrize("n, m, seed", [(3, 40, 0), (3, 30, 1), (3, 20, 2),
+                                         (4, 30, 3), (4, 25, 4), (4, 20, 5)])
+def test_larger_hulls_match_reference(n, m, seed):
+    """Full-dimensional n = 3 and n = 4 sets of 20-40 points: the same
+    facets as the reference's k-subset enumeration, in the same frame."""
+    rng = random.Random(seed)
+    hull = LatticePolytope([tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)])
+    assert hull.dim == n
+    assert hull._facets == sorted(ref_facet_hyperplanes(hull))
+
+
+def test_hull_of_154_points_in_3d():
+    rng, pts = random.Random(154), set()
+    while len(pts) < 154:
+        pts.add(tuple(rng.randint(-4, 4) for _ in range(3)))
+    t0 = time.monotonic()
+    hull = convex_hull(pts)
+    assert time.monotonic() - t0 < 5
+    assert hull.dim == 3 and len(hull.points) == 154
+
+
+def test_an_expired_deadline_stops_a_hull():
+    with pytest.raises(DeadlineExceeded):
+        convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], deadline=time.monotonic() - 1)
 
 
 def test_hull_3d_cube():
