@@ -132,13 +132,22 @@ def _syzygies(columns, p: int, n: int, k: int, deadline) -> list[list[LaurentPol
     one sign.  That is the map `raw_to_vector`, the shifts, `normalize_unit`
     of the whole vector and `normalize_unit` of its cut composed to (a unit
     multiple of the whole vector cuts to a unit multiple of the cut).  An
-    all-zero cut comes back as zeros."""
+    all-zero cut comes back as zeros.
+
+    At most p columns independent over Q(X) have no nonzero syzygy, and
+    return [] with no Groebner run once `_independent_mod_prime` sees it: k
+    dependent columns have every k x k minor zero as a polynomial, so zero at
+    any point and mod any prime.  A miss falls through to the Groebner run,
+    so no output depends on the point or the prime."""
     cleared = []
     shifts = []
     for col in columns:
         raw, shift = clear_vector(col, n)
         cleared.append(raw)
         shifts.append(shift)
+    if len(cleared) <= p and _independent_mod_prime(cleared, p, n):
+        groebner.check_deadline(deadline)
+        return []
     out = []
     for s in groebner.syzygy_generators(cleared, p, n, deadline=deadline):
         groebner.check_deadline(deadline)
@@ -153,6 +162,42 @@ def _syzygies(columns, p: int, n: int, k: int, deadline) -> list[list[LaurentPol
             polys = [{tuple(map(sub, e, low)): sign * c for e, c in t.items()} for t in polys]
         out.append([LaurentPoly._trusted(n, t) for t in polys])
     return out
+
+
+# 2^61 - 2373, a safe prime: each residue but +-1 has order (P - 1) / 2 or
+# P - 1 (under 2^61 - 1, 2 has order 61).
+_RANK_PRIME = 2305843009213691579
+
+
+def _independent_mod_prime(cleared: list[dict], p: int, n: int) -> bool:
+    """Whether the cleared columns have full column rank evaluated at X =
+    (2, 3, 5, ...), the first n primes, mod _RANK_PRIME (`pow` keeps an
+    exponent like 2^70 cheap).  Distinct primes are multiplicatively
+    independent, so no X^a - 1 with a != 0 vanishes there over Q."""
+    point = []
+    q = 2
+    while len(point) < n:
+        if all(q % r for r in point):
+            point.append(q)
+        q += 1
+    rows = []
+    for col in cleared:
+        row = [0] * p
+        for (pos, mono), c in col.items():
+            for x, e in zip(point, mono):
+                c = c * pow(x, e, _RANK_PRIME) % _RANK_PRIME
+            row[pos] += c
+        rows.append([v % _RANK_PRIME for v in row])
+    for i, row in enumerate(rows):
+        pc = next((j for j, v in enumerate(row) if v), None)
+        if pc is None:
+            return False
+        inv = pow(row[pc], -1, _RANK_PRIME)
+        for other in rows[i + 1:]:
+            f = other[pc] * inv % _RANK_PRIME
+            if f:
+                other[:] = [(a - f * b) % _RANK_PRIME for a, b in zip(other, row)]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ The Group Problem runs two sound half-procedures against each other:
 * the refuter samples positive rational points and decides, by Gordan's
   alternative, whether some combination of the relation-module generators
   is strictly positive there (`linalg.strict_positive_combination`: exact
-  elimination, and one exact LP when the dual is not unique); a single
-  infeasible point is a sound NO with a rational dual certificate (the local
+  elimination, and one exact LP when the dual is not unique and no column,
+  negated column or column sum is visibly positive); a single infeasible
+  point is a sound NO with a rational dual certificate (the local
   positivity condition is necessary).
 
 Neither side is complete on its own; an exhausted budget is an honest

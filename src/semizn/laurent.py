@@ -133,12 +133,15 @@ class LaurentPoly:
         coordinate p/q in lowest terms, and lo and hi the least and the
         largest exponent of its variable over the support, the value is
         sum c * prod p^(e - lo) * q^(hi - e), in integers, times
-        prod p^lo / q^hi, made one Fraction."""
+        prod p^lo / q^hi, made one Fraction.  At all-ones, the first sample of
+        every refuter schedule, that is the sum of the coefficients."""
         r = [Fraction(x) for x in r]
         if len(r) != self.n:
             raise ValueError("evaluation point length mismatch")
         if any(x <= 0 for x in r):
             raise ValueError("evaluation point must be strictly positive")
+        if all(x == 1 for x in r):
+            return Fraction(sum(self.terms.values()))
         if not self.terms:
             return Fraction(0)
         lo = list(map(min, zip(*self.terms)))

@@ -300,9 +300,11 @@ def strict_positive_combination(columns: list[Sequence]):
     The certificates are the points of the kernel of the columns (taken as
     rows) on the simplex sum lam = 1, lam >= 0.  A kernel of dimension 0 has
     none.  A kernel spanned by one vector v has at most one, v / sum v, when
-    sum v != 0 and v / sum v >= 0.  Only a kernel of dimension 2 or more
-    goes to one exact LP, which finds a vertex of that set; a unique point
-    is the LP's vertex as well, so the certificate is the same either way.
+    sum v != 0 and v / sum v >= 0.  A kernel of dimension 2 or more is
+    feasible outright when a column or the column sum, or its negation, is
+    strictly positive (that vector is the primal witness); otherwise one
+    exact LP finds a vertex of that set.  A unique point is the LP's vertex
+    as well, so the certificate is the same either way.
     """
     if not columns:
         raise ValueError("need at least one column")
@@ -313,6 +315,8 @@ def strict_positive_combination(columns: list[Sequence]):
             total = sum(kernel[0])
             if total and all(x * total >= 0 for x in kernel[0]):
                 return "infeasible", [x / total for x in kernel[0]]
+        return "feasible", None
+    if any(min(v) > 0 or max(v) < 0 for v in [*columns, list(map(sum, zip(*columns)))]):
         return "feasible", None
     # Gordan alternative: lam >= 0, sum lam = 1, lam . col_j = 0 for all j
     cons = [([1] * K, "==", 1)]

@@ -10,7 +10,7 @@ from semizn.algebra import ModulePresentation
 from semizn.groebner import check_deadline
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
-from semizn.linalg import _echelon
+from semizn.linalg import _echelon, lp_feasible_point, nullspace
 
 
 def mono(e, c=1):
@@ -163,6 +163,47 @@ def oracle_bfs(gens: GeneratorSet, max_len: int) -> Optional[list[int]]:
                     nxt.append((el2, mask2, word2))
         frontier = nxt
     return None
+
+
+# -- reference: the refuter's Gordan decision without the positive shortcut --
+# `linalg.strict_positive_combination` before it settled a visibly positive
+# column, negated column or column sum without the LP, verbatim but for its
+# name.
+
+def ref_kernel_then_lp(columns: list[Sequence]):
+    """Decide whether some real combination of `columns` is strictly positive.
+
+    Columns are rational K-vectors.  By Gordan's alternative exactly one of
+    two things holds: some combination is strictly positive, or some lam >= 0,
+    lam != 0 annihilates every column.  Returns ('infeasible', lam) with that
+    certificate (lam >= 0, sum lam = 1, sum_i lam_i * columns[j][i] = 0 for
+    every j), or ('feasible', None).
+
+    The certificates are the points of the kernel of the columns (taken as
+    rows) on the simplex sum lam = 1, lam >= 0.  A kernel of dimension 0 has
+    none.  A kernel spanned by one vector v has at most one, v / sum v, when
+    sum v != 0 and v / sum v >= 0.  Only a kernel of dimension 2 or more
+    goes to one exact LP, which finds a vertex of that set; a unique point
+    is the LP's vertex as well, so the certificate is the same either way.
+    """
+    if not columns:
+        raise ValueError("need at least one column")
+    K = len(columns[0])
+    kernel = nullspace(columns, K)
+    if len(kernel) < 2:
+        if kernel:
+            total = sum(kernel[0])
+            if total and all(x * total >= 0 for x in kernel[0]):
+                return "infeasible", [x / total for x in kernel[0]]
+        return "feasible", None
+    # Gordan alternative: lam >= 0, sum lam = 1, lam . col_j = 0 for all j
+    cons = [([1] * K, "==", 1)]
+    cons += [(col, "==", 0) for col in columns]
+    cons += [([int(i == k) for k in range(K)], ">=", 0) for i in range(K)]
+    lam = lp_feasible_point(cons, K)
+    if lam is None:
+        return "feasible", None
+    return "infeasible", lam
 
 
 # -- reference: the step graph as a sorted tuple of parallel copies ----------

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from semizn import algebra, groebner, linalg
+from semizn import algebra, groebner, jsonio, linalg
 from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, normalize_unit,
                             raw_to_vector, residual, stacked_columns, syzygy_basis)
+from semizn.decide import Budget, decide_subset
+from semizn.group import GeneratorSet, GroupElement
 from semizn.laurent import LaurentPoly
 
 from conftest import free_presentation, lattice_coordinates, mono, random_poly
@@ -196,3 +198,75 @@ def test_one_pass_decoding_matches_the_composition():
                 [[list(f.terms.items()) for f in v] for v in want]
             decoded += len(got)
     assert decoded >= 100
+
+
+def _rank_certificate_cases(rng):
+    """Cleared column sets with n = 0..3, p = 1..3 rows and k <= p columns of
+    1-3 term entries.  In some, one entry gains a term with an exponent
+    >= 2^70, and the other entries are monomials: reducing X^(2^70) by a
+    binomial would take 2^70 steps.  A third of the sets are made dependent
+    by a zero column or a multiple of another column."""
+    for case in range(240):
+        n, p = case % 4, rng.randint(1, 3)
+        k = rng.randint(1, p)
+        huge = n and rng.random() < 0.3
+        cols = [[random_poly(rng, n, max_terms=1 if huge else 3, exp=2, coef=3)
+                 for _ in range(p)] for _ in range(k)]
+        if huge:
+            j, i, var = rng.randrange(k), rng.randrange(p), rng.randrange(n)
+            e = [0] * n
+            e[var] = 2 ** 70 + rng.randint(0, 5)
+            cols[j][i] = cols[j][i] + mono(tuple(e), rng.choice((-1, 2)))
+        if k > 1 and case % 3 == 0:
+            f = random_poly(rng, n, max_terms=2, allow_zero=False)
+            cols[-1] = [f * g for g in cols[0]] if rng.random() < 0.7 else \
+                [LaurentPoly.zero(n)] * p
+        yield [clear_vector(col, n)[0] for col in cols], p, n
+
+
+def test_rank_certificate_only_fires_without_syzygies():
+    """Whenever the rank mod a prime certifies the columns independent, the
+    Groebner engine on the same cleared columns finds no syzygy either."""
+    rng = random.Random(3203)
+    seen = {"fired": 0, "missed": 0, "huge": 0}
+    for cleared, p, n in _rank_certificate_cases(rng):
+        fired = algebra._independent_mod_prime(cleared, p, n)
+        if fired:
+            assert groebner.syzygy_generators(cleared, p, n) == [], cleared
+        seen["fired" if fired else "missed"] += 1
+        seen["huge"] += fired and any(e >= 2 ** 70 for c in cleared for _, m in c for e in m)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_rank_certificate_misses_fall_through_to_groebner(monkeypatch):
+    """Dependent columns, and independent ones whose determinant X - 2
+    vanishes at the point X = 2, both miss the certificate and keep the
+    Groebner run's syzygies."""
+    X, one, zero = mono((1,)), LaurentPoly.one(1), LaurentPoly.zero(1)
+    dependent = [[one, X], [X, X * X]]
+    unlucky = [[X - LaurentPoly.constant(1, 2), zero], [zero, one]]
+    for cols in (dependent, unlucky):
+        assert not algebra._independent_mod_prime([clear_vector(c, 1)[0] for c in cols], 2, 1)
+    runs = []
+    real = groebner.syzygy_generators
+    monkeypatch.setattr(groebner, "syzygy_generators",
+                        lambda *a, **kw: runs.append(1) or real(*a, **kw))
+    assert algebra.laurent_syzygies(dependent, 2, 1) == [[X, -one]]
+    assert algebra.laurent_syzygies(unlucky, 2, 1) == []
+    assert len(runs) == 2
+
+
+def test_independent_singleton_decides_without_groebner(monkeypatch):
+    """A singleton with a nonzero step over Z[X^pm]/(2): its columns (1; X - 1)
+    and (2; 0) are independent, so the refuter's `no` comes without a
+    Groebner run, with the certificate it had with one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Groebner syzygy run was reached")
+
+    monkeypatch.setattr(groebner, "syzygy_generators", refuse)
+    pres = ModulePresentation(n=1, d=1, rels_N=[[LaurentPoly.constant(1, 2)]])
+    gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly.one(1)], (1,))])
+    verdict = decide_subset(gens, [1], Budget())
+    assert verdict.kind == "no"
+    assert jsonio.verdict_to_json(verdict)["certificate"] == {
+        "dual": ["1"], "sample": ["1"], "samples_tested": 1}

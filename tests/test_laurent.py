@@ -148,3 +148,20 @@ def test_positive_scaling_invariance(p, v, num, den):
 def test_evaluation_is_multiplicative(p, q):
     r = (Fraction(2, 3), Fraction(5, 1))
     assert (p * q).evaluate_positive(r) == p.evaluate_positive(r) * q.evaluate_positive(r)
+
+
+def test_evaluate_positive_at_all_ones_is_the_coefficient_sum():
+    """n = 0..3, negative exponents: the value at (1, ..., 1), the first
+    sample of every refuter schedule, is the sum of the coefficients, and
+    agrees with the fraction formula."""
+    rng = random.Random(1111)
+    for _ in range(300):
+        n = rng.randint(0, 3)
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            terms[tuple(rng.randint(-4, 4) for _ in range(n))] = rng.randint(-9, 9)
+        p = LaurentPoly(n, terms)
+        for ones in ([1] * n, [Fraction(1)] * n):
+            got = p.evaluate_positive(ones)
+            assert type(got) is Fraction and got == sum(p.terms.values())
+            assert got == ref_evaluate_positive(p, ones)

@@ -10,7 +10,7 @@ from semizn import linalg
 from semizn.decide import sample_points
 from semizn.linalg import lp_feasible_point
 
-from conftest import lattice_coordinates, random_poly, solve_linear
+from conftest import lattice_coordinates, random_poly, ref_kernel_then_lp, solve_linear
 
 
 def test_solve_linear_and_nullspace():
@@ -575,6 +575,47 @@ def test_kernel_path_matches_refuter_lp():
         seen["fraction"] += any(isinstance(x, Fraction) and x.denominator != 1
                                 for c in cols for x in c)
     assert min(seen.values()) >= 30, seen
+
+
+def test_visibly_positive_shortcut_matches_kernel_then_lp(monkeypatch):
+    """K <= 6 and kernels of dimension 0-4: the status and the certificate
+    are the reference's (the kernel path, then the LP for every kernel of
+    dimension 2 or more), the status is Fourier-Motzkin's, and the LP runs
+    only when no column, negated column or column sum is strictly positive.
+    In a third of the sets the kernel vectors sum to zero and the first
+    column is shifted along all-ones, so that shortcut is often taken."""
+    calls = []
+    monkeypatch.setattr(linalg, "lp_feasible_point",
+                        lambda *a: calls.append(1) or lp_feasible_point(*a))
+    rng = random.Random(3232)
+    seen = {f"dim{d}": 0 for d in range(5)}
+    seen.update(dict.fromkeys(["shortcut", "lp_feasible", "lp_infeasible"], 0))
+    for case in range(500):
+        K = rng.randint(1, 6)
+        kernel = [[rng.randint(0 if rng.random() < 0.3 else -3, 3) for _ in range(K)]
+                  for _ in range(rng.randint(0, min(K, 4)))]
+        if case % 3 == 0:  # all-ones is in the complement: more visible cases
+            for v in kernel:
+                v[-1] -= sum(v)
+        complement = ref_nullspace(kernel, K) if kernel else [
+            [int(i == k) for k in range(K)] for i in range(K)]
+        cols = [[sum(c * w[k] for c, w in zip(coef, complement)) for k in range(K)]
+                for coef in ([rng.randint(-3, 3) for _ in complement]
+                             for _ in range(rng.randint(1, 4)))]
+        if case % 3 == 0:
+            cols[0] = [x + 3 for x in cols[0]]
+        del calls[:]
+        got = linalg.strict_positive_combination(cols)
+        assert got == ref_kernel_then_lp(cols), cols
+        assert (got[0] == "feasible") == linalg.fm_strictly_feasible(cols), cols
+        dim = len(ref_nullspace(cols, K))
+        seen[f"dim{min(dim, 4)}"] += 1
+        visible = any(min(v) > 0 or max(v) < 0
+                      for v in [*cols, [sum(x) for x in zip(*cols)]])
+        if dim >= 2:
+            assert bool(calls) != visible, cols
+            seen["shortcut" if visible else "lp_" + got[0]] += 1
+    assert min(seen.values()) >= 15, seen
 
 
 def test_gordan_agrees_with_fourier_motzkin():
