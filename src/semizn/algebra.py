@@ -109,7 +109,7 @@ class LaurentSubmodule:
         if not raw:
             return True
         basis, order = self._membership_basis(deadline=deadline)
-        return not groebner.remainder(raw, basis, order)
+        return not groebner.remainder(raw, basis, order, deadline)
 
 
 def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,

@@ -163,13 +163,20 @@ def locr_events(generators, K: int, n: int, budget: Budget):
 
     Soundness: positivity of some relation-module element at every positive
     point is necessary for a positive solution to exist, and positivity at a
-    point reduces to linear feasibility over the generator evaluations."""
+    point reduces to linear feasibility over the generator evaluations.
+
+    Each sample point is a tuple of positive Fractions from the schedule,
+    read once as its (numerator, denominator) pairs; every entry is then
+    `LaurentPoly._value_at` of those pairs, an exact int where the value is
+    integral (always at all-ones) and a Fraction elsewhere.  The Gordan
+    kernel, its LP and the recheck read an int and the equal Fraction as
+    the same row (`linalg._int_row`), so the certificates do not depend on
+    which of the two an entry is."""
     tested = 0
     for r in sample_points(n, budget.samples):
         tested += 1
-        columns = [
-            [g[i].evaluate_positive(r) for i in range(K)] for g in generators
-        ]
+        pq = [(x.numerator, x.denominator) for x in r]
+        columns = [[g[i]._value_at(pq) for i in range(K)] for g in generators]
         if not columns:
             status, lam = "infeasible", [Fraction(1)] * K
         else:

@@ -277,13 +277,13 @@ def _signed_entry(vec: dict, pk: _Packing):
     return _Entry({k: -c for k, c in vec.items()}, pk), -1
 
 
-def remainder(vec: dict, basis: list[_Entry], order: TermOrder) -> dict:
+def remainder(vec: dict, basis: list[_Entry], order: TermOrder, deadline=None) -> dict:
     """`normal_form` for callers outside the engine: `vec` and the result
     are (position, exponent tuple) dicts, and `basis` holds entries of any
     packing of `order`."""
     def run(pk):
         packed = [e if e.pk is pk else _Entry(pk.pack_vec(e.vec), pk) for e in basis]
-        return pk.unpack_vec(normal_form(pk.pack_vec(vec), packed, pk))
+        return pk.unpack_vec(normal_form(pk.pack_vec(vec), packed, pk, deadline=deadline))
     return _widening(order, [vec], run, max((e.pk.width for e in basis), default=32))
 
 
@@ -325,7 +325,8 @@ class _Basis(list):
                           self._reducer(len(self) - 1))
 
 
-def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> dict:
+def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None,
+                deadline=None) -> dict:
     """Strong normal form with canonical remainders (0 <= r < |lc|), over
     the packing `pk` of `vec`, `basis` and the result.  A `_Basis` brings
     its kept reducer lists; a plain list gets them built for this call.
@@ -336,6 +337,10 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     subtracted, so vec = remainder + sum of recorded multiples.  The terms
     of the result come in the order the heap would pop them: the column
     terms as they leave the heap, then the terms below the cut, descending.
+
+    With a `deadline`, `check_deadline` runs every 4,096 heap pops: one
+    normal form can take astronomically many steps (reducing X^(2^70) + 1
+    by a binomial in X), so a run's budget has to reach inside it.
     """
     table = basis if isinstance(basis, _Basis) else _Basis(pk, basis)
     reducers, cut = table.reducers, table.cut
@@ -344,8 +349,13 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     heap = [-t for t in work if t >= cut]  # terms below the cut stay off the heap
     heapq.heapify(heap)
     out = {}
+    pops = 0
     while heap:
         lead = -heapq.heappop(heap)
+        if deadline is not None:
+            pops += 1
+            if not pops & 4095:
+                check_deadline(deadline)
         c = work.pop(lead, None)
         if c is None:
             continue  # cancelled since it was pushed (lazy deletion)
@@ -470,7 +480,8 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
             del seeds[0]  # the S-vector; the GCD-vector is still reduced
         for seed in seeds:
             rec: list = []
-            rem = normal_form(_seed_vector(seed, basis), basis, pk, record=rec)
+            rem = normal_form(_seed_vector(seed, basis), basis, pk, record=rec,
+                              deadline=deadline)
             if not rem:
                 continue
             comb = seed + [(-qq, shift, m) for qq, shift, m in rec]
@@ -532,7 +543,7 @@ def _tail_reduced(entries: list[_Entry], pk: _Packing, deadline=None) -> list[_E
     out = []
     for e in entries:
         check_deadline(deadline)
-        tail = normal_form(dict(e.tail), table, pk)
+        tail = normal_form(dict(e.tail), table, pk, deadline=deadline)
         tail[e.lead] = e.coef
         out.append(_Entry(tail, pk))
     return out
@@ -602,7 +613,7 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
     seen = set()
     for vec in candidates():
         check_deadline(deadline)
-        syz = normal_form(vec, basis, pk)
+        syz = normal_form(vec, basis, pk, deadline=deadline)
         if any(t & pk.flag for t in syz):
             raise AssertionError("a pair or column failed to reduce by its own strong basis")
         if not syz:

@@ -5,7 +5,10 @@ A polynomial in n variables is stored as a dict mapping exponent tuples
 is Z[X^±], and the constructor refuses any other coefficient, so
 integrality is checked once, where a polynomial is built.  Ring operations,
 monomial shifts and exact evaluation at positive rational points are the
-operations the rest of the package is built on.
+operations the rest of the package is built on.  Evaluation runs in
+integers: `evaluate_positive` checks the point and returns a Fraction, and
+`_value_at`, which the refuter calls with a point it checked once per
+sample, keeps a value that is integral an exact int.
 """
 from __future__ import annotations
 
@@ -129,24 +132,29 @@ class LaurentPoly:
         return self._hash
 
     def evaluate_positive(self, r: Sequence) -> Fraction:
-        """Exact value at a strictly positive rational point.  With each
-        coordinate p/q in lowest terms, and lo and hi the least and the
-        largest exponent of its variable over the support, the value is
-        sum c * prod p^(e - lo) * q^(hi - e), in integers, times
-        prod p^lo / q^hi, made one Fraction.  At all-ones, the first sample of
-        every refuter schedule, that is the sum of the coefficients."""
+        """Exact value at a strictly positive rational point, as a Fraction.
+        The point is checked here; `_value_at` does the arithmetic."""
         r = [Fraction(x) for x in r]
         if len(r) != self.n:
             raise ValueError("evaluation point length mismatch")
         if any(x <= 0 for x in r):
             raise ValueError("evaluation point must be strictly positive")
-        if all(x == 1 for x in r):
-            return Fraction(sum(self.terms.values()))
+        return Fraction(self._value_at([(x.numerator, x.denominator) for x in r]))
+
+    def _value_at(self, pq: Sequence[tuple[int, int]]):
+        """The value at the point with coordinates p/q, given as the pairs
+        (p, q) in lowest terms with p, q > 0 (unchecked): an int when it is
+        integral, else a Fraction.  With lo and hi the least and the largest
+        exponent of a variable over the support, the value is
+        sum c * prod p^(e - lo) * q^(hi - e), in integers, times
+        prod p^lo / q^hi.  At all-ones, the first sample of every refuter
+        schedule, that is the sum of the coefficients."""
+        if all(p == q for p, q in pq):  # lowest terms: p == q only at 1
+            return sum(self.terms.values())
         if not self.terms:
-            return Fraction(0)
+            return 0
         lo = list(map(min, zip(*self.terms)))
         hi = list(map(max, zip(*self.terms)))
-        pq = [(x.numerator, x.denominator) for x in r]
         total = 0
         for e, c in self.terms.items():
             for (p, q), a, l, h in zip(pq, e, lo, hi):
@@ -156,7 +164,8 @@ class LaurentPoly:
         for (p, q), l, h in zip(pq, lo, hi):
             num *= p ** max(l, 0) * q ** max(-h, 0)
             den *= p ** max(-l, 0) * q ** max(h, 0)
-        return Fraction(total * num, den)
+        num *= total
+        return num // den if num % den == 0 else Fraction(num, den)
 
     def __repr__(self):
         if not self.terms:

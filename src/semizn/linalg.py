@@ -336,10 +336,7 @@ def fm_strictly_feasible(columns: list[Sequence]) -> bool:
         return False
     K = len(columns[0])
     m = len(columns)
-    rows = []
-    for i in range(K):
-        rows.append(tuple(Fraction(columns[j][i]) for j in range(m)))
-    rows = {primitive_vector(r) for r in rows}
+    rows = {primitive_vector([col[i] for col in columns]) for i in range(K)}
     for var in range(m):
         pos = [r for r in rows if r[var] > 0]
         neg = [r for r in rows if r[var] < 0]

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -50,6 +52,23 @@ def random_poly(rng: random.Random, n, max_terms=3, exp=2, coef=4, allow_zero=Tr
         if c:
             t[e] = t.get(e, 0) + c
     return LaurentPoly(n, t)
+
+
+@contextlib.contextmanager
+def fails_after(seconds: float):
+    """Raise AssertionError in the block once `seconds` of wall time have
+    passed, so a run that ignores its own deadline fails instead of
+    hanging the suite."""
+    def stop(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def solve_linear(rows, rhs):
@@ -409,6 +428,75 @@ def ref_graph_to_json(graph: EdgeListGraph) -> dict:
         "edges": [{"s": list(s), "label": label} for s, label in graph.edges],
         "steps": [list(a) for a in graph.steps],
     }
+
+
+# -- reference: the refuter before it kept integral values as ints ----------
+# `LaurentPoly.evaluate_positive` and `decide.locr_events` as they were when
+# every entry was a Fraction and the point was checked once per polynomial,
+# verbatim but for their names and the call between them.
+
+def fraction_evaluate_positive(self, r: Sequence) -> Fraction:
+    """Exact value at a strictly positive rational point.  With each
+    coordinate p/q in lowest terms, and lo and hi the least and the
+    largest exponent of its variable over the support, the value is
+    sum c * prod p^(e - lo) * q^(hi - e), in integers, times
+    prod p^lo / q^hi, made one Fraction.  At all-ones, the first sample of
+    every refuter schedule, that is the sum of the coefficients."""
+    r = [Fraction(x) for x in r]
+    if len(r) != self.n:
+        raise ValueError("evaluation point length mismatch")
+    if any(x <= 0 for x in r):
+        raise ValueError("evaluation point must be strictly positive")
+    if all(x == 1 for x in r):
+        return Fraction(sum(self.terms.values()))
+    if not self.terms:
+        return Fraction(0)
+    lo = list(map(min, zip(*self.terms)))
+    hi = list(map(max, zip(*self.terms)))
+    pq = [(x.numerator, x.denominator) for x in r]
+    total = 0
+    for e, c in self.terms.items():
+        for (p, q), a, l, h in zip(pq, e, lo, hi):
+            c *= p ** (a - l) * q ** (h - a)
+        total += c
+    num = den = 1
+    for (p, q), l, h in zip(pq, lo, hi):
+        num *= p ** max(l, 0) * q ** max(-h, 0)
+        den *= p ** max(-l, 0) * q ** max(h, 0)
+    return Fraction(total * num, den)
+
+
+def fraction_locr_events(generators, K: int, n: int, budget):
+    """Yield None per feasible sample, or a NO Verdict on the first sample
+    where no combination of the generators is strictly positive.
+
+    Soundness: positivity of some relation-module element at every positive
+    point is necessary for a positive solution to exist, and positivity at a
+    point reduces to linear feasibility over the generator evaluations."""
+    from semizn.decide import Verdict, _check_refutation, sample_points
+
+    tested = 0
+    for r in sample_points(n, budget.samples):
+        tested += 1
+        columns = [
+            [fraction_evaluate_positive(g[i], r) for i in range(K)] for g in generators
+        ]
+        if not columns:
+            status, lam = "infeasible", [Fraction(1)] * K
+        else:
+            status, lam = linalg.strict_positive_combination(columns)
+        if status == "infeasible":
+            _check_refutation(columns, lam, K)
+            yield Verdict(
+                kind="no",
+                certificate={
+                    "sample": [str(x) for x in r],
+                    "dual": [str(x) for x in lam],
+                    "samples_tested": tested,
+                },
+            )
+            return
+        yield None
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,8 +19,8 @@ from semizn.groebner import DeadlineExceeded, TermOrder, saturated_basis
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
-from conftest import (free_presentation, inverse_pair, lattice_coordinates, long_witness, mono,
-                      oracle_bfs, random_poly)
+from conftest import (fails_after, fraction_locr_events, free_presentation, inverse_pair,
+                      lattice_coordinates, long_witness, mono, oracle_bfs, random_poly)
 from corpus import no_instances, yes_instances
 
 
@@ -81,6 +82,27 @@ def test_procedure_a_alone():
 def test_locr_refute_alone():
     assert _refuter(one_way()).kind == "no"
     assert _refuter(inverse_pair()) is None  # indeed a group
+
+
+def test_refuter_matches_the_fraction_reference():
+    """Seeded generator lists (n = 0..3, K <= 5, negative exponents, the
+    first 12 samples): every event and certificate of `locr_events`, whose
+    entries are ints where integral, equals the all-Fraction reference's."""
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(400):
+        n, K = rng.randint(0, 3), rng.randint(1, 5)
+        gens = [[random_poly(rng, n, max_terms=3, exp=2, coef=4) for _ in range(K)]
+                for _ in range(rng.randint(0, 3))]
+        got = list(locr_events(gens, K, n, Budget()))
+        assert got == list(fraction_locr_events(gens, K, n, Budget())), gens
+        if got[-1] is None:
+            seen["feasible"] += 1
+            continue
+        cert = got[-1].certificate
+        seen["late" if cert["samples_tested"] > 1 else "first"] += 1
+        seen["fractional_sample"] += any("/" in x for x in cert["sample"])
+    assert min(seen.values()) >= 15, seen
 
 
 def test_sample_schedule_deterministic():
@@ -347,6 +369,18 @@ def test_group_timeout_bounds_the_membership_check(monkeypatch):
     v = decide_group(torsion_pair(), Budget(timeout=3600))
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
     assert len(deadlines) == 1 and deadlines[0] is not None
+
+
+def test_group_timeout_reaches_inside_one_normal_form():
+    """Z[X^pm]/(X - 2) with (X^(2^70) + 1, 1) and (1, -1): the syzygy run
+    reduces X^(2^70) + 1 by a binomial in X, about 2^70 steps inside one
+    normal form, which checks the deadline as it goes."""
+    pres = ModulePresentation(n=1, d=1, rels_N=[[_n1_poly((1, 1), (0, -2))]])
+    gens = GeneratorSet(pres, [GroupElement(pres, [_n1_poly((2 ** 70, 1), (0, 1))], (1,)),
+                               GroupElement(pres, [LaurentPoly.one(1)], (-1,))])
+    with fails_after(2):
+        v = decide_group(gens, Budget(timeout=0.5))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
 
 
 _GB_GENS = [{(0, (2, 1)): 2, (0, (0, 0)): 3}, {(0, (1, 2)): 3, (0, (1, 0)): -2}]

@@ -9,7 +9,7 @@ import pytest
 from semizn import linalg
 from semizn.geometry import LatticePolytope, convex_hull, is_face_accessible, refined_fan
 from semizn.ggraph import StepGraph
-from semizn.groebner import DeadlineExceeded
+from semizn.groebner import DeadlineExceeded, check_deadline
 from semizn.laurent import LaurentPoly
 
 from conftest import crossing_indices, leading_indices, solve_linear
@@ -238,6 +238,76 @@ def test_larger_hulls_match_reference(n, m, seed):
     hull = LatticePolytope([tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)])
     assert hull.dim == n
     assert hull._facets == sorted(ref_facet_hyperplanes(hull))
+
+
+# -- reference: the beneath-beyond facets with span's normal in Fractions ----
+# `LatticePolytope._facet_hyperplanes` as it was when `span` took its normal
+# from `linalg.nullspace` and `primitive_vector`, verbatim but for its name.
+
+def ref_nullspace_facet_hyperplanes(self, deadline):
+    """Facets as (coord normal, support, point index set), exact, by
+    beneath-beyond: the first affinely independent points as a simplex,
+    then each further point in order deletes the facets it sees and
+    spans a new facet with each horizon ridge (the points a seen facet
+    shares with an unseen one, when their affine dimension is k - 2).
+    A facet is keyed by its primitive outer normal, oriented against
+    the simplex's centroid, so a new facet on an unseen facet's
+    hyperplane merges into it.  Past `deadline` it raises
+    DeadlineExceeded, checked once per point."""
+    k, coords = self.dim, self._coords
+    if k == 0:
+        return []
+    simplex = [0]
+    for i in range(1, len(coords)):
+        if len(simplex) > k:
+            break
+        rows = [[a - b for a, b in zip(coords[j], coords[0])] for j in simplex[1:] + [i]]
+        if linalg.rank(rows, k) == len(simplex):
+            simplex.append(i)
+    centre = [sum(col) for col in zip(*(coords[j] for j in simplex))]  # (k + 1) x centroid
+    facets = {}  # outer normal -> (support, indices of points on it, its vertices included)
+
+    def span(idxs):
+        base = coords[idxs[0]]
+        null = linalg.nullspace([[a - b for a, b in zip(coords[i], base)] for i in idxs[1:]], k)
+        if len(null) != 1:
+            return
+        h = linalg.primitive_vector(null[0])
+        b = linalg.dot(h, base)
+        if linalg.dot(h, centre) > (k + 1) * b:
+            h, b = tuple(-x for x in h), -b
+        facets.setdefault(h, (b, set()))[1].update(idxs)
+
+    for j in simplex:
+        span([i for i in simplex if i != j])
+    for i, q in enumerate(coords):
+        check_deadline(deadline)
+        if i in simplex:
+            continue
+        visible = [h for h, (b, _) in facets.items() if linalg.dot(h, q) > b]
+        seen = [facets.pop(h)[1] for h in visible]
+        for r in [v & on for v in seen for _, on in facets.values()]:
+            if len(r) >= k - 1:
+                span([i, *r])
+    m = len(coords)
+    return sorted(
+        (h, b, frozenset(i for i in range(m) if linalg.dot(h, coords[i]) == b))
+        for h, (b, _) in facets.items()
+    )
+
+
+def test_integer_facet_normals_match_the_nullspace_reference():
+    """Seeded n = 2 and n = 3 sets of 4-20 points, a third of them flat:
+    the normals read off the integer echelon rows give the facets of the
+    Fraction nullspace, primitive vectors and orientations included."""
+    rng = random.Random(240)
+    for t in range(240):
+        n = rng.choice((2, 3))
+        pts = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(rng.randint(4, 20))]
+        if t % 3 == 0:
+            pts = [p[:-1] + (p[0] - p[1],) for p in pts]
+        hull = LatticePolytope(pts)
+        assert hull._facets == ref_nullspace_facet_hyperplanes(hull, None), pts
 
 
 def test_hull_of_154_points_in_3d():

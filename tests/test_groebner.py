@@ -31,6 +31,8 @@ import pytest
 from semizn import groebner
 from semizn.groebner import DeadlineExceeded, TermOrder, _ext_gcd
 
+from conftest import fails_after
+
 
 def axpy_terms(dst, coef, shift, src):
     """In-place dst += coef * X^shift * src for keys of the form (pos, expo).
@@ -945,3 +947,14 @@ def test_deadline_reaches_the_lifting(monkeypatch):
     assert groebner.syzygy_generators(columns, 1, 2)
     with pytest.raises(DeadlineExceeded):
         groebner.syzygy_generators(columns, 1, 2, deadline=time.monotonic() + 0.05)
+
+
+@pytest.mark.parametrize("columns", [
+    [{(0, (2 ** 70,)): 1, (0, (0,)): 1}, {(0, (1,)): 1, (0, (0,)): -2}],
+    [{(0, (2 ** 70,)): 1, (0, (0,)): -1}, {(0, (1,)): 1, (0, (0,)): 1}],
+])
+def test_deadline_reaches_inside_one_normal_form(columns):
+    """Reducing X^(2^70) +- 1 by a binomial in X takes about 2^70 steps of
+    one normal form; the deadline stops it all the same."""
+    with fails_after(2), pytest.raises(DeadlineExceeded):
+        groebner.syzygy_generators(columns, 1, 1, deadline=time.monotonic() + 0.3)

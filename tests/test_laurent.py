@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -60,8 +61,10 @@ def ref_evaluate_positive(p: LaurentPoly, r) -> Fraction:
 
 def test_evaluate_positive_matches_the_fraction_formula():
     """n = 0..3, negative exponents, int coefficients, and points p/q with
-    p, q <= 7, ints among them."""
+    p, q <= 7, ints among them.  `_value_at` of the point's (p, q) pairs is
+    the same number, an int exactly when it is integral."""
     rng = random.Random(47)
+    seen = Counter()
     for _ in range(600):
         n = rng.randint(0, 3)
         terms = {}
@@ -72,6 +75,10 @@ def test_evaluate_positive_matches_the_fraction_formula():
              for _ in range(n)]
         got = p.evaluate_positive(r)
         assert type(got) is Fraction and got == ref_evaluate_positive(p, r)
+        value = p._value_at([(Fraction(x).numerator, Fraction(x).denominator) for x in r])
+        assert value == got and (type(value) is int) == (got.denominator == 1)
+        seen[type(value)] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_variable_count_mismatch():
@@ -165,3 +172,4 @@ def test_evaluate_positive_at_all_ones_is_the_coefficient_sum():
             got = p.evaluate_positive(ones)
             assert type(got) is Fraction and got == sum(p.terms.values())
             assert got == ref_evaluate_positive(p, ones)
+        assert type(p._value_at([(1, 1)] * n)) is int

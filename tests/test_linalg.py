@@ -431,6 +431,46 @@ def test_lp_wrappers_match_dense_reference(monkeypatch):
     assert {s for s, _ in got[1]} == {"feasible", "infeasible"}
 
 
+def test_int_and_fraction_data_pivot_alike(pivot_log, monkeypatch):
+    """`lp_feasible_point` on int data (the refuter's Gordan systems over
+    values that are ints where integral, and random systems) and on the
+    same data as Fractions returns the same point with the same pivots, and
+    the dense reference logs those pivots too."""
+    rng = random.Random(3303)
+    seen = {"gordan": 0, "mixed": 0, "found": 0, "none": 0}
+    kernel = linalg.simplex
+    for case in range(300):
+        if case % 2:
+            K, n = rng.randint(2, 5), rng.randint(1, 2)
+            r = rng.choice(list(sample_points(n, 12)))
+            pq = [(x.numerator, x.denominator) for x in r]
+            cols = [[random_poly(rng, n, max_terms=3, exp=1, coef=3)._value_at(pq)
+                     for _ in range(K)] for _ in range(rng.randint(1, 4))]
+            cons = [([1] * K, "==", 1)] + [(col, "==", 0) for col in cols]
+            cons += [([int(i == k) for k in range(K)], ">=", 0) for i in range(K)]
+            seen["gordan"] += 1
+            seen["mixed"] += any(type(x) is int for c in cols for x in c) and any(
+                type(x) is Fraction for c in cols for x in c)
+        else:
+            K = rng.randint(1, 4)
+            cons = [([rng.randint(-3, 3) for _ in range(K)], rng.choice(["<=", ">=", "=="]),
+                     rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+        as_fractions = [([Fraction(x) for x in coeffs], sense, Fraction(rhs))
+                        for coeffs, sense, rhs in cons]
+        pivot_log.clear()
+        got = lp_feasible_point(cons, K)
+        logged = list(pivot_log)
+        pivot_log.clear()
+        assert lp_feasible_point(as_fractions, K) == got and pivot_log == logged, cons
+        ref_log = []
+        monkeypatch.setattr(linalg, "simplex", lambda A, b, c: _ref_simplex(A, b, c, ref_log))
+        assert lp_feasible_point(cons, K) == got, cons
+        monkeypatch.setattr(linalg, "simplex", kernel)
+        assert [e for e in ref_log if e[0] != "keep"] == logged, cons
+        seen["none" if got is None else "found"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 def test_strict_positive_combination_gordan():
     # single column with a sign conflict
     status, lam = linalg.strict_positive_combination([[1, -1]])
