@@ -216,6 +216,9 @@ def _cmd_euler_close(args) -> int:
     except ClosureBudgetError as exc:
         _emit({"error": "budget", "max_n": exc.max_n})
         return 2
+    except ValueError as exc:  # a negative --max-n
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     _emit({
         "N": result.N,
         "translations": [list(z) for z in result.translations],

@@ -70,9 +70,12 @@ def translation_set(hull: geometry.LatticePolytope, N: int, deadline=None) -> li
 
 
 def eulerian_closure(graph: StepGraph, max_n: int = 16, deadline=None) -> ClosureResult:
-    """Past `deadline` (a `time.monotonic()` value, or None) it raises
-    DeadlineExceeded: inside the hull, before each N, and every
-    _CHECK_EVERY points of the translation box and translations."""
+    """A negative `max_n` is refused with ValueError.  Past `deadline` (a
+    `time.monotonic()` value, or None) it raises DeadlineExceeded: inside
+    the hull, before each N, and every _CHECK_EVERY points of the
+    translation box and translations."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if not graph.is_symmetric():
         raise ClosurePreconditionError("symmetric")
     hull = geometry.convex_hull(graph.vertices(), deadline)

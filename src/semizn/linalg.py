@@ -1,10 +1,12 @@
 """Exact rational linear algebra: fraction-free Gauss-Jordan elimination
 (integer rows, each kept primitive, read off as the unique reduced row
-echelon form), a two-phase simplex (Dantzig's most-negative-reduced-cost
-rule for the first 500 pivots of a phase, then Bland's rule) behind one
-front end for LPs over free variables, Fourier-Motzkin elimination, and the
-Hermite basis of an integer lattice, which also gives its rank and whether
-it is all of Z^n.
+echelon form), a feasibility kernel that is phase 1 of the simplex and
+nothing else (Dantzig's most-negative-reduced-cost rule for the first 500
+pivots, then Bland's rule) behind one front end for LPs over free
+variables, Fourier-Motzkin elimination, and the Hermite basis of an integer
+lattice, which also gives its rank and whether it is all of Z^n.
+Every LP here asks only for a point, never for an optimum: a feasible
+system's point is the vertex at which phase 1 stops.
 Everything runs on Fractions / ints; no floats.  The simplex tableau is
 fraction-free: each row is a list of integers over one positive denominator,
 and only the final vertex is built as Fractions.  Its pivot sequence is part
@@ -111,7 +113,7 @@ def rank(rows: Mat, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Simplex (exact, fraction-free; Dantzig's rule, then Bland's)
+# Phase-1 simplex (exact, fraction-free; Dantzig's rule, then Bland's)
 # ---------------------------------------------------------------------------
 
 def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -121,35 +123,34 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
 
 
 class _Tableau:
-    """min c.x  s.t.  A x = b, x >= 0, with b >= 0, kept in canonical form
-    over `basis` (the basis columns form an identity).
+    """Phase 1 for A x = b, x >= 0, with b >= 0: minimise the sum of one
+    artificial variable per row (the last m columns), kept in canonical
+    form over `basis` (the basis columns form an identity), starting from
+    the artificials.
 
-    Row i of [A | b] is the integer row `rows[i]` over its positive
-    denominator `dens[i]`, in lowest terms; the reduced costs c - c_B A, with
-    -c_B.b in the rhs slot, are one more such row, `rows[m]` over `dens[m]`,
-    updated by the same elimination.  Each row holds exactly the rational
-    values of a Fraction tableau, so comparisons of numerators within a row
-    and cross-multiplied ratios give the same pivots.  A pivot touches only
-    the rows with a nonzero pivot-column entry.
+    Row i of [A | I | b] is the integer row `rows[i]` over its positive
+    denominator `dens[i]`, in lowest terms; the reduced costs of that sum,
+    with minus the sum in the rhs slot, are one more such row, `rows[m]`
+    over `dens[m]`, updated by the same elimination.  Each row holds exactly
+    the rational values of a Fraction tableau, so comparisons of numerators
+    within a row and cross-multiplied ratios give the same pivots.  A pivot
+    touches only the rows with a nonzero pivot-column entry.
 
     The pivot sequence is part of the output contract: dual certificates
     and window-LP points are the final vertex, so a change to the entering
     rule, the ratio test or its tie-break changes the verdict JSON."""
 
-    def __init__(self, rows: Mat, dens: list[int], c: Vec, basis: list[int]):
+    def __init__(self, rows: Mat, dens: list[int]):
         self.m = len(rows)
-        self.n = len(c)
-        self.basis = basis
+        self.n = len(rows[0]) - 1
+        self.basis = list(range(self.n - self.m, self.n))
         self.rows, self.dens = rows, dens
-        # z = c - sum_i c[basis[i]] * rows[i] / dens[i], over one denominator
-        terms = [(c[j], row, d) for j, row, d in zip(basis, rows, dens) if c[j]]
-        den = lcm(*(x.denominator for x in c), *(q.denominator * d for q, _, d in terms))
-        z = [x.numerator * (den // x.denominator) for x in c] + [0]
-        for q, row, d in terms:
-            s = q.numerator * (den // (q.denominator * d))
-            for k, x in enumerate(row):
-                if x:
-                    z[k] -= s * x
+        # z = (0 | 1 | 0) - sum_i rows[i] / dens[i], over one denominator;
+        # each artificial's cost cancels its own identity column
+        den = lcm(*dens)
+        scale = [den // d for d in dens]
+        z = [-sum(s * x for s, x in zip(scale, col)) for col in zip(*rows)]
+        z[self.n - self.m:self.n] = [0] * self.m
         z, den = _lowest(z, den)
         rows.append(z)
         dens.append(den)
@@ -171,15 +172,16 @@ class _Tableau:
         self.basis[pr] = pc
 
     def run(self):
-        """Returns 'optimal' or 'unbounded'; tableau left at the final basis.
+        """Pivots to an optimal basis of phase 1.
 
         Entering variable: most negative reduced cost (lowest index among
         ties) for the first 500 pivots, which is fast in practice, then
         Bland's smallest-index rule, which guarantees termination; the
         switchover point is fixed, so runs stay deterministic.  Leaving row:
         least ratio b_i / A[i][pc] over A[i][pc] > 0, ties to the lowest
-        basic variable index.  The cost row's denominator is positive and a
-        row's denominator cancels in its ratio, so both rules read numerators
+        basic variable index; phase 1 is bounded below by 0, so such a row
+        exists.  The cost row's denominator is positive and a row's
+        denominator cancels in its ratio, so both rules read numerators
         only."""
         n, m = self.n, self.m
         rows, basis = self.rows, self.basis
@@ -187,13 +189,13 @@ class _Tableau:
         while True:
             z = rows[m]
             if pivots < 500:
-                pc = min(range(n), key=z.__getitem__, default=None)
-                if pc is not None and z[pc] >= 0:
-                    pc = None
+                pc = min(range(n), key=z.__getitem__)
+                if z[pc] >= 0:
+                    return
             else:
                 pc = next((j for j in range(n) if z[j] < 0), None)
-            if pc is None:
-                return "optimal"
+                if pc is None:
+                    return
             best = None
             for i in range(m):
                 a = rows[i][pc]
@@ -201,32 +203,19 @@ class _Tableau:
                     r = rows[i][n]
                     if best is None or (r * ab, basis[i]) < (rb * a, basis[best]):
                         best, rb, ab = i, r, a
-            if best is None:
-                return "unbounded"
             self._pivot(best, pc)
             pivots += 1
 
-    def solution(self):
-        x = [Fraction(0)] * self.n
-        for j, row, d in zip(self.basis, self.rows, self.dens):
-            x[j] = Fraction(row[self.n], d)
-        return x
 
-    def objective(self):
-        return Fraction(-self.rows[self.m][self.n], self.dens[self.m])
+def simplex(A: Mat, b: Vec):
+    """A point x >= 0 with A x = b, over int / Fraction data with at least
+    one row, or None when there is none.
 
-
-def simplex(A: Mat, b: Vec, c: Vec):
-    """min c.x s.t. A x = b, x >= 0, over int / Fraction data.  Returns
-    (status, x) with status in {'optimal', 'infeasible', 'unbounded'}; the
-    tableau is fraction-free, and only the final vertex x is built as
-    Fractions.
-
-    Phase 1 starts from one artificial variable per row; artificials left
-    basic at level zero are pivoted out where a structural column allows,
-    and their rows, which are then redundant, are dropped for phase 2."""
-    m = len(A)
-    n = len(c)
+    Phase 1 alone: A x = b is feasible iff the least sum of the artificials
+    is 0, and then x is the vertex of phase 1's final basis (an artificial
+    still basic there is at level 0).  The tableau is fraction-free, and
+    only x is built as Fractions."""
+    m, n = len(A), len(A[0])
     rows, dens = [], []
     for i, (row, rhs) in enumerate(zip(A, b)):
         nums, den = _int_row(list(row) + [rhs])
@@ -236,24 +225,15 @@ def simplex(A: Mat, b: Vec, c: Vec):
         art[i] = den
         rows.append(nums[:n] + art + nums[n:])
         dens.append(den)
-    # phase 1
-    t = _Tableau(rows, dens, [0] * n + [1] * m, list(range(n, n + m)))
+    t = _Tableau(rows, dens)
     t.run()
-    if t.objective() != 0:
-        return "infeasible", None
-    # drive artificials out of the basis where possible
-    for i in range(m):
-        if t.basis[i] >= n:
-            pc = next((j for j in range(n) if rows[i][j] != 0), None)
-            if pc is not None:
-                t._pivot(i, pc)
-    keep = [i for i in range(m) if t.basis[i] < n]  # rows with artificial basis are redundant
-    kept = [_lowest(rows[i][:n] + rows[i][-1:], dens[i]) for i in keep]
-    t2 = _Tableau([r for r, _ in kept], [d for _, d in kept], c, [t.basis[i] for i in keep])
-    status = t2.run()
-    if status == "unbounded":
-        return "unbounded", None
-    return "optimal", t2.solution()
+    if rows[m][-1]:  # minus the artificials' least sum
+        return None
+    x = [Fraction(0)] * n
+    for j, row, d in zip(t.basis, rows, dens):
+        if j < n:
+            x[j] = Fraction(row[-1], d)
+    return x
 
 
 def lp_feasible_point(constraints, num_vars: int):
@@ -261,25 +241,19 @@ def lp_feasible_point(constraints, num_vars: int):
 
     `constraints` is a list of (coeffs, sense, rhs) with sense in
     {'<=', '>=', '=='} and int / Fraction data.  Each free variable is split
-    into positive parts x = x+ - x-, each constraint gets one slack column
-    (zero for '=='), and `simplex` runs with a zero objective."""
+    into positive parts x = x+ - x-, each '<=' or '>=' row gets its own
+    slack column, and `simplex` finds a point."""
     if not constraints:
         return [Fraction(0)] * num_vars
-    m = len(constraints)
-    A, b = [], []
-    for idx, (coeffs, sense, rhs) in enumerate(constraints):
-        row = [x for c in coeffs for x in (c, -c)]
-        srow = [0] * m
-        if sense == "<=":
-            srow[idx] = 1
-        elif sense == ">=":
-            srow[idx] = -1
-        elif sense != "==":
+    slack = {"<=": 1, ">=": -1, "==": 0}
+    for _, sense, _ in constraints:
+        if sense not in slack:
             raise ValueError(f"bad sense {sense!r}")
-        A.append(row + srow)
-        b.append(rhs)
-    status, x = simplex(A, b, [0] * (2 * num_vars + m))
-    if status != "optimal":
+    slacked = [i for i, (_, sense, _) in enumerate(constraints) if slack[sense]]
+    A = [[x for c in coeffs for x in (c, -c)] + [slack[sense] * (i == k) for k in slacked]
+         for i, (coeffs, sense, _) in enumerate(constraints)]
+    x = simplex(A, [rhs for _, _, rhs in constraints])
+    if x is None:
         return None
     return [x[2 * j] - x[2 * j + 1] for j in range(num_vars)]
 

@@ -6,7 +6,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from semizn import jsonio
 from semizn.cli import _budget, build_parser, main
+from semizn.closure import eulerian_closure
 from semizn.decide import Budget
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -105,6 +107,26 @@ def test_graph_analyze_and_euler_close():
     assert code == 0
     doc = json.loads(out)
     assert doc["N"] == 2 and len(doc["translations"]) == 5
+
+
+def test_negative_max_n_is_a_usage_error(capsys):
+    """`euler-close --max-n -1` is refused as `check --closure-n -1` is:
+    exit 64, one error line, no output; `eulerian_closure` raises
+    ValueError.  `--max-n 0` tries no N and reports the budget, exit 2."""
+    loops = path("disjoint_loops_graph.json")
+    for argv in (["euler-close", loops, "--max-n", "-1"],
+                 ["euler-close", path("inaccessible_graph.json"), "--max-n", "-1"],
+                 ["check", "group", path("inverse_pair.json"), "--closure-n", "-1"]):
+        capsys.readouterr()
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 64 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    with open(loops, encoding="utf-8") as fh:
+        graph = jsonio.graph_from_json(json.load(fh))
+    with pytest.raises(ValueError, match="max_n"):
+        eulerian_closure(graph, max_n=-1)
+    code, out = run("euler-close", loops, "--max-n", "0")
+    assert code == 2 and out == '{"error":"budget","max_n":0}\n'
 
 
 def test_a_large_3d_graph_gets_an_exact_hull(tmp_path):

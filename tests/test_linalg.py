@@ -122,19 +122,20 @@ def test_elimination_matches_reference():
 
 
 def test_simplex_basic():
-    # min -x1 - x2 st x1 + x2 <= 4 -> via equality form with slack
-    status, x = linalg.simplex([[1, 1, 1]], [4], [-1, -1, 0])
-    assert status == "optimal"
-    assert x[0] + x[1] == 4
-    status, _ = linalg.simplex([[1, 0]], [-1], [0, 0])  # x1 = -1, x >= 0
-    assert status == "infeasible"
-    status, _ = linalg.simplex([[1, -1]], [0], [-1, 0])  # x1 - x2 = 0, min -x1
-    assert status == "unbounded"
+    # x1 + x2 <= 4 via equality form with slack: phase 1 stops at a vertex
+    x = linalg.simplex([[1, 1, 1]], [4])
+    assert x == _ref_simplex([[1, 1, 1]], [4], [0, 0, 0])[1]
+    assert x[0] + x[1] + x[2] == 4 and min(x) >= 0
+    assert linalg.simplex([[1, 0]], [-1]) is None  # x1 = -1, x >= 0
+    assert linalg.simplex([[1, -1]], [0]) == [0, 0]  # x1 - x2 = 0 has an unbounded ray
 
 
 # -- reference: the dense Fraction simplex the integer-row kernel replaced ----
-# Kept verbatim apart from the pivot log, as an oracle: the kernel must
-# make the same pivots, because the final vertex is part of the output.
+# Kept verbatim apart from the pivot log, as an oracle.  Run with zero costs,
+# it is the kernel's specification: the kernel must make the pivots of its
+# phase 1 and return its vertex, because the final vertex is part of the
+# output (the drive-out pivots after phase 1 keep every rhs, and phase 2
+# makes none).
 
 class _RefTableau:
     def __init__(self, A, b, c, basis, log):
@@ -245,10 +246,22 @@ def _ref_simplex(A, b, c, log=None):
     return "optimal", t2.solution()
 
 
+def _phase_1(ref_log):
+    """The reference's log up to the end of its phase 1: the kernel's
+    pivots, when it stops at the same basis."""
+    end = next(k for k, e in enumerate(ref_log) if e[0] != "pivot")
+    return ref_log[:end + 1]
+
+
+def _ref_kernel(log=None):
+    """The reference at the kernel's seam: `simplex(A, b)` with zero costs."""
+    return lambda A, b: _ref_simplex(A, b, [0] * len(A[0]), log)[1]
+
+
 @pytest.fixture
 def pivot_log(monkeypatch):
-    """Log the kernel's pivots and the basis at the end of each phase, in
-    the reference's format."""
+    """Log the kernel's pivots and its basis at the end of phase 1, in the
+    reference's format."""
     log = []
     pivot, run = linalg._Tableau._pivot, linalg._Tableau.run
 
@@ -257,9 +270,8 @@ def pivot_log(monkeypatch):
         return pivot(self, pr, pc)
 
     def logged_run(self):
-        status = run(self)
-        log.append((status, tuple(self.basis)))
-        return status
+        run(self)
+        log.append(("optimal", tuple(self.basis)))
 
     monkeypatch.setattr(linalg._Tableau, "_pivot", logged_pivot)
     monkeypatch.setattr(linalg._Tableau, "run", logged_run)
@@ -288,36 +300,33 @@ def _random_lp(rng):
         k = rng.choice([1, -1, 2])
         A.append([x + k * y for x, y in zip(A[i], A[j])])
         b.append(b[i] + k * b[j])
-    c = [rng.randint(-3, 3) for _ in range(n)]
-    return A, b, c
+    return A, b
 
 
 def test_simplex_matches_dense_reference(pivot_log):
     rng = random.Random(2304)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "redundant": 0, "degenerate": 0}
+    seen = {"feasible": 0, "infeasible": 0, "redundant": 0, "degenerate": 0}
     for _ in range(600):
-        A, b, c = _random_lp(rng)
+        A, b = _random_lp(rng)
         ref_log = []
-        want = _ref_simplex(A, b, c, ref_log)
+        want = _ref_kernel(ref_log)(A, b)
         pivot_log.clear()
-        got = linalg.simplex(A, b, c)
-        assert got == want, (A, b, c)
-        ref_pivots = [e for e in ref_log if e[0] != "keep"]
-        assert pivot_log == ref_pivots, (A, b, c)
-        seen[want[0]] += 1
+        assert linalg.simplex(A, b) == want, (A, b)
+        assert pivot_log == _phase_1(ref_log), (A, b)
+        seen["infeasible" if want is None else "feasible"] += 1
         keep = next((e[1] for e in ref_log if e[0] == "keep"), None)
         if keep is not None and len(keep) < len(A):
             seen["redundant"] += 1
-        if want[0] == "optimal" and sum(1 for x in want[1] if x) < len(keep):
+        if want is not None and sum(1 for x in want if x) < len(keep):
             seen["degenerate"] += 1
     assert min(seen.values()) >= 20, seen
 
 
 def _wide_lp(rng):
     """LP whose integer tableau rows need denominators and gcd reductions:
-    wide entries with common factors over mixed denominators, rational
-    costs, and a row k that agrees with s * row i on some columns and the
-    rhs, so the ratio test meets equal positive ratios."""
+    wide entries with common factors over mixed denominators, and a row k
+    that agrees with s * row i on some columns and the rhs, so the ratio
+    test meets equal positive ratios."""
     m = rng.randint(2, 6)
     n = rng.randint(2, 8)
 
@@ -338,13 +347,11 @@ def _wide_lp(rng):
     for j in rng.sample(range(n), rng.randint(1, n)):
         A[k][j] = s * A[i][j]
     b[k] = s * b[i]
-    c = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(n)]
-    return A, b, c
+    return A, b
 
 
 def test_wide_rational_lps_match_dense_reference(pivot_log, monkeypatch):
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0, "rational_cost": 0,
-            "tie": 0, "denominator": 0, "reduced": 0}
+    seen = {"feasible": 0, "infeasible": 0, "tie": 0, "denominator": 0, "reduced": 0}
     pivot, lowest = linalg._Tableau._pivot, linalg._lowest
 
     def watched_pivot(self, pr, pc):
@@ -365,46 +372,55 @@ def test_wide_rational_lps_match_dense_reference(pivot_log, monkeypatch):
     monkeypatch.setattr(linalg, "_lowest", watched_lowest)
     rng = random.Random(8128)
     for _ in range(300):
-        A, b, c = _wide_lp(rng)
+        A, b = _wide_lp(rng)
         ref_log = []
-        want = _ref_simplex(A, b, c, ref_log)
+        want = _ref_kernel(ref_log)(A, b)
         pivot_log.clear()
-        got = linalg.simplex(A, b, c)
-        assert got == want, (A, b, c)
-        assert pivot_log == [e for e in ref_log if e[0] != "keep"], (A, b, c)
-        seen[want[0]] += 1
-        if want[0] == "optimal" and any(x.denominator > 1 for x in c):
-            seen["rational_cost"] += 1
+        assert linalg.simplex(A, b) == want, (A, b)
+        assert pivot_log == _phase_1(ref_log), (A, b)
+        seen["infeasible" if want is None else "feasible"] += 1
     assert min(seen.values()) >= 40, seen
 
 
-def test_corpus_window_lps_match_dense_reference(pivot_log, monkeypatch):
-    """The window LPs the positive search poses on the shared corpus make
-    the reference's pivots and reach its point."""
+def test_corpus_lps_match_dense_reference(pivot_log, monkeypatch):
+    """The LPs `decide_group` poses on the shared corpus, the positive
+    search's window LPs and the refuter's Gordan LPs (kernels of dimension
+    2 or more with no visibly positive column, negated column or column
+    sum), make the reference's pivots and reach its point."""
     from corpus import no_instances, yes_instances
     from semizn.decide import Budget, decide_group
 
-    systems = []
+    systems = {"window": [], "gordan": []}
     solve, kernel = linalg.lp_feasible_point, linalg.simplex
+    refute, refuting = linalg.strict_positive_combination, []
 
     def recorded(cons, num_vars):
-        if cons[0][1] == ">=":  # the refuter's Gordan LP opens with '=='
-            systems.append((cons, num_vars))
+        systems["gordan" if refuting else "window"].append((cons, num_vars))
         return solve(cons, num_vars)
 
+    def recording_refuter(columns):
+        refuting.append(columns)
+        try:
+            return refute(columns)
+        finally:
+            refuting.pop()
+
     monkeypatch.setattr(linalg, "lp_feasible_point", recorded)
+    monkeypatch.setattr(linalg, "strict_positive_combination", recording_refuter)
     for _, gens in yes_instances(150) + no_instances(150):
         decide_group(gens, Budget())
-    assert len(systems) >= 50
-    for cons, num_vars in systems:
-        pivot_log.clear()
-        got = solve(cons, num_vars)
-        ref_log = []
-        monkeypatch.setattr(linalg, "simplex", lambda A, b, c: _ref_simplex(A, b, c, ref_log))
-        want = solve(cons, num_vars)
-        monkeypatch.setattr(linalg, "simplex", kernel)
-        assert got is not None and got == want, cons
-        assert pivot_log == [e for e in ref_log if e[0] != "keep"], cons
+    assert len(systems["window"]) >= 50 and len(systems["gordan"]) >= 10, systems
+    for kind, posed in systems.items():
+        for cons, num_vars in posed:
+            pivot_log.clear()
+            got = solve(cons, num_vars)
+            ref_log = []
+            monkeypatch.setattr(linalg, "simplex", _ref_kernel(ref_log))
+            want = solve(cons, num_vars)
+            monkeypatch.setattr(linalg, "simplex", kernel)
+            assert got == want, (kind, cons)
+            assert kind == "gordan" or got is not None, cons
+            assert pivot_log == _phase_1(ref_log), (kind, cons)
 
 
 def test_lp_wrappers_match_dense_reference(monkeypatch):
@@ -424,7 +440,7 @@ def test_lp_wrappers_match_dense_reference(monkeypatch):
                 [linalg.strict_positive_combination(cols) for cols in gordan_cases])
 
     got = run_all()
-    monkeypatch.setattr(linalg, "simplex", _ref_simplex)
+    monkeypatch.setattr(linalg, "simplex", _ref_kernel())
     want = run_all()
     assert got == want
     assert any(p is None for p in got[0]) and any(p is not None for p in got[0])
@@ -463,10 +479,10 @@ def test_int_and_fraction_data_pivot_alike(pivot_log, monkeypatch):
         pivot_log.clear()
         assert lp_feasible_point(as_fractions, K) == got and pivot_log == logged, cons
         ref_log = []
-        monkeypatch.setattr(linalg, "simplex", lambda A, b, c: _ref_simplex(A, b, c, ref_log))
+        monkeypatch.setattr(linalg, "simplex", _ref_kernel(ref_log))
         assert lp_feasible_point(cons, K) == got, cons
         monkeypatch.setattr(linalg, "simplex", kernel)
-        assert [e for e in ref_log if e[0] != "keep"] == logged, cons
+        assert _phase_1(ref_log) == logged, cons
         seen["none" if got is None else "found"] += 1
     assert min(seen.values()) >= 40, seen
 
