@@ -95,25 +95,25 @@ class LaurentSubmodule:
         self._basis = None
         self._order = None
 
-    def _membership_basis(self, deadline=None):
+    def _membership_basis(self):
         if self._basis is None:
             cols = [clear_vector(g, self.n)[0] for g in self.generators]
             cols = [c for c in cols if c]
-            basis, order = groebner.saturated_basis(cols, self.d, self.n, deadline=deadline)
+            basis, order = groebner.saturated_basis(cols, self.d, self.n)
             self._basis = basis
             self._order = order
         return self._basis, self._order
 
-    def contains(self, vec: Sequence[LaurentPoly], deadline=None) -> bool:
+    def contains(self, vec: Sequence[LaurentPoly]) -> bool:
         raw, _ = clear_vector(vec, self.n)
         if not raw:
             return True
-        basis, order = self._membership_basis(deadline=deadline)
-        return not groebner.remainder(raw, basis, order, deadline)
+        basis, order = self._membership_basis()
+        return not groebner.remainder(raw, basis, order)
 
 
-def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,
-                     deadline=None) -> list[list[LaurentPoly]]:
+def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int,
+                     n: int) -> list[list[LaurentPoly]]:
     """Generators of the syzygy module {h : sum_i h_i * columns[i] = 0} over
     the Laurent ring.
 
@@ -122,10 +122,10 @@ def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int, n: int,
     result; localization flatness makes the polynomial generators generate
     the Laurent syzygy module.
     """
-    return _syzygies(columns, p, n, len(columns), deadline)
+    return _syzygies(columns, p, n, len(columns))
 
 
-def _syzygies(columns, p: int, n: int, k: int, deadline) -> list[list[LaurentPoly]]:
+def _syzygies(columns, p: int, n: int, k: int) -> list[list[LaurentPoly]]:
     """`laurent_syzygies` cut to their first k coordinates, each decoded in
     one pass as `normalize_unit` of the cut vector: column j's clearing
     shift undone, then one shift to componentwise minimum exponent zero and
@@ -146,11 +146,11 @@ def _syzygies(columns, p: int, n: int, k: int, deadline) -> list[list[LaurentPol
         cleared.append(raw)
         shifts.append(shift)
     if len(cleared) <= p and _independent_mod_prime(cleared, p, n):
-        groebner.check_deadline(deadline)
+        groebner.check_deadline()
         return []
     out = []
-    for s in groebner.syzygy_generators(cleared, p, n, deadline=deadline):
-        groebner.check_deadline(deadline)
+    for s in groebner.syzygy_generators(cleared, p, n):
+        groebner.check_deadline()
         polys = [{} for _ in range(k)]
         for (pos, mono), c in s.items():
             if pos < k:
@@ -226,10 +226,10 @@ class ModulePresentation:
     def zero_vector(self) -> list[LaurentPoly]:
         return [LaurentPoly.zero(self.n) for _ in range(self.d)]
 
-    def is_zero(self, rep: Sequence[LaurentPoly], deadline=None) -> bool:
-        """rep lies in N, i.e. represents 0 in Y.  `deadline` bounds the
+    def is_zero(self, rep: Sequence[LaurentPoly]) -> bool:
+        """rep lies in N, i.e. represents 0 in Y.  The deadline bounds the
         saturation that builds N's membership basis, on first use."""
-        return self._N.contains(rep, deadline)
+        return self._N.contains(rep)
 
     def element(self, rep: Sequence[LaurentPoly]) -> "ModuleElement":
         return ModuleElement(self, list(rep))
@@ -258,8 +258,8 @@ class ModuleElement:
         self.presentation = presentation
         self.rep = tuple(rep)
 
-    def is_zero(self, deadline=None) -> bool:
-        return self.presentation.is_zero(list(self.rep), deadline)
+    def is_zero(self) -> bool:
+        return self.presentation.is_zero(list(self.rep))
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +294,14 @@ def stacked_columns(presentation: ModulePresentation, ys: Sequence[Sequence[Laur
     return cols, d + 1
 
 
-def syzygy_basis(presentation: ModulePresentation, ys, steps, deadline=None) -> SyzygyBasis:
+def syzygy_basis(presentation: ModulePresentation, ys, steps) -> SyzygyBasis:
     """Finite generating set of the relation module, via syzygies of the
     stacked system projected to the first K coordinates."""
     K = len(ys)
     cols, p = stacked_columns(presentation, ys, steps)
     gens = []
     seen = set()
-    for f in _syzygies(cols, p, presentation.n, K, deadline):
+    for f in _syzygies(cols, p, presentation.n, K):
         if all(q.is_zero() for q in f):
             continue
         key = tuple(frozenset(q.terms.items()) for q in f)

@@ -44,11 +44,11 @@ class ClosureResult:
     N: int
 
 
-def translation_set(hull: geometry.LatticePolytope, N: int, deadline=None) -> list[tuple]:
+def translation_set(hull: geometry.LatticePolytope, N: int) -> list[tuple]:
     """All z in Z^n with z + C contained in N*C, by exact facet arithmetic:
     w.z <= (N-1) * b for every facet {x : w.x <= b} of C, over the box
-    (N-1) * [lo, hi]^n; `deadline` is checked every _CHECK_EVERY points of
-    the box."""
+    (N-1) * [lo, hi]^n; the deadline is checked every _CHECK_EVERY points
+    of the box."""
     halfspaces = hull.ambient_halfspaces()
     n = hull.n
     los, his = [], []
@@ -60,7 +60,7 @@ def translation_set(hull: geometry.LatticePolytope, N: int, deadline=None) -> li
     out = []
     for t, z in enumerate(product(*(range(lo, hi + 1) for lo, hi in zip(los, his))), start=1):
         if t % _CHECK_EVERY == 0:
-            check_deadline(deadline)
+            check_deadline()
         if all(
             sum(w[i] * z[i] for i in range(n)) <= (N - 1) * b
             for w, b in halfspaces
@@ -69,16 +69,15 @@ def translation_set(hull: geometry.LatticePolytope, N: int, deadline=None) -> li
     return out
 
 
-def eulerian_closure(graph: StepGraph, max_n: int = 16, deadline=None) -> ClosureResult:
-    """A negative `max_n` is refused with ValueError.  Past `deadline` (a
-    `time.monotonic()` value, or None) it raises DeadlineExceeded: inside
-    the hull, before each N, and every _CHECK_EVERY points of the
-    translation box and translations."""
+def eulerian_closure(graph: StepGraph, max_n: int = 16) -> ClosureResult:
+    """A negative `max_n` is refused with ValueError.  Past the deadline it
+    raises DeadlineExceeded: inside the hull, before each N, and every
+    _CHECK_EVERY points of the translation box and translations."""
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if not graph.is_symmetric():
         raise ClosurePreconditionError("symmetric")
-    hull = geometry.convex_hull(graph.vertices(), deadline)
+    hull = geometry.convex_hull(graph.vertices())
     accessible, report = geometry.face_accessibility(hull, graph)
     if not accessible:
         raise ClosurePreconditionError("face_accessible", report)
@@ -87,14 +86,14 @@ def eulerian_closure(graph: StepGraph, max_n: int = 16, deadline=None) -> Closur
     if graph.n == 0:
         return ClosureResult(translations=[()], union=graph, N=1)
     for N in range(1, max_n + 1):
-        check_deadline(deadline)
-        zs = translation_set(hull, N, deadline)
+        check_deadline()
+        zs = translation_set(hull, N)
         if not zs:
             continue
         counts = Counter()
         for t, z in enumerate(zs, start=1):
             if t % _CHECK_EVERY == 0:
-                check_deadline(deadline)
+                check_deadline()
             for (s, label), k in graph.counts.items():
                 counts[tuple(a + b for a, b in zip(s, z)), label] += k
         union = StepGraph(graph.steps, counts)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -55,7 +54,7 @@ from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.ggraph import StepGraph, graph_of_word
 from semizn.group import GeneratorSet
 from semizn.group import evaluate_word  # noqa: F401  (perfbench/tracer.py patches it here)
-from semizn.groebner import DeadlineExceeded, check_deadline, saturated_basis
+from semizn.groebner import DeadlineExceeded, check_deadline, deadline_scope, saturated_basis
 from semizn.laurent import LaurentPoly
 
 
@@ -97,14 +96,14 @@ class Verdict:
 # Witness checking (independent of how a witness was produced)
 # ---------------------------------------------------------------------------
 
-def verify_witness(witness, gens: GeneratorSet, deadline=None) -> bool:
+def verify_witness(witness, gens: GeneratorSet) -> bool:
     """Check a word (list of letters) or a StepGraph as a group-ness witness:
     a connected (a word's trace always is), full-image graph whose position
     polynomials have zero symmetry residual (the graph is symmetric, so a
     word closes) and zero neutrality residual in Y.  One pass over the
-    letters: no product of group elements is formed.  Past `deadline` (a
-    `time.monotonic()` value, or None) it raises DeadlineExceeded, in the
-    trace and in the membership check of the neutrality residual alike."""
+    letters: no product of group elements is formed.  Past the deadline it
+    raises DeadlineExceeded, in the trace and in the membership check of
+    the neutrality residual alike."""
     if isinstance(witness, StepGraph):
         graph = witness
         if graph.steps != tuple(gens.steps):
@@ -115,13 +114,13 @@ def verify_witness(witness, gens: GeneratorSet, deadline=None) -> bool:
         word = list(witness)
         if not word or not set(word) <= set(range(1, gens.K + 1)):
             return False
-        graph = graph_of_word(gens, word, deadline)
-        check_deadline(deadline)
+        graph = graph_of_word(gens, word)
+        check_deadline()
     if not graph.is_full_image():
         return False
     sym, neu = residual(positions.position_polynomials(graph), gens.presentation, gens.ys,
                         gens.steps)
-    return sym.is_zero() and neu.is_zero(deadline)
+    return sym.is_zero() and neu.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +214,7 @@ def _check_refutation(columns, lam, K: int):
 _WINDOW_CAP = 120  # multiplier-variable cap per window; beyond it, skip
 
 
-def _window_candidate(generators, K: int, n: int, window: int,
-                      deadline: Optional[float] = None, cut=frozenset()):
+def _window_candidate(generators, K: int, n: int, window: int, cut=frozenset()):
     """Exact-LP search for an all-positive element of the relation module
     with multiplier supports inside a degree window.
 
@@ -232,8 +230,8 @@ def _window_candidate(generators, K: int, n: int, window: int,
     passes (its own face in that direction lies on F, where every slot's step
     is parallel to F), so `procedure_a_events` cuts F's points and maximises
     again.  Each cut removes at least one slot, so within its window the
-    search finds a passing element whenever one exists.  No round starts
-    past the deadline: it raises DeadlineExceeded instead."""
+    search finds a passing element whenever one exists.  No round or pivot
+    starts past the deadline: it raises DeadlineExceeded instead."""
     if not generators:
         return None
     monos = sorted(
@@ -270,13 +268,13 @@ def _window_candidate(generators, K: int, n: int, window: int,
     for i in range(K):
         total = [sum(col) for col in zip(*(rows[(i, b)] for b in universe[i]))]
         base.append((total, ">=", 1))  # coordinate i is nonzero
-    check_deadline(deadline)
+    check_deadline()
     point = linalg.lp_feasible_point(base, nlam)
     if point is None:
         return None
     achieved = {s for s in slot_list if linalg.dot(rows[s], point) > 0}
     while len(achieved) < len(free):
-        check_deadline(deadline)
+        check_deadline()
         cons = base + [(rows[s], ">=", 1) for s in achieved]
         fresh = [sum(col) for col in zip(*(rows[s] for s in free if s not in achieved))]
         cons.append((fresh, ">=", 1))
@@ -295,27 +293,27 @@ def _window_candidate(generators, K: int, n: int, window: int,
     ]
 
 
-def _witness(fs, tested: int, sub: GeneratorSet, steps, budget: Budget, deadline=None):
+def _witness(fs, tested: int, sub: GeneratorSet, steps, budget: Budget):
     """The YES Verdict for an accepted tuple `fs`: its graph, closed by
     translations unless connected, and an Euler circuit of the union as a
     word verified in the letters of `sub`; None when the closure is over
-    budget.  Past `deadline` it raises DeadlineExceeded: after the graph,
+    budget.  Past the deadline it raises DeadlineExceeded: after the graph,
     inside and after the closure, inside the circuit, and in
     `verify_witness`."""
     graph = positions.graph_from_positions(fs, steps)
-    check_deadline(deadline)
+    check_deadline()
     union, translations = graph, [(0,) * len(steps[0])]
     if not graph.is_connected():
         try:
-            closed = eulerian_closure(graph, max_n=budget.closure_n, deadline=deadline)
+            closed = eulerian_closure(graph, max_n=budget.closure_n)
         except ClosureBudgetError:
             return None
         union, translations = closed.union, closed.translations
-    check_deadline(deadline)
-    word = union.euler_circuit(min(union.vertices()), deadline)
+    check_deadline()
+    word = union.euler_circuit(min(union.vertices()))
     if word is None:
         raise AssertionError("closure union failed to yield an Euler circuit")
-    if not verify_witness(word, sub, deadline):
+    if not verify_witness(word, sub):
         raise AssertionError("produced witness failed verification")
     return Verdict(kind="yes", witness={
         "word": word,
@@ -326,14 +324,13 @@ def _witness(fs, tested: int, sub: GeneratorSet, steps, budget: Budget, deadline
     })
 
 
-def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget,
-                       deadline: Optional[float] = None):
+def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget):
     """Yield None per generator and per window, or a YES Verdict for the
     first all-positive relation-module element passing the escape
     condition whose witness is within budget.  `generators` and `steps`
-    are those of `sub` re-posed (K from `sub`, n from the steps).  Past
-    `deadline` a window round, the escape check's hull or the witness
-    raises DeadlineExceeded."""
+    are those of `sub` re-posed (K from `sub`, n from the steps), each in
+    `normalize_unit` form.  Past the deadline a window round, its simplex,
+    the escape check's hull or the witness raises DeadlineExceeded."""
     K, n = sub.K, len(steps[0])
     seen = {}  # candidate -> its support points on faces failing the escape condition
     tested = 0
@@ -349,16 +346,16 @@ def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget,
         if not all(f.has_positive_coeffs() for f in fs):
             return None, seen[key]
         tested += 1
-        ok, report = positions.check_escape_condition(fs, steps, deadline)
+        ok, report = positions.check_escape_condition(fs, steps)
         if ok:
-            return _witness(fs, tested, sub, steps, budget, deadline), seen[key]
+            return _witness(fs, tested, sub, steps, budget), seen[key]
         seen[key] = frozenset(tuple(p) for face in report if not face["accessible"]
                               for p in face["face"])
         return None, seen[key]
 
-    # single generators, each up to a unit (normalize_unit fixes the sign)
+    # single generators
     for g in generators:
-        v, _ = consider(normalize_unit(g, n))
+        v, _ = consider(g)
         if v is not None:
             yield v
             return
@@ -366,7 +363,7 @@ def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget,
     # LP window search with greedy support maximization and face cuts
     for window in range(0, budget.degree + 1):
         cut = frozenset()
-        while (cand := _window_candidate(generators, K, n, window, deadline, cut)) is not None:
+        while (cand := _window_candidate(generators, K, n, window, cut)) is not None:
             v, blocked = consider(cand)
             if v is not None:
                 yield v
@@ -381,11 +378,6 @@ def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget,
 # Cores and public drivers
 # ---------------------------------------------------------------------------
 
-def _deadline(budget: Budget) -> Optional[float]:
-    """The `time.monotonic()` value at which `budget.timeout` runs out."""
-    return None if budget.timeout is None else time.monotonic() + budget.timeout
-
-
 def _unknown(budget: Budget, timed_out: bool) -> Verdict:
     report = asdict(budget)
     del report["timeout"]
@@ -393,18 +385,17 @@ def _unknown(budget: Budget, timed_out: bool) -> Verdict:
     return Verdict(kind="unknown", budget_report=report)
 
 
-def decide_core(sub: GeneratorSet, generators, steps, budget: Budget,
-                deadline: Optional[float]) -> Verdict:
+def decide_core(sub: GeneratorSet, generators, steps, budget: Budget) -> Verdict:
     """Interleave the positive search and the refuter on the relation-module
     `generators` and `steps` of `sub` re-posed; first conclusive verdict
-    wins (a fixed alternation, so the outcome is deterministic).  Past
-    `deadline` (a `time.monotonic()` value, or None) it raises
-    DeadlineExceeded, checked before every event and inside the search."""
+    wins (a fixed alternation, so the outcome is deterministic).  Past the
+    deadline it raises DeadlineExceeded, checked before every event and
+    inside both sides."""
     live = [locr_events(generators, sub.K, len(steps[0]), budget),
-            procedure_a_events(generators, sub, steps, budget, deadline)]
+            procedure_a_events(generators, sub, steps, budget)]
     while live:
         for it in list(live):
-            check_deadline(deadline)
+            check_deadline()
             try:
                 event = next(it)
             except StopIteration:
@@ -421,14 +412,14 @@ def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     lattice of its steps, as for every subset.
     `budget.timeout` starts at entry and bounds the Groebner phases too."""
     budget = budget or Budget()
-    return _decide_generating_set(gens, budget, _deadline(budget))
+    return _decide_generating_set(gens, budget)
 
 
 # ---------------------------------------------------------------------------
 # Re-posing over the lattice of the steps
 # ---------------------------------------------------------------------------
 
-def _repose(sub: GeneratorSet, deadline):
+def _repose(sub: GeneratorSet):
     """Relation-module generators and steps of `sub` over the Hermite basis B
     of the lattice L its steps span, of rank r >= 0; the steps' B-coordinates
     generate Z^r, the hypothesis of the core.
@@ -480,40 +471,36 @@ def _repose(sub: GeneratorSet, deadline):
         if any(c or any(w[r:]) for w, c in splits):
             raise AssertionError("step outside its own lattice")
         steps = [w for w, _ in splits]
-    generators = syzygy_basis(pres, ys, steps, deadline=deadline).generators
+    generators = syzygy_basis(pres, ys, steps).generators
     if r < n and generators:
         raws = [clear_vector(f, n)[0] for f in generators]
-        eliminated, _ = saturated_basis(raws, K, n, deadline=deadline,
-                                        var_blocks=[tuple(range(r, n)), tuple(range(r))])
+        eliminated, _ = saturated_basis(raws, K, n, [tuple(range(r, n)), tuple(range(r))])
         generators = [
             normalize_unit(raw_to_vector({(i, e[:r]): c for (i, e), c in g.vec.items()}, K, r), r)
             for g in eliminated if not any(any(e[r:]) for _, e in g.vec)]
     return generators, [tuple(w[:r]) for w in steps]
 
 
-def _decide_generating_set(sub: GeneratorSet, budget: Budget,
-                           deadline: Optional[float]) -> Verdict:
-    """Group Problem for `sub`, re-posed over the lattice of its steps.  Past
-    `deadline` the verdict is UNKNOWN with `timed_out`: the one place a
-    DeadlineExceeded, from any phase, becomes a verdict."""
+def _decide_generating_set(sub: GeneratorSet, budget: Budget) -> Verdict:
+    """Group Problem for `sub`, re-posed over the lattice of its steps, under
+    `deadline_scope(budget.timeout)`.  Past it the verdict is UNKNOWN with
+    `timed_out`: the one place a DeadlineExceeded, from any phase, is caught."""
     try:
-        generators, steps = _repose(sub, deadline)
-        return decide_core(sub, generators, steps, budget, deadline)
+        with deadline_scope(budget.timeout):
+            generators, steps = _repose(sub)
+            return decide_core(sub, generators, steps, budget)
     except DeadlineExceeded:
         return _unknown(budget, timed_out=True)
 
 
-def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget,
-                  deadline: Optional[float] = None) -> Verdict:
+def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget) -> Verdict:
     """Group Problem for the sub-generating-set at the given 1-based indices,
     re-posed over the lattice of its steps.
 
-    `deadline` (a `time.monotonic()` value) bounds the Groebner phases and
-    the search; by default `budget.timeout` starts at entry.  Past it the
-    verdict is UNKNOWN with `timed_out`."""
-    if deadline is None:
-        deadline = _deadline(budget)
-    verdict = _decide_generating_set(gens.subset(indices), budget, deadline)
+    `budget.timeout` starts at entry (an enclosing scope's earlier deadline
+    holds) and bounds the whole run.  Past it the verdict is UNKNOWN with
+    `timed_out`."""
+    verdict = _decide_generating_set(gens.subset(indices), budget)
     if verdict.kind == "yes":
         verdict.witness["word_in_original_letters"] = [
             indices[l - 1] for l in verdict.witness["word"]
@@ -531,29 +518,29 @@ def _subsets(indices: Sequence[int]):
 def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     """YES from the first subset that generates a group; NO once every
     subset is refuted; otherwise UNKNOWN, naming in `unresolved` the subsets
-    tried without a verdict.  One deadline, started here, covers all
+    tried without a verdict.  One deadline scope, opened here, covers all
     subsets: once a subset comes back timed out, no further subset is tried,
     and the report says `timed_out` and, unless that subset was the last,
     names in `untried_from` the first one not tried (it and every later one
     in the order of `subsets` were not tried)."""
-    deadline = _deadline(budget)
     report = {"reason": "some subsets unresolved", "unresolved": []}
     refutations = []
     subsets = iter(subsets)
-    for subset in map(list, subsets):
-        v = decide_subset(gens, subset, budget, deadline)
-        if v.kind == "yes":
-            return v
-        if v.kind == "no":
-            refutations.append({"subset": subset, "certificate": v.certificate})
-            continue
-        report["unresolved"].append(subset)
-        if v.budget_report["timed_out"]:
-            report["timed_out"] = True
-            untried = next(subsets, None)
-            if untried is not None:
-                report["untried_from"] = list(untried)
-            break
+    with deadline_scope(budget.timeout):
+        for subset in map(list, subsets):
+            v = decide_subset(gens, subset, budget)
+            if v.kind == "yes":
+                return v
+            if v.kind == "no":
+                refutations.append({"subset": subset, "certificate": v.certificate})
+                continue
+            report["unresolved"].append(subset)
+            if v.budget_report["timed_out"]:
+                report["timed_out"] = True
+                untried = next(subsets, None)
+                if untried is not None:
+                    report["untried_from"] = list(untried)
+                break
     if report["unresolved"]:
         return Verdict(kind="unknown", budget_report=report)
     return Verdict(kind="no", certificate={"subsets": refutations})

@@ -50,7 +50,7 @@ class Face:
 
 
 class LatticePolytope:
-    def __init__(self, points: Sequence[Sequence[int]], deadline=None):
+    def __init__(self, points: Sequence[Sequence[int]]):
         if not points:
             raise ValueError("empty point set")
         pts = sorted({tuple(int(v) for v in p) for p in points})
@@ -58,10 +58,10 @@ class LatticePolytope:
         self.n = len(pts[0])
         if any(len(p) != self.n for p in pts):
             raise ValueError("points of mixed dimension")
-        self._build(deadline)
+        self._build()
 
     # -- construction ---------------------------------------------------------
-    def _build(self, deadline):
+    def _build(self):
         p0 = self.points[0]
         self._diffs = [[a - b for a, b in zip(p, p0)] for p in self.points[1:]]
         # p - p0 at the echelon's pivot columns: one-to-one on the affine hull
@@ -70,7 +70,7 @@ class LatticePolytope:
         self._coords = [
             tuple(p[pc] - p0[pc] for pc in self._pivots) for p in self.points
         ]
-        self._facets = self._facet_hyperplanes(deadline)
+        self._facets = self._facet_hyperplanes()
         self._faces = self._face_lattice()
         if self.dim == 0:
             self.vertices = [self.points[0]]
@@ -80,7 +80,7 @@ class LatticePolytope:
             )
         self._verify_faces()
 
-    def _facet_hyperplanes(self, deadline):
+    def _facet_hyperplanes(self):
         """Facets as (coord normal, support, point index set), exact, by
         beneath-beyond: the first affinely independent points as a simplex,
         then each further point in order deletes the facets it sees and
@@ -88,7 +88,7 @@ class LatticePolytope:
         shares with an unseen one, when their affine dimension is k - 2).
         A facet is keyed by its primitive outer normal, oriented against
         the simplex's centroid, so a new facet on an unseen facet's
-        hyperplane merges into it.  Past `deadline` it raises
+        hyperplane merges into it.  Past the deadline it raises
         DeadlineExceeded, checked once per point."""
         k, coords = self.dim, self._coords
         if k == 0:
@@ -128,7 +128,7 @@ class LatticePolytope:
         for j in simplex:
             span([i for i in simplex if i != j])
         for i, q in enumerate(coords):
-            check_deadline(deadline)
+            check_deadline()
             if i in simplex:
                 continue
             visible = [h for h, (b, _) in facets.items() if linalg.dot(h, q) > b]
@@ -235,17 +235,14 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)})"
 
 
-def convex_hull(points: Sequence[Sequence[int]], deadline=None) -> LatticePolytope:
-    """The exact hull; past `deadline` (a `time.monotonic()` value, or None)
-    it raises DeadlineExceeded."""
-    return LatticePolytope(points, deadline)
+convex_hull = LatticePolytope  # the exact hull; past the deadline it raises DeadlineExceeded
 
 
 # ---------------------------------------------------------------------------
 # Face accessibility of step graphs
 # ---------------------------------------------------------------------------
 
-def is_face_accessible(graph, deadline=None):
+def is_face_accessible(graph):
     """Directional accessibility: for every nonzero direction, the argmax
     face of the vertex hull must contain the start of an edge leaving it.
 
@@ -253,9 +250,9 @@ def is_face_accessible(graph, deadline=None):
     "every strict face has an escaping edge"; lower-dimensional hulls are
     never accessible (any direction flattening the hull selects the whole
     polytope, which no edge can leave), and the report marks them so.
-    `deadline` bounds the hull.
+    The deadline bounds the hull.
     """
-    return face_accessibility(convex_hull(graph.vertices(), deadline), graph)
+    return face_accessibility(convex_hull(graph.vertices()), graph)
 
 
 def face_accessibility(P: LatticePolytope, graph):

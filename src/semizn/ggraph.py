@@ -113,17 +113,17 @@ class StepGraph:
         return GroupElement(pres, y, tuple(a))
 
     # -- Euler circuits --------------------------------------------------------
-    def euler_circuit(self, start: Sequence[int], deadline=None) -> Optional[list[int]]:
+    def euler_circuit(self, start: Sequence[int]) -> Optional[list[int]]:
         """Label sequence of an Euler circuit from `start`, or None when the
         graph is not symmetric or not connected.  Ties are broken by smallest
         (destination vertex, label), so the output is deterministic.
-        `deadline` is checked before each of the two tests and every
+        The deadline is checked before each of the two tests and every
         _CHECK_EVERY steps of the walk."""
         start = tuple(int(v) for v in start)
         if start not in self.vertices():
             raise ValueError(f"start {start} is not a vertex")
         for holds in (self.is_symmetric, self.is_connected):
-            check_deadline(deadline)
+            check_deadline()
             if not holds():
                 return None
         adj = defaultdict(list)  # start -> [destination, label, copies left], least last
@@ -136,7 +136,7 @@ class StepGraph:
         steps = 0
         while stack:
             if not steps % _CHECK_EVERY:
-                check_deadline(deadline)
+                check_deadline()
             steps += 1
             v, incoming = stack[-1]
             out = adj.get(v)
@@ -181,12 +181,12 @@ class StepGraph:
         return "\n".join(lines) + "\n"
 
 
-def graph_of_word(gens_or_steps, word: Sequence[int], deadline=None) -> StepGraph:
+def graph_of_word(gens_or_steps, word: Sequence[int]) -> StepGraph:
     """Graph traced by a word's lattice partial sums (edge j starts at the
     sum of the first j-1 steps, labeled by letter j).  The trace is connected
     and starts at 0, so it already is the component of the origin.  The
     edges are counted here from checked letters, so only the steps go through
-    `StepGraph`'s checks.  `deadline` is checked every _CHECK_EVERY letters."""
+    `StepGraph`'s checks; the deadline is checked every _CHECK_EVERY letters."""
     if not word:
         raise ValueError("empty word has no graph")
     steps = gens_or_steps.steps if isinstance(gens_or_steps, GeneratorSet) else gens_or_steps
@@ -196,7 +196,7 @@ def graph_of_word(gens_or_steps, word: Sequence[int], deadline=None) -> StepGrap
     counts = Counter()
     for k, letter in enumerate(word):
         if not k % _CHECK_EVERY:
-            check_deadline(deadline)
+            check_deadline()
         if not 1 <= letter <= graph.K:
             raise ValueError(f"letter {letter} out of range")
         counts[pos, letter] += 1

@@ -18,18 +18,18 @@ and (with the canonical nonnegative-remainder convention used here) that
 normal forms are unique coset representatives.
 
 Inside the engine every term is one int (`_Packing`).  From the top, its
-fields are the eliminated-position flag, each block's degree followed by
-its exponents, and the largest field value minus the position, each field
-with a guard bit above it.  Integer order is then exactly the order of
-`TermOrder.key`, the term X^s * t is the int t + s, and g divides t exactly
-when d = t - g has d >= 0 and no guard or position bit set (a field of g
-above t's borrows from its guard bit).  The field width comes from the
-inputs' largest field value; every term the engine creates is tested
-against the guard bits, and a hit restarts the whole call at double width
-(`_widening`).  The restarted call runs the same code on the same terms,
-so it makes the same reductions, and terms are decoded once, as results
-leave the engine (`_Entry.vec`, the syzygies, `remainder`), so the width
-never shows in an output.
+fields are the eliminated-position flag, each block's degree followed by its
+exponents, and the largest field value minus the position, each field with a
+guard bit above it.  Integer order is then exactly the term order (flag,
+each block's degree and exponents, lower position), the term X^s * t is the
+int t + s, and g divides t exactly when d = t - g has d >= 0 and no guard or
+position bit set (a field of g above t's borrows from its guard bit).  The
+field width comes from the inputs' largest field value; every term the
+engine creates is tested against the guard bits, and a hit restarts the
+whole call at double width (`_widening`).  The restarted call runs the same
+code on the same terms, so it makes the same reductions, and terms are
+decoded once, as results leave the engine (`_Entry.vec`, the syzygies,
+`remainder`), so the width never shows in an output.
 
 Reduction keeps the terms of the work vector in a binary heap of negated
 ints, with lazy deletion: a term that cancels stays in the heap and is
@@ -77,6 +77,8 @@ reduced to {}, so the path stays.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 import heapq
 import time
 from math import gcd, lcm
@@ -89,14 +91,30 @@ class DeadlineExceeded(Exception):
     """Raised by `check_deadline` once a run's deadline has passed."""
 
 
+_DEADLINE = contextvars.ContextVar("semizn_deadline", default=None)  # a time.monotonic() value
+
+
 class _Overflow(Exception):
     """A term does not fit the field width of its packing."""
 
 
-def check_deadline(deadline):
-    """Raise DeadlineExceeded once `deadline` (a `time.monotonic()` value,
-    or None) has passed: the one budget check of every phase, from the
-    Groebner runs to the witness."""
+@contextlib.contextmanager
+def deadline_scope(seconds):
+    """Run the block under a deadline `seconds` from now (None sets none);
+    a nested scope keeps the earlier deadline.  The scope reaches every
+    phase without a parameter.  Never hold one open across a `yield`."""
+    mine = None if seconds is None else time.monotonic() + seconds
+    token = _DEADLINE.set(min((d for d in (_DEADLINE.get(), mine) if d is not None), default=None))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline():
+    """Raise DeadlineExceeded once the enclosing `deadline_scope` has
+    passed: the one budget check of every phase."""
+    deadline = _DEADLINE.get()
     if deadline is not None and time.monotonic() > deadline:
         raise DeadlineExceeded("deadline exceeded")
 
@@ -112,14 +130,6 @@ class TermOrder:
             raise ValueError("blocks must partition the variables")
         self.elim_positions = elim_positions
         self._packings: dict = {}
-
-    def key(self, pos: int, mono: tuple):
-        parts = [1 if pos < self.elim_positions else 0]
-        for block in self.blocks:
-            sub = tuple(mono[i] for i in block)
-            parts.append((sum(sub), sub))
-        parts.append(-pos)
-        return tuple(parts)
 
     def _packing(self, width: int) -> "_Packing":
         """This order's terms packed with `width` bits per field."""
@@ -277,13 +287,13 @@ def _signed_entry(vec: dict, pk: _Packing):
     return _Entry({k: -c for k, c in vec.items()}, pk), -1
 
 
-def remainder(vec: dict, basis: list[_Entry], order: TermOrder, deadline=None) -> dict:
+def remainder(vec: dict, basis: list[_Entry], order: TermOrder) -> dict:
     """`normal_form` for callers outside the engine: `vec` and the result
     are (position, exponent tuple) dicts, and `basis` holds entries of any
     packing of `order`."""
     def run(pk):
         packed = [e if e.pk is pk else _Entry(pk.pack_vec(e.vec), pk) for e in basis]
-        return pk.unpack_vec(normal_form(pk.pack_vec(vec), packed, pk, deadline=deadline))
+        return pk.unpack_vec(normal_form(pk.pack_vec(vec), packed, pk))
     return _widening(order, [vec], run, max((e.pk.width for e in basis), default=32))
 
 
@@ -325,8 +335,7 @@ class _Basis(list):
                           self._reducer(len(self) - 1))
 
 
-def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None,
-                deadline=None) -> dict:
+def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> dict:
     """Strong normal form with canonical remainders (0 <= r < |lc|), over
     the packing `pk` of `vec`, `basis` and the result.  A `_Basis` brings
     its kept reducer lists; a plain list gets them built for this call.
@@ -338,7 +347,7 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None,
     of the result come in the order the heap would pop them: the column
     terms as they leave the heap, then the terms below the cut, descending.
 
-    With a `deadline`, `check_deadline` runs every 4,096 heap pops: one
+    Under a deadline, `check_deadline` runs every 4,096 heap pops: one
     normal form can take astronomically many steps (reducing X^(2^70) + 1
     by a binomial in X), so a run's budget has to reach inside it.
     """
@@ -350,12 +359,13 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None,
     heapq.heapify(heap)
     out = {}
     pops = 0
+    deadline = _DEADLINE.get()
     while heap:
         lead = -heapq.heappop(heap)
         if deadline is not None:
             pops += 1
             if not pops & 4095:
-                check_deadline(deadline)
+                check_deadline()
         c = work.pop(lead, None)
         if c is None:
             continue  # cancelled since it was pushed (lazy deletion)
@@ -426,15 +436,15 @@ def _seed_vector(seed: list, basis: list[_Entry]) -> dict:
     return vec
 
 
-def buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_Entry]:
+def buchberger(gens: list[dict], order: TermOrder) -> list[_Entry]:
     """Reduced strong Groebner basis of the module generated by `gens`."""
     def run(pk):
-        raw, _ = _buchberger_raw([pk.pack_vec(g) for g in gens], pk, deadline=deadline)
-        return _tail_reduced([raw[t] for t in _minimal(raw, pk)], pk, deadline)
+        raw, _ = _buchberger_raw([pk.pack_vec(g) for g in gens], pk)
+        return _tail_reduced([raw[t] for t in _minimal(raw, pk)], pk)
     return _widening(order, gens, run)
 
 
-def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
+def _buchberger_raw(gens: list[dict], pk: _Packing):
     """Incremental strong-basis run on packed generators that records, per
     raw element, a one-level recipe: ("gen", j, sign) for (sign-normalized)
     input j, or ("comb", [(coef, shift, raw_idx), ...]) meaning the signed
@@ -472,7 +482,7 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
         push_pairs(idx)
 
     while pending:
-        check_deadline(deadline)
+        check_deadline()
         lcm_term, _, i, j = heapq.heappop(pending)
         seeds = _pair_seeds(basis, i, j)
         same_pos = leads[lcm_term & pk.top]
@@ -480,8 +490,7 @@ def _buchberger_raw(gens: list[dict], pk: _Packing, deadline=None):
             del seeds[0]  # the S-vector; the GCD-vector is still reduced
         for seed in seeds:
             rec: list = []
-            rem = normal_form(_seed_vector(seed, basis), basis, pk, record=rec,
-                              deadline=deadline)
+            rem = normal_form(_seed_vector(seed, basis), basis, pk, record=rec)
             if not rem:
                 continue
             comb = seed + [(-qq, shift, m) for qq, shift, m in rec]
@@ -534,7 +543,7 @@ def _minimal(basis: list[_Entry], pk: _Packing) -> list[int]:
     return kept
 
 
-def _tail_reduced(entries: list[_Entry], pk: _Packing, deadline=None) -> list[_Entry]:
+def _tail_reduced(entries: list[_Entry], pk: _Packing) -> list[_Entry]:
     """Each entry with its tail reduced against the other entries, in the
     order given.  One reducer table serves every entry: an entry's own
     leading term lies above every term of its tail and of each reduction
@@ -542,8 +551,8 @@ def _tail_reduced(entries: list[_Entry], pk: _Packing, deadline=None) -> list[_E
     table = _Basis(pk, entries)
     out = []
     for e in entries:
-        check_deadline(deadline)
-        tail = normal_form(dict(e.tail), table, pk, deadline=deadline)
+        check_deadline()
+        tail = normal_form(dict(e.tail), table, pk)
         tail[e.lead] = e.coef
         out.append(_Entry(tail, pk))
     return out
@@ -553,7 +562,7 @@ def _tail_reduced(entries: list[_Entry], pk: _Packing, deadline=None) -> list[_E
 # Derived computations
 # ---------------------------------------------------------------------------
 
-def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) -> list[dict]:
+def syzygy_generators(columns: list[dict], p: int, nvars: int) -> list[dict]:
     """Generators of {h in Z[x]^q : sum_i h_i * columns[i] = 0}.
 
     Lifting on the augmented module: each element g of the reduced strong
@@ -566,27 +575,27 @@ def syzygy_generators(columns: list[dict], p: int, nvars: int, deadline=None) ->
     generate the term syzygies, by the Bezout induction), then of each
     (c_j, e_j) (the row e_j - B_j * A, with c_j = B_j * G).  Their column
     parts must reduce to zero, and their e-parts are the syzygies, each
-    verified exactly against the columns before being returned.  `deadline`
-    is checked in every phase, the raw run and the lifting alike.
+    verified exactly against the columns before being returned.  The
+    deadline is checked in every phase, the raw run and the lifting alike.
     """
     order = TermOrder(nvars, elim_positions=p)
-    return _widening(order, columns, lambda pk: _syzygies(columns, pk, deadline))
+    return _widening(order, columns, lambda pk: _syzygies(columns, pk))
 
 
-def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
+def _syzygies(columns: list[dict], pk: _Packing) -> list[dict]:
     """`syzygy_generators` over one packing.  The rows of A are built
     lazily from the recipes of the kept raw elements; the generators are
     decoded on return, e-part position p + j as position j."""
     p = pk.order.elim_positions
     zero = (0,) * pk.order.nvars
     packed_cols = [pk.pack_vec(col) for col in columns]
-    raw, recipes = _buchberger_raw(packed_cols, pk, deadline=deadline)
+    raw, recipes = _buchberger_raw(packed_cols, pk)
     memo: dict = {}
 
     def a_row(raw_idx: int) -> dict:
         if raw_idx in memo:
             return memo[raw_idx]
-        check_deadline(deadline)
+        check_deadline()
         kind = recipes[raw_idx]
         if kind[0] == "gen":
             row = {pk.pack(p + kind[1], zero): kind[2]}
@@ -598,7 +607,7 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
         return row
 
     basis = _Basis(pk, _tail_reduced(
-        [_Entry({**raw[t].terms, **a_row(t)}, pk) for t in _minimal(raw, pk)], pk, deadline))
+        [_Entry({**raw[t].terms, **a_row(t)}, pk) for t in _minimal(raw, pk)], pk))
 
     def candidates():
         for i in range(len(basis)):
@@ -612,8 +621,8 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
     out = []
     seen = set()
     for vec in candidates():
-        check_deadline(deadline)
-        syz = normal_form(vec, basis, pk, deadline=deadline)
+        check_deadline()
+        syz = normal_form(vec, basis, pk)
         if any(t & pk.flag for t in syz):
             raise AssertionError("a pair or column failed to reduce by its own strong basis")
         if not syz:
@@ -631,7 +640,7 @@ def _syzygies(columns: list[dict], pk: _Packing, deadline) -> list[dict]:
     return [{(pos - p, mono): c for (pos, mono), c in pk.unpack_vec(s).items()} for s in out]
 
 
-def saturated_basis(columns: list[dict], p: int, nvars: int, deadline=None, var_blocks=None):
+def saturated_basis(columns: list[dict], p: int, nvars: int, var_blocks=None):
     """Strong basis of the saturation of <columns> w.r.t. the product of all
     variables, restricted to the original ring.
 
@@ -655,7 +664,7 @@ def saturated_basis(columns: list[dict], p: int, nvars: int, deadline=None, var_
         var_blocks = [tuple(range(nvars))]
     lifted_blocks = [(0,)] + [tuple(i + 1 for i in b) for b in var_blocks]
     order = TermOrder(nvars + 1, blocks=lifted_blocks)
-    gb = buchberger(ext_cols, order, deadline=deadline)
+    gb = buchberger(ext_cols, order)
     base_order = TermOrder(nvars, blocks=[tuple(b) for b in var_blocks])
     kept = []
     for e in gb:

@@ -93,7 +93,10 @@ class GeneratorSet:
         return [g.y for g in self.elements]
 
     def subset(self, indices: Sequence[int]) -> "GeneratorSet":
-        """Sub-generating-set on 1-based indices (order preserved)."""
+        """Sub-generating-set on 1-based indices (order preserved); an index
+        outside 1..K is refused with ValueError."""
+        if not all(1 <= i <= self.K for i in indices):
+            raise ValueError(f"subset indices {list(indices)} out of range 1..{self.K}")
         return GeneratorSet(self.presentation, [self.elements[i - 1] for i in indices])
 
 

@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from semizn.groebner import check_deadline
+
 Vec = list
 Mat = list
 
@@ -182,7 +184,7 @@ class _Tableau:
         basic variable index; phase 1 is bounded below by 0, so such a row
         exists.  The cost row's denominator is positive and a row's
         denominator cancels in its ratio, so both rules read numerators
-        only."""
+        only.  The deadline is checked before each pivot."""
         n, m = self.n, self.m
         rows, basis = self.rows, self.basis
         pivots = 0
@@ -203,6 +205,7 @@ class _Tableau:
                     r = rows[i][n]
                     if best is None or (r * ab, basis[i]) < (rb * a, basis[best]):
                         best, rb, ab = i, r, a
+            check_deadline()
             self._pivot(best, pc)
             pivots += 1
 

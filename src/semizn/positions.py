@@ -44,7 +44,7 @@ def graph_from_positions(fs: Sequence[LaurentPoly], steps) -> StepGraph:
 # Structural checks (polynomial side)
 # ---------------------------------------------------------------------------
 
-def check_escape_condition(fs: Sequence[LaurentPoly], steps, deadline=None):
+def check_escape_condition(fs: Sequence[LaurentPoly], steps):
     """The escape condition of a symmetric tuple with coefficients in N: for
     every nonzero direction v, some index of maximal v-degree has a step that
     crosses v's hyperplane.  Returns (ok, face report).
@@ -54,9 +54,9 @@ def check_escape_condition(fs: Sequence[LaurentPoly], steps, deadline=None):
     edge (s, i) leaves that face exactly when a_i.v != 0, and the condition
     is face accessibility of the tuple's graph.  Raises ValueError on a
     tuple that is not in N, all zero or not symmetric, and DeadlineExceeded
-    past `deadline` (a `time.monotonic()` value, or None).
+    past the deadline.
     """
     graph = graph_from_positions(fs, steps)
     if not graph.is_symmetric():
         raise ValueError("escape condition needs a symmetric tuple")
-    return geometry.is_face_accessible(graph, deadline)
+    return geometry.is_face_accessible(graph)

@@ -339,7 +339,7 @@ class EdgeListGraph:
         if start not in self._vertex_set(set(self.edges)):
             raise ValueError(f"start {start} is not a vertex")
         for holds in (self.is_symmetric, self.is_connected):
-            check_deadline(deadline)
+            check_deadline()
             if not holds():
                 return None
         adj = defaultdict(list)
@@ -354,7 +354,7 @@ class EdgeListGraph:
         steps = 0
         while stack:
             if not steps % _CHECK_EVERY:
-                check_deadline(deadline)
+                check_deadline()
             steps += 1
             v, incoming = stack[-1]
             moved = False

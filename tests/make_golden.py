@@ -166,17 +166,21 @@ def digest(decide, gens) -> str:
     return _sha256(jsonio.dumps(jsonio.verdict_to_json(verdict)))
 
 
-def syzygy_cases():
-    """(case id, thunk) for every candidate syzygy case, in a fixed order; a
-    thunk returns the digest of the relation-module basis."""
+def syzygy_inputs():
+    """(case id, (presentation, ys, steps)) for every candidate syzygy case,
+    in a fixed order."""
     out = []
     for name, doc in _instance_files():
         gens = jsonio.instance_from_json(doc)
-        args = (gens.presentation, gens.ys, gens.steps)
-        out.append((f"instances/{name}", lambda args=args: basis_digest(*args)))
-    for i, args in enumerate(_criterion5_instances(120)):
-        out.append((f"c5/{i}", lambda args=args: basis_digest(*args)))
+        out.append((f"instances/{name}", (gens.presentation, gens.ys, gens.steps)))
+    out += [(f"c5/{i}", args) for i, args in enumerate(_criterion5_instances(120))]
     return out
+
+
+def syzygy_cases():
+    """(case id, thunk) for every candidate syzygy case, in a fixed order; a
+    thunk returns the digest of the relation-module basis."""
+    return [(case_id, lambda args=args: basis_digest(*args)) for case_id, args in syzygy_inputs()]
 
 
 def basis_digest(pres, ys, steps) -> str:

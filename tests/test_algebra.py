@@ -193,7 +193,7 @@ def test_one_pass_decoding_matches_the_composition():
             vec = raw_to_vector(s, len(cols), n)
             whole.append(normalize_unit([f.shift(cleared[i][1]) for i, f in enumerate(vec)], n))
         for k, want in ((len(cols), whole), (K, [normalize_unit(v[:K], n) for v in whole])):
-            got = algebra._syzygies(cols, p, n, k, None)
+            got = algebra._syzygies(cols, p, n, k)
             assert [[list(f.terms.items()) for f in v] for v in got] == \
                 [[list(f.terms.items()) for f in v] for v in want]
             decoded += len(got)

@@ -1,12 +1,10 @@
-import time
-
 import pytest
 
 from semizn.closure import (ClosureBudgetError, ClosurePreconditionError,
                             eulerian_closure, translation_set)
 from semizn.geometry import convex_hull
 from semizn.ggraph import StepGraph, graph_of_word
-from semizn.groebner import DeadlineExceeded
+from semizn.groebner import DeadlineExceeded, deadline_scope
 
 from conftest import inverse_pair
 
@@ -54,10 +52,11 @@ def test_a_deadline_stops_the_closure():
     61^3 points at N = 2, so it reaches a check every 4096 points."""
     graph = two_cube_walks(60)
     assert eulerian_closure(two_cube_walks(2)).N == 2
-    with pytest.raises(DeadlineExceeded):
-        eulerian_closure(graph, deadline=time.monotonic() - 1)
-    with pytest.raises(DeadlineExceeded):
-        translation_set(convex_hull(graph.vertices()), 2, deadline=time.monotonic() - 1)
+    with pytest.raises(DeadlineExceeded), deadline_scope(-1):
+        eulerian_closure(graph)
+    hull = convex_hull(graph.vertices())
+    with pytest.raises(DeadlineExceeded), deadline_scope(-1):
+        translation_set(hull, 2)
 
 
 def test_two_separated_squares():

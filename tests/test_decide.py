@@ -15,7 +15,8 @@ from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse
                            decide_subset, locr_events, procedure_a_events,
                            sample_points, verify_witness)
 from semizn.ggraph import StepGraph, graph_of_word
-from semizn.groebner import DeadlineExceeded, TermOrder, saturated_basis
+from semizn.groebner import (DeadlineExceeded, TermOrder, check_deadline, deadline_scope,
+                             saturated_basis)
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
@@ -348,8 +349,9 @@ def test_group_timeout_bounds_the_window_rounds(monkeypatch):
 def test_group_timeout_bounds_the_membership_check(monkeypatch):
     """Z[X^pm]/(X - 2) with (X, 1) and (-2X^-1, -1): the word 1 2 leaves the
     nonzero neutrality residual X - 2, so checking it saturates N, the one
-    saturation of the run.  A clock skewed past the deadline as that
-    saturation starts ends the run `unknown` with `timed_out`."""
+    saturation of the run.  The run's deadline scope is set inside that
+    saturation, and a clock skewed past the deadline as it starts ends the
+    run `unknown` with `timed_out`."""
     def torsion_pair():
         pres = ModulePresentation(n=1, d=1, rels_N=[[LaurentPoly(1, {(1,): 1, (0,): -2})]])
         return GeneratorSet(pres, [GroupElement(pres, [LaurentPoly(1, y)], a)
@@ -360,10 +362,10 @@ def test_group_timeout_bounds_the_membership_check(monkeypatch):
     monkeypatch.setattr(groebner, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
     real = groebner.saturated_basis
 
-    def saturated(*args, deadline=None, **kwargs):
-        deadlines.append(deadline)
+    def saturated(*args, **kwargs):
+        deadlines.append(groebner._DEADLINE.get())
         skew[0] = 1e9
-        return real(*args, deadline=deadline, **kwargs)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "saturated_basis", saturated)
     v = decide_group(torsion_pair(), Budget(timeout=3600))
@@ -383,16 +385,70 @@ def test_group_timeout_reaches_inside_one_normal_form():
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
 
 
+def test_group_timeout_reaches_inside_one_simplex_run():
+    """A seeded n = 3 `ghk` set over (Z/2)[X^pm]: window 1 of the positive
+    search starts with one LP of 258 rows, 108 variables and 2,342 pivots
+    (about 8 s), so only a check inside the simplex ends it on time."""
+    gens = jsonio.instance_from_json({
+        "generators": [{"a": [-1, 0, 1], "y": [[{"c": "-2", "e": [0, 0, -1]}]]},
+                       {"a": [0, 0, 1], "y": [[]]}, {"a": [-1, -1, 0], "y": [[]]},
+                       {"a": [2, 1, -2], "y": [[{"c": "2", "e": [2, 1, -3]}]]}],
+        "module": {"d": 1, "n": 3, "rels_N": [[[{"c": "2", "e": [0, 0, 0]}]]]}})
+    with fails_after(1.5):
+        v = decide_group(gens, Budget(degree=1, timeout=0.5))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+
+
+def test_a_nested_scope_keeps_the_earlier_deadline():
+    with deadline_scope(3600):
+        outer = groebner._DEADLINE.get()
+        with deadline_scope(7200), deadline_scope(None):
+            assert groebner._DEADLINE.get() == outer
+        with deadline_scope(-1):
+            with deadline_scope(3600), pytest.raises(DeadlineExceeded):
+                check_deadline()
+        assert groebner._DEADLINE.get() == outer
+        check_deadline()
+    assert groebner._DEADLINE.get() is None
+
+
+def test_the_scope_ends_with_a_timed_out_decision():
+    """A timed-out decision leaves no deadline behind: the next call with
+    no timeout decides as if it came first."""
+    v = decide_group(rng555_instance20(), Budget(timeout=0))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert groebner._DEADLINE.get() is None
+    assert decide_group(inverse_pair(), Budget()).kind == "yes"
+    v = decide_identity(k5_instance(), Budget(timeout=0))
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert groebner._DEADLINE.get() is None
+    assert decide_identity(k5_instance(), Budget(samples=2, degree=0)).kind == "no"
+
+
+def test_subset_indices_outside_the_set_are_refused():
+    """Indices are 1-based: Python's own indexing would read 0 and -1 as
+    the last two generators, {g3, g2} of Fig. 2 for [0, -1]."""
+    pres = free_presentation(2)
+    fig2 = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly.zero(2)], a)
+                               for a in [(-2, 3), (2, 0), (0, -2)]])
+    assert fig2.subset([3, 2]).steps == [(0, -2), (2, 0)]
+    for indices in ([0], [0, -1], [4], [1, 4]):
+        with pytest.raises(ValueError):
+            fig2.subset(indices)
+        with pytest.raises(ValueError):
+            decide_subset(fig2, indices, Budget())
+
+
 _GB_GENS = [{(0, (2, 1)): 2, (0, (0, 0)): 3}, {(0, (1, 2)): 3, (0, (1, 0)): -2}]
+_SIMPLEX_LP = [([1, 1], ">=", 1)]  # its point is nonzero, so phase 1 pivots at least once
 _PHASES = {
-    "buchberger": lambda dl: groebner.buchberger(_GB_GENS, TermOrder(2), deadline=dl),
-    "syzygy_generators": lambda dl: groebner.syzygy_generators(_GB_GENS, 1, 2, deadline=dl),
-    "graph_of_word": lambda dl: graph_of_word(inverse_pair(), [1, 2], dl),
-    "euler_circuit": lambda dl: StepGraph([(1,), (-1,)], [((0,), 1), ((1,), 2)]).euler_circuit(
-        (0,), dl),
-    "window_search": lambda dl: decide._window_candidate(_relation_module(inverse_pair()), 2, 1,
-                                                         0, dl),
-    "verify_witness": lambda dl: verify_witness([1, 2], inverse_pair(), dl),
+    "buchberger": lambda: groebner.buchberger(_GB_GENS, TermOrder(2)),
+    "syzygy_generators": lambda: groebner.syzygy_generators(_GB_GENS, 1, 2),
+    "graph_of_word": lambda: graph_of_word(inverse_pair(), [1, 2]),
+    "euler_circuit": lambda: StepGraph([(1,), (-1,)], [((0,), 1), ((1,), 2)]).euler_circuit((0,)),
+    "window_search": lambda: decide._window_candidate(_relation_module(inverse_pair()), 2, 1, 0),
+    "verify_witness": lambda: verify_witness([1, 2], inverse_pair()),
+    "simplex": lambda: linalg.lp_feasible_point(_SIMPLEX_LP, 2),
 }
 
 
@@ -402,10 +458,35 @@ def _relation_module(gens):
 
 @pytest.mark.parametrize("phase", _PHASES)
 def test_every_phase_stops_the_same_way(phase):
-    """Each phase's entry point, from the Groebner runs to the witness,
-    checks an already-expired deadline and raises the one DeadlineExceeded."""
-    with pytest.raises(DeadlineExceeded):
-        _PHASES[phase](time.monotonic() - 1)
+    """Each phase's entry point, from the Groebner runs and the simplex to
+    the witness, checks an already-expired deadline and raises the one
+    DeadlineExceeded; with no scope open it runs to the end."""
+    _PHASES[phase]()
+    with pytest.raises(DeadlineExceeded), deadline_scope(-1):
+        _PHASES[phase]()
+
+
+def test_the_simplex_checks_the_deadline_before_each_pivot(monkeypatch):
+    """Under a scope the simplex reads the clock once before each pivot,
+    and never without one; the check only aborts, so the point is the one
+    found with no scope open."""
+    reads, pivots = [], []
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(
+        monotonic=lambda: reads.append(1) or time.monotonic()))
+    real = linalg._Tableau._pivot
+
+    def pivot(self, pr, pc):
+        pivots.append(len(reads))
+        return real(self, pr, pc)
+
+    monkeypatch.setattr(linalg._Tableau, "_pivot", pivot)
+    free = linalg.lp_feasible_point(_SIMPLEX_LP, 2)
+    assert free[0] + free[1] >= 1 and len(pivots) >= 1 and not reads
+    pivots.clear()
+    with deadline_scope(3600):
+        reads.clear()
+        assert linalg.lp_feasible_point(_SIMPLEX_LP, 2) == free
+    assert pivots == list(range(1, len(pivots) + 1)) and len(reads) == len(pivots)
 
 
 def test_verify_witness_examples():
@@ -649,7 +730,7 @@ def test_decide_subset_constants_route():
 # Kept verbatim as an oracle: the rank-0 route's NO certificates are the
 # Gordan duals of these vectors.
 
-def ref_constants_module(pres, ys, deadline):
+def ref_constants_module(pres, ys):
     """Generators (integer vectors) of {f in Z^K : sum f_i y_i = 0 in Y},
     used when every step of the subset is zero: positions collapse to the
     origin, so position tuples are constant vectors."""
@@ -658,13 +739,13 @@ def ref_constants_module(pres, ys, deadline):
     cols = [list(y) for y in ys]
     for rel in pres.rels_N:
         cols.append([-r for r in rel])
-    syz = laurent_syzygies(cols, pres.d, n, deadline=deadline)
+    syz = laurent_syzygies(cols, pres.d, n)
     fparts = [s[:K] for s in syz]
     fparts = [f for f in fparts if not all(p.is_zero() for p in f)]
     if not fparts:
         return []
     raws = [clear_vector(f, n)[0] for f in fparts]
-    basis, order = saturated_basis(raws, K, n, deadline=deadline)
+    basis, order = saturated_basis(raws, K, n)
     out = []
     zero = (0,) * n
     for e in basis:
@@ -694,8 +775,8 @@ def test_rank0_route_matches_reference():
             GroupElement(pres, [random_poly(rng, n, max_terms=2, exp=1, coef=2)
                                 for _ in range(d)], zero_step)
             for _ in range(rng.randint(1, 3))])
-        want = ref_constants_module(pres, sub.ys, None)
-        gens_w, steps_w = decide._repose(sub, None)
+        want = ref_constants_module(pres, sub.ys)
+        gens_w, steps_w = decide._repose(sub)
         assert steps_w == [()] * sub.K
         assert [[p.terms.get((), 0) for p in g] for g in gens_w] == want
         nonempty += bool(want)
@@ -724,7 +805,7 @@ def ref_embed_poly(p: LaurentPoly, r: int) -> LaurentPoly:
     return LaurentPoly(r + p.n, {(0,) * r + tuple(e): c for e, c in p.terms.items()})
 
 
-def ref_repose_sublattice(sub: GeneratorSet, basis_rows: list[list[int]], deadline):
+def ref_repose_sublattice(sub: GeneratorSet, basis_rows: list[list[int]]):
     """Relation-module generators for a set whose steps span the proper
     sublattice with basis `basis_rows` (rank r >= 0; at rank 0 every step
     is zero and the generators are constant vectors over zero variables).
@@ -776,7 +857,7 @@ def ref_repose_sublattice(sub: GeneratorSet, basis_rows: list[list[int]], deadli
             col[c] = rho
             cols.append(col)
     K = sub.K
-    syz = laurent_syzygies(cols, p_rows, nv, deadline=deadline)
+    syz = laurent_syzygies(cols, p_rows, nv)
     fparts = [s[:K] for s in syz]
     fparts = [f for f in fparts if not all(q.is_zero() for q in f)]
     # eliminate the X block from the f-part span (saturated, X dominant)
@@ -785,8 +866,7 @@ def ref_repose_sublattice(sub: GeneratorSet, basis_rows: list[list[int]], deadli
     raws = [clear_vector(f, nv)[0] for f in fparts]
     x_block = tuple(range(r, nv))
     w_block = tuple(range(r))
-    basis, _ = saturated_basis(raws, K, nv, deadline=deadline,
-                               var_blocks=[x_block, w_block])
+    basis, _ = saturated_basis(raws, K, nv, var_blocks=[x_block, w_block])
     gens_w = []
     for e in basis:
         if all(all(mono[i] == 0 for i in x_block) for _, mono in e.vec):
@@ -830,9 +910,10 @@ def test_repose_matches_reference():
                 pres = ModulePresentation(n=n, d=1, rels_N=rels)
                 sub = _lattice_set(rng, pres, rank)
                 basis = linalg.hermite_row_basis(sub.steps)
-                gens, steps = decide._repose(sub, None)
+                gens, steps = decide._repose(sub)
                 try:
-                    want, want_steps = ref_repose_sublattice(sub, basis, time.monotonic() + 2)
+                    with deadline_scope(2):
+                        want, want_steps = ref_repose_sublattice(sub, basis)
                 except DeadlineExceeded:
                     skipped += 1
                     continue
@@ -873,7 +954,7 @@ def test_face_cuts_find_a_smaller_support():
                   [LaurentPoly.zero(1), LaurentPoly.zero(1), LaurentPoly.constant(1, 2),
                    LaurentPoly.zero(1)]]
     steps = [(-1,), (1,), (0,), (0,)]
-    assert decide._repose(gens, None) == (restricted, steps)
+    assert decide._repose(gens) == (restricted, steps)
     v = _first_event(procedure_a_events(restricted, gens, steps, Budget()))
     assert v is not None and v.kind == "yes"
     assert verify_witness(v.witness["word"], gens)

@@ -4,8 +4,10 @@ match `data/golden_verdicts.json`, `data/golden_syzygies.json` and
 `data/golden_geometry.json` (written by `make_golden.py`)."""
 import json
 
+from semizn.algebra import normalize_unit, syzygy_basis
+
 from make_golden import (GOLDEN, GOLDEN_GEOMETRY, GOLDEN_SYZYGIES, cases, geometry_cases,
-                         syzygy_cases)
+                         syzygy_cases, syzygy_inputs)
 
 
 def _changed(path, case_list):
@@ -30,3 +32,19 @@ def test_golden_syzygy_digests():
 def test_golden_geometry_digests():
     changed = _changed(GOLDEN_GEOMETRY, geometry_cases())
     assert not changed, f"hull output changed on {changed}"
+
+
+def test_relation_module_generators_are_unit_normal():
+    """Every generator of the pinned relation-module bases is its own
+    `normalize_unit`, the form `algebra._syzygies` decodes to, so the
+    positive search tries each generator as it comes, with no re-normalizing."""
+    with open(GOLDEN_SYZYGIES, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    checked = 0
+    for case_id, (pres, ys, steps) in syzygy_inputs():
+        if case_id not in pinned:
+            continue
+        for g in syzygy_basis(pres, ys, steps).generators:
+            assert [p.terms for p in normalize_unit(g, pres.n)] == [p.terms for p in g], case_id
+            checked += 1
+    assert checked >= 100, checked

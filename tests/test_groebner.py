@@ -29,7 +29,7 @@ from math import gcd
 import pytest
 
 from semizn import groebner
-from semizn.groebner import DeadlineExceeded, TermOrder, _ext_gcd
+from semizn.groebner import DeadlineExceeded, TermOrder, _ext_gcd, deadline_scope
 
 from conftest import fails_after
 
@@ -58,18 +58,30 @@ def test_axpy_removes_zeros():
 
 # -- reference: the previous engine, verbatim apart from names ----------------
 
+def term_key(order: TermOrder, pos: int, mono: tuple):
+    """The term order as a tuple: the eliminated-position flag, each
+    block's (degree, exponents), then -pos.  The engine's packed ints
+    compare as these tuples do."""
+    parts = [1 if pos < order.elim_positions else 0]
+    for block in order.blocks:
+        sub = tuple(mono[i] for i in block)
+        parts.append((sum(sub), sub))
+    parts.append(-pos)
+    return tuple(parts)
+
+
 class _RefEntry:
     __slots__ = ("vec", "pos", "mono", "coef", "key")
 
     def __init__(self, vec: dict, order: TermOrder):
         self.vec = vec
-        self.pos, self.mono = max(vec, key=lambda k: order.key(*k))
+        self.pos, self.mono = max(vec, key=lambda k: term_key(order, *k))
         self.coef = vec[(self.pos, self.mono)]
-        self.key = order.key(self.pos, self.mono)
+        self.key = term_key(order, self.pos, self.mono)
 
 
 def ref_normalize_sign(vec: dict, order: TermOrder) -> dict:
-    pos, mono = max(vec, key=lambda k: order.key(*k))
+    pos, mono = max(vec, key=lambda k: term_key(order, *k))
     if vec[(pos, mono)] < 0:
         return {k: -c for k, c in vec.items()}
     return vec
@@ -86,7 +98,7 @@ def ref_normal_form(vec: dict, basis: list[_RefEntry], order: TermOrder, record=
     work = dict(vec)
     out = {}
     while work:
-        pos, mono = max(work, key=lambda k: order.key(*k))
+        pos, mono = max(work, key=lambda k: term_key(order, *k))
         c = work[(pos, mono)]
         best = None
         for idx, g in enumerate(basis):
@@ -138,7 +150,7 @@ def ref_buchberger(gens: list[dict], order: TermOrder, deadline=None) -> list[_R
                 continue
             lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gnew.mono))
             counter += 1
-            heapq.heappush(pending, (order.key(gi.pos, lcm_mono), counter, i, new_idx))
+            heapq.heappush(pending, (term_key(order, gi.pos, lcm_mono), counter, i, new_idx))
 
     for idx in range(len(basis)):
         push_pairs(idx)
@@ -212,7 +224,7 @@ def ref_buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
         if not g:
             continue
         vec = dict(g)
-        pos, mono = max(vec, key=lambda k: order.key(*k))
+        pos, mono = max(vec, key=lambda k: term_key(order, *k))
         sign = -1 if vec[(pos, mono)] < 0 else 1
         if sign < 0:
             vec = {k: -c for k, c in vec.items()}
@@ -231,7 +243,7 @@ def ref_buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
                 continue
             lcm_mono = tuple(max(a, b) for a, b in zip(gi.mono, gnew.mono))
             counter += 1
-            heapq.heappush(pending, (order.key(gi.pos, lcm_mono), counter, i, new_idx))
+            heapq.heappush(pending, (term_key(order, gi.pos, lcm_mono), counter, i, new_idx))
 
     for idx in range(len(basis)):
         push_pairs(idx)
@@ -259,7 +271,7 @@ def ref_buchberger_raw(gens: list[dict], order: TermOrder, deadline=None):
             if not rem:
                 continue
             comb = list(seed) + [(-qq, shift, m) for qq, shift, m in rec]
-            pos, mono = max(rem, key=lambda k: order.key(*k))
+            pos, mono = max(rem, key=lambda k: term_key(order, *k))
             if rem[(pos, mono)] < 0:
                 rem = {k: -c for k, c in rem.items()}
                 comb = [(-c, s2, m) for c, s2, m in comb]
@@ -589,7 +601,7 @@ def old_normal_form(vec: dict, basis: list, pk, record=None) -> dict:
 
 def test_packing_matches_the_order():
     """Over random block orders with eliminated positions and n <= 4: the
-    int order is `TermOrder.key`'s order, unpacking inverts packing,
+    int order is `term_key`'s order, unpacking inverts packing,
     shifting is addition, the mask test is divisibility, and the guard
     bits see every field that a shift takes past the width."""
     rng = random.Random(34)
@@ -610,7 +622,7 @@ def test_packing_matches_the_order():
             assert pk.unpack(ta) == a
             for b in terms:
                 tb = pk.pack(*b)
-                assert (ta < tb) == (order.key(*a) < order.key(*b))
+                assert (ta < tb) == (term_key(order, *a) < term_key(order, *b))
                 assert (ta == tb) == (a == b)
                 d = tb - ta
                 divides = a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
@@ -936,8 +948,8 @@ def test_deadline_reaches_the_lifting(monkeypatch):
     after it: composing A, reducing the columns, the pair syzygies."""
     raw = groebner._buchberger_raw
 
-    def slow_raw(gens, order, deadline=None):
-        out = raw(gens, order, deadline=deadline)
+    def slow_raw(gens, order):
+        out = raw(gens, order)
         time.sleep(0.1)
         return out
 
@@ -945,8 +957,8 @@ def test_deadline_reaches_the_lifting(monkeypatch):
     columns = [{(0, (2, 1)): 2, (0, (0, 0)): 3}, {(0, (1, 2)): 3, (0, (1, 0)): -2},
                {(0, (1, 1)): 1}]
     assert groebner.syzygy_generators(columns, 1, 2)
-    with pytest.raises(DeadlineExceeded):
-        groebner.syzygy_generators(columns, 1, 2, deadline=time.monotonic() + 0.05)
+    with pytest.raises(DeadlineExceeded), deadline_scope(0.05):
+        groebner.syzygy_generators(columns, 1, 2)
 
 
 @pytest.mark.parametrize("columns", [
@@ -956,5 +968,5 @@ def test_deadline_reaches_the_lifting(monkeypatch):
 def test_deadline_reaches_inside_one_normal_form(columns):
     """Reducing X^(2^70) +- 1 by a binomial in X takes about 2^70 steps of
     one normal form; the deadline stops it all the same."""
-    with fails_after(2), pytest.raises(DeadlineExceeded):
-        groebner.syzygy_generators(columns, 1, 1, deadline=time.monotonic() + 0.3)
+    with fails_after(2), pytest.raises(DeadlineExceeded), deadline_scope(0.3):
+        groebner.syzygy_generators(columns, 1, 1)

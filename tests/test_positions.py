@@ -309,16 +309,16 @@ def test_escape_condition_agrees_with_reference():
         assert any(fs[0].n == n and want for fs, _, want in cases)
 
 
-def _without_complement(graph, deadline=None):
+def _without_complement(graph):
     """Mutant: drops the complement-basis entries of the face report."""
-    _, report = is_face_accessible(graph, deadline)
+    _, report = is_face_accessible(graph)
     report = [r for r in report if "reason" not in r]
     return all(r["accessible"] for r in report), report
 
 
-def _vertices_only(graph, deadline=None):
+def _vertices_only(graph):
     """Mutant: checks only the vertices of the hull."""
-    _, report = is_face_accessible(graph, deadline)
+    _, report = is_face_accessible(graph)
     report = [r for r in report if "reason" in r or len(r["face"]) == 1]
     return all(r["accessible"] for r in report), report
 
@@ -334,9 +334,9 @@ def test_escape_condition_agrees_on_corpus_candidates(monkeypatch):
     real = positions.check_escape_condition
     seen = []
 
-    def recording(fs, steps, deadline=None):
+    def recording(fs, steps):
         seen.append((fs, steps))
-        return real(fs, steps, deadline)
+        return real(fs, steps)
 
     monkeypatch.setattr(positions, "check_escape_condition", recording)
     for _, gens in yes_instances(20) + no_instances(10):
