@@ -23,24 +23,25 @@ PolyVec = list  # list[LaurentPoly]
 # Raw <-> Laurent conversion and clearing
 # ---------------------------------------------------------------------------
 
-def vector_min_exponents(vec: Sequence[LaurentPoly], n: int) -> tuple:
-    mins = [0] * n
-    for p in vec:
-        for e in p.terms:
-            for i, v in enumerate(e):
-                mins[i] = min(mins[i], v)
-    return tuple(mins)
-
-
 def clear_vector(vec: Sequence[LaurentPoly], n: int):
     """Shift a Laurent vector by a monomial unit to nonnegative exponents.
 
     Returns (raw dict over (pos, mono), shift) with cleared = X^shift * vec.
+    A restricted vector has an entry per coset, so past the deadline it
+    raises DeadlineExceeded, checked every 1,024 entries.
     """
-    mins = vector_min_exponents(vec, n)
+    mins = [0] * n
+    for pos, p in enumerate(vec):
+        if pos & 1023 == 1023:
+            groebner.check_deadline()
+        for e in p.terms:
+            for i, v in enumerate(e):
+                mins[i] = min(mins[i], v)
     shift = tuple(-m for m in mins)
     raw = {}
     for pos, p in enumerate(vec):
+        if pos & 1023 == 1023:
+            groebner.check_deadline()
         for e, c in p.terms.items():
             raw[(pos, tuple(a + b for a, b in zip(e, shift)))] = c
     return raw, shift
@@ -182,6 +183,7 @@ def _independent_mod_prime(cleared: list[dict], p: int, n: int) -> bool:
         q += 1
     rows = []
     for col in cleared:
+        groebner.check_deadline()  # each column and each elimination step is O(p)
         row = [0] * p
         for (pos, mono), c in col.items():
             for x, e in zip(point, mono):
@@ -194,6 +196,7 @@ def _independent_mod_prime(cleared: list[dict], p: int, n: int) -> bool:
             return False
         inv = pow(row[pc], -1, _RANK_PRIME)
         for other in rows[i + 1:]:
+            groebner.check_deadline()
             f = other[pc] * inv % _RANK_PRIME
             if f:
                 other[:] = [(a - f * b) % _RANK_PRIME for a, b in zip(other, row)]
@@ -286,10 +289,12 @@ def stacked_columns(presentation: ModulePresentation, ys: Sequence[Sequence[Laur
     zero = (0,) * n
     cols = []
     for y, a in zip(ys, steps):
+        groebner.check_deadline()  # a restricted column has d + 1 entries per coset
         a = tuple(map(int, a))
         sym = LaurentPoly._trusted(n, {a: 1, zero: -1} if a != zero else {})
         cols.append(list(y) + [sym])
     for rel in presentation.rels_N:
+        groebner.check_deadline()
         cols.append([-r for r in rel] + [LaurentPoly._trusted(n, {})])
     return cols, d + 1
 

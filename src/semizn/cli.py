@@ -10,7 +10,10 @@ Commands:
   verify WITNESS INSTANCE                 re-check an emitted witness
 
 Exit status: 0 = yes/success, 1 = no/invalid, 2 = unknown, 64 = usage,
-65 = malformed input.  All structured output is canonical JSON on stdout.
+65 = malformed input, 70 = internal error (an exception no other status
+covers, a failed self-check included: one `error: internal:` line on
+stderr and nothing on stdout).  All structured output is canonical JSON on
+stdout.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from semizn.jsonio import FormatError
 
 USAGE_EXIT = 64
 DATA_EXIT = 65
+SOFTWARE_EXIT = 70  # EX_SOFTWARE: never read as a verdict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,7 +272,11 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # exit 1 would read as `no`
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return SOFTWARE_EXIT
 
 
 if __name__ == "__main__":

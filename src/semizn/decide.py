@@ -29,9 +29,16 @@ Z^n), and its YES witness carries positions and a graph over that basis
 the same core at n = 0 decides the exact rational feasibility the problem
 degenerates to: the refuter's one sample is the empty point, and the
 window LP finds a strictly positive combination whenever one exists.  One
-deadline, started at entry, bounds the Groebner phases and the search; for
-Identity and Inverse it covers every subset, and the first subset that
-times out ends the loop.
+deadline, started at entry, bounds the re-posing, the Groebner phases and
+the search; for Identity and Inverse it covers every subset, and the first
+subset that times out ends the loop.
+
+Identity and Inverse walk their subsets in a fixed order, in two rounds:
+first the subsets that can be groups, then, only when no YES and no
+timeout came of those, the ones whose steps are one-signed in some
+coordinate (`_one_signed`), which never generate a group.  So a YES pays
+for no refutation of a one-signed subset, and every report of a run that
+does not time out is the one a single walk in the fixed order gives.
 
 The YES side is one call chain, in the paper's order: `decide_core` runs
 `procedure_a_events`, whose candidates (the generators, then
@@ -433,39 +440,54 @@ def _repose(sub: GeneratorSet):
     One syzygy run in n variables gives the relation module over Z[L + N],
     and when r < n eliminating N's block (saturated, N dominant) leaves the
     one over Z[L].  At B = I the split is the identity, so the instance's
-    own presentation is used as it is."""
+    own presentation is used as it is.  The work grows with the index of L
+    + N: past the deadline it raises DeadlineExceeded, checked per coset in
+    the corner, relation and restriction loops and in the O(index) loops of
+    `syzygy_basis` they feed."""
     n, d, K = sub.n, sub.presentation.d, sub.K
     basis = linalg.hermite_row_basis(sub.steps)
     r = len(basis)
     rows = {next(j for j, v in enumerate(b) if v): b for b in basis}
-    box = list(itertools.product(*(range(b[p]) for p, b in rows.items())))
+    size = math.prod(b[p] for p, b in rows.items())  # the index of L + N
     pres, ys, steps = sub.presentation, sub.ys, sub.steps
-    if r < n or len(box) > 1:
-        coset = {c: k for k, c in enumerate(box)}
+    if r < n or size > 1:
 
         def split(e):
-            e, w, m, c = list(e), [], [], []
+            """(L + N coordinates, coset number) of the exponent e; the
+            cosets are numbered in the order of the box's `product`."""
+            e, w, m, c = list(e), [], [], 0
             for j in range(n):
                 if j in rows:
                     q, rem = divmod(e[j], rows[j][j])
                     e = [x - q * y for x, y in zip(e, rows[j])]
                     w.append(q)
-                    c.append(rem)
+                    c = c * rows[j][j] + rem
                 else:
                     m.append(e[j])
-            return tuple(w + m), coset[tuple(c)]
+            return tuple(w + m), c
 
         def restrict(vec):
-            out = [{} for _ in range(d * len(box))]
+            out = {}
             for i, p in enumerate(vec):
                 for e, k in p.terms.items():
                     w, c = split(e)
-                    out[c * d + i][w] = k
-            return [LaurentPoly(n, t) for t in out]
+                    out.setdefault(c * d + i, {})[w] = k  # split is one-to-one: no two terms meet
+            polys = []
+            for slot in range(d * size):
+                check_deadline()
+                polys.append(LaurentPoly._trusted(n, out.get(slot, {})))
+            return polys
 
-        corners = [[dict(zip(rows, c)).get(j, 0) for j in range(n)] for c in box]  # the X^c
-        pres = ModulePresentation(n, d * len(box), [
-            restrict([p.shift(z) for p in rel]) for rel in pres.rels_N for z in corners])
+        corners = []  # the X^c
+        for c in itertools.product(*(range(b[p]) for p, b in rows.items())):
+            check_deadline()
+            corners.append([dict(zip(rows, c)).get(j, 0) for j in range(n)])
+        rels = []
+        for rel in pres.rels_N:
+            for z in corners:
+                check_deadline()
+                rels.append(restrict([p.shift(z) for p in rel]))
+        pres = ModulePresentation(n, d * size, rels)
         ys = [restrict(y) for y in ys]
         splits = [split(a) for a in steps]
         if any(c or any(w[r:]) for w, c in splits):
@@ -515,41 +537,95 @@ def _subsets(indices: Sequence[int]):
         yield from itertools.combinations(idx, size)
 
 
+_SCAN_CHUNK = 4096  # subsets walked between two deadline checks of a round
+
+
+def _one_signed(steps):
+    """The sign test of a subset (1-based indices): whether in some
+    coordinate t every step of the subset is >= 0 and one is > 0, or the
+    mirror case.  Such a subset never generates a group: a generator with
+    a_{i,t} != 0 has no inverse, as the t-images of the subset's elements
+    form a one-signed semigroup of Z that contains a nonzero element.  Per
+    coordinate, the bitmasks of the generators with a positive and with a
+    negative step make the test a few int operations."""
+    signs = [(sum(1 << i for i, x in enumerate(column, 1) if x > 0),
+              sum(1 << i for i, x in enumerate(column, 1) if x < 0))
+             for column in zip(*steps)]
+
+    def test(subset):
+        mask = 0
+        for i in subset:
+            mask |= 1 << i
+        for pos, neg in signs:
+            if bool(mask & pos) != bool(mask & neg):
+                return True
+        return False
+    return test
+
+
 def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     """YES from the first subset that generates a group; NO once every
     subset is refuted; otherwise UNKNOWN, naming in `unresolved` the subsets
-    tried without a verdict.  One deadline scope, opened here, covers all
-    subsets: once a subset comes back timed out, no further subset is tried,
-    and the report says `timed_out` and, unless that subset was the last,
-    names in `untried_from` the first one not tried (it and every later one
-    in the order of `subsets` were not tried)."""
-    report = {"reason": "some subsets unresolved", "unresolved": []}
-    refutations = []
-    subsets = iter(subsets)
+    tried without a verdict.  `subsets` is a callable that makes a fresh
+    iterator over the fixed order.
+
+    Two rounds walk that order lazily.  Round 1 decides the subsets that
+    pass `_one_signed`'s test; round 2, run only when round 1 ends with no
+    YES and no timeout, decides the deferred ones.  A deferred subset never
+    generates a group, so it never decides YES (every YES is a verified
+    word), and `decide_subset` is a pure function of subset and budget: the
+    first YES is the first in the fixed order, and a NO certificate lists
+    every refutation, and `unresolved` every unknown subset, in the fixed
+    order, as a walk in that order would.  Only the try order under a
+    timeout differs.
+
+    One deadline scope, opened here, covers all subsets.  Once a subset
+    comes back timed out, or a round's walk finds the deadline passed at
+    one of its checks every _SCAN_CHUNK subsets, nothing further is tried:
+    the report says `timed_out` and names in `untried_from` the next subset
+    of the round, or the subset the walk had reached at the check, unless
+    the walk was at its end.  It and every later subset of the round were
+    not tried, nor, in round 1, any deferred subset."""
+    deferred = _one_signed(gens.steps)
+    decided = []  # (position in the fixed order, subset, Verdict)
+    report = {"reason": "some subsets unresolved"}
     with deadline_scope(budget.timeout):
-        for subset in map(list, subsets):
-            v = decide_subset(gens, subset, budget)
-            if v.kind == "yes":
-                return v
-            if v.kind == "no":
-                refutations.append({"subset": subset, "certificate": v.certificate})
-                continue
-            report["unresolved"].append(subset)
-            if v.budget_report["timed_out"]:
+        for later in (False, True):
+            late = False
+            for pos, subset in enumerate(subsets()):
+                chunk_end = pos % _SCAN_CHUNK == _SCAN_CHUNK - 1
+                if chunk_end and not late:
+                    try:
+                        check_deadline()
+                    except DeadlineExceeded:
+                        late = True
+                member = deferred(subset) == later
+                if late and (member or chunk_end):
+                    report["untried_from"] = list(subset)
+                    break
+                if not member:
+                    continue
+                subset = list(subset)
+                v = decide_subset(gens, subset, budget)
+                if v.kind == "yes":
+                    return v
+                decided.append((pos, subset, v))
+                late = v.kind == "unknown" and v.budget_report["timed_out"]
+            if late:
                 report["timed_out"] = True
-                untried = next(subsets, None)
-                if untried is not None:
-                    report["untried_from"] = list(untried)
                 break
-    if report["unresolved"]:
+    decided.sort(key=lambda t: t[0])
+    report["unresolved"] = [s for _, s, v in decided if v.kind == "unknown"]
+    if report["unresolved"] or late:
         return Verdict(kind="unknown", budget_report=report)
-    return Verdict(kind="no", certificate={"subsets": refutations})
+    return Verdict(kind="no", certificate={
+        "subsets": [{"subset": s, "certificate": v.certificate} for _, s, v in decided]})
 
 
 def decide_identity(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     """The semigroup contains the neutral element iff some nonempty subset of
     the generators generates a group (subset reduction)."""
-    return _decide_subsets(gens, _subsets(range(1, gens.K + 1)), budget or Budget())
+    return _decide_subsets(gens, lambda: _subsets(range(1, gens.K + 1)), budget or Budget())
 
 
 def decide_inverse(gens: GeneratorSet, target: int, budget: Budget = None) -> Verdict:
@@ -558,5 +634,7 @@ def decide_inverse(gens: GeneratorSet, target: int, budget: Budget = None) -> Ve
     if not 1 <= target <= gens.K:
         raise ValueError(f"target index {target} out of range 1..{gens.K}")
     rest = [i for i in range(1, gens.K + 1) if i != target]
-    subsets = itertools.chain([[target]], (sorted([target, *extra]) for extra in _subsets(rest)))
-    return _decide_subsets(gens, subsets, budget or Budget())
+    return _decide_subsets(
+        gens,
+        lambda: itertools.chain([[target]], (sorted([target, *extra]) for extra in _subsets(rest))),
+        budget or Budget())

@@ -9,7 +9,8 @@ import pytest
 
 from semizn import linalg
 from semizn.algebra import ModulePresentation
-from semizn.groebner import check_deadline
+from semizn.decide import Budget, Verdict, decide_subset
+from semizn.groebner import check_deadline, deadline_scope
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 from semizn.linalg import _echelon, lp_feasible_point, nullspace
@@ -497,6 +498,41 @@ def fraction_locr_events(generators, K: int, n: int, budget):
             )
             return
         yield None
+
+
+# -- reference: the fixed-order subset driver --------------------------------
+# `decide._decide_subsets` before it tried the subsets that pass the sign test
+# first, verbatim but for its name: one walk over an iterable of subsets.
+
+def ref_decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
+    """YES from the first subset that generates a group; NO once every
+    subset is refuted; otherwise UNKNOWN, naming in `unresolved` the subsets
+    tried without a verdict.  One deadline scope, opened here, covers all
+    subsets: once a subset comes back timed out, no further subset is tried,
+    and the report says `timed_out` and, unless that subset was the last,
+    names in `untried_from` the first one not tried (it and every later one
+    in the order of `subsets` were not tried)."""
+    report = {"reason": "some subsets unresolved", "unresolved": []}
+    refutations = []
+    subsets = iter(subsets)
+    with deadline_scope(budget.timeout):
+        for subset in map(list, subsets):
+            v = decide_subset(gens, subset, budget)
+            if v.kind == "yes":
+                return v
+            if v.kind == "no":
+                refutations.append({"subset": subset, "certificate": v.certificate})
+                continue
+            report["unresolved"].append(subset)
+            if v.budget_report["timed_out"]:
+                report["timed_out"] = True
+                untried = next(subsets, None)
+                if untried is not None:
+                    report["untried_from"] = list(untried)
+                break
+    if report["unresolved"]:
+        return Verdict(kind="unknown", budget_report=report)
+    return Verdict(kind="no", certificate={"subsets": refutations})
 
 
 @pytest.fixture

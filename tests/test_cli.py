@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from semizn import jsonio
+from semizn import cli, jsonio
 from semizn.cli import _budget, build_parser, main
 from semizn.closure import eulerian_closure
 from semizn.decide import Budget
@@ -248,6 +248,20 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"module": {"n": 1, "d": 1}, "generators": []}))
     code, _ = run("check", "group", str(bad))
     assert code == 65
+
+
+def test_an_internal_error_is_never_read_as_no(monkeypatch, capsys):
+    """An exception the CLI does not map, a failed self-check such as
+    `_check_refutation`'s included, exits 70 with one stderr line and
+    nothing on stdout: exit 1 with a traceback would read as `no`."""
+    def broken(gens, budget):
+        raise AssertionError("invalid dual certificate")
+
+    monkeypatch.setattr(cli, "decide_identity", broken)
+    capsys.readouterr()
+    code, out = run("check", "identity", path("fig2.json"))
+    assert code == 70 and out == ""
+    assert capsys.readouterr().err == "error: internal: AssertionError: invalid dual certificate\n"
 
 
 def test_inverse_target_flag():

@@ -21,7 +21,8 @@ from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
 from conftest import (fails_after, fraction_locr_events, free_presentation, inverse_pair,
-                      lattice_coordinates, long_witness, mono, oracle_bfs, random_poly)
+                      lattice_coordinates, long_witness, mono, oracle_bfs, random_poly,
+                      ref_decide_subsets)
 from corpus import no_instances, yes_instances
 
 
@@ -210,8 +211,11 @@ def test_one_deadline_for_all_subsets(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(decide, "decide_subset", counted)
-    for run, first, second in ((lambda b: decide_identity(k5_instance(), b), [1], [2]),
-                               (lambda b: decide_inverse(k5_instance(), 3, b), [3], [1, 3])):
+    # the steps are 1, -1, 2, 1, -2: round 1 leaves out every one-signed
+    # subset, the singletons among them, and tries [1, 2], [1, 5], ... for
+    # Identity and [2, 3], [3, 5], ... for Inverse with target 3
+    for run, first, second in ((lambda b: decide_identity(k5_instance(), b), [1, 2], [1, 5]),
+                               (lambda b: decide_inverse(k5_instance(), 3, b), [2, 3], [3, 5])):
         calls.clear()
         v = run(Budget(timeout=0))
         assert calls == [first]
@@ -239,6 +243,82 @@ def test_a_timeout_report_does_not_grow_with_the_subsets():
         assert v.kind == "unknown" and v.budget_report["timed_out"] is True
         assert "untried_from" in v.budget_report
         assert len(jsonio.dumps(jsonio.verdict_to_json(v))) < 10_000
+
+
+def test_a_walk_past_the_deadline_ends_unknown(monkeypatch):
+    """Every subset of the K = 20 set (steps all 1) is one-signed, so round
+    1 decides none: under `timeout=0` its walk stops at its first deadline
+    check, before the 4,096th subset, and the run ends UNKNOWN with nothing
+    unresolved, not NO."""
+    calls = []
+    monkeypatch.setattr(decide, "decide_subset", lambda *args: calls.append(args))
+    pres = free_presentation(1)
+    gens = GeneratorSet(pres, [GroupElement(pres, [mono((i,))], (1,)) for i in range(20)])
+    v = decide_identity(gens, Budget(timeout=0))
+    assert calls == []
+    assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+    assert v.budget_report["unresolved"] == []
+    fixed = itertools.chain.from_iterable(
+        itertools.combinations(range(1, 21), k) for k in range(1, 21))
+    assert v.budget_report["untried_from"] == list(next(itertools.islice(fixed, 4095, None)))
+
+
+def _subset_module(n: int, kind: str) -> ModulePresentation:
+    """perfbench's four `subsets` modules in n variables: Z[X^pm],
+    (Z/2)[X^pm], Z[X^pm]/(X_1 - 2) and Z[X^pm]/(X_1 + 1)."""
+    one, x = (0,) * n, (1,) + (0,) * (n - 1)
+    rels = {"free": [], "z2": [{one: 2}], "bs12": [{x: 1, one: -2}],
+            "xplus1": [{x: 1, one: 1}]}[kind]
+    return ModulePresentation(n=n, d=1, rels_N=[[LaurentPoly(n, t)] for t in rels])
+
+
+def test_two_rounds_match_the_fixed_order(monkeypatch):
+    """The two-round driver against the single fixed-order walk it replaced
+    (`ref_decide_subsets`), on 300 seeded sets: n = 1 over the four
+    `subsets` modules with K <= 5 and steps in [-2, 2]; n = 2 over Z[X^pm]
+    and (Z/2)[X^pm] with K <= 3 and steps in [-1, 1]^2.  Identity and
+    Inverse at every target, under `Budget()` and `Budget(samples=0)` (where
+    every deferred subset is UNKNOWN, so `unresolved` must keep the fixed
+    order), give the same bytes.  `decide_subset` is a pure function of
+    subset and budget, so both drivers read one cache of its verdicts."""
+    import conftest
+    cache = {}
+
+    def cached(gens, indices, budget):  # the cache holds one set's verdicts
+        key = (tuple(indices), budget.samples)
+        if key not in cache:
+            cache[key] = decide_subset(gens, indices, budget)
+        return cache[key]
+
+    monkeypatch.setattr(decide, "decide_subset", cached)
+    monkeypatch.setattr(conftest, "decide_subset", cached)
+    two_rounds, outputs = decide._decide_subsets, []
+
+    def both(gens, subsets, budget):
+        v = two_rounds(gens, subsets, budget)
+        outputs.append([jsonio.dumps(jsonio.verdict_to_json(u))
+                        for u in (v, ref_decide_subsets(gens, subsets(), budget))])
+        return v
+
+    monkeypatch.setattr(decide, "_decide_subsets", both)
+    rng = random.Random(3607)
+    kinds = Counter()
+    for case in range(300):
+        n = 1 + case % 2
+        pres = _subset_module(n, ["free", "z2", "bs12", "xplus1"][case // 2 % (4 if n == 1 else 2)])
+        K = rng.randint(1, 5 if n == 1 else 3)
+        step = 3 - n  # steps in [-2, 2] at n = 1, [-1, 1]^2 at n = 2
+        gens = GeneratorSet(pres, [
+            GroupElement(pres, [random_poly(rng, n, max_terms=2 if n == 1 else 1, exp=1, coef=2)],
+                         tuple(rng.randint(-step, step) for _ in range(n)))
+            for _ in range(K)])
+        cache.clear()
+        for budget in (Budget(), Budget(samples=0)):
+            kinds[decide_identity(gens, budget).kind] += 1
+            for target in range(1, K + 1):
+                kinds[decide_inverse(gens, target, budget).kind] += 1
+    assert all(new == ref for new, ref in outputs)
+    assert min(kinds.values()) >= 500, kinds
 
 
 def test_groebner_deadline_is_unknown(monkeypatch):
@@ -397,6 +477,22 @@ def test_group_timeout_reaches_inside_one_simplex_run():
     with fails_after(1.5):
         v = decide_group(gens, Budget(degree=1, timeout=0.5))
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+
+
+def test_repose_honours_the_deadline_at_a_large_index():
+    """n = 1, y = 1 and -1, steps +-10^6: the steps span a sublattice of
+    index 10^6, so the restriction of scalars builds a row per coset and
+    the syzygy front reads columns of 10^6 entries.  Group and Identity
+    (whose first subset tried is [1, 2]) stop at the deadline."""
+    pres = free_presentation(1)
+    gens = GeneratorSet(pres, [GroupElement(pres, [mono((0,), c)], (a,))
+                               for c, a in [(1, 10**6), (-1, -10**6)]])
+    for run in (decide_group, decide_identity):
+        t0 = time.monotonic()
+        with fails_after(5):
+            v = run(gens, Budget(timeout=0.5))
+        assert time.monotonic() - t0 < 1.5
+        assert v.kind == "unknown" and v.budget_report["timed_out"] is True
 
 
 def test_a_nested_scope_keeps_the_earlier_deadline():
@@ -657,6 +753,36 @@ def test_oracle_soundness_of_n1_refutations():
             late += any(c["certificate"]["samples_tested"] > 6 for c in v.certificate["subsets"])
         kinds.append(v.kind)
     assert kinds.count("no") >= 16 and late >= 1, (kinds, late)
+
+
+def test_oracle_soundness_of_n2_identity_and_inverse():
+    """Seeded n = 2 sets over Z[X^pm] and (Z/2)[X^pm], K <= 4, steps in
+    [-1, 1]^2: every YES of Identity and of Inverse (at a seeded target)
+    verifies on its subset and in the original letters, and no subset of a
+    NO has a neutral full-image word of length <= 5."""
+    rng = random.Random(11)
+    kinds, refuted = Counter(), 0
+    for case in range(80):
+        pres = _subset_module(2, ("free", "z2")[case % 2])
+        K = rng.randint(2, 4)
+        gens = GeneratorSet(pres, [
+            GroupElement(pres, [random_poly(rng, 2, max_terms=2, exp=1, coef=2)],
+                         tuple(rng.randint(-1, 1) for _ in range(2))) for _ in range(K)])
+        target = rng.randint(1, K)
+        for problem, v in (("identity", decide_identity(gens, Budget(timeout=2))),
+                           ("inverse", decide_inverse(gens, target, Budget(timeout=2)))):
+            kinds[problem, v.kind] += 1
+            if v.kind == "yes":
+                w = v.witness
+                assert verify_witness(w["word"], gens.subset(w["subset"])), case
+                assert sorted(set(w["word_in_original_letters"])) == w["subset"], case
+                assert evaluate_word(gens, w["word_in_original_letters"]).is_neutral(), case
+                assert problem == "identity" or target in w["subset"]
+            elif v.kind == "no":
+                for c in v.certificate["subsets"]:
+                    assert oracle_bfs(gens.subset(c["subset"]), 5) is None, (case, c["subset"])
+                    refuted += 1
+    assert min(kinds.values()) >= 10 and refuted >= 300, (kinds, refuted)
 
 
 def test_decide_identity_examples():
