@@ -47,35 +47,25 @@ def clear_vector(vec: Sequence[LaurentPoly], n: int):
     return raw, shift
 
 
-def raw_to_vector(raw: dict, p: int, n: int) -> list[LaurentPoly]:
-    """The Laurent vector of a (position, exponent tuple) dict with nonzero
-    int coefficients, as the Groebner engine returns them."""
-    polys = [dict() for _ in range(p)]
+def decode(raw: dict, shifts, k: int, n: int) -> list[LaurentPoly]:
+    """The Laurent k-vector in n variables of a (position, exponent tuple)
+    dict with nonzero int coefficients, as the Groebner engine returns it,
+    in unit-normal form: the terms at positions < k, each exponent plus its
+    position's shift and cut to the shift's length n; then one shift to
+    componentwise minimum exponent zero over the whole vector, and one sign
+    that makes the leading coefficient (by total degree, then exponent) of
+    the first nonzero entry positive.  An all-zero vector comes back as
+    zeros.  Each entry keeps the term order of `raw`."""
+    polys = [{} for _ in range(k)]
     for (pos, mono), c in raw.items():
-        polys[pos][mono] = c
+        if pos < k:
+            polys[pos][tuple(map(add, mono, shifts[pos]))] = c
+    lead = next((t for t in polys if t), None)
+    if lead is not None:
+        low = tuple(map(min, zip(*(e for t in polys for e in t))))
+        sign = -1 if lead[max(lead, key=lambda e: (sum(e), e))] < 0 else 1
+        polys = [{tuple(map(sub, e, low)): sign * c for e, c in t.items()} for t in polys]
     return [LaurentPoly._trusted(n, t) for t in polys]
-
-
-def normalize_unit(vec: Sequence[LaurentPoly], n: int) -> list[LaurentPoly]:
-    """Canonical unit multiple: shift so the componentwise minimum exponent
-    across the whole vector is zero, and the first nonzero leading
-    coefficient is positive."""
-    if all(p.is_zero() for p in vec):
-        return list(vec)
-    mins = [None] * n
-    for p in vec:
-        for e in p.terms:
-            for i, v in enumerate(e):
-                mins[i] = v if mins[i] is None else min(mins[i], v)
-    shift = tuple(-(m or 0) for m in mins)
-    out = [p.shift(shift) for p in vec]
-    for p in out:
-        if not p.is_zero():
-            lead = max(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-            if lead[1] < 0:
-                out = [q.scale(-1) for q in out]
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +117,12 @@ def laurent_syzygies(columns: Sequence[Sequence[LaurentPoly]], p: int,
 
 
 def _syzygies(columns, p: int, n: int, k: int) -> list[list[LaurentPoly]]:
-    """`laurent_syzygies` cut to their first k coordinates, each decoded in
-    one pass as `normalize_unit` of the cut vector: column j's clearing
-    shift undone, then one shift to componentwise minimum exponent zero and
-    one sign.  That is the map `raw_to_vector`, the shifts, `normalize_unit`
-    of the whole vector and `normalize_unit` of its cut composed to (a unit
-    multiple of the whole vector cuts to a unit multiple of the cut).  An
-    all-zero cut comes back as zeros.
+    """`laurent_syzygies` cut to their first k coordinates, each by one
+    `decode` with the columns' clearing shifts: a unit multiple of the whole
+    vector cuts to a unit multiple of the cut, so this is the unit-normal
+    form of the cut vector.  The tests keep the composition it replaces
+    (the raw vector, the shifts, unit-normal form of the whole vector, then
+    of its cut) as references.  An all-zero cut comes back as zeros.
 
     At most p columns independent over Q(X) have no nonzero syzygy, and
     return [] with no Groebner run once `_independent_mod_prime` sees it: k
@@ -152,16 +141,7 @@ def _syzygies(columns, p: int, n: int, k: int) -> list[list[LaurentPoly]]:
     out = []
     for s in groebner.syzygy_generators(cleared, p, n):
         groebner.check_deadline()
-        polys = [{} for _ in range(k)]
-        for (pos, mono), c in s.items():
-            if pos < k:
-                polys[pos][tuple(map(add, mono, shifts[pos]))] = c
-        lead = next((t for t in polys if t), None)
-        if lead is not None:
-            low = tuple(map(min, zip(*(e for t in polys for e in t))))
-            sign = -1 if lead[max(lead, key=lambda e: (sum(e), e))] < 0 else 1
-            polys = [{tuple(map(sub, e, low)): sign * c for e, c in t.items()} for t in polys]
-        out.append([LaurentPoly._trusted(n, t) for t in polys])
+        out.append(decode(s, shifts, k, n))
     return out
 
 

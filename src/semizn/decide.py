@@ -54,8 +54,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from semizn import linalg, positions
-from semizn.algebra import (ModulePresentation, clear_vector, normalize_unit, raw_to_vector,
-                            residual, syzygy_basis)
+from semizn.algebra import ModulePresentation, clear_vector, decode, residual, syzygy_basis
 from semizn.algebra import laurent_syzygies  # noqa: F401  (perfbench/tracer.py patches it here)
 from semizn.closure import ClosureBudgetError, eulerian_closure
 from semizn.ggraph import StepGraph, graph_of_word
@@ -336,8 +335,9 @@ def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget):
     first all-positive relation-module element passing the escape
     condition whose witness is within budget.  `generators` and `steps`
     are those of `sub` re-posed (K from `sub`, n from the steps), each in
-    `normalize_unit` form.  Past the deadline a window round, its simplex,
-    the escape check's hull or the witness raises DeadlineExceeded."""
+    the unit-normal form of `algebra.decode`.  Past the deadline a window
+    round, its simplex, the escape check's hull or the witness raises
+    DeadlineExceeded."""
     K, n = sub.K, len(steps[0])
     seen = {}  # candidate -> its support points on faces failing the escape condition
     tested = 0
@@ -436,14 +436,16 @@ def _repose(sub: GeneratorSet):
     c in the box 0 <= c_{p_t} < B_{t,p_t}.  Splitting each exponent column
     by column (the quotient in the pivot slot, the remainder into the coset,
     the off-pivot entries as N's coordinates) presents Y over Z[L + N] with
-    d rows per coset: the y_i split by coset, and the relations X^c * rho.
-    One syzygy run in n variables gives the relation module over Z[L + N],
-    and when r < n eliminating N's block (saturated, N dominant) leaves the
-    one over Z[L].  At B = I the split is the identity, so the instance's
-    own presentation is used as it is.  The work grows with the index of L
-    + N: past the deadline it raises DeadlineExceeded, checked per coset in
-    the corner, relation and restriction loops and in the O(index) loops of
-    `syzygy_basis` they feed."""
+    d rows per coset: the y_i split by coset (empty rows share one zero),
+    and the relations X^c * rho, c read off the coset's number, its box
+    digits in mixed radix with the last pivot's lowest.  One syzygy run in
+    n variables gives the relation module over Z[L + N], and when r < n
+    eliminating N's block (saturated, N dominant) leaves the one over Z[L],
+    decoded as the syzygies are.  At B = I the split is the identity, so
+    the instance's own presentation is used as it is.  The work grows with
+    the index of L + N: past the deadline it raises DeadlineExceeded,
+    checked per coset in the relation and restriction loops and in the
+    O(index) loops of `syzygy_basis` they feed."""
     n, d, K = sub.n, sub.presentation.d, sub.K
     basis = linalg.hermite_row_basis(sub.steps)
     r = len(basis)
@@ -451,10 +453,10 @@ def _repose(sub: GeneratorSet):
     size = math.prod(b[p] for p, b in rows.items())  # the index of L + N
     pres, ys, steps = sub.presentation, sub.ys, sub.steps
     if r < n or size > 1:
+        zero = LaurentPoly._trusted(n, {})
 
         def split(e):
-            """(L + N coordinates, coset number) of the exponent e; the
-            cosets are numbered in the order of the box's `product`."""
+            """(L + N coordinates, coset number) of the exponent e."""
             e, w, m, c = list(e), [], [], 0
             for j in range(n):
                 if j in rows:
@@ -475,17 +477,17 @@ def _repose(sub: GeneratorSet):
             polys = []
             for slot in range(d * size):
                 check_deadline()
-                polys.append(LaurentPoly._trusted(n, out.get(slot, {})))
+                t = out.get(slot)
+                polys.append(zero if t is None else LaurentPoly._trusted(n, t))
             return polys
 
-        corners = []  # the X^c
-        for c in itertools.product(*(range(b[p]) for p, b in rows.items())):
-            check_deadline()
-            corners.append([dict(zip(rows, c)).get(j, 0) for j in range(n)])
         rels = []
         for rel in pres.rels_N:
-            for z in corners:
+            for c in range(size):
                 check_deadline()
+                z, q = [0] * n, c  # the corner of coset c, digit by digit
+                for j in reversed(rows):
+                    q, z[j] = divmod(q, rows[j][j])
                 rels.append(restrict([p.shift(z) for p in rel]))
         pres = ModulePresentation(n, d * size, rels)
         ys = [restrict(y) for y in ys]
@@ -497,9 +499,9 @@ def _repose(sub: GeneratorSet):
     if r < n and generators:
         raws = [clear_vector(f, n)[0] for f in generators]
         eliminated, _ = saturated_basis(raws, K, n, [tuple(range(r, n)), tuple(range(r))])
-        generators = [
-            normalize_unit(raw_to_vector({(i, e[:r]): c for (i, e), c in g.vec.items()}, K, r), r)
-            for g in eliminated if not any(any(e[r:]) for _, e in g.vec)]
+        cut = [(0,) * r] * K  # decode cuts each exponent to its first r coordinates
+        generators = [decode(v, cut, K, r) for v in (g.vec for g in eliminated)
+                      if not any(any(e[r:]) for _, e in v)]
     return generators, [tuple(w[:r]) for w in steps]
 
 

@@ -347,9 +347,11 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     of the result come in the order the heap would pop them: the column
     terms as they leave the heap, then the terms below the cut, descending.
 
-    Under a deadline, `check_deadline` runs every 4,096 heap pops: one
-    normal form can take astronomically many steps (reducing X^(2^70) + 1
-    by a binomial in X), so a run's budget has to reach inside it.
+    Under a deadline, `check_deadline` runs every 4,096 heap pops, and on
+    every pop of a coefficient longer than 4,096 bits: one normal form can
+    take astronomically many steps (reducing X^(2^70) + 1 by a binomial in
+    X), or steps that each grow a huge coefficient (X^12000 by X - 2^360),
+    so a run's budget has to reach inside it.
     """
     table = basis if isinstance(basis, _Basis) else _Basis(pk, basis)
     reducers, cut = table.reducers, table.cut
@@ -362,11 +364,11 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     deadline = _DEADLINE.get()
     while heap:
         lead = -heapq.heappop(heap)
+        c = work.pop(lead, None)
         if deadline is not None:
             pops += 1
-            if not pops & 4095:
+            if not pops & 4095 or c is not None and c.bit_length() > 4096:
                 check_deadline()
-        c = work.pop(lead, None)
         if c is None:
             continue  # cancelled since it was pushed (lazy deletion)
         for _, idx, g_lead, g_coef, g_tail, g_low in reducers.get(lead & top, ()):

@@ -1,4 +1,6 @@
 import contextlib
+import itertools
+import math
 import random
 import signal
 from collections import Counter, defaultdict
@@ -8,9 +10,9 @@ from typing import Optional, Sequence
 import pytest
 
 from semizn import linalg
-from semizn.algebra import ModulePresentation
+from semizn.algebra import ModulePresentation, clear_vector, syzygy_basis
 from semizn.decide import Budget, Verdict, decide_subset
-from semizn.groebner import check_deadline, deadline_scope
+from semizn.groebner import check_deadline, deadline_scope, saturated_basis
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 from semizn.linalg import _echelon, lp_feasible_point, nullspace
@@ -533,6 +535,123 @@ def ref_decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     if report["unresolved"]:
         return Verdict(kind="unknown", budget_report=report)
     return Verdict(kind="no", certificate={"subsets": refutations})
+
+
+# -- reference: the decoders before `algebra.decode` -------------------------
+# `algebra.raw_to_vector` and `algebra.normalize_unit`, verbatim: the
+# composition `algebra._syzygies` and `algebra.decode` replace.
+
+def raw_to_vector(raw: dict, p: int, n: int) -> list[LaurentPoly]:
+    """The Laurent vector of a (position, exponent tuple) dict with nonzero
+    int coefficients, as the Groebner engine returns them."""
+    polys = [dict() for _ in range(p)]
+    for (pos, mono), c in raw.items():
+        polys[pos][mono] = c
+    return [LaurentPoly._trusted(n, t) for t in polys]
+
+
+def normalize_unit(vec: Sequence[LaurentPoly], n: int) -> list[LaurentPoly]:
+    """Canonical unit multiple: shift so the componentwise minimum exponent
+    across the whole vector is zero, and the first nonzero leading
+    coefficient is positive."""
+    if all(p.is_zero() for p in vec):
+        return list(vec)
+    mins = [None] * n
+    for p in vec:
+        for e in p.terms:
+            for i, v in enumerate(e):
+                mins[i] = v if mins[i] is None else min(mins[i], v)
+    shift = tuple(-(m or 0) for m in mins)
+    out = [p.shift(shift) for p in vec]
+    for p in out:
+        if not p.is_zero():
+            lead = max(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+            if lead[1] < 0:
+                out = [q.scale(-1) for q in out]
+            break
+    return out
+
+
+# -- reference: the re-posing that listed the coset box ----------------------
+# `decide._repose` when it listed the box's corners with `itertools.product`
+# and built a fresh empty polynomial per untouched slot, verbatim but for its
+# name.
+
+def ref_repose(sub: GeneratorSet):
+    """Relation-module generators and steps of `sub` over the Hermite basis B
+    of the lattice L its steps span, of rank r >= 0; the steps' B-coordinates
+    generate Z^r, the hypothesis of the core.
+
+    Restriction of scalars: with N the span of the unit vectors off B's
+    pivot columns p_t, Z[X^pm] is free over Z[L + N] on the monomials X^c,
+    c in the box 0 <= c_{p_t} < B_{t,p_t}.  Splitting each exponent column
+    by column (the quotient in the pivot slot, the remainder into the coset,
+    the off-pivot entries as N's coordinates) presents Y over Z[L + N] with
+    d rows per coset: the y_i split by coset, and the relations X^c * rho.
+    One syzygy run in n variables gives the relation module over Z[L + N],
+    and when r < n eliminating N's block (saturated, N dominant) leaves the
+    one over Z[L].  At B = I the split is the identity, so the instance's
+    own presentation is used as it is.  The work grows with the index of L
+    + N: past the deadline it raises DeadlineExceeded, checked per coset in
+    the corner, relation and restriction loops and in the O(index) loops of
+    `syzygy_basis` they feed."""
+    n, d, K = sub.n, sub.presentation.d, sub.K
+    basis = linalg.hermite_row_basis(sub.steps)
+    r = len(basis)
+    rows = {next(j for j, v in enumerate(b) if v): b for b in basis}
+    size = math.prod(b[p] for p, b in rows.items())  # the index of L + N
+    pres, ys, steps = sub.presentation, sub.ys, sub.steps
+    if r < n or size > 1:
+
+        def split(e):
+            """(L + N coordinates, coset number) of the exponent e; the
+            cosets are numbered in the order of the box's `product`."""
+            e, w, m, c = list(e), [], [], 0
+            for j in range(n):
+                if j in rows:
+                    q, rem = divmod(e[j], rows[j][j])
+                    e = [x - q * y for x, y in zip(e, rows[j])]
+                    w.append(q)
+                    c = c * rows[j][j] + rem
+                else:
+                    m.append(e[j])
+            return tuple(w + m), c
+
+        def restrict(vec):
+            out = {}
+            for i, p in enumerate(vec):
+                for e, k in p.terms.items():
+                    w, c = split(e)
+                    out.setdefault(c * d + i, {})[w] = k  # split is one-to-one: no two terms meet
+            polys = []
+            for slot in range(d * size):
+                check_deadline()
+                polys.append(LaurentPoly._trusted(n, out.get(slot, {})))
+            return polys
+
+        corners = []  # the X^c
+        for c in itertools.product(*(range(b[p]) for p, b in rows.items())):
+            check_deadline()
+            corners.append([dict(zip(rows, c)).get(j, 0) for j in range(n)])
+        rels = []
+        for rel in pres.rels_N:
+            for z in corners:
+                check_deadline()
+                rels.append(restrict([p.shift(z) for p in rel]))
+        pres = ModulePresentation(n, d * size, rels)
+        ys = [restrict(y) for y in ys]
+        splits = [split(a) for a in steps]
+        if any(c or any(w[r:]) for w, c in splits):
+            raise AssertionError("step outside its own lattice")
+        steps = [w for w, _ in splits]
+    generators = syzygy_basis(pres, ys, steps).generators
+    if r < n and generators:
+        raws = [clear_vector(f, n)[0] for f in generators]
+        eliminated, _ = saturated_basis(raws, K, n, [tuple(range(r, n)), tuple(range(r))])
+        generators = [
+            normalize_unit(raw_to_vector({(i, e[:r]): c for (i, e), c in g.vec.items()}, K, r), r)
+            for g in eliminated if not any(any(e[r:]) for _, e in g.vec)]
+    return generators, [tuple(w[:r]) for w in steps]
 
 
 @pytest.fixture

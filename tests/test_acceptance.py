@@ -32,7 +32,8 @@ from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 from semizn.positions import position_polynomials
 
-from conftest import crossing_indices, free_presentation, leading_indices, oracle_bfs, random_poly
+from conftest import (crossing_indices, free_presentation, leading_indices, normalize_unit,
+                      oracle_bfs, random_poly)
 from corpus import no_instances, yes_instances
 from test_positions import (check_full_image, check_neutral, check_symmetry,
                             ref_check_escape_condition)
@@ -238,7 +239,6 @@ def test_criterion_5_syzygy_correctness():
     pres = free_presentation(1)
     basis = syzygy_basis(pres, [[LaurentPoly.one(1)], [LaurentPoly.monomial((-1,), -1)]],
                          [(1,), (-1,)])
-    from semizn.algebra import normalize_unit
     assert len(basis.generators) == 1
     assert basis.generators[0] == normalize_unit(
         [LaurentPoly.monomial((-1,)), LaurentPoly.one(1)], 1)

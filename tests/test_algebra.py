@@ -3,13 +3,14 @@ import random
 import pytest
 
 from semizn import algebra, groebner, jsonio, linalg
-from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, normalize_unit,
-                            raw_to_vector, residual, stacked_columns, syzygy_basis)
+from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, residual,
+                            stacked_columns, syzygy_basis)
 from semizn.decide import Budget, decide_subset
 from semizn.group import GeneratorSet, GroupElement
 from semizn.laurent import LaurentPoly
 
-from conftest import free_presentation, lattice_coordinates, mono, random_poly
+from conftest import (free_presentation, lattice_coordinates, mono, normalize_unit, random_poly,
+                      raw_to_vector)
 
 
 def test_strong_groebner_free_module():

@@ -9,7 +9,7 @@ import pytest
 
 from semizn import decide, geometry, groebner, jsonio, linalg, positions
 from semizn.algebra import (LaurentSubmodule, ModulePresentation, clear_vector, laurent_syzygies,
-                            normalize_unit, raw_to_vector, syzygy_basis)
+                            syzygy_basis)
 from semizn.closure import ClosureBudgetError
 from semizn.decide import (Budget, decide_group, decide_identity, decide_inverse,
                            decide_subset, locr_events, procedure_a_events,
@@ -20,9 +20,10 @@ from semizn.groebner import (DeadlineExceeded, TermOrder, check_deadline, deadli
 from semizn.group import GeneratorSet, GroupElement, evaluate_word
 from semizn.laurent import LaurentPoly
 
+import conftest
 from conftest import (fails_after, fraction_locr_events, free_presentation, inverse_pair,
-                      lattice_coordinates, long_witness, mono, oracle_bfs, random_poly,
-                      ref_decide_subsets)
+                      lattice_coordinates, long_witness, mono, normalize_unit, oracle_bfs,
+                      random_poly, raw_to_vector, ref_decide_subsets, ref_repose)
 from corpus import no_instances, yes_instances
 
 
@@ -480,13 +481,14 @@ def test_group_timeout_reaches_inside_one_simplex_run():
 
 
 def test_repose_honours_the_deadline_at_a_large_index():
-    """n = 1, y = 1 and -1, steps +-10^6: the steps span a sublattice of
-    index 10^6, so the restriction of scalars builds a row per coset and
-    the syzygy front reads columns of 10^6 entries.  Group and Identity
-    (whose first subset tried is [1, 2]) stop at the deadline."""
+    """n = 1, y = 1 and -1, steps +-10^7: the steps span a sublattice of
+    index 10^7, so the restriction of scalars builds a row per coset and
+    the syzygy front reads columns of 10^7 entries.  Group and Identity
+    (whose first subset tried is [1, 2]) stop at the deadline.  (At +-10^6
+    Group decides NO in about 1 s, too close to the deadline to pin.)"""
     pres = free_presentation(1)
     gens = GeneratorSet(pres, [GroupElement(pres, [mono((0,), c)], (a,))
-                               for c, a in [(1, 10**6), (-1, -10**6)]])
+                               for c, a in [(1, 10**7), (-1, -10**7)]])
     for run in (decide_group, decide_identity):
         t0 = time.monotonic()
         with fails_after(5):
@@ -785,6 +787,40 @@ def test_oracle_soundness_of_n2_identity_and_inverse():
     assert min(kinds.values()) >= 10 and refuted >= 300, (kinds, refuted)
 
 
+def test_oracle_soundness_of_n3_identity_and_inverse():
+    """Seeded n = 3 sets over Z[X^pm] and (Z/2)[X^pm], K <= 3, steps in
+    [-1, 1]^3, whose subsets go through the rank-1, rank-2 and index > 1
+    re-posings: every YES of Identity and of Inverse (at a seeded target)
+    under `Budget(degree=0, timeout=2)` verifies on its subset and in the
+    original letters, and no subset of a NO has a neutral full-image word
+    of length <= 6."""
+    rng = random.Random(37)
+    kinds, refuted = Counter(), 0
+    for case in range(120):
+        pres = _subset_module(3, ("free", "z2")[case % 2])
+        K = rng.randint(2, 3)
+        gens = GeneratorSet(pres, [
+            GroupElement(pres, [random_poly(rng, 3, max_terms=2, exp=1, coef=2)],
+                         tuple(rng.randint(-1, 1) for _ in range(3))) for _ in range(K)])
+        target = rng.randint(1, K)
+        budget = Budget(degree=0, timeout=2)
+        for problem, v in (("identity", decide_identity(gens, budget)),
+                           ("inverse", decide_inverse(gens, target, budget))):
+            kinds[problem, v.kind] += 1
+            if v.kind == "yes":
+                w = v.witness
+                assert verify_witness(w["word"], gens.subset(w["subset"])), case
+                assert sorted(set(w["word_in_original_letters"])) == w["subset"], case
+                assert evaluate_word(gens, w["word_in_original_letters"]).is_neutral(), case
+                assert problem == "identity" or target in w["subset"]
+            elif v.kind == "no":
+                for c in v.certificate["subsets"]:
+                    assert oracle_bfs(gens.subset(c["subset"]), 6) is None, (case, c["subset"])
+                    refuted += 1
+    print("n = 3 Identity/Inverse:", dict(sorted(kinds.items())), f"{refuted} refuted subsets")
+    assert kinds["identity", "yes"] + kinds["inverse", "yes"] >= 5 and refuted >= 400, \
+        (kinds, refuted)
+
 def test_decide_identity_examples():
     # {g, g^-1, h}: identity via the inverse-pair subset
     pres = free_presentation(1)
@@ -1051,6 +1087,61 @@ def test_repose_matches_reference():
                 compared += 1
     assert skipped <= 6 and compared >= 30, (compared, skipped)
 
+
+
+def test_repose_keeps_the_reference_bytes(monkeypatch):
+    """`decide._repose`, which numbers the cosets by arithmetic and decodes
+    the eliminated generators with `algebra.decode`, against `ref_repose`,
+    which listed the coset box and decoded them with `normalize_unit` of
+    `raw_to_vector`: the same restricted presentation (relations, y's and
+    steps, as `syzygy_basis` receives them), the same steps and the same
+    generators, each entry's terms in the same order.  Seeded sets with
+    n = 1, 2, 3, every rank, K <= 3 and steps in [-3, 3]^n, over the four
+    `subsets` modules; each side runs under a 1 s deadline, and the sets
+    either side does not finish are counted and bounded."""
+    def terms(vecs):
+        return [[list(f.terms.items()) for f in v] for v in vecs]
+
+    def recording(real):
+        def run(pres, ys, steps):
+            restricted.append((terms(pres.rels_N), terms(ys), list(steps)))
+            return real(pres, ys, steps)
+        return run
+
+    monkeypatch.setattr(decide, "syzygy_basis", recording(decide.syzygy_basis))
+    monkeypatch.setattr(conftest, "syzygy_basis", recording(conftest.syzygy_basis))
+    rng = random.Random(3701)
+    compared, skipped, cases = 0, 0, 0
+    for n in (1, 2, 3):
+        for rank in range(n + 1):
+            for case in range({1: 40, 2: 36, 3: 30}[n]):
+                kind = ("free", "z2", "bs12", "xplus1")[case % 4]
+                pres = _subset_module(n, kind)
+                K = rng.randint(max(rank, 1), 3)
+                while True:
+                    steps = [tuple(rng.randint(-3, 3) for _ in range(n)) if rank else (0,) * n
+                             for _ in range(K)]
+                    if len(linalg.hermite_row_basis(steps)) == rank:
+                        break
+                sub = GeneratorSet(pres, [
+                    GroupElement(pres, [random_poly(rng, n, max_terms=1, exp=1, coef=2)], a)
+                    for a in steps])
+                cases += 1
+                restricted = []
+                try:
+                    with deadline_scope(1):
+                        want = ref_repose(sub)
+                    with deadline_scope(1):
+                        got = decide._repose(sub)
+                except DeadlineExceeded:
+                    skipped += 1
+                    continue
+                assert restricted[0] == restricted[1], (kind, steps)
+                assert got[1] == want[1], (kind, steps)
+                assert terms(got[0]) == terms(want[0]), (kind, steps)
+                compared += 1
+    assert cases >= 300 and skipped <= cases // 50, (cases, compared, skipped)
+    print(f"re-posing bytes: {compared} sets compared, {skipped} timed out")
 
 def test_rank2_sublattice_is_quick():
     """A rank-2 sublattice of Z^2 (Hermite basis (2, 0), (0, 1)) whose

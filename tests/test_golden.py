@@ -4,8 +4,9 @@ match `data/golden_verdicts.json`, `data/golden_syzygies.json` and
 `data/golden_geometry.json` (written by `make_golden.py`)."""
 import json
 
-from semizn.algebra import normalize_unit, syzygy_basis
+from semizn.algebra import syzygy_basis
 
+from conftest import normalize_unit
 from make_golden import (GOLDEN, GOLDEN_GEOMETRY, GOLDEN_SYZYGIES, cases, geometry_cases,
                          syzygy_cases, syzygy_inputs)
 

@@ -970,3 +970,16 @@ def test_deadline_reaches_inside_one_normal_form(columns):
     one normal form; the deadline stops it all the same."""
     with fails_after(2), pytest.raises(DeadlineExceeded), deadline_scope(0.3):
         groebner.syzygy_generators(columns, 1, 1)
+
+
+def test_deadline_reaches_a_normal_form_with_huge_coefficients():
+    """Reducing X^12000 by X - 2^360 takes 12,000 steps, each adding 360
+    bits to the coefficient, so 4,096 of them take seconds; a pop of a
+    coefficient past 4,096 bits reads the clock, and the deadline stops the
+    reduction on time."""
+    order = TermOrder(1)
+    vec = {(0, (12000,)): 1}
+    basis = entries([{(0, (1,)): 1, (0, (0,)): -2 ** 360}], order)
+    pk = basis[0].pk
+    with fails_after(2), pytest.raises(DeadlineExceeded), deadline_scope(0.5):
+        groebner.normal_form(pk.pack_vec(vec), basis, pk)
