@@ -33,12 +33,11 @@ deadline, started at entry, bounds the re-posing, the Groebner phases and
 the search; for Identity and Inverse it covers every subset, and the first
 subset that times out ends the loop.
 
-Identity and Inverse walk their subsets in a fixed order, in two rounds:
-first the subsets that can be groups, then, only when no YES and no
-timeout came of those, the ones whose steps are one-signed in some
-coordinate (`_one_signed`), which never generate a group.  So a YES pays
-for no refutation of a one-signed subset, and every report of a run that
-does not time out is the one a single walk in the fixed order gives.
+Identity and Inverse walk their subsets once, in a fixed order.  A subset
+whose steps are one-signed in some coordinate (`_one_signed`) never
+generates a group: it is refuted by that coordinate and sign alone, an
+exact certificate read off the steps, with no re-posing, Groebner run or
+refuter.  Every other subset runs the core.
 
 The YES side is one call chain, in the paper's order: `decide_core` runs
 `procedure_a_events`, whose candidates (the generators, then
@@ -539,17 +538,20 @@ def _subsets(indices: Sequence[int]):
         yield from itertools.combinations(idx, size)
 
 
-_SCAN_CHUNK = 4096  # subsets walked between two deadline checks of a round
+_SCAN_CHUNK = 4096  # subsets walked between two deadline checks
 
 
 def _one_signed(steps):
-    """The sign test of a subset (1-based indices): whether in some
-    coordinate t every step of the subset is >= 0 and one is > 0, or the
-    mirror case.  Such a subset never generates a group: a generator with
-    a_{i,t} != 0 has no inverse, as the t-images of the subset's elements
-    form a one-signed semigroup of Z that contains a nonzero element.  Per
-    coordinate, the bitmasks of the generators with a positive and with a
-    negative step make the test a few int operations."""
+    """The sign test of a subset (1-based indices): its certificate
+    {"coordinate": t, "sign": s} when s * a_{i,t} >= 0 for every step a_i
+    of the subset and > 0 for one, at the first such 0-based coordinate t,
+    and None when there is none.  Such a subset never generates a group: a
+    generator with a_{i,t} != 0 has no inverse, as the t-images of the
+    subset's elements form a one-signed semigroup of Z that contains a
+    nonzero element.  The certificate reads only the steps, so it checks
+    from the instance alone.  Per coordinate, the bitmasks of the
+    generators with a positive and with a negative step make the test a few
+    int operations."""
     signs = [(sum(1 << i for i, x in enumerate(column, 1) if x > 0),
               sum(1 << i for i, x in enumerate(column, 1) if x < 0))
              for column in zip(*steps)]
@@ -558,76 +560,68 @@ def _one_signed(steps):
         mask = 0
         for i in subset:
             mask |= 1 << i
-        for pos, neg in signs:
+        for t, (pos, neg) in enumerate(signs):
             if bool(mask & pos) != bool(mask & neg):
-                return True
-        return False
+                return {"coordinate": t, "sign": 1 if mask & pos else -1}
+        return None
     return test
 
 
 def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     """YES from the first subset that generates a group; NO once every
     subset is refuted; otherwise UNKNOWN, naming in `unresolved` the subsets
-    tried without a verdict.  `subsets` is a callable that makes a fresh
-    iterator over the fixed order.
+    tried without a verdict.  `subsets` iterates over the fixed order.
 
-    Two rounds walk that order lazily.  Round 1 decides the subsets that
-    pass `_one_signed`'s test; round 2, run only when round 1 ends with no
-    YES and no timeout, decides the deferred ones.  A deferred subset never
-    generates a group, so it never decides YES (every YES is a verified
-    word), and `decide_subset` is a pure function of subset and budget: the
-    first YES is the first in the fixed order, and a NO certificate lists
-    every refutation, and `unresolved` every unknown subset, in the fixed
-    order, as a walk in that order would.  Only the try order under a
-    timeout differs.
+    One walk takes that order lazily.  A subset that `_one_signed` flags is
+    refuted by its sign certificate, `{"one_signed": ...}`, with no
+    `decide_subset` call; every other subset is decided, and the first YES
+    returns.  A NO lists every subset in the fixed order, each with its
+    sign certificate or its refuter's.
 
     One deadline scope, opened here, covers all subsets.  Once a subset
-    comes back timed out, or a round's walk finds the deadline passed at
-    one of its checks every _SCAN_CHUNK subsets, nothing further is tried:
-    the report says `timed_out` and names in `untried_from` the next subset
-    of the round, or the subset the walk had reached at the check, unless
-    the walk was at its end.  It and every later subset of the round were
-    not tried, nor, in round 1, any deferred subset."""
-    deferred = _one_signed(gens.steps)
-    decided = []  # (position in the fixed order, subset, Verdict)
-    report = {"reason": "some subsets unresolved"}
+    comes back timed out, or the walk finds the deadline passed at one of
+    its checks every _SCAN_CHUNK subsets, nothing further is tried: the
+    report says `timed_out` and names in `untried_from` the next subset,
+    or the subset the walk had reached at the check, unless the walk was at
+    its end.  It and every later subset were not tried."""
+    sign = _one_signed(gens.steps)
+    refuted, unresolved = [], []
+    report = {"reason": "some subsets unresolved", "unresolved": unresolved}
     with deadline_scope(budget.timeout):
-        for later in (False, True):
-            late = False
-            for pos, subset in enumerate(subsets()):
-                chunk_end = pos % _SCAN_CHUNK == _SCAN_CHUNK - 1
-                if chunk_end and not late:
-                    try:
-                        check_deadline()
-                    except DeadlineExceeded:
-                        late = True
-                member = deferred(subset) == later
-                if late and (member or chunk_end):
-                    report["untried_from"] = list(subset)
+        walk = enumerate(map(list, subsets))
+        for pos, subset in walk:
+            if pos % _SCAN_CHUNK == _SCAN_CHUNK - 1:
+                try:
+                    check_deadline()
+                except DeadlineExceeded:
+                    report.update(timed_out=True, untried_from=subset)
                     break
-                if not member:
-                    continue
-                subset = list(subset)
-                v = decide_subset(gens, subset, budget)
-                if v.kind == "yes":
-                    return v
-                decided.append((pos, subset, v))
-                late = v.kind == "unknown" and v.budget_report["timed_out"]
-            if late:
+            cert = sign(subset)
+            if cert is not None:
+                refuted.append({"subset": subset, "certificate": {"one_signed": cert}})
+                continue
+            v = decide_subset(gens, subset, budget)
+            if v.kind == "yes":
+                return v
+            if v.kind == "no":
+                refuted.append({"subset": subset, "certificate": v.certificate})
+                continue
+            unresolved.append(subset)
+            if v.budget_report["timed_out"]:
                 report["timed_out"] = True
+                untried = next(walk, None)
+                if untried is not None:
+                    report["untried_from"] = untried[1]
                 break
-    decided.sort(key=lambda t: t[0])
-    report["unresolved"] = [s for _, s, v in decided if v.kind == "unknown"]
-    if report["unresolved"] or late:
+    if unresolved or "timed_out" in report:
         return Verdict(kind="unknown", budget_report=report)
-    return Verdict(kind="no", certificate={
-        "subsets": [{"subset": s, "certificate": v.certificate} for _, s, v in decided]})
+    return Verdict(kind="no", certificate={"subsets": refuted})
 
 
 def decide_identity(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     """The semigroup contains the neutral element iff some nonempty subset of
     the generators generates a group (subset reduction)."""
-    return _decide_subsets(gens, lambda: _subsets(range(1, gens.K + 1)), budget or Budget())
+    return _decide_subsets(gens, _subsets(range(1, gens.K + 1)), budget or Budget())
 
 
 def decide_inverse(gens: GeneratorSet, target: int, budget: Budget = None) -> Verdict:
@@ -637,6 +631,5 @@ def decide_inverse(gens: GeneratorSet, target: int, budget: Budget = None) -> Ve
         raise ValueError(f"target index {target} out of range 1..{gens.K}")
     rest = [i for i in range(1, gens.K + 1) if i != target]
     return _decide_subsets(
-        gens,
-        lambda: itertools.chain([[target]], (sorted([target, *extra]) for extra in _subsets(rest))),
+        gens, itertools.chain([[target]], (sorted([target, *extra]) for extra in _subsets(rest))),
         budget or Budget())

@@ -187,6 +187,27 @@ def oracle_bfs(gens: GeneratorSet, max_len: int) -> Optional[list[int]]:
     return None
 
 
+def check_one_signed(steps, subset, cert) -> bool:
+    """Whether `cert` is the sign certificate of the subset (1-based
+    indices), read off the instance's steps alone: {"coordinate": t,
+    "sign": s} with s = 1 or -1, s * a_{i,t} >= 0 for every step a_i of the
+    subset and > 0 for one, and t the first coordinate where either sign
+    has that.  Such a subset generates no group: the t-images of its
+    elements form a one-signed semigroup of Z with a nonzero element."""
+    n = len(steps[0])
+
+    def holds(t, s):
+        values = [s * steps[i - 1][t] for i in subset]
+        return min(values) >= 0 and max(values) > 0
+
+    if set(cert) != {"coordinate", "sign"}:
+        return False
+    t, s = cert["coordinate"], cert["sign"]
+    if type(t) is not int or type(s) is not int or not 0 <= t < n or s not in (1, -1):
+        return False
+    return holds(t, s) and not any(holds(u, z) for u in range(t) for z in (1, -1))
+
+
 # -- reference: the refuter's Gordan decision without the positive shortcut --
 # `linalg.strict_positive_combination` before it settled a visibly positive
 # column, negated column or column sum without the LP, verbatim but for its
@@ -503,8 +524,9 @@ def fraction_locr_events(generators, K: int, n: int, budget):
 
 
 # -- reference: the fixed-order subset driver --------------------------------
-# `decide._decide_subsets` before it tried the subsets that pass the sign test
-# first, verbatim but for its name: one walk over an iterable of subsets.
+# `decide._decide_subsets` before it refuted one-signed subsets by their sign,
+# and before it tried the others first, verbatim but for its name: one walk
+# over an iterable of subsets, every subset decided by `decide_subset`.
 
 def ref_decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     """YES from the first subset that generates a group; NO once every

@@ -203,7 +203,16 @@ def k5_instance():
     return GeneratorSet(pres, elements)
 
 
-def test_one_deadline_for_all_subsets(monkeypatch):
+def _is_one_signed(steps, subset) -> bool:
+    """Whether some coordinate of the subset's steps has nonzero entries,
+    all of one sign."""
+    return any(len({x > 0 for x in column if x}) == 1
+               for column in zip(*(steps[i - 1] for i in subset)))
+
+
+def _recorded_subset_calls(monkeypatch) -> list:
+    """The list that records the indices of every `decide_subset` call,
+    which still decides."""
     calls = []
     real = decide.decide_subset
 
@@ -212,11 +221,17 @@ def test_one_deadline_for_all_subsets(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(decide, "decide_subset", counted)
-    # the steps are 1, -1, 2, 1, -2: round 1 leaves out every one-signed
-    # subset, the singletons among them, and tries [1, 2], [1, 5], ... for
-    # Identity and [2, 3], [3, 5], ... for Inverse with target 3
-    for run, first, second in ((lambda b: decide_identity(k5_instance(), b), [1, 2], [1, 5]),
-                               (lambda b: decide_inverse(k5_instance(), 3, b), [2, 3], [3, 5])):
+    return calls
+
+
+def test_one_deadline_for_all_subsets(monkeypatch):
+    calls = _recorded_subset_calls(monkeypatch)
+    # the steps are 1, -1, 2, 1, -2: every singleton is one-signed and
+    # refuted by its sign, so the first subset decided is [1, 2] for
+    # Identity and [2, 3] for Inverse with target 3, and the next in the
+    # fixed order, [1, 3] and [3, 4], is the first untried one
+    for run, first, second in ((lambda b: decide_identity(k5_instance(), b), [1, 2], [1, 3]),
+                               (lambda b: decide_inverse(k5_instance(), 3, b), [2, 3], [3, 4])):
         calls.clear()
         v = run(Budget(timeout=0))
         assert calls == [first]
@@ -224,10 +239,21 @@ def test_one_deadline_for_all_subsets(monkeypatch):
         # the one subset tried is unresolved; the report names the first untried one
         assert v.budget_report["unresolved"] == [first]
         assert v.budget_report["untried_from"] == second
-    # without a timeout every subset is refuted
+    # without a timeout the calls are exactly the two-sided subsets, and
+    # the NO lists all 31, the one-signed ones by their sign
+    steps = k5_instance().steps
+    fixed = [list(s) for k in range(1, 6) for s in itertools.combinations(range(1, 6), k)]
     calls.clear()
     v = decide_identity(k5_instance(), Budget(samples=2, degree=0))
-    assert v.kind == "no" and len(calls) == 31
+    assert calls == [s for s in fixed if not _is_one_signed(steps, s)]
+    assert v.kind == "no"
+    entries = v.certificate["subsets"]
+    assert [e["subset"] for e in entries] == fixed
+    for e in entries:
+        if _is_one_signed(steps, e["subset"]):
+            assert conftest.check_one_signed(steps, e["subset"], e["certificate"]["one_signed"])
+        else:
+            assert "dual" in e["certificate"]
 
 
 def test_a_timeout_report_does_not_grow_with_the_subsets():
@@ -247,8 +273,8 @@ def test_a_timeout_report_does_not_grow_with_the_subsets():
 
 
 def test_a_walk_past_the_deadline_ends_unknown(monkeypatch):
-    """Every subset of the K = 20 set (steps all 1) is one-signed, so round
-    1 decides none: under `timeout=0` its walk stops at its first deadline
+    """Every subset of the K = 20 set (steps all 1) is one-signed, so the
+    walk decides none: under `timeout=0` it stops at its first deadline
     check, before the 4,096th subset, and the run ends UNKNOWN with nothing
     unresolved, not NO."""
     calls = []
@@ -264,6 +290,67 @@ def test_a_walk_past_the_deadline_ends_unknown(monkeypatch):
     assert v.budget_report["untried_from"] == list(next(itertools.islice(fixed, 4095, None)))
 
 
+def test_a_set_of_one_signed_steps_decides_no_subset(monkeypatch):
+    """K = 12 steps all 1: every subset is refuted by its sign, with no
+    `decide_subset` call, and the NO lists all 4,095 subsets."""
+    calls = []
+    monkeypatch.setattr(decide, "decide_subset", lambda *args: calls.append(args))
+    pres = free_presentation(1)
+    gens = GeneratorSet(pres, [GroupElement(pres, [mono((i,))], (1,)) for i in range(12)])
+    v = decide_identity(gens, Budget())
+    assert calls == []
+    assert v.kind == "no"
+    entries = v.certificate["subsets"]
+    assert len(entries) == 4095
+    assert [e["subset"] for e in entries] == [
+        list(s) for k in range(1, 13) for s in itertools.combinations(range(1, 13), k)]
+    assert all(e["certificate"] == {"one_signed": {"coordinate": 0, "sign": 1}}
+               and conftest.check_one_signed(gens.steps, e["subset"],
+                                             e["certificate"]["one_signed"])
+               for e in entries)
+
+
+def test_identity_at_index_a_million_decides_one_subset(monkeypatch):
+    """Steps +-10^6 (y = 1 and -1): the singletons are refuted by their
+    sign, so the one subset decided, re-posed at index 10^6, is [1, 2],
+    and Identity is NO."""
+    calls = _recorded_subset_calls(monkeypatch)
+    pres = free_presentation(1)
+    gens = GeneratorSet(pres, [GroupElement(pres, [LaurentPoly.one(1)], (10 ** 6,)),
+                               GroupElement(pres, [LaurentPoly.constant(1, -1)], (-10 ** 6,))])
+    v = decide_identity(gens, Budget())
+    assert calls == [[1, 2]]
+    assert v.kind == "no"
+    entries = v.certificate["subsets"]
+    assert [e["subset"] for e in entries] == [[1], [2], [1, 2]]
+    assert [e["certificate"] for e in entries[:2]] == [
+        {"one_signed": {"coordinate": 0, "sign": 1}}, {"one_signed": {"coordinate": 0, "sign": -1}}]
+    assert "dual" in entries[2]["certificate"]
+
+
+def test_sign_certificate_checker_rejects_wrong_entries():
+    """`check_one_signed` reads only the steps: it accepts the certificate
+    at the first one-signed coordinate and rejects a later or a two-sided
+    coordinate, a flipped sign, a malformed entry and any entry for a
+    two-sided subset."""
+    steps = [(0, 1, 2), (0, 2, -1), (1, -1, 0), (-1, 1, 0)]
+    check = conftest.check_one_signed
+    assert check(steps, [1, 2], {"coordinate": 1, "sign": 1})
+    assert check(steps, [3], {"coordinate": 0, "sign": 1})
+    assert check(steps, [2, 4], {"coordinate": 0, "sign": -1})
+    assert not check(steps, [1, 2], {"coordinate": 0, "sign": 1})  # all zero there
+    assert not check(steps, [1, 2], {"coordinate": 2, "sign": 1})  # two-sided there
+    assert not check(steps, [1], {"coordinate": 2, "sign": 1})  # one-signed, but not first
+    assert not check(steps, [1, 2], {"coordinate": 1, "sign": -1})
+    assert not check(steps, [3], {"coordinate": 0, "sign": -1})
+    assert not check(steps, [3], {"coordinate": 3, "sign": 1})
+    assert not check(steps, [3], {"coordinate": 0, "sign": True})
+    assert not check(steps, [3], {"coordinate": 0, "sign": 1, "dual": ["1"]})
+    for two_sided in ([3, 4], [1, 2, 3, 4]):
+        assert not any(check(steps, two_sided, {"coordinate": t, "sign": s})
+                       for t in range(3) for s in (1, -1))
+
+
 def _subset_module(n: int, kind: str) -> ModulePresentation:
     """perfbench's four `subsets` modules in n variables: Z[X^pm],
     (Z/2)[X^pm], Z[X^pm]/(X_1 - 2) and Z[X^pm]/(X_1 + 1)."""
@@ -273,15 +360,21 @@ def _subset_module(n: int, kind: str) -> ModulePresentation:
     return ModulePresentation(n=n, d=1, rels_N=[[LaurentPoly(n, t)] for t in rels])
 
 
-def test_two_rounds_match_the_fixed_order(monkeypatch):
-    """The two-round driver against the single fixed-order walk it replaced
-    (`ref_decide_subsets`), on 300 seeded sets: n = 1 over the four
+def test_one_walk_matches_the_fixed_order(monkeypatch):
+    """The one-walk driver against the fixed-order walk that decided every
+    subset (`ref_decide_subsets`), on 300 seeded sets: n = 1 over the four
     `subsets` modules with K <= 5 and steps in [-2, 2]; n = 2 over Z[X^pm]
     and (Z/2)[X^pm] with K <= 3 and steps in [-1, 1]^2.  Identity and
-    Inverse at every target, under `Budget()` and `Budget(samples=0)` (where
-    every deferred subset is UNKNOWN, so `unresolved` must keep the fixed
-    order), give the same bytes.  `decide_subset` is a pure function of
-    subset and budget, so both drivers read one cache of its verdicts."""
+    Inverse at every target, under `Budget()` and `Budget(samples=0)`
+    (where every subset the refuter would settle is UNKNOWN).  Every YES
+    has the reference's bytes.  Every NO lists the subsets in the fixed
+    order: each one-signed one with exactly its sign certificate
+    (`check_one_signed`), each other one with the reference's entry, byte
+    for byte (its cached verdict where the reference is UNKNOWN).  A
+    reference UNKNOWN becomes NO only when every subset it left unresolved
+    is one-signed; otherwise its report keeps the two-sided ones, in order.
+    `decide_subset` is a pure function of subset and budget, so both
+    drivers read one cache of its verdicts."""
     import conftest
     cache = {}
 
@@ -293,17 +386,41 @@ def test_two_rounds_match_the_fixed_order(monkeypatch):
 
     monkeypatch.setattr(decide, "decide_subset", cached)
     monkeypatch.setattr(conftest, "decide_subset", cached)
-    two_rounds, outputs = decide._decide_subsets, []
+    one_walk, pairs = decide._decide_subsets, Counter()
 
     def both(gens, subsets, budget):
-        v = two_rounds(gens, subsets, budget)
-        outputs.append([jsonio.dumps(jsonio.verdict_to_json(u))
-                        for u in (v, ref_decide_subsets(gens, subsets(), budget))])
+        order, steps = [list(s) for s in subsets], gens.steps
+        v = one_walk(gens, iter(order), budget)
+        new, ref = (jsonio.verdict_to_json(u)
+                    for u in (v, ref_decide_subsets(gens, order, budget)))
+        pairs[ref["verdict"], new["verdict"]] += 1
+        if ref["verdict"] == "yes" or new["verdict"] == "yes":
+            assert jsonio.dumps(new) == jsonio.dumps(ref)
+        elif new["verdict"] == "unknown":
+            report = dict(ref["budget_report"])
+            report["unresolved"] = [s for s in report["unresolved"]
+                                    if not _is_one_signed(steps, s)]
+            assert ref["verdict"] == "unknown" and new["budget_report"] == report
+        else:
+            entries = new["certificate"]["subsets"]
+            assert [e["subset"] for e in entries] == order
+            if ref["verdict"] == "no":
+                two_sided = ref["certificate"]["subsets"]
+            else:
+                assert all(_is_one_signed(steps, s) for s in ref["budget_report"]["unresolved"])
+                two_sided = [{"subset": s, "certificate": cache[(tuple(s), budget.samples)].certificate}
+                             for s in order]
+            for e, r in zip(entries, two_sided):
+                if _is_one_signed(steps, e["subset"]):
+                    assert list(e["certificate"]) == ["one_signed"]
+                    assert conftest.check_one_signed(steps, e["subset"],
+                                                     e["certificate"]["one_signed"])
+                else:
+                    assert jsonio.dumps(e) == jsonio.dumps(r)
         return v
 
     monkeypatch.setattr(decide, "_decide_subsets", both)
     rng = random.Random(3607)
-    kinds = Counter()
     for case in range(300):
         n = 1 + case % 2
         pres = _subset_module(n, ["free", "z2", "bs12", "xplus1"][case // 2 % (4 if n == 1 else 2)])
@@ -315,11 +432,17 @@ def test_two_rounds_match_the_fixed_order(monkeypatch):
             for _ in range(K)])
         cache.clear()
         for budget in (Budget(), Budget(samples=0)):
-            kinds[decide_identity(gens, budget).kind] += 1
+            decide_identity(gens, budget)
             for target in range(1, K + 1):
-                kinds[decide_inverse(gens, target, budget).kind] += 1
-    assert all(new == ref for new, ref in outputs)
+                decide_inverse(gens, target, budget)
+    print(f"(reference, one walk) verdicts: {dict(pairs)}; "
+          f"reference UNKNOWN now NO: {pairs['unknown', 'no']}")
+    kinds = Counter()
+    for (ref, _), count in pairs.items():
+        kinds[ref] += count
     assert min(kinds.values()) >= 500, kinds
+    assert set(pairs) == {("yes", "yes"), ("no", "no"), ("unknown", "unknown"), ("unknown", "no")}
+    assert min(pairs.values()) >= 100, pairs
 
 
 def test_groebner_deadline_is_unknown(monkeypatch):
@@ -752,7 +875,8 @@ def test_oracle_soundness_of_n1_refutations():
             for size in range(1, K + 1):
                 for sub in itertools.combinations(range(1, K + 1), size):
                     assert oracle_bfs(gens.subset(list(sub)), 6) is None, (case, sub)
-            late += any(c["certificate"]["samples_tested"] > 6 for c in v.certificate["subsets"])
+            late += any(c["certificate"]["samples_tested"] > 6 for c in v.certificate["subsets"]
+                        if "one_signed" not in c["certificate"])
         kinds.append(v.kind)
     assert kinds.count("no") >= 16 and late >= 1, (kinds, late)
 
