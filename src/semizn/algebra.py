@@ -28,11 +28,11 @@ def clear_vector(vec: Sequence[LaurentPoly], n: int):
 
     Returns (raw dict over (pos, mono), shift) with cleared = X^shift * vec.
     A restricted vector has an entry per coset, so past the deadline it
-    raises DeadlineExceeded, checked every 1,024 entries.
+    raises DeadlineExceeded, checked every `groebner.CHECK_EVERY` entries.
     """
     mins = [0] * n
     for pos, p in enumerate(vec):
-        if pos & 1023 == 1023:
+        if not (pos + 1) % groebner.CHECK_EVERY:
             groebner.check_deadline()
         for e in p.terms:
             for i, v in enumerate(e):
@@ -40,7 +40,7 @@ def clear_vector(vec: Sequence[LaurentPoly], n: int):
     shift = tuple(-m for m in mins)
     raw = {}
     for pos, p in enumerate(vec):
-        if pos & 1023 == 1023:
+        if not (pos + 1) % groebner.CHECK_EVERY:
             groebner.check_deadline()
         for e, c in p.terms.items():
             raw[(pos, tuple(a + b for a, b in zip(e, shift)))] = c

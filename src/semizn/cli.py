@@ -151,15 +151,17 @@ def _cmd_check(args) -> int:
     gens = _load_instance(args.instance)
     try:
         budget = _budget(args)
-        if args.problem == "group":
-            verdict = decide_group(gens, budget)
-        elif args.problem == "identity":
-            verdict = decide_identity(gens, budget)
-        else:
-            verdict = decide_inverse(gens, args.target, budget)
+        if args.problem == "inverse" and not 1 <= args.target <= gens.K:
+            raise ValueError(f"target index {args.target} out of range 1..{gens.K}")
     except ValueError as exc:  # a negative budget, or --target outside 1..K
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    if args.problem == "group":
+        verdict = decide_group(gens, budget)
+    elif args.problem == "identity":
+        verdict = decide_identity(gens, budget)
+    else:
+        verdict = decide_inverse(gens, args.target, budget)
     if args.certificate and args.problem == "group" and verdict.kind == "yes":
         _, verdict.witness["escape_cells"] = positions.check_escape_condition(
             verdict.witness["positions"], verdict.witness["graph"].steps)
@@ -212,6 +214,9 @@ def _cmd_graph_analyze(args) -> int:
 
 def _cmd_euler_close(args) -> int:
     graph = _read(args.graph, jsonio.graph_from_json)
+    if args.max_n < 0:
+        print(f"error: max_n must be nonnegative, got {args.max_n}", file=sys.stderr)
+        return USAGE_EXIT
     try:
         result = eulerian_closure(graph, max_n=args.max_n)
     except ClosurePreconditionError as exc:
@@ -220,9 +225,6 @@ def _cmd_euler_close(args) -> int:
     except ClosureBudgetError as exc:
         _emit({"error": "budget", "max_n": exc.max_n})
         return 2
-    except ValueError as exc:  # a negative --max-n
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     _emit({
         "N": result.N,
         "translations": [list(z) for z in result.translations],

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from semizn import geometry
-from semizn.ggraph import _CHECK_EVERY, StepGraph
-from semizn.groebner import check_deadline
+from semizn.ggraph import StepGraph
+from semizn.groebner import CHECK_EVERY, check_deadline
 
 
 class ClosurePreconditionError(ValueError):
@@ -47,7 +47,7 @@ class ClosureResult:
 def translation_set(hull: geometry.LatticePolytope, N: int) -> list[tuple]:
     """All z in Z^n with z + C contained in N*C, by exact facet arithmetic:
     w.z <= (N-1) * b for every facet {x : w.x <= b} of C, over the box
-    (N-1) * [lo, hi]^n; the deadline is checked every _CHECK_EVERY points
+    (N-1) * [lo, hi]^n; the deadline is checked every CHECK_EVERY points
     of the box."""
     halfspaces = hull.ambient_halfspaces()
     n = hull.n
@@ -59,7 +59,7 @@ def translation_set(hull: geometry.LatticePolytope, N: int) -> list[tuple]:
         his.append(N * hi - hi)
     out = []
     for t, z in enumerate(product(*(range(lo, hi + 1) for lo, hi in zip(los, his))), start=1):
-        if t % _CHECK_EVERY == 0:
+        if t % CHECK_EVERY == 0:
             check_deadline()
         if all(
             sum(w[i] * z[i] for i in range(n)) <= (N - 1) * b
@@ -72,7 +72,7 @@ def translation_set(hull: geometry.LatticePolytope, N: int) -> list[tuple]:
 def eulerian_closure(graph: StepGraph, max_n: int = 16) -> ClosureResult:
     """A negative `max_n` is refused with ValueError.  Past the deadline it
     raises DeadlineExceeded: inside the hull, before each N, and every
-    _CHECK_EVERY points of the translation box and translations."""
+    CHECK_EVERY points of the translation box and translations."""
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if not graph.is_symmetric():
@@ -92,7 +92,7 @@ def eulerian_closure(graph: StepGraph, max_n: int = 16) -> ClosureResult:
             continue
         counts = Counter()
         for t, z in enumerate(zs, start=1):
-            if t % _CHECK_EVERY == 0:
+            if t % CHECK_EVERY == 0:
                 check_deadline()
             for (s, label), k in graph.counts.items():
                 counts[tuple(a + b for a, b in zip(s, z)), label] += k

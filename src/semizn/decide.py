@@ -19,27 +19,29 @@ Neither side is complete on its own; an exhausted budget is an honest
 UNKNOWN.  The two sides are interleaved cooperatively under a fixed
 schedule, so the verdict is a pure function of instance and budget.
 
-Group, Identity and Inverse run one core on a generating set: Group on the
-whole set, Identity and Inverse on subsets of it.  "The steps generate Z^n"
-is a normal form, not a limit on the input: every set is re-posed over the
-Hermite basis of the lattice its steps span, by restriction of scalars in
-the same n variables (one coset and no elimination when the steps generate
-Z^n), and its YES witness carries positions and a graph over that basis
-(the word is in the set's own letters).  At rank 0 the basis is empty, and
-the same core at n = 0 decides the exact rational feasibility the problem
-degenerates to: the refuter's one sample is the empty point, and the
-window LP finds a strictly positive combination whenever one exists.  One
-deadline, started at entry, bounds the re-posing, the Groebner phases and
-the search; for Identity and Inverse it covers every subset, and the first
-subset that times out ends the loop.
+Group, Identity and Inverse run one driver, `decide_group`, on a generating
+set: Group on the whole set, Identity and Inverse on subsets of it.  "The
+steps generate Z^n" is a normal form, not a limit on the input: every set
+is re-posed over the Hermite basis of the lattice its steps span, by
+restriction of scalars in the same n variables (one coset and no
+elimination when the steps generate Z^n), and its YES witness carries
+positions and a graph over that basis (the word is in the set's own
+letters).  At rank 0 the basis is empty, and the same driver at n = 0
+decides the exact rational feasibility the problem degenerates to: the
+refuter's one sample is the empty point, and the window LP finds a strictly
+positive combination whenever one exists.  One deadline, started at entry,
+bounds the re-posing, the Groebner phases and the search; for Identity and
+Inverse it covers every subset, and the walk reads it before each subset
+and stops once it has passed.
 
-Identity and Inverse walk their subsets once, in a fixed order.  A subset
-whose steps are one-signed in some coordinate (`_one_signed`) never
-generates a group: it is refuted by that coordinate and sign alone, an
-exact certificate read off the steps, with no re-posing, Groebner run or
-refuter.  Every other subset runs the core.
+Identity and Inverse walk their subsets once, in one fixed order: the
+nonempty subsets by size, then lexicographically, and for Inverse only those
+holding its target.  A subset whose steps are one-signed in some coordinate
+(`_one_signed`) never generates a group: it is refuted by that coordinate and
+sign alone, an exact certificate read off the steps, with no re-posing,
+Groebner run or refuter.  Every other subset runs `decide_group`.
 
-The YES side is one call chain, in the paper's order: `decide_core` runs
+The YES side is one call chain, in the paper's order: `decide_group` runs
 `procedure_a_events`, whose candidates (the generators, then
 `_window_candidate`) that pass the escape condition go to `_witness`:
 Eulerian graph, closure unless connected, Euler circuit, verified word.
@@ -235,9 +237,10 @@ def _window_candidate(generators, K: int, n: int, window: int, cut=frozenset()):
     passes (its own face in that direction lies on F, where every slot's step
     is parallel to F), so `procedure_a_events` cuts F's points and maximises
     again.  Each cut removes at least one slot, so within its window the
-    search finds a passing element whenever one exists.  No round or pivot
-    starts past the deadline: it raises DeadlineExceeded instead."""
-    if not generators:
+    search finds a passing element whenever one exists.  A window of more
+    than _WINDOW_CAP multipliers gives None before any is listed.  No round
+    or pivot starts past the deadline: it raises DeadlineExceeded instead."""
+    if not generators or len(generators) * (2 * window + 1) ** n > _WINDOW_CAP:
         return None
     monos = sorted(
         itertools.product(range(-window, window + 1), repeat=n),
@@ -245,8 +248,6 @@ def _window_candidate(generators, K: int, n: int, window: int, cut=frozenset()):
     )
     variables = [(j, mu) for j in range(len(generators)) for mu in monos]
     nlam = len(variables)
-    if nlam > _WINDOW_CAP:
-        return None
     # slot universe: possible f-monomials per coordinate
     universe = []
     for i in range(K):
@@ -381,47 +382,6 @@ def procedure_a_events(generators, sub: GeneratorSet, steps, budget: Budget):
 
 
 # ---------------------------------------------------------------------------
-# Cores and public drivers
-# ---------------------------------------------------------------------------
-
-def _unknown(budget: Budget, timed_out: bool) -> Verdict:
-    report = asdict(budget)
-    del report["timeout"]
-    report["timed_out"] = timed_out
-    return Verdict(kind="unknown", budget_report=report)
-
-
-def decide_core(sub: GeneratorSet, generators, steps, budget: Budget) -> Verdict:
-    """Interleave the positive search and the refuter on the relation-module
-    `generators` and `steps` of `sub` re-posed; first conclusive verdict
-    wins (a fixed alternation, so the outcome is deterministic).  Past the
-    deadline it raises DeadlineExceeded, checked before every event and
-    inside both sides."""
-    live = [locr_events(generators, sub.K, len(steps[0]), budget),
-            procedure_a_events(generators, sub, steps, budget)]
-    while live:
-        for it in list(live):
-            check_deadline()
-            try:
-                event = next(it)
-            except StopIteration:
-                live.remove(it)
-                continue
-            if event is not None:
-                return event
-    return _unknown(budget, timed_out=False)
-
-
-def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
-    """Decide whether the generated sub-semigroup is a group (sound YES and
-    NO, budget-bounded UNKNOWN), re-posed over the Hermite basis of the
-    lattice of its steps, as for every subset.
-    `budget.timeout` starts at entry and bounds the Groebner phases too."""
-    budget = budget or Budget()
-    return _decide_generating_set(gens, budget)
-
-
-# ---------------------------------------------------------------------------
 # Re-posing over the lattice of the steps
 # ---------------------------------------------------------------------------
 
@@ -504,26 +464,52 @@ def _repose(sub: GeneratorSet):
     return generators, [tuple(w[:r]) for w in steps]
 
 
-def _decide_generating_set(sub: GeneratorSet, budget: Budget) -> Verdict:
-    """Group Problem for `sub`, re-posed over the lattice of its steps, under
-    `deadline_scope(budget.timeout)`.  Past it the verdict is UNKNOWN with
-    `timed_out`: the one place a DeadlineExceeded, from any phase, is caught."""
+# ---------------------------------------------------------------------------
+# Public drivers
+# ---------------------------------------------------------------------------
+
+def _unknown(budget: Budget, timed_out: bool) -> Verdict:
+    report = asdict(budget)
+    del report["timeout"]
+    report["timed_out"] = timed_out
+    return Verdict(kind="unknown", budget_report=report)
+
+
+def decide_group(gens: GeneratorSet, budget: Budget = None) -> Verdict:
+    """Decide whether the generated sub-semigroup is a group (sound YES and
+    NO, budget-bounded UNKNOWN), as for every subset of Identity and
+    Inverse: re-pose `gens` over the lattice of its steps (`_repose`), then
+    alternate the refuter and the positive search, a fixed schedule, until
+    one is conclusive.  `budget.timeout` starts at entry (an enclosing
+    scope's earlier deadline holds) and bounds every phase, checked before
+    each event too; past it the verdict is UNKNOWN with `timed_out`, the
+    one place a DeadlineExceeded is caught."""
+    budget = budget or Budget()
     try:
         with deadline_scope(budget.timeout):
-            generators, steps = _repose(sub)
-            return decide_core(sub, generators, steps, budget)
+            generators, steps = _repose(gens)
+            live = [locr_events(generators, gens.K, len(steps[0]), budget),
+                    procedure_a_events(generators, gens, steps, budget)]
+            while live:
+                for it in list(live):
+                    check_deadline()
+                    try:
+                        event = next(it)
+                    except StopIteration:
+                        live.remove(it)
+                        continue
+                    if event is not None:
+                        return event
     except DeadlineExceeded:
         return _unknown(budget, timed_out=True)
+    return _unknown(budget, timed_out=False)
 
 
 def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget) -> Verdict:
-    """Group Problem for the sub-generating-set at the given 1-based indices,
-    re-posed over the lattice of its steps.
-
-    `budget.timeout` starts at entry (an enclosing scope's earlier deadline
-    holds) and bounds the whole run.  Past it the verdict is UNKNOWN with
-    `timed_out`."""
-    verdict = _decide_generating_set(gens.subset(indices), budget)
+    """`decide_group` on the sub-generating-set at the given 1-based
+    indices, under the same budget and deadline rule; a YES witness also
+    carries its word in the letters of `gens` and the subset."""
+    verdict = decide_group(gens.subset(indices), budget)
     if verdict.kind == "yes":
         verdict.witness["word_in_original_letters"] = [
             indices[l - 1] for l in verdict.witness["word"]
@@ -532,13 +518,10 @@ def decide_subset(gens: GeneratorSet, indices: Sequence[int], budget: Budget) ->
     return verdict
 
 
-def _subsets(indices: Sequence[int]):
-    idx = list(indices)
-    for size in range(1, len(idx) + 1):
-        yield from itertools.combinations(idx, size)
-
-
-_SCAN_CHUNK = 4096  # subsets walked between two deadline checks
+def _subsets(K: int):
+    """The nonempty subsets of 1..K, by size and then lexicographically."""
+    for size in range(1, K + 1):
+        yield from itertools.combinations(range(1, K + 1), size)
 
 
 def _one_signed(steps):
@@ -578,24 +561,21 @@ def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     returns.  A NO lists every subset in the fixed order, each with its
     sign certificate or its refuter's.
 
-    One deadline scope, opened here, covers all subsets.  Once a subset
-    comes back timed out, or the walk finds the deadline passed at one of
-    its checks every _SCAN_CHUNK subsets, nothing further is tried: the
-    report says `timed_out` and names in `untried_from` the next subset,
-    or the subset the walk had reached at the check, unless the walk was at
-    its end.  It and every later subset were not tried."""
+    One deadline scope, opened here, covers all subsets; the walk reads it
+    before each subset (a subset that timed out sets `timed_out`).  Once it
+    has passed, at the first read under `timeout=0`, nothing further is
+    tried: the report says `timed_out` and names in `untried_from` the
+    subset the walk reached; it and every later one were not tried."""
     sign = _one_signed(gens.steps)
     refuted, unresolved = [], []
     report = {"reason": "some subsets unresolved", "unresolved": unresolved}
     with deadline_scope(budget.timeout):
-        walk = enumerate(map(list, subsets))
-        for pos, subset in walk:
-            if pos % _SCAN_CHUNK == _SCAN_CHUNK - 1:
-                try:
-                    check_deadline()
-                except DeadlineExceeded:
-                    report.update(timed_out=True, untried_from=subset)
-                    break
+        for subset in map(list, subsets):
+            try:
+                check_deadline()
+            except DeadlineExceeded:
+                report.update(timed_out=True, untried_from=subset)
+                break
             cert = sign(subset)
             if cert is not None:
                 refuted.append({"subset": subset, "certificate": {"one_signed": cert}})
@@ -609,10 +589,6 @@ def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
             unresolved.append(subset)
             if v.budget_report["timed_out"]:
                 report["timed_out"] = True
-                untried = next(walk, None)
-                if untried is not None:
-                    report["untried_from"] = untried[1]
-                break
     if unresolved or "timed_out" in report:
         return Verdict(kind="unknown", budget_report=report)
     return Verdict(kind="no", certificate={"subsets": refuted})
@@ -621,15 +597,17 @@ def _decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
 def decide_identity(gens: GeneratorSet, budget: Budget = None) -> Verdict:
     """The semigroup contains the neutral element iff some nonempty subset of
     the generators generates a group (subset reduction)."""
-    return _decide_subsets(gens, _subsets(range(1, gens.K + 1)), budget or Budget())
+    return _decide_subsets(gens, _subsets(gens.K), budget or Budget())
 
 
 def decide_inverse(gens: GeneratorSet, target: int, budget: Budget = None) -> Verdict:
     """g_target has an inverse in the semigroup iff some subset containing it
-    generates a group."""
+    generates a group.  The walk is Identity's order restricted to the
+    subsets holding the target: the target alone, then the target with each
+    subset of the other generators in their own order, by size and then
+    lexicographically, as adding one fixed index to sorted tuples of one
+    size keeps their lexicographic order."""
     if not 1 <= target <= gens.K:
         raise ValueError(f"target index {target} out of range 1..{gens.K}")
-    rest = [i for i in range(1, gens.K + 1) if i != target]
-    return _decide_subsets(
-        gens, itertools.chain([[target]], (sorted([target, *extra]) for extra in _subsets(rest))),
-        budget or Budget())
+    return _decide_subsets(gens, (s for s in _subsets(gens.K) if target in s),
+                           budget or Budget())

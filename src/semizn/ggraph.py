@@ -12,10 +12,8 @@ from operator import add
 from typing import Optional, Sequence
 
 from semizn import linalg
-from semizn.groebner import check_deadline
+from semizn.groebner import CHECK_EVERY, check_deadline
 from semizn.group import GeneratorSet, GroupElement
-
-_CHECK_EVERY = 4096  # letters, circuit steps, translations or translation-box points per deadline check
 
 
 class StepGraph:
@@ -118,7 +116,7 @@ class StepGraph:
         graph is not symmetric or not connected.  Ties are broken by smallest
         (destination vertex, label), so the output is deterministic.
         The deadline is checked before each of the two tests and every
-        _CHECK_EVERY steps of the walk."""
+        CHECK_EVERY steps of the walk."""
         start = tuple(int(v) for v in start)
         if start not in self.vertices():
             raise ValueError(f"start {start} is not a vertex")
@@ -135,7 +133,7 @@ class StepGraph:
         out_rev: list[int] = []
         steps = 0
         while stack:
-            if not steps % _CHECK_EVERY:
+            if not steps % CHECK_EVERY:
                 check_deadline()
             steps += 1
             v, incoming = stack[-1]
@@ -186,7 +184,7 @@ def graph_of_word(gens_or_steps, word: Sequence[int]) -> StepGraph:
     sum of the first j-1 steps, labeled by letter j).  The trace is connected
     and starts at 0, so it already is the component of the origin.  The
     edges are counted here from checked letters, so only the steps go through
-    `StepGraph`'s checks; the deadline is checked every _CHECK_EVERY letters."""
+    `StepGraph`'s checks; the deadline is checked every CHECK_EVERY letters."""
     if not word:
         raise ValueError("empty word has no graph")
     steps = gens_or_steps.steps if isinstance(gens_or_steps, GeneratorSet) else gens_or_steps
@@ -195,7 +193,7 @@ def graph_of_word(gens_or_steps, word: Sequence[int]) -> StepGraph:
     pos = (0,) * graph.n
     counts = Counter()
     for k, letter in enumerate(word):
-        if not k % _CHECK_EVERY:
+        if not k % CHECK_EVERY:
             check_deadline()
         if not 1 <= letter <= graph.K:
             raise ValueError(f"letter {letter} out of range")

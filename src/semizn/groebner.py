@@ -92,6 +92,7 @@ class DeadlineExceeded(Exception):
 
 
 _DEADLINE = contextvars.ContextVar("semizn_deadline", default=None)  # a time.monotonic() value
+CHECK_EVERY = 4096  # cheap steps between two clock reads (a power of 2, for `normal_form`'s mask)
 
 
 class _Overflow(Exception):
@@ -347,11 +348,11 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     of the result come in the order the heap would pop them: the column
     terms as they leave the heap, then the terms below the cut, descending.
 
-    Under a deadline, `check_deadline` runs every 4,096 heap pops, and on
-    every pop of a coefficient longer than 4,096 bits: one normal form can
-    take astronomically many steps (reducing X^(2^70) + 1 by a binomial in
-    X), or steps that each grow a huge coefficient (X^12000 by X - 2^360),
-    so a run's budget has to reach inside it.
+    Under a deadline, `check_deadline` runs every CHECK_EVERY heap pops,
+    and on every pop of a coefficient longer than 4,096 bits: one normal
+    form can take astronomically many steps (reducing X^(2^70) + 1 by a
+    binomial in X), or steps that each grow a huge coefficient (X^12000 by
+    X - 2^360), so a run's budget has to reach inside it.
     """
     table = basis if isinstance(basis, _Basis) else _Basis(pk, basis)
     reducers, cut = table.reducers, table.cut
@@ -361,13 +362,13 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     heapq.heapify(heap)
     out = {}
     pops = 0
-    deadline = _DEADLINE.get()
+    deadline, mask = _DEADLINE.get(), CHECK_EVERY - 1
     while heap:
         lead = -heapq.heappop(heap)
         c = work.pop(lead, None)
         if deadline is not None:
             pops += 1
-            if not pops & 4095 or c is not None and c.bit_length() > 4096:
+            if not pops & mask or c is not None and c.bit_length() > 4096:
                 check_deadline()
         if c is None:
             continue  # cancelled since it was pushed (lazy deletion)

@@ -559,6 +559,19 @@ def ref_decide_subsets(gens: GeneratorSet, subsets, budget: Budget) -> Verdict:
     return Verdict(kind="no", certificate={"subsets": refutations})
 
 
+# -- reference: the Inverse subset order -------------------------------------
+# `decide.decide_inverse`'s order before it walked Identity's order
+# restricted to the subsets holding the target, listed: the target alone,
+# then the target inserted into each subset of the other indices, by size
+# and then lexicographically.
+
+def ref_inverse_order(K: int, target: int) -> list[list[int]]:
+    rest = [i for i in range(1, K + 1) if i != target]
+    return list(itertools.chain([[target]], (
+        sorted([target, *extra])
+        for size in range(1, len(rest) + 1) for extra in itertools.combinations(rest, size))))
+
+
 # -- reference: the decoders before `algebra.decode` -------------------------
 # `algebra.raw_to_vector` and `algebra.normalize_unit`, verbatim: the
 # composition `algebra._syzygies` and `algebra.decode` replace.

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from semizn import cli, jsonio
+from semizn import cli, geometry, jsonio, positions
 from semizn.cli import _budget, build_parser, main
 from semizn.closure import eulerian_closure
 from semizn.decide import Budget
@@ -262,6 +262,34 @@ def test_an_internal_error_is_never_read_as_no(monkeypatch, capsys):
     code, out = run("check", "identity", path("fig2.json"))
     assert code == 70 and out == ""
     assert capsys.readouterr().err == "error: internal: AssertionError: invalid dual certificate\n"
+
+
+def test_a_value_error_inside_a_run_is_internal(monkeypatch, capsys):
+    """A ValueError raised inside a decision or a closure is a failed
+    self-check, not a usage error: exit 70 with one `error: internal:`
+    line.  Only a negative budget, a --target outside 1..K and a negative
+    --max-n are exit 64."""
+    def broken(message):
+        def raise_it(*args, **kwargs):
+            raise ValueError(message)
+        return raise_it
+
+    with monkeypatch.context() as m:
+        m.setattr(positions, "check_escape_condition",
+                  broken("escape condition needs a symmetric tuple"))
+        m.setattr(geometry, "convex_hull", broken("points of mixed dimension"))
+        for argv, message in (
+                (["check", "group", path("inverse_pair.json")],
+                 "escape condition needs a symmetric tuple"),
+                (["euler-close", path("disjoint_loops_graph.json")], "points of mixed dimension")):
+            capsys.readouterr()
+            code, out = run(*argv)
+            assert code == 70 and out == ""
+            assert capsys.readouterr().err == f"error: internal: ValueError: {message}\n"
+    for argv in (["check", "group", path("inverse_pair.json"), "--samples", "-1"],
+                 ["check", "inverse", path("fig2.json"), "--target", "9"],
+                 ["euler-close", path("disjoint_loops_graph.json"), "--max-n", "-1"]):
+        assert run(*argv)[0] == 64
 
 
 def test_inverse_target_flag():

@@ -230,15 +230,40 @@ def test_one_deadline_for_all_subsets(monkeypatch):
     # refuted by its sign, so the first subset decided is [1, 2] for
     # Identity and [2, 3] for Inverse with target 3, and the next in the
     # fixed order, [1, 3] and [3, 4], is the first untried one
-    for run, first, second in ((lambda b: decide_identity(k5_instance(), b), [1, 2], [1, 3]),
-                               (lambda b: decide_inverse(k5_instance(), 3, b), [2, 3], [3, 4])):
+    runs = ((lambda b: decide_identity(k5_instance(), b), [1], [1, 2], [1, 3]),
+            (lambda b: decide_inverse(k5_instance(), 3, b), [3], [2, 3], [3, 4]))
+    # under `timeout=0` the deadline has passed at the walk's first read:
+    # no subset is tried, and the report names the first one in the order
+    for run, start, _, _ in runs:
         calls.clear()
         v = run(Budget(timeout=0))
+        assert calls == []
+        assert v.kind == "unknown" and v.budget_report["timed_out"] is True
+        assert v.budget_report["unresolved"] == []
+        assert v.budget_report["untried_from"] == start
+    # a clock that jumps past a positive deadline as the first subset is
+    # decided: that subset times out, and the walk's next read stops it
+    skew = [0.0]
+    monkeypatch.setattr(groebner, "time",
+                        SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]))
+    counted = decide.decide_subset
+
+    def late(*args):
+        skew[0] = 1e9
+        return counted(*args)
+
+    monkeypatch.setattr(decide, "decide_subset", late)
+    for run, _, first, second in runs:
+        skew[0] = 0.0
+        calls.clear()
+        v = run(Budget(timeout=3600))
         assert calls == [first]
         assert v.kind == "unknown" and v.budget_report["timed_out"] is True
         # the one subset tried is unresolved; the report names the first untried one
         assert v.budget_report["unresolved"] == [first]
         assert v.budget_report["untried_from"] == second
+    monkeypatch.setattr(decide, "decide_subset", counted)
+    skew[0] = 0.0
     # without a timeout the calls are exactly the two-sided subsets, and
     # the NO lists all 31, the one-signed ones by their sign
     steps = k5_instance().steps
@@ -275,7 +300,7 @@ def test_a_timeout_report_does_not_grow_with_the_subsets():
 def test_a_walk_past_the_deadline_ends_unknown(monkeypatch):
     """Every subset of the K = 20 set (steps all 1) is one-signed, so the
     walk decides none: under `timeout=0` it stops at its first deadline
-    check, before the 4,096th subset, and the run ends UNKNOWN with nothing
+    read, before the first subset, and the run ends UNKNOWN with nothing
     unresolved, not NO."""
     calls = []
     monkeypatch.setattr(decide, "decide_subset", lambda *args: calls.append(args))
@@ -285,9 +310,33 @@ def test_a_walk_past_the_deadline_ends_unknown(monkeypatch):
     assert calls == []
     assert v.kind == "unknown" and v.budget_report["timed_out"] is True
     assert v.budget_report["unresolved"] == []
-    fixed = itertools.chain.from_iterable(
-        itertools.combinations(range(1, 21), k) for k in range(1, 21))
-    assert v.budget_report["untried_from"] == list(next(itertools.islice(fixed, 4095, None)))
+    assert v.budget_report["untried_from"] == [1]
+
+
+def test_inverse_walks_the_reference_order(monkeypatch):
+    """For K <= 7 and every target, Inverse decides its two-sided subsets
+    and lists the entries of its NO in the order of `ref_inverse_order`,
+    the target alone and then the target with each subset of the others.
+    The steps alternate in sign, so every singleton is one-signed and every
+    subset holding both signs is decided (here by a stub that refutes it)."""
+    calls = []
+
+    def refute(gens, indices, budget):
+        calls.append(list(indices))
+        return decide.Verdict(kind="no", certificate={"stub": True})
+
+    monkeypatch.setattr(decide, "decide_subset", refute)
+    pres = free_presentation(1)
+    for K in range(1, 8):
+        gens = GeneratorSet(pres, [GroupElement(pres, [mono((0,))], ((-1) ** i * (1 + i // 2),))
+                                   for i in range(K)])
+        for target in range(1, K + 1):
+            order = conftest.ref_inverse_order(K, target)
+            calls.clear()
+            v = decide_inverse(gens, target, Budget())
+            assert v.kind == "no"
+            assert [e["subset"] for e in v.certificate["subsets"]] == order
+            assert calls == [s for s in order if not _is_one_signed(gens.steps, s)]
 
 
 def test_a_set_of_one_signed_steps_decides_no_subset(monkeypatch):
@@ -1279,6 +1328,34 @@ def test_rank2_sublattice_is_quick():
     assert time.monotonic() - t0 < 10
     assert jsonio.verdict_to_json(v) == {"verdict": "no", "certificate": {
         "dual": ["1", "1", "1"], "sample": ["1", "1"], "samples_tested": 1}}
+
+
+def test_a_window_over_the_cap_is_skipped_before_it_is_listed(monkeypatch):
+    """n = 3 and six generators: every window past 0 has 6 * 27 or more
+    multipliers, over `_WINDOW_CAP`, so `_window_candidate` gives None
+    before it lists them.  Under degree 30 only window 0's single monomial
+    is listed (the listing of window 30 alone holds 61^3 = 226,981), and
+    the verdict is the one of degree 0 with the budget's own degree."""
+    listed = []
+
+    def counting(iterable, **kwargs):
+        out = sorted(iterable, **kwargs)
+        if "key" in kwargs:  # the window's multiplier monomials
+            listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(decide, "sorted", counting, raising=False)
+    gens = jsonio.instance_from_json({
+        "module": {"n": 3, "d": 1, "rels_N": [[[{"c": "1", "e": [2, 0, 0]},
+                                                {"c": "-2", "e": [0, 0, 0]}]]]},
+        "generators": [{"a": [1, 0, 0], "y": [[{"c": "1", "e": [0, 0, 0]}]]}] + [
+            {"a": a, "y": [[]]} for a in ([-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                                         [0, 0, -1])]})
+    with fails_after(20):
+        v = decide_group(gens, Budget(degree=30, samples=0))
+    assert listed and set(listed) == {1}
+    assert v.kind == "unknown" and v.budget_report == {
+        "degree": 30, "samples": 0, "closure_n": 16, "timed_out": False}
 
 
 def test_face_cuts_find_a_smaller_support():
