@@ -162,7 +162,7 @@ def _cmd_check(args) -> int:
         verdict = decide_identity(gens, budget)
     else:
         verdict = decide_inverse(gens, args.target, budget)
-    if args.certificate and args.problem == "group" and verdict.kind == "yes":
+    if args.certificate and verdict.kind == "yes":
         _, verdict.witness["escape_cells"] = positions.check_escape_condition(
             verdict.witness["positions"], verdict.witness["graph"].steps)
     _emit(jsonio.verdict_to_json(verdict))

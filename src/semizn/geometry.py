@@ -31,7 +31,6 @@ enumeration is self-certifying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import Sequence
 
 from semizn import linalg
@@ -104,22 +103,11 @@ class LatticePolytope:
         facets = {}  # outer normal -> (support, indices of points on it, its vertices included)
 
         def span(idxs):
-            # the one null vector of the differences, from the integer
-            # echelon rows: x_fc = L, the lcm of the pivots, and
-            # x_pc = -row[fc] * L / row[pc], then made primitive
             base = coords[idxs[0]]
-            rows, pivots = linalg._echelon(
-                [[a - b for a, b in zip(coords[i], base)] for i in idxs[1:]], k)
-            if len(pivots) != k - 1:
+            null = linalg.nullspace([[a - b for a, b in zip(coords[i], base)] for i in idxs[1:]], k)
+            if len(null) != 1:
                 return
-            fc = next(c for c in range(k) if c not in pivots)
-            L = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
-            x = [0] * k
-            x[fc] = L
-            for row, pc in zip(rows, pivots):
-                x[pc] = -row[fc] * (L // row[pc])
-            g = gcd(*x)
-            h = tuple(v // g for v in x)
+            h = linalg.primitive_vector(null[0])
             b = linalg.dot(h, base)
             if linalg.dot(h, centre) > (k + 1) * b:
                 h, b = tuple(-x for x in h), -b

@@ -39,10 +39,7 @@ finds the leading term in logarithmic time instead of scanning the vector.
 Reducers are looked up in per-position lists sorted by (|lc|, index), which
 a `_Basis` keeps across calls: the raw run adds one sorted insert per new
 element, and the fixed bases of `_tail_reduced` and of the lifting build
-theirs once.  While every leading term is a column term (flag set), no
-e-part term is reducible: those terms stay in the work vector but off the
-heap, and join the result at the end in descending order, where the heap
-would have put them.
+theirs once.
 
 Syzygies are lifted on the augmented module (see `syzygy_generators`):
 only the reduced basis carries its representation by the columns, as an
@@ -300,40 +297,21 @@ def remainder(vec: dict, basis: list[_Entry], order: TermOrder) -> dict:
 
 class _Basis(list):
     """Basis entries with their reducer lists, kept across `normal_form`
-    calls: per position, (|lc|, index, lead, coef, tail, low tail) in
-    ascending order.  `cut` is the flag bit when the entries carry e-part
-    terms (below the flag) and every leading term is a column term (flag
-    set), and 0 otherwise.  No term below `cut` is ever reducible then, so
-    each tail is split at it, and the terms below it stay off the heap."""
-    __slots__ = ("pk", "cut", "reducers")
+    calls: per position, (|lc|, index, lead, coef, tail) in ascending
+    order."""
+    __slots__ = ("pk", "reducers")
 
     def __init__(self, pk: _Packing, entries=()):
         super().__init__(entries)
         self.pk = pk
-        self._index()
-
-    def _index(self):
-        pk, flag = self.pk, self.pk.flag
-        columns = all(e.lead & flag for e in self)
-        self.cut = flag if columns and any(min(e.terms) < flag for e in self) else 0
         self.reducers = {}
-        for r in sorted(map(self._reducer, range(len(self)))):
+        for r in sorted((abs(e.coef), idx, e.lead, e.coef, e.tail) for idx, e in enumerate(self)):
             self.reducers.setdefault(r[2] & pk.top, []).append(r)
-
-    def _reducer(self, idx: int) -> tuple:
-        e, cut = self[idx], self.cut
-        if not cut:
-            return abs(e.coef), idx, e.lead, e.coef, e.tail, ()
-        return (abs(e.coef), idx, e.lead, e.coef, [tc for tc in e.tail if tc[0] >= cut],
-                [tc for tc in e.tail if tc[0] < cut])
 
     def append(self, e: _Entry):
         super().append(e)
-        if self.cut and not e.lead & self.cut:
-            self._index()  # a leading term below the cut: no split any more
-        else:
-            bisect.insort(self.reducers.setdefault(e.lead & self.pk.top, []),
-                          self._reducer(len(self) - 1))
+        bisect.insort(self.reducers.setdefault(e.lead & self.pk.top, []),
+                      (abs(e.coef), len(self) - 1, e.lead, e.coef, e.tail))
 
 
 def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> dict:
@@ -345,8 +323,7 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     normal_form == {}.  When `record` is a list, every reduction step appends
     (q, shift, basis_index) meaning q * X^shift * basis[index] was
     subtracted, so vec = remainder + sum of recorded multiples.  The terms
-    of the result come in the order the heap would pop them: the column
-    terms as they leave the heap, then the terms below the cut, descending.
+    of the result come in heap order, descending.
 
     Under a deadline, `check_deadline` runs every CHECK_EVERY heap pops,
     and on every pop of a coefficient longer than 4,096 bits: one normal
@@ -354,11 +331,10 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
     binomial in X), or steps that each grow a huge coefficient (X^12000 by
     X - 2^360), so a run's budget has to reach inside it.
     """
-    table = basis if isinstance(basis, _Basis) else _Basis(pk, basis)
-    reducers, cut = table.reducers, table.cut
+    reducers = (basis if isinstance(basis, _Basis) else _Basis(pk, basis)).reducers
     top, divmask, guard = pk.top, pk.divmask, pk.guard
     work = dict(vec)
-    heap = [-t for t in work if t >= cut]  # terms below the cut stay off the heap
+    heap = [-t for t in work]
     heapq.heapify(heap)
     out = {}
     pops = 0
@@ -372,7 +348,7 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
                 check_deadline()
         if c is None:
             continue  # cancelled since it was pushed (lazy deletion)
-        for _, idx, g_lead, g_coef, g_tail, g_low in reducers.get(lead & top, ()):
+        for _, idx, g_lead, g_coef, g_tail in reducers.get(lead & top, ()):
             shift = lead - g_lead
             if shift >= 0 and not shift & divmask:
                 break
@@ -395,24 +371,10 @@ def normal_form(vec: dict, basis: list[_Entry], pk: _Packing, record=None) -> di
                     work[t] = old - d
                 else:
                     del work[t]
-            for e, cg in g_low:
-                t = e + shift
-                if t & guard:
-                    raise _Overflow
-                d = q * cg
-                old = work.get(t)
-                if old is None:
-                    work[t] = -d
-                elif old != d:
-                    work[t] = old - d
-                else:
-                    del work[t]
             if record is not None:
                 record.append((q, shift, idx))
         if r:
             out[lead] = r
-    if work:  # only terms below the cut are left
-        out.update(sorted(work.items(), reverse=True))
     return out
 
 

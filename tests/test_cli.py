@@ -63,6 +63,16 @@ def test_check_group_sublattice_with_certificate(tmp_path):
     assert code == 0 and json.loads(out)["valid"] is True
 
 
+def test_check_identity_and_inverse_with_certificate():
+    """Identity and Inverse `yes` witnesses carry their escape cells too,
+    over the basis of their positions and graph."""
+    for args in (["identity"], ["inverse", "--target", "2"]):
+        code, out = run("check", args[0], path("fig2.json"), *args[1:], "--certificate")
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        assert witness["escape_cells"] and all(c["accessible"] for c in witness["escape_cells"])
+
+
 def test_bare_check_parses_to_the_default_budget():
     args = build_parser().parse_args(["check", "group", "instance.json"])
     assert _budget(args) == Budget()

@@ -18,8 +18,7 @@ reference reduces every pair, so equal raw bases and recipes check the
 criterion, and the tests count the reductions it saves.
 
 `old_normal_form` is the packed engine's `normal_form` before it kept its
-reducer lists across calls and its e-part terms off the heap, verbatim
-apart from its name.
+reducer lists across calls, verbatim apart from its name.
 """
 import heapq
 import random
@@ -672,11 +671,12 @@ def test_kept_tables_match_the_old_normal_form():
     """`normal_form` over a kept `_Basis` (built at once, or built from one
     entry and appended to, as in the raw run) and over a plain list,
     against the body it replaced: the same remainder, in the same insertion
-    order, and the same record.  Half the bases are augmented, so every leading term is a column
-    term and the e-part terms stay off the heap; in the other half some
-    leading term may sit below the flag, and nothing is split."""
+    order, and the same record.  Half the bases are augmented, so every
+    leading term is a column term and the e-part terms below them go
+    through the heap after every column term; in the other half some
+    leading term may sit below the flag."""
     rng = random.Random(36)
-    split = 0
+    augmented = 0
     for case in range(600):
         nvars, p = rng.randint(1, 3), rng.randint(1, 3)
         npos = p + rng.randint(1, 3)
@@ -698,7 +698,8 @@ def test_kept_tables_match_the_old_normal_form():
             indices = sorted(r[1] for rs in table.reducers.values() for r in rs)
             assert indices == list(range(len(basis)))
             assert all(rs == sorted(rs) for rs in table.reducers.values())
-        split += bool(kept.cut) and any(low for rs in kept.reducers.values() for *_, low in rs)
+        augmented += (all(e.lead & pk.flag for e in basis)
+                      and any(t < pk.flag for e in basis for t, _ in e.tail))
         for _ in range(3):
             vec = pk.pack_vec(random_vec(rng, nvars, npos, rng.randint(1, 8), maxexp=4))
             want_rec = []
@@ -708,7 +709,7 @@ def test_kept_tables_match_the_old_normal_form():
                 got = groebner.normal_form(vec, table, pk, record=got_rec)
                 assert list(got.items()) == list(want.items())
                 assert got_rec == want_rec
-    assert split >= 200
+    assert augmented >= 200
 
 
 def counted_normal_forms(monkeypatch) -> list:
